@@ -6,14 +6,15 @@
 //   * executor round-dispatch overhead: one round of `count` near-empty
 //     machine tasks under SerialExecutor vs ThreadPoolExecutor — the
 //     wake/join cost every DynamicForest round pays;
-//   * the pooled batched-update path at n = 2^17: the same adversarial
-//     delete/re-insert stream applied through apply_batch under the
-//     serial executor, a 1-thread pool and a pool sized to the machine
-//     (std::thread::hardware_concurrency()).  The 1-vs-max-thread ratio
-//     is the wall-clock speedup row; rounds, communication, scheduler
-//     counters and the forest weight must be byte-identical across all
-//     three executors (that is the determinism contract of the pooled
-//     folds), and `--check` makes a mismatch fatal.
+//   * the pooled batched-update path at n = 2^17: the same weighted
+//     adversarial delete/re-insert stream applied through apply_batch
+//     under the serial executor, a 1-thread pool and a pool sized to the
+//     machine (std::thread::hardware_concurrency()).  The
+//     1-vs-max-thread ratio is the wall-clock speedup row; rounds,
+//     communication, scheduler counters and the forest weight must be
+//     byte-identical across all three executors (that is the determinism
+//     contract of the pooled folds), and `--check` makes a mismatch
+//     fatal.
 //
 // `--json BENCH_micro.json` writes the rows for the CI bench-trend gate,
 // including the detected core count: the gate skips wall-clock
@@ -47,8 +48,17 @@ double executor_round_seconds(dmpc::RoundExecutor& exec, std::size_t count,
   });
 }
 
-/// One full pooled-forest run: preprocess a cycle, then apply the
-/// adversarial tail of the stream in batches under `exec`.
+/// The forest every timed run uses: the weighted (MST) variant, whose
+/// updates cannot be net-op compressed, so the adversary's
+/// delete/re-insert pairs all reach the protocol rounds (the unweighted
+/// variant elides every pair and runs 0 rounds).
+core::DynamicForest make_forest() {
+  return core::DynamicForest(
+      {.n = kForestN, .m_cap = 4 * kForestN, .weighted = true});
+}
+
+/// One full pooled-forest run: preprocess a unit-weight cycle, then
+/// apply the adversarial tail of the stream in batches under `exec`.
 struct ForestRun {
   double preprocess_seconds = 0;
   double update_seconds = 0;
@@ -62,14 +72,7 @@ ForestRun run_forest(const std::shared_ptr<dmpc::RoundExecutor>& exec,
                      const graph::UpdateStream& stream,
                      bool with_disabled_tracer = false) {
   ForestRun out;
-  // Pinned to the wave scheduler: this bench measures the executor's
-  // cost on the replacement-scan rounds the pool parallelizes.  The
-  // batch-dynamic default would net-op-compress the adversary's
-  // delete/re-insert pairs away entirely (0 rounds — see bench_table1's
-  // bdyn rows for that protocol's wall-clock), leaving nothing to time.
-  core::DynamicForest forest({.n = kForestN,
-                              .m_cap = 4 * kForestN,
-                              .batch_policy = core::BatchPolicy::kWave});
+  core::DynamicForest forest = make_forest();
   forest.cluster().set_executor(exec);
   // Installed-but-disabled: the per-barrier cost every traced build pays
   // even when no one is tracing — the off-path overhead contract.
@@ -110,9 +113,7 @@ TraceAB paired_trace_overhead(const graph::UpdateStream& stream,
   // batch: comparing two forest instances instead picks up their
   // allocation-layout difference (measured at ±5% — bigger than the
   // budget), while here everything but the tracer install is shared.
-  core::DynamicForest forest({.n = kForestN,
-                              .m_cap = 4 * kForestN,
-                              .batch_policy = core::BatchPolicy::kWave});
+  core::DynamicForest forest = make_forest();
   forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
   const auto tracer = std::make_shared<dmpc::Tracer>();
   forest.preprocess(graph::cycle(kForestN));
@@ -146,10 +147,11 @@ bool matches_serial(const ForestRun& run, const ForestRun& serial) {
          run.sched.max_group == serial.sched.max_group &&
          run.sched.path_max_grouped == serial.sched.path_max_grouped &&
          run.sched.deferred_updates == serial.sched.deferred_updates &&
-         run.sched.waves_pipelined == serial.sched.waves_pipelined &&
-         run.sched.speculation_misses == serial.sched.speculation_misses &&
-         run.sched.batches_pipelined == serial.sched.batches_pipelined &&
-         run.sched.cross_batch_misses == serial.sched.cross_batch_misses;
+         run.sched.stages == serial.sched.stages &&
+         run.sched.kway_splits == serial.sched.kway_splits &&
+         run.sched.kway_joins == serial.sched.kway_joins &&
+         run.sched.cascade_rounds == serial.sched.cascade_rounds &&
+         run.sched.cascade_links == serial.sched.cascade_links;
 }
 
 void forest_json_row(bench::JsonReport& json, const std::string& name,
@@ -192,12 +194,15 @@ int main(int argc, char** argv) {
   }
 
   // --- Pooled batched-update path at n = 2^17 ---------------------------
-  // The adversarial tail deletes spanning-tree edges and re-inserts them,
-  // so every update drives replacement-edge scans across all ~sqrt(5n)
-  // machines — the per-round work the pool parallelizes.
+  // The adversarial tail deletes spanning-tree edges and re-inserts them
+  // with random weights in [1, 1000] over the unit-weight cycle, so every
+  // batch drives replacement-edge and path-max scans across all
+  // ~sqrt(5n) machines — the per-round work the pool parallelizes.
   const auto stream = graph::clean_stream(
-      kForestN, graph::bridge_adversary_stream(
-                    kForestN, (kForestN - 1) + kForestUpdates + 1, 0, 1));
+      kForestN,
+      graph::bridge_adversary_stream(kForestN,
+                                     (kForestN - 1) + kForestUpdates + 1, 0,
+                                     1, /*weighted=*/true, 1000));
 
   // Size the wide pool to the machine instead of a hardcoded 8: CI
   // runners and dev boxes differ, and the trend gate compares wall-clock
@@ -243,15 +248,16 @@ int main(int argc, char** argv) {
 
   // Stable row names (the thread count is a field, not part of the
   // name) so the trend gate keeps matching rows across machines.
-  forest_json_row(json, "dynforest_batched_serial_n131072", serial);
+  forest_json_row(json, "dynforest_batched_serial_n131072_weighted", serial);
   json.u64("cores", cores);
-  forest_json_row(json, "dynforest_batched_pool1_n131072", pool1);
+  forest_json_row(json, "dynforest_batched_pool1_n131072_weighted", pool1);
   json.u64("cores", cores).flag("matches_serial", pool1_ok);
-  forest_json_row(json, "dynforest_batched_poolmax_n131072", poolmax);
+  forest_json_row(json, "dynforest_batched_poolmax_n131072_weighted",
+                  poolmax);
   json.u64("cores", cores)
       .flag("matches_serial", poolmax_ok)
       .num("speedup_vs_1thread", speedup);
-  json.row("dynforest_pool_speedup_maxv1")
+  json.row("dynforest_pool_speedup_maxv1_weighted")
       .u64("cores", cores)
       .num("speedup", speedup)
       .flag("within_budget", pool1_ok && poolmax_ok);
@@ -282,7 +288,7 @@ int main(int argc, char** argv) {
   std::printf("\ntracing-disabled overhead: %.2f%% (tracer installed "
               "%.3fs / none %.3fs, serial executor)\n",
               trace_pct, trace_on, trace_off);
-  json.row("dynforest_trace_overhead_n131072")
+  json.row("dynforest_trace_overhead_n131072_weighted")
       .u64("cores", cores)
       .num("trace_overhead_pct", trace_pct)
       .num("trace_on_seconds", trace_on)

@@ -152,10 +152,7 @@ JournalOverhead measure_journal_overhead(std::size_t n) {
 
   const auto one_run = [&](bool atomic) {
     core::DynamicForest forest(
-        {.n = n,
-         .m_cap = std::size_t{1} << 16,
-         .batch_policy = core::BatchPolicy::kBatchDynamic,
-         .atomic_updates = atomic});
+        {.n = n, .m_cap = std::size_t{1} << 16, .atomic_updates = atomic});
     forest.preprocess(graph::EdgeList{});
     return bench::timed_seconds([&] {
       for (const auto& batch : batches) {
@@ -189,9 +186,7 @@ int main(int argc, char** argv) {
   const graph::MixedStream stream = graph::zipfian_serving_stream(traffic);
 
   core::DynamicForest forest(
-      {.n = traffic.n,
-       .m_cap = std::size_t{1} << 16,
-       .batch_policy = core::BatchPolicy::kBatchDynamic});
+      {.n = traffic.n, .m_cap = std::size_t{1} << 16});
   forest.preprocess(graph::EdgeList{});
   forest.cluster().metrics().reset();
 
@@ -269,9 +264,7 @@ int main(int argc, char** argv) {
     ftraffic.length = 300'000;
     ftraffic.query_fraction = 0.70;
     const graph::MixedStream fstream = graph::zipfian_serving_stream(ftraffic);
-    core::DynamicForest ff({.n = ftraffic.n,
-                            .m_cap = std::size_t{1} << 16,
-                            .batch_policy = core::BatchPolicy::kBatchDynamic});
+    core::DynamicForest ff({.n = ftraffic.n, .m_cap = std::size_t{1} << 16});
     ff.preprocess(graph::EdgeList{});
     ff.cluster().set_fault_injector(std::make_shared<dmpc::FaultInjector>(
         args.faults_seed, /*rate=*/0.002));
@@ -310,9 +303,7 @@ int main(int argc, char** argv) {
     graph::ZipfianServingConfig ttraffic = traffic;
     ttraffic.length = 200'000;
     const graph::MixedStream tstream = graph::zipfian_serving_stream(ttraffic);
-    core::DynamicForest tf({.n = ttraffic.n,
-                            .m_cap = std::size_t{1} << 16,
-                            .batch_policy = core::BatchPolicy::kBatchDynamic});
+    core::DynamicForest tf({.n = ttraffic.n, .m_cap = std::size_t{1} << 16});
     tf.preprocess(graph::EdgeList{});
     const auto tracer = std::make_shared<dmpc::Tracer>();
     tf.cluster().set_tracer(tracer);

@@ -71,7 +71,7 @@ class Cluster {
   [[nodiscard]] const RoundExecutor& executor() const { return *executor_; }
 
   /// Installs a fault injector (nullptr uninstalls).  Once installed,
-  /// every finish_round()/finish_overlapped_round() barrier and every
+  /// every finish_round() barrier and every
   /// for_each_machine dispatch outside a query batch is an injection
   /// point (see fault.hpp); query batches are never faulted, so the
   /// read path stays available while updates fail and recover.
@@ -121,20 +121,6 @@ class Cluster {
   /// recipients' inboxes (replacing the previous round's inboxes).  This
   /// is the barrier: never call it with for_each_machine tasks in flight.
   RoundRecord finish_round();
-
-  /// Like finish_round(), but accounts the delivery as *overlapped* with
-  /// an already-charged round of the same update: the traffic still
-  /// counts toward the update's totals and per-round maxima, but the
-  /// update's round count does not grow.  Models pipelined protocol
-  /// phases — read-only prepare rounds of the next wave riding the
-  /// commit rounds of the current one.  Two caveats the caller owns:
-  /// the per-machine S-word cap is enforced per delivery, not on the
-  /// union with the round being ridden (a machine touched by both may
-  /// see up to 2S words in the merged physical round), and nothing here
-  /// bounds how many overlapped deliveries ride one real round — the
-  /// scheduler must re-charge any excess (see apply_batch's deficit
-  /// accounting).
-  RoundRecord finish_overlapped_round();
 
   /// Inbox of machine `m`: the messages delivered at the last
   /// finish_round().  Cleared by the next finish_round().

@@ -50,7 +50,7 @@ const char* trace_phase_name(TracePhase phase) {
     case TracePhase::kKWayJoin: return "kway-join";
     case TracePhase::kDirectory: return "directory";
     case TracePhase::kPathMax: return "path-max";
-    case TracePhase::kWaveCommit: return "wave-commit";
+    case TracePhase::kGroupCommit: return "wave-commit";
     case TracePhase::kQueryBatch: return "query-batch";
     case TracePhase::kBatch: return "batch";
     case TracePhase::kPipeline: return "pipeline";
@@ -125,9 +125,8 @@ void Tracer::record_round(TraceRoundKind kind, const RoundRecord& rec) {
   ev.round_kind = kind;
   // Charged rounds are synthetic (their wall time belongs to the real
   // round that surrounds them): zero-width, and they do not advance the
-  // boundary.  Real and overlapped rounds run from the last
-  // protocol-track boundary, so they tile the track and stay nested
-  // inside the phase that owns them.
+  // boundary.  Real rounds run from the last protocol-track boundary, so
+  // they tile the track and stay nested inside the phase that owns them.
   if (kind == TraceRoundKind::kCharged) {
     ev.begin_ns = now;
   } else {

@@ -83,17 +83,11 @@ Driver::Driver(std::size_t n, DriverConfig config)
     : config_(config), shadow_(n) {}
 
 void Driver::seed(const graph::EdgeList& edges) {
-  for (auto [u, v] : edges) {
-    shadow_.insert_edge(u, v);
-    if (lag_shadow_) lag_shadow_->insert_edge(u, v);
-  }
+  for (auto [u, v] : edges) shadow_.insert_edge(u, v);
 }
 
 void Driver::seed(const graph::WeightedEdgeList& edges) {
-  for (const auto& e : edges) {
-    shadow_.insert_edge(e.u, e.v);
-    if (lag_shadow_) lag_shadow_->insert_edge(e.u, e.v);
-  }
+  for (const auto& e : edges) shadow_.insert_edge(e.u, e.v);
 }
 
 void Driver::run_checkpoint() {
@@ -106,10 +100,7 @@ void Driver::run_checkpoint() {
                             std::to_string(report_.applied) + ": " + why);
     }
   }
-  // In lookahead mode the filter shadow runs one buffered batch ahead of
-  // the algorithms; checkpoints see the lagged copy, which matches what
-  // the algorithms have actually applied.
-  const Checkpoint cp{report_.applied, lag_shadow_ ? *lag_shadow_ : shadow_};
+  const Checkpoint cp{report_.applied, shadow_};
   for (const CheckpointFn& fn : checkpoint_fns_) fn(cp);
   ++report_.checkpoints;
 }
@@ -120,30 +111,13 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
     AlgorithmStats stats;
     stats.name = h.name;
     stats.instrumented = static_cast<bool>(h.last_update);
-    stats.batched = batching() && (static_cast<bool>(h.apply_batch) ||
-                                   static_cast<bool>(h.apply_batch_ahead));
+    stats.batched = batching() && static_cast<bool>(h.apply_batch);
     stats.scheduled = stats.batched && static_cast<bool>(h.sched_stats);
     report_.algorithms.push_back(std::move(stats));
   }
-  // Cross-batch lookahead: buffer TWO batches, so a lookahead-capable
-  // algorithm sees each closing batch together with the next one and can
-  // overlap the next batch's first prepare with this batch's tail
-  // commit.  Per-update algorithms registered alongside are fed at the
-  // same (batch-close) time, so every checkpoint still observes all
-  // algorithms at the same committed step.
-  const bool lookahead =
-      batching() && config_.cross_batch_lookahead &&
-      std::any_of(handles_.begin(), handles_.end(), [](const Handle& h) {
-        return static_cast<bool>(h.apply_batch_ahead);
-      });
-  if (lookahead && !lag_shadow_) {
-    lag_shadow_ = std::make_unique<graph::DynamicGraph>(shadow_);
-  }
   // The open batch's effective updates (already applied to the filter
-  // shadow), plus — in lookahead mode — the previous full batch, held
-  // back until its lookahead is known.
+  // shadow).
   std::vector<graph::Update> batch;
-  std::vector<graph::Update> held;
   // Per-algorithm accumulation of a closing batch's per-update records
   // (serial instrumented algorithms only).
   std::vector<dmpc::UpdateRecord> batch_acc(handles_.size());
@@ -153,12 +127,11 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
   // checkpoint boundary (no duplicate oracle sweeps on identical state).
   bool at_checkpoint = false;
   // Set when stop_when_ fires at a checkpoint: the run returns without
-  // applying anything further (buffered batches included).
+  // applying anything further.
   bool stopped = false;
-  const auto close_batch = [&](const std::vector<graph::Update>& b,
-                               std::span<const graph::Update> next) {
+  const auto close_batch = [&](const std::vector<graph::Update>& b) {
     // Positions dropped by recovery (exhausted retries), union across
-    // handles: they must not reach the shadows or later handles.  With
+    // handles: they must not reach the shadow or later handles.  With
     // several algorithms registered, handles processed BEFORE the one
     // that abandoned have already applied the update — mixed
     // registration only stays differential while nothing is abandoned.
@@ -167,43 +140,25 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
     for (std::size_t i = 0; i < handles_.size(); ++i) {
       const Handle& h = handles_[i];
       RecoveryStats& rs = report_.algorithms[i].recovery;
-      if (batching() && (h.apply_batch || h.apply_batch_ahead)) {
-        const auto apply_span = [&](std::span<const graph::Update> seg,
-                                    std::span<const graph::Update> ahead) {
-          // A non-empty lookahead means this apply also plans (and
-          // overlaps) the next batch's first rounds.
-          dmpc::PhaseScope pipeline(!ahead.empty() ? tracer_.get() : nullptr,
-                                    dmpc::TracePhase::kPipeline);
-          if (h.apply_batch_ahead && (lookahead || !h.apply_batch)) {
-            h.apply_batch_ahead(seg, ahead);
-          } else {
-            h.apply_batch(seg);
-          }
-        };
-        std::span<const graph::Update> ahead;
-        if (lookahead) ahead = next;
+      if (batching() && h.apply_batch) {
+        const std::span<const graph::Update> whole(b);
         if (!config_.recover_failures) {
-          apply_span(std::span<const graph::Update>(b), ahead);
+          h.apply_batch(whole);
         } else {
           bool ok = true;
           try {
-            apply_span(std::span<const graph::Update>(b), ahead);
+            h.apply_batch(whole);
           } catch (...) {
             ok = false;
             ++rs.aborts;
           }
           if (!ok) {
-            // Retries run without the lookahead: the rollback dropped
-            // any carried speculation, and a clean sub-batch boundary
-            // is easier to reason about than a re-speculated one.
             dmpc::PhaseScope recovery(tracer_.get(),
                                       dmpc::TracePhase::kRecovery);
             recover_batch(
                 config_, b.size(),
                 [&](std::size_t off, std::size_t len) {
-                  apply_span(std::span<const graph::Update>(b).subspan(off,
-                                                                       len),
-                             {});
+                  h.apply_batch(whole.subspan(off, len));
                 },
                 rs, abandoned);
           }
@@ -262,7 +217,7 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
     for (const char a : abandoned) dropped += a != 0 ? 1 : 0;
     report_.applied += b.size() - dropped;
     if (dropped != 0) {
-      // The filter shadow ran ahead of the algorithms; peel the
+      // The filter shadow already holds the whole batch; peel the
       // abandoned updates back out (newest first) so checkpoints and
       // later filtering compare against what actually committed.
       for (std::size_t j = b.size(); j-- > 0;) {
@@ -274,20 +229,8 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
         }
       }
     }
-    if (lag_shadow_) {
-      for (std::size_t j = 0; j < b.size(); ++j) {
-        if (abandoned[j] == 0) graph::apply_update(*lag_shadow_, b[j]);
-      }
-    }
-    // This close committed new state, so whatever checkpoint ran before
-    // it is stale — essential for the post-loop close of the HELD batch,
-    // which otherwise inherits the flag from the previous batch's
-    // checkpoint and silently skips the final one.
-    at_checkpoint = false;
     ++report_.batches;
-    for (const auto& fn : batch_commit_fns_) {
-      fn(report_.batches, lag_shadow_ ? *lag_shadow_ : shadow_);
-    }
+    for (const auto& fn : batch_commit_fns_) fn(report_.batches, shadow_);
     for (const auto& fn : batch_end_fns_) fn();
     if (config_.checkpoint_every != 0 &&
         ++batches_since_checkpoint >= config_.checkpoint_every) {
@@ -315,43 +258,16 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
     batch.push_back(queued);
     at_checkpoint = false;
     if (batch.size() == config_.batch_size) {
-      if (lookahead) {
-        if (!held.empty()) {
-          close_batch(held, std::span<const graph::Update>(batch));
-          held.clear();
-        }
-        held.swap(batch);
-      } else {
-        close_batch(batch, {});
-        batch.clear();
-      }
+      close_batch(batch);
+      batch.clear();
     }
   }
-  if (!stopped && !held.empty()) {
-    close_batch(held, std::span<const graph::Update>(batch));
-    held.clear();
-  }
-  if (!stopped && !batch.empty()) {
-    close_batch(batch, {});
+  // A stop fires only inside close_batch, right before the batch is
+  // cleared, so nothing filtered into the shadow is left unapplied.
+  if (stopped) return report_;
+  if (!batch.empty()) {
+    close_batch(batch);
     batch.clear();
-  }
-  if (stopped) {
-    // The buffered batches were filtered into the shadow but never
-    // reached the algorithms; roll the shadow back over them (newest
-    // first) so a later run() on this driver filters against the
-    // committed state, not a future it abandoned.
-    const auto unapply = [&](const std::vector<graph::Update>& b) {
-      for (auto it = b.rbegin(); it != b.rend(); ++it) {
-        if (it->kind == graph::UpdateKind::kInsert) {
-          shadow_.delete_edge(it->u, it->v);
-        } else {
-          shadow_.insert_edge(it->u, it->v);
-        }
-      }
-    };
-    unapply(batch);
-    unapply(held);
-    return report_;
   }
   if (config_.final_checkpoint && !at_checkpoint) {
     run_checkpoint();

@@ -37,55 +37,41 @@ inline constexpr Table1Budget kConnectedComponents{"connected components", 18,
                                                    44, 600};
 inline constexpr Table1Budget kApproximateMst{"(1+eps)-MST", 28, 44, 600};
 
-/// Batched connectivity at batch = 16 (out-of-order scheduler), mean
-/// rounds per update.  Measured ~2.9 on bench_table1's random stream
-/// (serial baseline ~6.3, prefix planner ~4.6); the budget keeps the
-/// scheduler strictly ahead of the prefix planner...
+/// Batched connectivity at batch = 16, mean rounds per update of the
+/// batch-dynamic protocol on bench_table1's random stream (the
+/// `connectivity random bdyn16` row, measured 1.10; serial baseline
+/// 6.34).  bench_scaling applies the same bound to its batched series at
+/// every n.
 inline constexpr double kBatchedConnectivityRoundsPerUpdate = 3.8;
-/// ...and on the delete-heavy interleaved stream (measured ~3.7; serial
-/// ~6.7, prefix planner ~5.7, which degenerates to one serialized
-/// deletion per group), where grouped splits + the shared replacement
-/// search must keep the out-of-order scheduler under this bound.
-inline constexpr double kDeleteHeavyRoundsPerUpdate = 4.5;
 /// Weighted (MST) delete-heavy interleaved stream at batch = 16
 /// (graph::weighted_interleaved_delete_stream: every burst is a set of
 /// independent tree-edge deletions followed by a set of independent
-/// cycle-rule swap inserts), mean rounds per update with the shared
-/// path-max round + pipelined waves.  Measured ~4.1 on bench_table1's
-/// stream at n = 1024; the scheduler that serializes cycle-rule inserts
-/// (batch_path_max = false, the PR 3 behavior) measures ~8.0, so this
-/// budget is what keeps the grouped path-max search load-bearing.
+/// cycle-rule swap inserts), mean rounds per update.  Gated by
+/// tests/test_table1_budgets.cpp at n = 256; bench_table1 measures 1.14
+/// on the same stream shape at n = 1024 and gates that row with the
+/// tighter kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate below.
 inline constexpr double kWeightedDeleteHeavyRoundsPerUpdate = 5.0;
-/// Wide (paths = 2x batch) delete-heavy interleaved streams at batch 16
-/// with cross-batch pipelining + deeper speculation ON: consecutive
-/// batches touch disjoint path sets, so every batch's first
-/// prepare/directory rounds ride the previous batch's tail commit via
-/// the driver's two-batch lookahead.  Measured ~2.04 (unweighted) and
-/// ~2.27 (weighted) on bench_table1's wide streams at n = 1024; the PR 4
-/// configuration (no lookahead, shallow speculation) measures ~2.28 /
-/// ~2.53, so these budgets sit BELOW it on purpose — losing the
-/// cross-batch overlap trips the gate, not just a protocol regression.
-/// (Rounds are deterministic, so the ~10% headroom over the measured
-/// values is slack for benign protocol tweaks, not for noise.)
+/// Wide (paths = 2x batch) delete-heavy interleaved streams at batch 16,
+/// batch-dynamic protocol (bench_table1's `... delete-heavy wide bdyn16`
+/// rows, which also gate zero serial fallbacks).  Measured 0.29
+/// unweighted (one k-way stage per batch) and 0.91 weighted (the
+/// cycle-rule inserts add group stages) at n = 1024.
 inline constexpr double kWideDeleteHeavyRoundsPerUpdate = 2.25;
 inline constexpr double kWeightedWideDeleteHeavyRoundsPerUpdate = 2.5;
-/// O(1)-round batch-dynamic protocol (BatchPolicy::kBatchDynamic) on the
-/// delete-heavy interleaved streams at batch = 16: the whole batch is
-/// classified once, every tree deletion runs through ONE k-way tour
-/// split round, one parallel replacement cascade with deterministic
-/// (w,u,v) tie-breaks re-links the fragments, and all merges/joins
-/// commit as one k-way join round — no wave loop, no serial fallback
-/// (bench_table1 separately gates serial_updates == 0 on these rows).
-/// Both budgets sit FAR below the wave-scheduler rows they replace
-/// (measured ~3.7 unweighted / ~4.1 weighted at n = 1024).  Measured
-/// ~0.09 unweighted — the interleaved adversary's delete/re-insert
-/// pairs are net no-ops, so net-op compression elides most of the
-/// stream and the remainder runs in O(1)-round stages — and ~1.14
-/// weighted (no compression; every batch pays the k-way split round,
-/// one replacement cascade, and the k-way join round).  The headroom
-/// keeps both the compression and the shared stage rounds load-bearing:
-/// losing either blows the budget long before reaching the wave
-/// numbers.
+/// The batch-dynamic protocol on the delete-heavy interleaved streams at
+/// batch = 16: the whole batch is classified once, every tree deletion
+/// runs through ONE k-way tour split round, one parallel replacement
+/// cascade with deterministic (w,u,v) tie-breaks re-links the fragments,
+/// and all merges/joins commit as one k-way join round — no serial
+/// fallback (bench_table1 separately gates serial_updates == 0 on these
+/// rows).  Measured 0.09 unweighted — the interleaved adversary's
+/// delete/re-insert pairs are net no-ops, so net-op compression elides
+/// most of the stream and the remainder runs in O(1)-round stages — and
+/// 1.14 weighted (no compression; every batch pays the k-way split
+/// round, one replacement cascade, the k-way join round, and the shared
+/// path-max round of its cycle-rule inserts).  Serial application
+/// measures 6.72 / 9.56, so losing either the compression or the shared
+/// stage rounds blows these budgets.
 inline constexpr double kBatchDynamicDeleteHeavyRoundsPerUpdate = 1.0;
 inline constexpr double kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate = 1.5;
 

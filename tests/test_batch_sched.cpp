@@ -1,7 +1,7 @@
-// Randomized stress tests of the out-of-order batch scheduler: arbitrary
+// Randomized stress tests of the batch-dynamic protocol: arbitrary
 // mixed insert/delete batches through DynamicForest::apply_batch versus
-// serial replay, across many seeds, stream shapes, batch sizes, and both
-// weighted modes.  Asserts identical final state (component partition,
+// serial replay, across many seeds, stream shapes, batch sizes, both
+// weighted modes, and the undo journal on and off.  Asserts identical final state (component partition,
 // forest weight, tree-edge count), canonicalized directory contents, the
 // structural validate() invariants, and oracle connectivity at driver
 // checkpoints.  Component IDS may differ between the two runs (split-off
@@ -41,15 +41,15 @@ struct StressCase {
   std::uint64_t seed;
   std::size_t batch_size;
   bool weighted;
-  core::BatchPolicy policy;
+  bool atomic_updates;
 };
 
-std::vector<StressCase> stress_cases(core::BatchPolicy policy);
+std::vector<StressCase> stress_cases(bool atomic_updates);
 
 class BatchSchedulerStress : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(BatchSchedulerStress, MatchesSerialReplay) {
-  const auto [seed, batch_size, weighted, policy] = GetParam();
+  const auto [seed, batch_size, weighted, atomic_updates] = GetParam();
   const std::size_t n = 48;
   // Rotate through the stream shapes: uniformly random churn (with a
   // tiny weight range on even seeds, so weighted runs hit equal-weight
@@ -88,7 +88,7 @@ TEST_P(BatchSchedulerStress, MatchesSerialReplay) {
   core::DynamicForest batched({.n = n,
                                .m_cap = 4 * n,
                                .weighted = weighted,
-                               .batch_policy = policy});
+                               .atomic_updates = atomic_updates});
   batched.preprocess(graph::WeightedEdgeList{});
   Driver batched_driver(n, DriverConfig{.batch_size = batch_size,
                                         .checkpoint_every = 4,
@@ -122,7 +122,7 @@ class PooledExecutorBitIdentity : public ::testing::TestWithParam<StressCase> {
 };
 
 TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
-  const auto [seed, batch_size, weighted, policy] = GetParam();
+  const auto [seed, batch_size, weighted, atomic_updates] = GetParam();
   const std::size_t n = 48;
   graph::UpdateStream stream;
   switch (seed % 4) {
@@ -149,7 +149,7 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
         core::DynForestConfig{.n = n,
                               .m_cap = 4 * n,
                               .weighted = weighted,
-                              .batch_policy = policy});
+                              .atomic_updates = atomic_updates});
     forest->cluster().set_executor(exec);
     forest->preprocess(graph::WeightedEdgeList{});
     Driver driver(n, DriverConfig{.batch_size = batch_size,
@@ -193,12 +193,6 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   EXPECT_EQ(ss.max_group, ps.max_group) << "seed " << seed;
   EXPECT_EQ(ss.path_max_grouped, ps.path_max_grouped) << "seed " << seed;
   EXPECT_EQ(ss.deferred_updates, ps.deferred_updates) << "seed " << seed;
-  EXPECT_EQ(ss.waves_pipelined, ps.waves_pipelined) << "seed " << seed;
-  EXPECT_EQ(ss.speculation_misses, ps.speculation_misses) << "seed " << seed;
-  EXPECT_EQ(ss.batches_pipelined, ps.batches_pipelined) << "seed " << seed;
-  EXPECT_EQ(ss.cross_batch_misses, ps.cross_batch_misses) << "seed " << seed;
-  // Batch-dynamic protocol counters (all zero under kWave, where the
-  // protocol never runs — asserting them there guards exactly that).
   EXPECT_EQ(ss.stages, ps.stages) << "seed " << seed;
   EXPECT_EQ(ss.kway_splits, ps.kway_splits) << "seed " << seed;
   EXPECT_EQ(ss.kway_joins, ps.kway_joins) << "seed " << seed;
@@ -207,13 +201,13 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   EXPECT_EQ(ss.elided_updates, ps.elided_updates) << "seed " << seed;
 }
 
-std::vector<StressCase> stress_cases(core::BatchPolicy policy) {
+std::vector<StressCase> stress_cases(bool atomic_updates) {
   std::vector<StressCase> cases;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     // Vary the batch size with the seed so group shapes differ: 4..32.
     const std::size_t batch_size = 4 << (seed % 4);
-    cases.push_back({seed, batch_size, false, policy});
-    cases.push_back({seed, batch_size, true, policy});
+    cases.push_back({seed, batch_size, false, atomic_updates});
+    cases.push_back({seed, batch_size, true, atomic_updates});
   }
   return cases;
 }
@@ -224,25 +218,25 @@ std::string stress_case_name(const ::testing::TestParamInfo<StressCase>& info) {
          (info.param.weighted ? "_weighted" : "_unweighted");
 }
 
-// Two 48-case sweeps per suite: the O(1)-round batch-dynamic protocol
-// (the default policy) and the PR 5 wave scheduler it replaced, which
-// stays covered as the comparison baseline.
-INSTANTIATE_TEST_SUITE_P(
-    BatchDynamic, PooledExecutorBitIdentity,
-    ::testing::ValuesIn(stress_cases(core::BatchPolicy::kBatchDynamic)),
-    stress_case_name);
-INSTANTIATE_TEST_SUITE_P(
-    Wave, PooledExecutorBitIdentity,
-    ::testing::ValuesIn(stress_cases(core::BatchPolicy::kWave)),
-    stress_case_name);
+// Two 48-case sweeps per suite over the batch-dynamic protocol:
+// BatchDynamic with the default undo journal, and Wave with
+// atomic_updates off (the configuration benches use to price the
+// journal), where no pre-image is recorded and a stage's writes land
+// unguarded.  The second sweep ran the deleted wave scheduler before the
+// protocol became the only batch path; it keeps that suite name so its
+// test IDs stay stable.
+INSTANTIATE_TEST_SUITE_P(BatchDynamic, PooledExecutorBitIdentity,
+                         ::testing::ValuesIn(stress_cases(true)),
+                         stress_case_name);
+INSTANTIATE_TEST_SUITE_P(Wave, PooledExecutorBitIdentity,
+                         ::testing::ValuesIn(stress_cases(false)),
+                         stress_case_name);
 
-INSTANTIATE_TEST_SUITE_P(
-    BatchDynamic, BatchSchedulerStress,
-    ::testing::ValuesIn(stress_cases(core::BatchPolicy::kBatchDynamic)),
-    stress_case_name);
-INSTANTIATE_TEST_SUITE_P(
-    Wave, BatchSchedulerStress,
-    ::testing::ValuesIn(stress_cases(core::BatchPolicy::kWave)),
-    stress_case_name);
+INSTANTIATE_TEST_SUITE_P(BatchDynamic, BatchSchedulerStress,
+                         ::testing::ValuesIn(stress_cases(true)),
+                         stress_case_name);
+INSTANTIATE_TEST_SUITE_P(Wave, BatchSchedulerStress,
+                         ::testing::ValuesIn(stress_cases(false)),
+                         stress_case_name);
 
 }  // namespace

@@ -203,17 +203,12 @@ void expect_identical(const core::DynamicForest& a,
 
 std::unique_ptr<core::DynamicForest> run_forest(
     harness::ExecutorKind kind, std::size_t batch_size,
-    const graph::UpdateStream& stream, std::size_t n,
-    bool weighted = false,
-    core::BatchPolicy policy = core::BatchPolicy::kBatchDynamic) {
-  auto forest =
-      std::make_unique<core::DynamicForest>(core::DynForestConfig{
-          .n = n, .m_cap = 4 * n, .weighted = weighted,
-          .batch_policy = policy});
+    const graph::UpdateStream& stream, std::size_t n) {
+  auto forest = std::make_unique<core::DynamicForest>(
+      core::DynForestConfig{.n = n, .m_cap = 4 * n});
   forest->preprocess(graph::WeightedEdgeList{});
   harness::DriverConfig config{.batch_size = batch_size,
-                               .checkpoint_every = 0,
-                               .weighted = weighted};
+                               .checkpoint_every = 0};
   config.executor = kind;
   config.executor_threads = 4;
   harness::Driver driver(n, config);
@@ -235,10 +230,12 @@ void expect_same_sched(const core::DynamicForest& a,
   EXPECT_EQ(sa.max_group, sb.max_group);
   EXPECT_EQ(sa.path_max_grouped, sb.path_max_grouped);
   EXPECT_EQ(sa.deferred_updates, sb.deferred_updates);
-  EXPECT_EQ(sa.waves_pipelined, sb.waves_pipelined);
-  EXPECT_EQ(sa.speculation_misses, sb.speculation_misses);
-  EXPECT_EQ(sa.batches_pipelined, sb.batches_pipelined);
-  EXPECT_EQ(sa.cross_batch_misses, sb.cross_batch_misses);
+  EXPECT_EQ(sa.stages, sb.stages);
+  EXPECT_EQ(sa.kway_splits, sb.kway_splits);
+  EXPECT_EQ(sa.kway_joins, sb.kway_joins);
+  EXPECT_EQ(sa.cascade_rounds, sb.cascade_rounds);
+  EXPECT_EQ(sa.cascade_links, sb.cascade_links);
+  EXPECT_EQ(sa.elided_updates, sb.elided_updates);
 }
 
 TEST(ExecutorDeterminism, ThreadPoolMatchesSerialPerUpdate) {
@@ -274,46 +271,6 @@ TEST(ExecutorDeterminism, GroupAssignmentMatchesSerialOnDeleteHeavy) {
   expect_identical(*serial, *pooled);
   expect_same_sched(*serial, *pooled);
   EXPECT_GT(serial->batch_stats().batched_tree_deletes, 0u);
-}
-
-// Wave pipelining (speculative prepares overlapping commit rounds) and
-// the shared path-max round both plan on the driver thread; under the
-// thread pool the speculation hits/misses, deferred cycle-rule inserts,
-// and every inbox/metric must match the serial executor exactly.
-TEST(ExecutorDeterminism, PipelinedWeightedWavesMatchSerial) {
-  const std::size_t n = 96;
-  const auto stream =
-      graph::weighted_interleaved_delete_stream(n, 400, 6, 3, 23);
-  const auto serial =
-      run_forest(harness::ExecutorKind::kSerial, 16, stream, n,
-                 /*weighted=*/true, core::BatchPolicy::kWave);
-  const auto pooled =
-      run_forest(harness::ExecutorKind::kThreadPool, 16, stream, n,
-                 /*weighted=*/true, core::BatchPolicy::kWave);
-  expect_identical(*serial, *pooled);
-  expect_same_sched(*serial, *pooled);
-  // The stream must actually have exercised the pipelined + grouped
-  // cycle-rule machinery, not just matched trivially.
-  EXPECT_GT(serial->batch_stats().path_max_grouped, 0u);
-  EXPECT_GT(serial->batch_stats().waves_pipelined, 0u);
-}
-
-// Cross-batch pipelining: the driver's two-batch lookahead plans the
-// next batch's first wave on the driver thread and carries it across the
-// apply_batch boundary; under the thread pool the carry hits/misses and
-// all inboxes/metrics must match the serial executor exactly.  The wide
-// (paths > batch) delete-heavy adversary makes consecutive batches touch
-// disjoint path sets, so carries actually survive.
-TEST(ExecutorDeterminism, CrossBatchCarriedWavesMatchSerial) {
-  const std::size_t n = 96;
-  const auto stream = graph::interleaved_delete_stream(n, 800, 32, 2, 23);
-  const auto serial = run_forest(harness::ExecutorKind::kSerial, 16, stream,
-                                 n, false, core::BatchPolicy::kWave);
-  const auto pooled = run_forest(harness::ExecutorKind::kThreadPool, 16,
-                                 stream, n, false, core::BatchPolicy::kWave);
-  expect_identical(*serial, *pooled);
-  expect_same_sched(*serial, *pooled);
-  EXPECT_GT(serial->batch_stats().batches_pipelined, 0u);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 
 namespace {
 
-using core::BatchPolicy;
 using core::DynamicForest;
 using core::DynForestConfig;
 using dmpc::FaultInjector;
@@ -153,12 +152,11 @@ void sweep_every_injection_point(const DynForestConfig& config,
   }
 }
 
-DynForestConfig sweep_config(bool weighted, BatchPolicy policy) {
+DynForestConfig sweep_config(bool weighted) {
   DynForestConfig config;
   config.n = 32;
   config.m_cap = 160;
   config.weighted = weighted;
-  config.batch_policy = policy;
   return config;
 }
 
@@ -169,25 +167,13 @@ graph::UpdateStream sweep_stream(std::size_t n, bool weighted) {
 }
 
 TEST(FaultSweep, BatchDynamicDeleteHeavy) {
-  const auto config = sweep_config(false, BatchPolicy::kBatchDynamic);
+  const auto config = sweep_config(false);
   sweep_every_injection_point(config, false, sweep_stream(config.n, false), 6);
   sweep_every_injection_point(config, true, sweep_stream(config.n, false), 6);
 }
 
 TEST(FaultSweep, BatchDynamicWeighted) {
-  const auto config = sweep_config(true, BatchPolicy::kBatchDynamic);
-  sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6);
-  sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
-}
-
-TEST(FaultSweep, WaveDeleteHeavy) {
-  const auto config = sweep_config(false, BatchPolicy::kWave);
-  sweep_every_injection_point(config, false, sweep_stream(config.n, false), 6);
-  sweep_every_injection_point(config, true, sweep_stream(config.n, false), 6);
-}
-
-TEST(FaultSweep, WaveWeighted) {
-  const auto config = sweep_config(true, BatchPolicy::kWave);
+  const auto config = sweep_config(true);
   sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6);
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }

@@ -108,10 +108,10 @@ TEST(Table1Budgets, WeightedBatchedDeleteHeavy) {
   // The weighted-batched gate: mean rounds per update of apply_batch at
   // batch = 16 on the weighted delete-heavy adversary, whose bursts are
   // independent tree-edge deletions plus independent cycle-rule swap
-  // inserts.  The shared path-max round + pipelined waves must keep this
-  // under the budget shared with bench_table1 --check (rounds per update
-  // is n-independent, so the same bound applies here at n = 256 and at
-  // the bench's n = 1024).
+  // inserts.  The batch-dynamic stages (k-way split + cascade + join for
+  // the deletions, one shared path-max round for the inserts) must keep
+  // this under the budget (rounds per update is n-independent, so the
+  // same bound applies here at n = 256 and at the bench's n = 1024).
   core::DynamicForest mst({.n = kN, .m_cap = kMCap, .weighted = true});
   mst.preprocess(graph::WeightedEdgeList{});
   harness::DriverConfig config{.batch_size = 16,

@@ -40,7 +40,6 @@
 
 namespace {
 
-using core::BatchPolicy;
 using core::DynamicForest;
 using dmpc::PhaseScope;
 using dmpc::PhaseTotals;
@@ -303,11 +302,10 @@ struct TracedRun {
   std::string json;
 };
 
-TracedRun traced_run(const std::shared_ptr<dmpc::RoundExecutor>& exec,
-                     BatchPolicy policy) {
+TracedRun traced_run(const std::shared_ptr<dmpc::RoundExecutor>& exec) {
   constexpr std::size_t kN = 512;
   TracedRun out;
-  DynamicForest forest({.n = kN, .m_cap = 4 * kN, .batch_policy = policy});
+  DynamicForest forest({.n = kN, .m_cap = 4 * kN});
   forest.cluster().set_executor(exec);
   forest.preprocess(graph::cycle(kN));
   const auto tracer = std::make_shared<Tracer>();
@@ -371,34 +369,29 @@ bool same_shape(const TraceEvent& a, const TraceEvent& b) {
 }
 
 TEST(TracerExecutors, SpanStructureIdenticalSerialVsPool) {
-  for (const BatchPolicy policy :
-       {BatchPolicy::kBatchDynamic, BatchPolicy::kWave}) {
-    const TracedRun serial =
-        traced_run(std::make_shared<dmpc::SerialExecutor>(), policy);
-    const TracedRun pooled =
-        traced_run(std::make_shared<dmpc::ThreadPoolExecutor>(4), policy);
-    ASSERT_EQ(serial.events.size(), pooled.events.size());
-    for (std::size_t i = 0; i < serial.events.size(); ++i) {
-      ASSERT_TRUE(same_shape(serial.events[i], pooled.events[i]))
-          << "event " << i << " diverged under the pool";
-    }
-    EXPECT_EQ(serial.dropped, pooled.dropped);
-    for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
-      EXPECT_EQ(serial.totals[p].spans, pooled.totals[p].spans);
-      EXPECT_EQ(serial.totals[p].aborted_spans, pooled.totals[p].aborted_spans);
-      EXPECT_EQ(serial.totals[p].rounds, pooled.totals[p].rounds);
-      EXPECT_EQ(serial.totals[p].overlapped_rounds,
-                pooled.totals[p].overlapped_rounds);
-      EXPECT_EQ(serial.totals[p].charged_rounds,
-                pooled.totals[p].charged_rounds);
-      EXPECT_EQ(serial.totals[p].comm_words, pooled.totals[p].comm_words);
-    }
+  const TracedRun serial =
+      traced_run(std::make_shared<dmpc::SerialExecutor>());
+  const TracedRun pooled =
+      traced_run(std::make_shared<dmpc::ThreadPoolExecutor>(4));
+  ASSERT_EQ(serial.events.size(), pooled.events.size());
+  for (std::size_t i = 0; i < serial.events.size(); ++i) {
+    ASSERT_TRUE(same_shape(serial.events[i], pooled.events[i]))
+        << "event " << i << " diverged under the pool";
+  }
+  EXPECT_EQ(serial.dropped, pooled.dropped);
+  for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
+    EXPECT_EQ(serial.totals[p].spans, pooled.totals[p].spans);
+    EXPECT_EQ(serial.totals[p].aborted_spans, pooled.totals[p].aborted_spans);
+    EXPECT_EQ(serial.totals[p].rounds, pooled.totals[p].rounds);
+    EXPECT_EQ(serial.totals[p].charged_rounds,
+              pooled.totals[p].charged_rounds);
+    EXPECT_EQ(serial.totals[p].comm_words, pooled.totals[p].comm_words);
+    EXPECT_EQ(serial.totals[p].overlapped_rounds, 0u);
   }
 }
 
 TEST(TracerExecutors, BatchDynamicRunCoversTheProtocolPhases) {
-  const TracedRun run =
-      traced_run(std::make_shared<dmpc::SerialExecutor>(), BatchPolicy::kBatchDynamic);
+  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>());
   const auto spans_of = [&](TracePhase p) {
     return run.totals[static_cast<std::size_t>(p)].spans;
   };
@@ -527,8 +520,7 @@ bool json_syntax_ok(const std::string& s) {
 }
 
 TEST(TracerJson, ExportIsValidAndSpansNest) {
-  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>(),
-                                   BatchPolicy::kBatchDynamic);
+  const TracedRun run = traced_run(std::make_shared<dmpc::SerialExecutor>());
   EXPECT_TRUE(json_syntax_ok(run.json));
   EXPECT_NE(run.json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(run.json.find("\"dmpc\""), std::string::npos);
