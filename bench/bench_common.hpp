@@ -198,8 +198,8 @@ inline double rounds_per_update(const harness::DriverReport& report,
 /// Prints a batched algorithm's row from the driver's per-batch
 /// aggregate: total and per-update rounds (the round-sharing win), the
 /// total communication, and — for algorithms with a batch scheduler —
-/// how the batches were partitioned (groups per batch, out-of-order
-/// executions, serial fallbacks, grouped tree deletions) plus the
+/// how the batches were partitioned (out-of-order executions, serial
+/// fallbacks, grouped tree deletions, cycle-rule inserts) plus the
 /// batch-dynamic protocol's stages, k-way transforms, replacement-cascade
 /// volume, and net-op-compression elisions.
 inline void print_batch_row(const harness::DriverReport& report,
@@ -216,9 +216,8 @@ inline void print_batch_row(const harness::DriverReport& report,
     char sched[256];
     std::snprintf(
         sched, sizeof sched,
-        " | grp/batch=%.1f reord=%llu serial=%llu sdel=%llu pmax=%llu "
+        " | reord=%llu serial=%llu sdel=%llu pmax=%llu "
         "stg=%llu kway=%llu/%llu casc=%llu/%llu elide=%llu",
-        stats->sched.groups_per_batch(),
         static_cast<unsigned long long>(stats->sched.reordered_updates),
         static_cast<unsigned long long>(stats->sched.serial_updates),
         static_cast<unsigned long long>(stats->sched.batched_tree_deletes),
@@ -267,8 +266,7 @@ inline bool batched_json_row(JsonReport& json,
     json.u64("total_rounds", agg.total_rounds)
         .u64("total_comm_words", agg.total_comm_words);
     if (stats->scheduled) {
-      json.num("groups_per_batch", stats->sched.groups_per_batch())
-          .u64("reordered_updates", stats->sched.reordered_updates)
+      json.u64("reordered_updates", stats->sched.reordered_updates)
           .u64("serial_updates", stats->sched.serial_updates)
           .u64("batched_tree_deletes", stats->sched.batched_tree_deletes)
           .u64("path_max_grouped", stats->sched.path_max_grouped)

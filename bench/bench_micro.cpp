@@ -139,7 +139,6 @@ bool matches_serial(const ForestRun& run, const ForestRun& serial) {
          run.total_comm_words == serial.total_comm_words &&
          run.weight == serial.weight &&
          run.sched.batches == serial.sched.batches &&
-         run.sched.groups == serial.sched.groups &&
          run.sched.grouped_updates == serial.sched.grouped_updates &&
          run.sched.serial_updates == serial.sched.serial_updates &&
          run.sched.reordered_updates == serial.sched.reordered_updates &&

@@ -106,11 +106,9 @@ void run_batched_connectivity(
   const double rpu = bench::rounds_per_update(report, "alg");
   const auto& sched = report.find("alg")->sched;
   std::printf("%-24s n=%7zu batches=%4zu | rounds/update=%6.2f "
-              "(vs ~6 serial) comm(tot)=%8llu grp/batch=%.1f "
-              "reord=%llu sdel=%llu\n",
+              "(vs ~6 serial) comm(tot)=%8llu reord=%llu sdel=%llu\n",
               "connectivity (batch=16)", n, report.batches, rpu,
               static_cast<unsigned long long>(agg.total_comm_words),
-              sched.groups_per_batch(),
               static_cast<unsigned long long>(sched.reordered_updates),
               static_cast<unsigned long long>(sched.batched_tree_deletes));
   g_within_budget =

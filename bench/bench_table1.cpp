@@ -287,9 +287,10 @@ int main(int argc, char** argv) {
   // Weighted (MST) batched section: every burst of the weighted
   // delete-heavy adversary is a set of independent tree-edge deletions
   // followed by a set of independent cycle-rule swap inserts, which share
-  // one path-max round per stage.
+  // one path-max round per stage; each committing swap is one more cut
+  // of the stage's k-way split.
   bench::print_batch_header(
-      "batched (1+eps)-MST (cycle-rule inserts share the path-max round)");
+      "batched (1+eps)-MST (cycle-rule swaps join the k-way split)");
   auto run_mst = [&](std::size_t batch_size,
                      const graph::UpdateStream& stream, double* wall_seconds) {
     core::DynamicForest mst({.n = kN, .m_cap = kMCap, .weighted = true});

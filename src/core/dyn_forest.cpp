@@ -33,23 +33,17 @@ enum Tag : Word {
   kPromote,
   kQuery,
   kQueryReply,
-  // Batched-update protocol (apply_batch): the ingress scatters each
-  // update of an independent group to its coordinator machine, which
-  // runs the update's share of the group's O(1) rounds.
+  // Batch-dynamic protocol (apply_batch): the ingress scatters each
+  // update of a stage to its coordinator machine, which runs the
+  // update's share of the stage's O(1) rounds.  Surviving-appearance
+  // minima travel as batch replies.  The rest: k-way split descriptors
+  // (tree deletions and committing cycle-rule swaps), cached-index
+  // overrides for records whose surviving appearance a cut invalidated,
+  // per-fragment-pair replacement minima (machine -> pair collector ->
+  // component owner), cascade link grants (owner -> link edge machine),
+  // link broadcasts, and merge descriptors for the shared k-way join.
   kBatchScatter,
-  kBatchEndpoints,
   kBatchReply,
-  kBatchReady,
-  // Cycle-rule commit verdicts: after the shared path-max round the
-  // ingress tells each swap-or-deferred coordinator whether its update
-  // commits this stage or returns to the pending set.
-  kBatchVerdict,
-  // Batch-dynamic protocol (kStageKWay stages): k-way split
-  // descriptors, cached-index overrides for records whose surviving
-  // appearance a cut invalidated, per-fragment-pair replacement minima
-  // (machine -> pair collector -> component owner), cascade link grants
-  // (owner -> link edge machine), link broadcasts, and merge
-  // descriptors for the shared k-way join.
   kCutBcast,
   kCachedFix,
   kPairMin,
@@ -466,9 +460,8 @@ void DynamicForest::apply_merge_local(MachineState& ms, const MergeBcast& mb) {
   for (std::size_t i = 0; i < es.size(); ++i) {
     // Crossing records keep their pre-split component id, which is the
     // rest side cx of the re-merge that resolves them.  The guard scopes
-    // resolution to this merge's own split: a batched deletion group
-    // applies several replacement merges behind one barrier, and each
-    // must leave the other splits' crossing records alone.
+    // resolution to this merge's own split, leaving any other split's
+    // crossing records alone.
     if (es.crossing[i] != 0 && mb.resolve_crossing && es.comp[i] == mb.cx) {
       ms.jlog_edge_slot(i);
       es.iu1[i] = es.u_in_subtree[i] != 0 ? ty_xform(es.iu1[i])
@@ -1190,7 +1183,7 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
 }
 
 // ---------------------------------------------------------------------------
-// Batched updates (independent groups share the O(1) protocol rounds)
+// Batched updates: classification and ordering claims
 // ---------------------------------------------------------------------------
 
 DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
@@ -1221,10 +1214,10 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
       op.reads[op.num_reads++] = op.cx;
     } else {
       // The MST cycle rule's path-max search is read-only until a swap
-      // commits: claim the component for reading so the group protocol
-      // runs all members' searches in one shared round.  A committing
-      // swap escalates to a write at commit time, deferring the
-      // same-component members planned behind it back to pending.
+      // commits: claim the component for reading so a stage runs all of
+      // its inserts' searches in one shared round.  A committing swap
+      // escalates to a write at commit time, deferring the
+      // same-component inserts behind it back to pending.
       op.kind = BatchOpKind::kPathMax;
       op.reads[op.num_reads++] = op.cx;
     }
@@ -1245,697 +1238,34 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
   return op;
 }
 
-bool DynamicForest::ops_conflict(const BatchOp& a, const BatchOp& b) {
+bool DynamicForest::ops_conflict_ordering(const BatchOp& a,
+                                          const BatchOp& b) {
   if (a.ekey == b.ekey) return true;
+  // w's write claims hit c's claims.  A cycle-rule insert may commit a
+  // swap that rewrites the component it only reads at plan time, so its
+  // read claim counts as a write: nothing may be reordered across it
+  // within that component (its search — and the records a reordered
+  // non-tree op would add or remove — must observe serial order).
   const auto writes_hit = [](const BatchOp& w, const BatchOp& c) {
-    for (std::size_t i = 0; i < w.num_writes; ++i) {
+    const auto hits = [&](Word comp) {
       for (std::size_t j = 0; j < c.num_writes; ++j) {
-        if (w.writes[i] == c.writes[j]) return true;
+        if (comp == c.writes[j]) return true;
       }
       for (std::size_t j = 0; j < c.num_reads; ++j) {
-        if (w.writes[i] == c.reads[j]) return true;
+        if (comp == c.reads[j]) return true;
       }
+      return false;
+    };
+    for (std::size_t i = 0; i < w.num_writes; ++i) {
+      if (hits(w.writes[i])) return true;
+    }
+    if (w.kind != BatchOpKind::kPathMax) return false;
+    for (std::size_t i = 0; i < w.num_reads; ++i) {
+      if (hits(w.reads[i])) return true;
     }
     return false;
   };
   return writes_hit(a, b) || writes_hit(b, a);
-}
-
-bool DynamicForest::ops_conflict_ordering(const BatchOp& a,
-                                          const BatchOp& b) {
-  if (ops_conflict(a, b)) return true;
-  // A cycle-rule insert may commit a swap that rewrites the component
-  // it only reads at plan time; nothing may be reordered across it
-  // within that component (its search — and the records a reordered
-  // non-tree op would add or remove — must observe serial order).
-  const auto pathmax_hits = [](const BatchOp& pm, const BatchOp& c) {
-    if (pm.kind != BatchOpKind::kPathMax) return false;
-    for (std::size_t i = 0; i < pm.num_reads; ++i) {
-      for (std::size_t j = 0; j < c.num_writes; ++j) {
-        if (pm.reads[i] == c.writes[j]) return true;
-      }
-      for (std::size_t j = 0; j < c.num_reads; ++j) {
-        if (pm.reads[i] == c.reads[j]) return true;
-      }
-    }
-    return false;
-  };
-  return pathmax_hits(a, b) || pathmax_hits(b, a);
-}
-
-DynamicForest::GroupPrep DynamicForest::run_group_prepare(
-    std::vector<BatchOp>& group) {
-  const MachineId mu = static_cast<MachineId>(machines_.size());
-  dmpc::PhaseScope phase(cluster_->tracer(),
-                         dmpc::TracePhase::kScatterClassify);
-  GroupPrep gp;
-
-  // Round 1 (scatter): the ingress ships each update to its coordinator
-  // (= its edge machine), which runs the update's part of every shared
-  // round from here on.  Tree deletions — and cycle-rule inserts, whose
-  // swap would split the displaced edge out — receive the id of their
-  // split-off component here (next_comp_id_ is ingress state).  O(1)
-  // words per update from one sender.
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    BatchOp& op = group[i];
-    if (op.kind == BatchOpKind::kTreeDelete ||
-        op.kind == BatchOpKind::kPathMax) {
-      op.new_comp = next_comp_id_++;
-    }
-    cluster_->send(0, op.coord, kBatchScatter,
-                   {static_cast<Word>(i), static_cast<Word>(op.kind), op.x,
-                    op.y, op.w, op.new_comp});
-  }
-  cluster_->finish_round();
-
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i].kind == BatchOpKind::kNoop) continue;
-    gp.active.push_back(i);
-    gp.any_merge = gp.any_merge || group[i].kind == BatchOpKind::kMerge;
-    gp.any_delete =
-        gp.any_delete || group[i].kind == BatchOpKind::kTreeDelete;
-    gp.any_pathmax =
-        gp.any_pathmax || group[i].kind == BatchOpKind::kPathMax;
-  }
-  if (gp.active.empty()) return gp;
-
-  // Round 2 (endpoint broadcast): each coordinator broadcasts its
-  // update's endpoints — the per-update analogue of prepare round 1,
-  // all sharing one round (O(sqrt N) words per coordinator).
-  for (std::size_t i : gp.active) {
-    const BatchOp& op = group[i];
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) {
-        cluster_->send(op.coord, m, kBatchEndpoints,
-                       {static_cast<Word>(i), op.x, op.y});
-      }
-    }
-  }
-  cluster_->finish_round();
-
-  // Round 3 (replies): every machine scans its shard once per update
-  // (machines run concurrently) and stages its f/l + component reply to
-  // the update's coordinator; the coordinator's own contribution stays
-  // local.  Shared analogue of prepare round 2.
-  std::vector<std::vector<EndpointScan>> scans(
-      gp.active.size(), std::vector<EndpointScan>(machines_.size()));
-  cluster_->for_each_machine([&](MachineId m) {
-    for (std::size_t a = 0; a < gp.active.size(); ++a) {
-      const BatchOp& op = group[gp.active[a]];
-      scans[a][m] = scan_endpoints(m, op.x, op.y);
-      std::vector<Word> reply = scan_reply(scans[a][m]);
-      if (!reply.empty() && m != op.coord) {
-        reply.insert(reply.begin(), static_cast<Word>(gp.active[a]));
-        cluster_->send(m, op.coord, kBatchReply, std::move(reply));
-      }
-    }
-  });
-  cluster_->finish_round();
-  gp.preps.resize(gp.active.size());
-  // The per-update scan folds are independent reductions over disjoint
-  // rows of the scan matrix, so they run on the installed executor; each
-  // fold is itself sequential over machines, so the result is identical
-  // whichever executor ran it.
-  cluster_->executor().run(gp.active.size(), [&](std::size_t a) {
-    gp.preps[a] = fold_scans(scans[a]);
-  });
-  return gp;
-}
-
-void DynamicForest::run_group_dir(std::vector<BatchOp>& group,
-                                  GroupPrep& gp) {
-  const MachineId mu = static_cast<MachineId>(machines_.size());
-  const std::vector<std::size_t>& active = gp.active;
-  gp.heaviest.assign(active.size(), std::nullopt);
-  if (active.empty() || !(gp.any_merge || gp.any_delete || gp.any_pathmax)) {
-    return;
-  }
-  // Path-max probes share these two rounds with the directory traffic;
-  // the trace attributes the pair to whichever is present (path-max
-  // dominates the scan work when any probe rides along).
-  dmpc::PhaseScope phase(cluster_->tracer(),
-                         gp.any_pathmax ? dmpc::TracePhase::kPathMax
-                                        : dmpc::TracePhase::kDirectory);
-  // Merges need both component sizes; tree deletions — and cycle-rule
-  // inserts, whose swap would split — the size of the one they touch.
-  const auto needs_dir = [&](std::size_t i) {
-    return group[i].kind == BatchOpKind::kMerge ||
-           group[i].kind == BatchOpKind::kTreeDelete ||
-           group[i].kind == BatchOpKind::kPathMax;
-  };
-
-  // Rounds 4-5 (directory + shared path-max search): coordinators of
-  // merges, tree deletions, and cycle-rule inserts query the component
-  // sizes — prepare rounds 3-4, shared.  The cycle-rule inserts' x..y
-  // path-max search rides the same two rounds: the interval broadcasts
-  // share round 4 with the directory queries, every machine scans its
-  // shard once for ALL of them (concurrently), and the per-update local
-  // maxima ride round 5 with the size replies.  Proposals carry the
-  // candidate's four tour indexes so a committing swap can derive its
-  // split without re-querying the displaced edge's machine.
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (!needs_dir(active[a])) continue;
-    const Prep& p = gp.preps[a];
-    const MachineId coord = group[active[a]].coord;
-    cluster_->send(coord, dir_machine(p.cx), kDirQuery, {p.cx});
-    if (p.cy != p.cx) {
-      cluster_->send(coord, dir_machine(p.cy), kDirQuery, {p.cy});
-    }
-  }
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    const BatchOp& op = group[active[a]];
-    if (op.kind != BatchOpKind::kPathMax) continue;
-    const Prep& p = gp.preps[a];
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) {
-        cluster_->send(op.coord, m, kPathMaxBcast,
-                       {static_cast<Word>(active[a]), p.cx, p.fx, p.lx, p.fy,
-                        p.ly});
-      }
-    }
-  }
-  cluster_->finish_round();
-  std::vector<std::vector<std::optional<EdgeRec>>> pmc;
-  if (gp.any_pathmax) {
-    pmc.assign(machines_.size(),
-               std::vector<std::optional<EdgeRec>>(active.size()));
-    cluster_->for_each_machine([&](MachineId m) {
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        const BatchOp& op = group[active[a]];
-        if (op.kind != BatchOpKind::kPathMax) continue;
-        const Prep& p = gp.preps[a];
-        std::optional<EdgeRec> best =
-            path_max_local(m, p.cx, p.fx, p.lx, p.fy, p.ly);
-        if (best.has_value() && m != op.coord) {
-          cluster_->send(m, op.coord, kProposal,
-                         {static_cast<Word>(active[a]), best->u, best->v,
-                          best->w, best->iu1, best->iu2, best->iv1,
-                          best->iv2});
-        }
-        pmc[m][a] = std::move(best);
-      }
-    });
-  }
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (!needs_dir(active[a])) continue;
-    Prep& p = gp.preps[a];
-    const MachineId coord = group[active[a]].coord;
-    p.size_cx = machines_[dir_machine(p.cx)].comp_sizes.at(p.cx);
-    cluster_->send(dir_machine(p.cx), coord, kDirReply, {p.cx, p.size_cx});
-    if (p.cy != p.cx) {
-      p.size_cy = machines_[dir_machine(p.cy)].comp_sizes.at(p.cy);
-      cluster_->send(dir_machine(p.cy), coord, kDirReply, {p.cy, p.size_cy});
-    } else {
-      p.size_cy = p.size_cx;
-    }
-  }
-  cluster_->finish_round();
-  // Coordinator-side fold of the path-max proposals, mirroring the
-  // serial fold (machine order, strictly heavier wins) so a grouped
-  // search elects the same displaced edge as serial application.
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (group[active[a]].kind != BatchOpKind::kPathMax) continue;
-    for (MachineId m = 0; m < mu; ++m) {
-      const std::optional<EdgeRec>& c = pmc[m][a];
-      if (c.has_value() &&
-          (!gp.heaviest[a].has_value() || c->w > gp.heaviest[a]->w)) {
-        gp.heaviest[a] = *c;
-      }
-    }
-  }
-}
-
-DynamicForest::GroupOutcome DynamicForest::run_group_commit(
-    std::vector<BatchOp>& group, GroupPrep& gp) {
-  const MachineId mu = static_cast<MachineId>(machines_.size());
-  dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kGroupCommit);
-  GroupOutcome out;
-  const std::vector<std::size_t>& active = gp.active;
-  if (active.empty()) return out;
-  run_group_dir(group, gp);
-  std::vector<Prep>& preps = gp.preps;
-  std::vector<std::optional<EdgeRec>>& heaviest = gp.heaviest;
-  const bool any_merge = gp.any_merge;
-  const bool any_delete = gp.any_delete;
-  const bool any_pathmax = gp.any_pathmax;
-
-  // Cycle-rule decisions: an insert whose path max outweighs it wants to
-  // displace that edge (the swap); otherwise it commits as a non-tree
-  // record in the shared records round below.
-  std::vector<bool> want_swap(active.size(), false);
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    const BatchOp& op = group[active[a]];
-    if (op.kind != BatchOpKind::kPathMax) continue;
-    want_swap[a] = heaviest[a].has_value() && heaviest[a]->w > op.w;
-  }
-
-  // Round 6 (commit-plan confirmation): coordinators report their
-  // update's claimed components and swap decisions to the ingress.  The
-  // ingress admits at most one swap per component — the smallest batch
-  // position — and defers every same-component member planned behind it
-  // back to the pending set: their searches and cached indexes are
-  // stale once the swap rewrites the tree, so they re-plan against the
-  // committed state (serial-order equivalence).
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    const BatchOp& op = group[active[a]];
-    cluster_->send(op.coord, 0, kBatchReady,
-                   {static_cast<Word>(active[a]), preps[a].cx, preps[a].cy,
-                    want_swap[a] ? 1 : 0});
-  }
-  cluster_->finish_round();
-  std::vector<bool> deferred(active.size(), false);
-  std::vector<bool> commit_swap(active.size(), false);
-  if (any_pathmax) {
-    std::map<Word, std::size_t> swap_winner;  // component -> active index
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      if (!want_swap[a]) continue;
-      const auto [it, fresh] = swap_winner.emplace(preps[a].cx, a);
-      if (!fresh && group[active[a]].pos < group[active[it->second]].pos) {
-        it->second = a;
-      }
-    }
-    for (const auto& [comp, win] : swap_winner) {
-      commit_swap[win] = true;
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (a == win) continue;
-        const BatchOp& op = group[active[a]];
-        if (op.cx != comp && op.cy != comp) continue;
-        if (op.pos > group[active[win]].pos) deferred[a] = true;
-      }
-    }
-  }
-
-  // Committing swaps and their displaced ("heaviest") edges.
-  std::vector<std::size_t> swaps;  // indexes into `active`
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (commit_swap[a] && !deferred[a]) swaps.push_back(a);
-  }
-
-  // Round 7 (merge broadcasts + cycle-rule verdicts): every merge
-  // coordinator broadcasts its transform; all machines then apply every
-  // transform behind one barrier.  Disjoint components mean each record
-  // is touched by at most one transform, so applying them in group
-  // order on each machine is equivalent to any serial order.  The same
-  // round carries the ingress's swap commit/defer verdicts and the
-  // committing swaps' displaced-edge endpoint broadcasts (the analogue
-  // of the deletions' round 2, discovered only after the search).
-  std::vector<MergePlan> plans(active.size());
-  bool round7 = false;
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (!commit_swap[a] && !deferred[a]) continue;
-    cluster_->send(0, group[active[a]].coord, kBatchVerdict,
-                   {static_cast<Word>(active[a]), commit_swap[a] ? 1 : 0});
-    round7 = true;
-  }
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (group[active[a]].kind != BatchOpKind::kMerge) continue;
-    const BatchOp& op = group[active[a]];
-    plans[a] = make_merge(preps[a], op.x, op.y, /*resolve_crossing=*/false);
-    std::vector<Word> payload = merge_payload(plans[a].mb);
-    payload.insert(payload.begin(), static_cast<Word>(active[a]));
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) cluster_->send(op.coord, m, kMergeBcast, payload);
-    }
-    round7 = true;
-  }
-  for (const std::size_t a : swaps) {
-    const BatchOp& op = group[active[a]];
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) {
-        cluster_->send(op.coord, m, kBatchEndpoints,
-                       {static_cast<Word>(active[a]), heaviest[a]->u,
-                        heaviest[a]->v});
-      }
-    }
-    round7 = true;
-  }
-  if (round7) cluster_->finish_round();
-  // Behind round 7's barrier: apply the merge transforms and scan the
-  // displaced edges' endpoints (per machine, concurrently).  The swaps'
-  // components are disjoint from every merge's, so the scan is
-  // order-independent of the transform application.
-  std::vector<std::vector<EndpointScan>> hscans(
-      swaps.size(), std::vector<EndpointScan>(machines_.size()));
-  if (any_merge || !swaps.empty()) {
-    cluster_->for_each_machine([&](MachineId m) {
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (group[active[a]].kind != BatchOpKind::kMerge) continue;
-        apply_merge_local(machines_[m], plans[a].mb);
-      }
-      for (std::size_t s = 0; s < swaps.size(); ++s) {
-        const std::size_t a = swaps[s];
-        const BatchOp& op = group[active[a]];
-        hscans[s][m] = scan_endpoints(m, heaviest[a]->u, heaviest[a]->v);
-        std::vector<Word> reply = scan_reply(hscans[s][m]);
-        if (!reply.empty() && m != op.coord) {
-          reply.insert(reply.begin(), static_cast<Word>(active[a]));
-          cluster_->send(m, op.coord, kBatchReply, std::move(reply));
-        }
-      }
-    });
-  }
-
-  // Round 8 (records + directory): coordinators own their updates' edge
-  // records, so creation/deletion is machine-local; only directory
-  // deltas travel — plus the displaced-edge scan replies staged above.
-  bool dir_round = false;
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (group[active[a]].kind != BatchOpKind::kMerge) continue;
-    const Prep& p = preps[a];
-    const MachineId coord = group[active[a]].coord;
-    cluster_->send(coord, dir_machine(p.cx), kDirUpdate,
-                   {p.cx, p.size_cx + p.size_cy});
-    cluster_->send(coord, dir_machine(p.cy), kDirUpdate, {p.cy, 0});
-    dir_round = true;
-  }
-  if (dir_round || !swaps.empty()) cluster_->finish_round();
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (deferred[a]) continue;  // bounced back to pending: no trace
-    const BatchOp& op = group[active[a]];
-    const Prep& p = preps[a];
-    switch (op.kind) {
-      case BatchOpKind::kMerge: {
-        machines_[op.coord].jlog_edge(edge_key(op.x, op.y));
-        machines_[op.coord].edges.put(
-            edge_key(op.x, op.y),
-            make_tree_record(op.x, op.y, op.w, p.cx, plans[a].ni));
-        charge_edge_record(op.coord);
-        machines_[dir_machine(p.cx)].jlog_dir(p.cx);
-        machines_[dir_machine(p.cx)].comp_sizes[p.cx] =
-            p.size_cx + p.size_cy;
-        machines_[dir_machine(p.cy)].jlog_dir(p.cy);
-        machines_[dir_machine(p.cy)].comp_sizes.erase(p.cy);
-        cluster_->memory(dir_machine(p.cy)).release(kDirRecWords);
-        break;
-      }
-      case BatchOpKind::kNontreeInsert: {
-        machines_[op.coord].jlog_edge(edge_key(op.x, op.y));
-        machines_[op.coord].edges.put(
-            edge_key(op.x, op.y), make_nontree_record(p, op.x, op.y, op.w));
-        charge_edge_record(op.coord);
-        break;
-      }
-      case BatchOpKind::kPathMax: {
-        // Both cycle-rule outcomes first record (x, y) as a non-tree
-        // edge — the serial protocol does the same before demoting the
-        // displaced edge, so a committing swap's own record competes in
-        // its replacement search below.
-        machines_[op.coord].jlog_edge(edge_key(op.x, op.y));
-        machines_[op.coord].edges.put(
-            edge_key(op.x, op.y), make_nontree_record(p, op.x, op.y, op.w));
-        charge_edge_record(op.coord);
-        break;
-      }
-      case BatchOpKind::kNontreeDelete: {
-        machines_[op.coord].jlog_edge(edge_key(op.x, op.y));
-        machines_[op.coord].edges.erase(edge_key(op.x, op.y));
-        release_edge_record(op.coord);
-        break;
-      }
-      case BatchOpKind::kTreeDelete:  // handled below
-      case BatchOpKind::kNoop:
-        break;
-    }
-  }
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (group[active[a]].kind == BatchOpKind::kPathMax && !deferred[a]) {
-      ++batch_stats_.path_max_grouped;
-    }
-  }
-
-  // Deferred positions re-enter the pending set.
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (deferred[a]) out.deferred.push_back(group[active[a]].pos);
-  }
-
-  if (!any_delete && swaps.empty()) return out;
-
-  // --- batched tree-edge deletions and cycle-rule swaps --------------------
-  // Grouped splits followed by ONE shared replacement-edge search: the
-  // cut components are pairwise disjoint, so the split transforms
-  // commute, every crossing record is owned by exactly one split (it
-  // keeps the split component's id), and the replacement merges resolve
-  // only their own split's crossings (apply_merge_local guards on cx).
-  // A committing swap is a tree-edge deletion of its displaced path-max
-  // edge with demote semantics: the edge stays as a crossing non-tree
-  // record and competes in the shared replacement search, exactly like
-  // the serial cycle rule.
-  struct SplitItem {
-    std::size_t a;           // index into `active`
-    SplitPlan plan;
-    VertexId cut_u, cut_v;   // the cut edge, as passed to make_split
-    bool demote;             // swap: demote the cut record, don't erase
-  };
-  std::vector<SplitItem> items;
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    if (group[active[a]].kind == BatchOpKind::kTreeDelete && !deferred[a]) {
-      const BatchOp& op = group[active[a]];
-      SplitItem it;
-      it.a = a;
-      it.plan = make_split(preps[a], op.x, op.y, op.new_comp);
-      it.cut_u = op.x;
-      it.cut_v = op.y;
-      it.demote = false;
-      items.push_back(std::move(it));
-    }
-  }
-  for (std::size_t s = 0; s < swaps.size(); ++s) {
-    const std::size_t a = swaps[s];
-    const BatchOp& op = group[active[a]];
-    // The displaced edge's prepare, assembled from the shared rounds:
-    // f/l from the rounds 7-8 scan, the record itself from the path-max
-    // proposal, the component size from the directory rounds.
-    Prep hp = fold_scans(hscans[s]);
-    hp.cx = hp.cy = preps[a].cx;
-    hp.size_cx = hp.size_cy = preps[a].size_cx;
-    hp.edge_exists = true;
-    hp.edge = *heaviest[a];
-    SplitItem it;
-    it.a = a;
-    it.plan = make_split(hp, heaviest[a]->u, heaviest[a]->v, op.new_comp);
-    it.cut_u = heaviest[a]->u;
-    it.cut_v = heaviest[a]->v;
-    it.demote = true;
-    items.push_back(std::move(it));
-  }
-  if (items.empty()) return out;
-
-  // Round 9 (split broadcasts): each cut's coordinator derives its
-  // split from the shared prepare results and broadcasts it; every
-  // machine applies all of the group's splits behind one barrier.
-  for (const SplitItem& it : items) {
-    const BatchOp& op = group[active[it.a]];
-    const SplitBcast& sb = it.plan.sb;
-    const std::vector<Word> payload = {
-        static_cast<Word>(active[it.a]), sb.comp, sb.new_comp, sb.parent,
-        sb.child, sb.f_c, sb.l_c, sb.cached_parent, sb.cached_child};
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) cluster_->send(op.coord, m, kSplitBcast, payload);
-    }
-  }
-  cluster_->finish_round();
-  cluster_->for_each_machine([&](MachineId m) {
-    for (const SplitItem& it : items) {
-      apply_split_local(machines_[m], it.plan.sb);
-    }
-  });
-
-  // Round 10 (cut records + directory): deletions' coordinators own
-  // their cut edges' records, so erasing is machine-local; a swap's
-  // displaced record lives on ITS edge machine, so the demote travels
-  // as a message (serial sends the same kDeleteRecord).  Directory
-  // deltas travel for both.
-  for (const SplitItem& it : items) {
-    const BatchOp& op = group[active[it.a]];
-    const SplitPlan& sp = it.plan;
-    if (it.demote) {
-      const EdgeKey ck(it.cut_u, it.cut_v);
-      cluster_->send(op.coord, edge_machine(it.cut_u, it.cut_v),
-                     kDeleteRecord,
-                     {ck.u, ck.v, 1, sp.sb.cached_parent,
-                      sp.sb.cached_child});
-    }
-    cluster_->send(op.coord, dir_machine(sp.sb.comp), kDirUpdate,
-                   {sp.sb.comp, sp.rest_size});
-    cluster_->send(op.coord, dir_machine(sp.sb.new_comp), kDirUpdate,
-                   {sp.sb.new_comp, sp.sub_size});
-  }
-  cluster_->finish_round();
-  for (const SplitItem& it : items) {
-    const BatchOp& op = group[active[it.a]];
-    const SplitPlan& sp = it.plan;
-    if (it.demote) {
-      const MachineId hm = edge_machine(it.cut_u, it.cut_v);
-      EdgeShard& hes = machines_[hm].edges;
-      const std::size_t hslot =
-          static_cast<std::size_t>(hes.find(edge_key(it.cut_u, it.cut_v)));
-      machines_[hm].jlog_edge_slot(hslot);
-      EdgeRec hrec = hes.get(hslot);
-      demote_record(hrec, sp.sb);
-      hes.set(hslot, hrec);
-    } else {
-      machines_[op.coord].jlog_edge(op.ekey);
-      machines_[op.coord].edges.erase(op.ekey);
-      release_edge_record(op.coord);
-    }
-    machines_[dir_machine(sp.sb.comp)].jlog_dir(sp.sb.comp);
-    machines_[dir_machine(sp.sb.comp)].comp_sizes[sp.sb.comp] = sp.rest_size;
-    machines_[dir_machine(sp.sb.new_comp)].jlog_dir(sp.sb.new_comp);
-    machines_[dir_machine(sp.sb.new_comp)].comp_sizes[sp.sb.new_comp] =
-        sp.sub_size;
-    cluster_->memory(dir_machine(sp.sb.new_comp)).charge(kDirRecWords);
-  }
-
-  // Round 11 (shared replacement search): every machine scans its shard
-  // ONCE for all cuts (concurrently across machines), proposing its
-  // per-split best (min-weight) crossing candidate to that cut's
-  // coordinator.
-  std::map<Word, std::size_t> owner;  // split component -> items index
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    owner[items[d].plan.sb.comp] = d;
-  }
-  std::vector<std::vector<std::optional<EdgeRec>>> cands(
-      machines_.size(), std::vector<std::optional<EdgeRec>>(items.size()));
-  cluster_->for_each_machine([&](MachineId m) {
-    const EdgeShard& es = machines_[m].edges;
-    std::vector<std::ptrdiff_t> best(items.size(), EdgeShard::kNpos);
-    for (std::size_t i = 0; i < es.size(); ++i) {
-      if (es.crossing[i] == 0) continue;
-      const auto it = owner.find(es.comp[i]);
-      if (it == owner.end()) continue;  // unreachable: splits own crossings
-      std::ptrdiff_t& b = best[it->second];
-      if (b == EdgeShard::kNpos || es.w[i] < es.w[b]) {
-        b = static_cast<std::ptrdiff_t>(i);
-      }
-    }
-    auto& local = cands[m];
-    for (std::size_t d = 0; d < items.size(); ++d) {
-      if (best[d] == EdgeShard::kNpos) continue;
-      local[d] = es.get(static_cast<std::size_t>(best[d]));
-      const MachineId coord = group[active[items[d].a]].coord;
-      if (m == coord) continue;  // the coordinator's own scan stays local
-      cluster_->send(m, coord, kProposal,
-                     {static_cast<Word>(active[items[d].a]), local[d]->u,
-                      local[d]->v, local[d]->w,
-                      local[d]->u_in_subtree ? 1 : 0});
-    }
-  });
-  cluster_->finish_round();
-  struct Repl {
-    bool found = false;
-    EdgeRec rec;        // the winning candidate (copied before mutation)
-    VertexId a = 0, b = 0;  // rest-side / subtree-side endpoints
-    Prep rp;
-    MergePlan plan;
-  };
-  std::vector<Repl> repl(items.size());
-  bool any_repl = false;
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    std::optional<EdgeRec> best;
-    for (MachineId m = 0; m < mu; ++m) {
-      const std::optional<EdgeRec>& c = cands[m][d];
-      if (c.has_value() && (!best.has_value() || c->w < best->w)) best = *c;
-    }
-    if (!best.has_value()) continue;  // genuinely disconnected
-    repl[d].found = true;
-    any_repl = true;
-    repl[d].rec = *best;
-    repl[d].a = best->u_in_subtree ? best->v : best->u;
-    repl[d].b = best->u_in_subtree ? best->u : best->v;
-  }
-  if (!any_repl) return out;
-
-  // Rounds 12-13 (replacement re-scan): post-split f/l of each
-  // replacement's endpoints, gathered exactly like rounds 2-3; the
-  // coordinator already knows both side sizes from its own split.
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    if (!repl[d].found) continue;
-    const BatchOp& op = group[active[items[d].a]];
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) {
-        cluster_->send(op.coord, m, kBatchEndpoints,
-                       {static_cast<Word>(active[items[d].a]), repl[d].a,
-                        repl[d].b});
-      }
-    }
-  }
-  cluster_->finish_round();
-  std::vector<std::vector<EndpointScan>> rscans(
-      items.size(), std::vector<EndpointScan>(machines_.size()));
-  cluster_->for_each_machine([&](MachineId m) {
-    for (std::size_t d = 0; d < items.size(); ++d) {
-      if (!repl[d].found) continue;
-      const BatchOp& op = group[active[items[d].a]];
-      rscans[d][m] = scan_endpoints(m, repl[d].a, repl[d].b);
-      std::vector<Word> reply = scan_reply(rscans[d][m]);
-      if (!reply.empty() && m != op.coord) {
-        reply.insert(reply.begin(), static_cast<Word>(active[items[d].a]));
-        cluster_->send(m, op.coord, kBatchReply, std::move(reply));
-      }
-    }
-  });
-  cluster_->finish_round();
-  // Per-replacement scan folds, pooled like the prepare folds (distinct
-  // repl slots, machine-order reduction inside each fold).
-  cluster_->executor().run(items.size(), [&](std::size_t d) {
-    if (!repl[d].found) return;
-    repl[d].rp = fold_scans(rscans[d]);
-    repl[d].rp.size_cx = items[d].plan.rest_size;
-    repl[d].rp.size_cy = items[d].plan.sub_size;
-  });
-
-  // Round 14 (replacement merges): broadcast every re-link transform,
-  // then apply them all behind one barrier.
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    if (!repl[d].found) continue;
-    const BatchOp& op = group[active[items[d].a]];
-    repl[d].plan = make_merge(repl[d].rp, repl[d].a, repl[d].b,
-                              /*resolve_crossing=*/true);
-    std::vector<Word> payload = merge_payload(repl[d].plan.mb);
-    payload.insert(payload.begin(), static_cast<Word>(active[items[d].a]));
-    for (MachineId m = 0; m < mu; ++m) {
-      if (m != op.coord) cluster_->send(op.coord, m, kMergeBcast, payload);
-    }
-  }
-  cluster_->finish_round();
-  cluster_->for_each_machine([&](MachineId m) {
-    for (std::size_t d = 0; d < items.size(); ++d) {
-      if (repl[d].found) apply_merge_local(machines_[m], repl[d].plan.mb);
-    }
-  });
-
-  // Round 15 (promotion + directory): the replacement records become
-  // tree edges; the directory reflects the re-merges.
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    if (!repl[d].found) continue;
-    const BatchOp& op = group[active[items[d].a]];
-    const Prep& rp = repl[d].rp;
-    const EdgeKey rkey(repl[d].a, repl[d].b);
-    const etour::MergeNewIndexes& ni = repl[d].plan.ni;
-    cluster_->send(op.coord, edge_machine(repl[d].a, repl[d].b), kPromote,
-                   {rkey.u, rkey.v, ni.x_enter, ni.x_exit, ni.y_enter,
-                    ni.y_exit});
-    cluster_->send(op.coord, dir_machine(rp.cx), kDirUpdate,
-                   {rp.cx, rp.size_cx + rp.size_cy});
-    cluster_->send(op.coord, dir_machine(rp.cy), kDirUpdate, {rp.cy, 0});
-  }
-  cluster_->finish_round();
-  for (std::size_t d = 0; d < items.size(); ++d) {
-    if (!repl[d].found) continue;
-    const Prep& rp = repl[d].rp;
-    const MachineId rm = edge_machine(repl[d].a, repl[d].b);
-    machines_[rm].jlog_edge(edge_key(repl[d].a, repl[d].b));
-    machines_[rm].edges.put(
-        edge_key(repl[d].a, repl[d].b),
-        make_tree_record(repl[d].a, repl[d].b, repl[d].rec.w, rp.cx,
-                         repl[d].plan.ni));
-    machines_[dir_machine(rp.cx)].jlog_dir(rp.cx);
-    machines_[dir_machine(rp.cx)].comp_sizes[rp.cx] = rp.size_cx + rp.size_cy;
-    machines_[dir_machine(rp.cy)].jlog_dir(rp.cy);
-    machines_[dir_machine(rp.cy)].comp_sizes.erase(rp.cy);
-    cluster_->memory(dir_machine(rp.cy)).release(kDirRecWords);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1957,19 +1287,15 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
     std::span<const std::size_t> pending,
     std::vector<BatchOp>& rejected) const {
   rejected.clear();
-  const BatchOp head = classify_op(batch[pending[0]], pending[0]);
-  if (head.kind == BatchOpKind::kPathMax) {
-    // Cycle-rule inserts run the path-max group machinery: the shared
-    // search is one round, and a committing swap reuses the grouped
-    // split + replacement pipeline.
-    return plan_group(batch, pending);
-  }
   StagePlan stage;
-  // Admission: one writer KIND per component — all-deletes ('d'),
-  // all-merges ('m'), or all-non-tree-record ops ('n') — with exclusive
-  // edge keys and a stage-local DSU keeping chained merges acyclic.
-  // Unlike a group, MANY deletions may share a component (they become one
-  // k-way split) and merges may chain (they become one k-way join).
+  // Admission: one op KIND per component — all-deletes ('d'), all-merges
+  // ('m'), all-non-tree-record ops ('n'), or all cycle-rule inserts
+  // ('p') — with exclusive edge keys and a stage-local DSU keeping
+  // chained merges acyclic.  MANY deletions may share a component (they
+  // become one k-way split), merges may chain (they become one k-way
+  // join), and a component's cycle-rule inserts share one path-max
+  // round (the earliest swap commits as a cut, the inserts behind it
+  // defer).
   std::map<Word, char> comp_use;
   std::set<std::uint64_t> ekeys;
   std::map<Word, Word> dsu;
@@ -1987,7 +1313,7 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   };
   for (std::size_t i = 0; i < pending.size(); ++i) {
     BatchOp op = classify_op(batch[pending[i]], pending[i]);
-    bool blocked = op.kind == BatchOpKind::kPathMax;
+    bool blocked = false;
     for (const BatchOp& r : rejected) {
       if (blocked) break;
       blocked = ops_conflict_ordering(op, r);
@@ -2009,6 +1335,9 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
         case BatchOpKind::kNontreeInsert:
         case BatchOpKind::kNontreeDelete:
           fits = use(op.cx) == '\0' || use(op.cx) == 'n';
+          break;
+        case BatchOpKind::kPathMax:
+          fits = use(op.cx) == '\0' || use(op.cx) == 'p';
           break;
         default:
           break;
@@ -2032,6 +1361,9 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
       case BatchOpKind::kNontreeDelete:
         comp_use[op.cx] = 'n';
         break;
+      case BatchOpKind::kPathMax:
+        comp_use[op.cx] = 'p';
+        break;
       default:
         break;
     }
@@ -2043,53 +1375,8 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   return stage;
 }
 
-DynamicForest::StagePlan DynamicForest::plan_group(
-    std::span<const graph::Update> batch,
-    std::span<const std::size_t> pending) const {
-  // The first color class of a greedy conflict-graph coloring over the
-  // whole pending batch.  An update joins the group iff
-  //   (a) it commutes with every EARLIER update that stays pending
-  //       (running it first is then serial-order equivalent: its claims
-  //       are disjoint from everything that could reach it), and
-  //   (b) it fits the group's resource constraints — a coordinator
-  //       machine of its own and no claim overlap with group members
-  //       (what keeps the shared rounds inside the per-machine caps and
-  //       the local transforms commutative).
-  // Deferred updates keep their plan-time claims so later candidates can
-  // test (a) against them; their classification is re-derived from the
-  // post-stage state on the next call.
-  StagePlan stage;
-  stage.kind = StageKind::kStageGroup;
-  std::vector<BatchOp> deferred;
-  std::set<MachineId> coords;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    BatchOp op = classify_op(batch[pending[i]], pending[i]);
-    bool blocked = false;
-    for (const BatchOp& d : deferred) {
-      if (blocked) break;
-      blocked = ops_conflict_ordering(op, d);
-    }
-    if (!blocked) {
-      bool fits =
-          op.kind == BatchOpKind::kNoop || coords.count(op.coord) == 0;
-      for (const BatchOp& g : stage.ops) {
-        if (!fits) break;
-        fits = !ops_conflict(op, g);
-      }
-      if (fits) {
-        if (!deferred.empty()) ++stage.reordered;
-        if (op.kind != BatchOpKind::kNoop) coords.insert(op.coord);
-        stage.ops.push_back(std::move(op));
-        stage.taken.push_back(i);
-        continue;
-      }
-    }
-    deferred.push_back(std::move(op));
-  }
-  return stage;
-}
-
-void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
+std::vector<std::size_t> DynamicForest::run_stage_kway(
+    std::vector<BatchOp>& ops) {
   const MachineId mu = static_cast<MachineId>(machines_.size());
   const dmpc::WordCount cap = cluster_->machine_capacity();
   // The O(1)-round protocol's sections are linear, not nested, so one
@@ -2119,25 +1406,39 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     bload[from] += cost;
   };
 
-  std::vector<std::size_t> dels, mrgs, nti, ntd;
+  std::vector<std::size_t> deferred;  // batch positions, returned
+  // ops is in batch order, so each of these index lists is too.
+  std::vector<std::size_t> dels, mrgs, nti, ntd, pms;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     switch (ops[i].kind) {
       case BatchOpKind::kTreeDelete: dels.push_back(i); break;
       case BatchOpKind::kMerge: mrgs.push_back(i); break;
       case BatchOpKind::kNontreeInsert: nti.push_back(i); break;
       case BatchOpKind::kNontreeDelete: ntd.push_back(i); break;
+      case BatchOpKind::kPathMax: pms.push_back(i); break;
       default: break;
     }
   }
-  if (dels.empty() && mrgs.empty() && nti.empty() && ntd.empty()) return;
+  if (dels.empty() && mrgs.empty() && nti.empty() && ntd.empty() &&
+      pms.empty()) {
+    return deferred;
+  }
 
   // ---- Round 1: ingress scatter + directory / vertex queries ----------
+  // Tree deletions and cycle-rule inserts (whose swap would split the
+  // displaced edge out) receive the id of their split-off side here.
   std::set<Word> size_comps;
-  std::set<VertexId> merge_verts;
+  // Endpoints whose cached appearance every machine needs: merge
+  // endpoints resolve inside the shared join plan, and cycle-rule
+  // endpoints feed every machine's path-max probe.
+  std::set<VertexId> bcast_verts;
   std::map<VertexId, std::set<MachineId>> ntins_targets;
   for (BatchOp& op : ops) {
     if (op.kind == BatchOpKind::kNoop) continue;
-    if (op.kind == BatchOpKind::kTreeDelete) op.new_comp = next_comp_id_++;
+    if (op.kind == BatchOpKind::kTreeDelete ||
+        op.kind == BatchOpKind::kPathMax) {
+      op.new_comp = next_comp_id_++;
+    }
     cluster_->send(0, op.coord, kBatchScatter,
                    {static_cast<Word>(op.kind), op.x, op.y,
                     static_cast<Word>(op.w), op.cx, op.cy, op.new_comp});
@@ -2146,8 +1447,13 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
   for (const std::size_t i : mrgs) {
     size_comps.insert(ops[i].cx);
     size_comps.insert(ops[i].cy);
-    merge_verts.insert(ops[i].x);
-    merge_verts.insert(ops[i].y);
+    bcast_verts.insert(ops[i].x);
+    bcast_verts.insert(ops[i].y);
+  }
+  for (const std::size_t i : pms) {
+    size_comps.insert(ops[i].cx);
+    bcast_verts.insert(ops[i].x);
+    bcast_verts.insert(ops[i].y);
   }
   for (const std::size_t i : nti) {
     ntins_targets[ops[i].x].insert(ops[i].coord);
@@ -2157,7 +1463,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     cluster_->send(0, dir_machine(c), kDirQuery, {c});
   }
   {
-    std::set<VertexId> qverts = merge_verts;
+    std::set<VertexId> qverts = bcast_verts;
     for (const auto& [v, t] : ntins_targets) qverts.insert(v);
     for (const VertexId v : qverts) {
       cluster_->send(0, vertex_machine(v), kQuery, {v});
@@ -2170,11 +1476,13 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     machines_[ops[i].coord].edges.erase(ops[i].ekey);
     release_edge_record(ops[i].coord);
   }
-  if (dels.empty() && mrgs.empty() && nti.empty()) return;
+  if (dels.empty() && mrgs.empty() && nti.empty() && pms.empty()) {
+    return deferred;
+  }
   phase.next(dmpc::TracePhase::kDirectory);
 
-  // ---- Round 2: directory replies, cached-index replies, and cut
-  // descriptor broadcasts ----------------------------------------------
+  // ---- Round 2: directory replies, cached-index replies, cut
+  // descriptor broadcasts, and path-max probe broadcasts ---------------
   std::map<Word, Word> comp_size;
   for (const Word c : size_comps) {
     const Word size = machines_[dir_machine(c)].comp_sizes.at(c);
@@ -2182,40 +1490,42 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     cluster_->send(dir_machine(c), 0, kDirReply, {c, size});
   }
   std::map<VertexId, Word> vert_idx;
-  for (const VertexId v : merge_verts) {
+  for (const VertexId v : bcast_verts) {
     const Word idx = machines_[vertex_machine(v)].vertices.at(v).cached_idx;
     vert_idx[v] = idx;
-    // Every machine resolves merge endpoints inside the shared join plan,
-    // so the cached appearance is broadcast, not just sent to the owner.
+    // Every machine resolves merge endpoints inside the shared join plan
+    // and probes cycle-rule paths, so the cached appearance is broadcast,
+    // not just sent to the owner.
     bcast(vertex_machine(v), kQueryReply, {v, idx});
   }
   for (const auto& [v, targets] : ntins_targets) {
     const Word idx = machines_[vertex_machine(v)].vertices.at(v).cached_idx;
     vert_idx[v] = idx;
-    if (merge_verts.count(v) != 0) continue;  // already broadcast
+    if (bcast_verts.count(v) != 0) continue;  // already broadcast
     for (const MachineId t : targets) {
       cluster_->send(vertex_machine(v), t, kQueryReply, {v, idx});
     }
   }
   struct CutInfo {
-    std::size_t op = 0;  ///< index into ops
+    std::size_t op = 0;  ///< index into ops (a swap: its cycle-rule insert)
+    std::uint64_t ekey = 0;  ///< the cut tree edge
+    bool demote = false;     ///< a swap: the cut edge stays as non-tree
     Word comp = 0, new_comp = 0;
     VertexId parent = 0, child = 0;
     Word f_c = 0, l_c = 0;
   };
-  std::vector<CutInfo> cuts;  // batch order
-  for (const std::size_t i : dels) {
-    const BatchOp& op = ops[i];
-    const EdgeShard& des = machines_[op.coord].edges;
-    const EdgeRec e = des.get(static_cast<std::size_t>(des.find(op.ekey)));
+  // The child endpoint of a tree edge owns the inner pair of its four
+  // tour indexes; that pair is the split-off subtree's interval.
+  const auto make_cut = [&](std::size_t i, const EdgeRec& e) {
     const Word u_lo = std::min(e.iu1, e.iu2);
     const Word u_hi = std::max(e.iu1, e.iu2);
     const Word v_lo = std::min(e.iv1, e.iv2);
     const Word v_hi = std::max(e.iv1, e.iv2);
     CutInfo ci;
     ci.op = i;
-    ci.comp = op.cx;
-    ci.new_comp = op.new_comp;
+    ci.ekey = edge_key(e.u, e.v);
+    ci.comp = ops[i].cx;
+    ci.new_comp = ops[i].new_comp;
     if (u_lo > v_lo) {  // u's appearances nest inside v's: u is the child
       ci.child = e.u;
       ci.parent = e.v;
@@ -2227,15 +1537,27 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       ci.f_c = v_lo;
       ci.l_c = v_hi;
     }
+    return ci;
+  };
+  std::vector<CutInfo> cuts;  // deletions in batch order, then swaps
+  for (const std::size_t i : dels) {
+    const BatchOp& op = ops[i];
+    const EdgeShard& des = machines_[op.coord].edges;
+    const CutInfo ci =
+        make_cut(i, des.get(static_cast<std::size_t>(des.find(op.ekey))));
     cuts.push_back(ci);
     bcast(op.coord, kCutBcast,
           {ci.comp, ci.new_comp, ci.parent, ci.child, ci.f_c, ci.l_c});
   }
-  finish();
-  // Behind round 2: non-tree inserts commit their record at the
-  // coordinator with both endpoint appearances cached.
-  for (const std::size_t i : nti) {
+  for (const std::size_t i : pms) {
     const BatchOp& op = ops[i];
+    bcast(op.coord, kPathMaxBcast,
+          {static_cast<Word>(op.pos), op.cx, op.x, op.y});
+  }
+  finish();
+  // Non-tree records commit at their coordinators with both endpoint
+  // appearances cached.
+  const auto store_nontree = [&](const BatchOp& op) {
     const EdgeKey key(op.x, op.y);
     EdgeRec rec;
     rec.u = key.u;
@@ -2248,8 +1570,74 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
     machines_[op.coord].jlog_edge(op.ekey);
     machines_[op.coord].edges.put(op.ekey, rec);
     charge_edge_record(op.coord);
+  };
+  for (const std::size_t i : nti) store_nontree(ops[i]);
+
+  if (!pms.empty()) {
+    phase.next(dmpc::TracePhase::kPathMax);
+    // ---- Round 3: path-max proposals.  Every machine scans its shard
+    // once per probe (concurrently) with the endpoints' broadcast cached
+    // appearances and proposes its local maximum, as a tour-index cut
+    // descriptor, to the insert's coordinator.
+    std::vector<std::vector<std::optional<EdgeRec>>> pmc(
+        machines_.size(), std::vector<std::optional<EdgeRec>>(pms.size()));
+    cluster_->for_each_machine([&](MachineId m) {
+      for (std::size_t k = 0; k < pms.size(); ++k) {
+        const BatchOp& op = ops[pms[k]];
+        const Word ix = vert_idx.at(op.x);
+        const Word iy = vert_idx.at(op.y);
+        pmc[m][k] = path_max_local(m, op.cx, ix, ix, iy, iy);
+        if (!pmc[m][k].has_value() || m == op.coord) continue;
+        const CutInfo c = make_cut(pms[k], *pmc[m][k]);
+        cluster_->send(m, op.coord, kProposal,
+                       {static_cast<Word>(op.pos),
+                        static_cast<Word>(pmc[m][k]->w), c.parent, c.child,
+                        c.f_c, c.l_c});
+      }
+    });
+    finish();
+    // ---- Round 4: swap cuts.  Each coordinator folds its proposals in
+    // machine order, strictly heavier wins (the serial fold, so the
+    // shared search displaces the serial edge); an insert lighter than
+    // its path max broadcasts the displaced edge's cut.  Every machine
+    // then commits the earliest swap per component and defers the
+    // component's later inserts: they probed the pre-swap tree.
+    std::map<Word, std::size_t> swap_of;  // component -> pms index
+    for (std::size_t k = 0; k < pms.size(); ++k) {
+      const BatchOp& op = ops[pms[k]];
+      std::optional<EdgeRec> heaviest;
+      for (MachineId m = 0; m < mu; ++m) {
+        const std::optional<EdgeRec>& c = pmc[m][k];
+        if (c.has_value() && (!heaviest.has_value() || c->w > heaviest->w)) {
+          heaviest = c;
+        }
+      }
+      if (!heaviest.has_value() || heaviest->w <= op.w) continue;
+      const CutInfo ci = make_cut(pms[k], *heaviest);
+      bcast(op.coord, kCutBcast,
+            {ci.comp, ci.new_comp, ci.parent, ci.child, ci.f_c, ci.l_c,
+             static_cast<Word>(op.pos)});
+      if (swap_of.emplace(op.cx, k).second) {
+        cuts.push_back(ci);
+        cuts.back().demote = true;
+      }
+    }
+    if (!swap_of.empty()) finish();
+    // Committed inserts store their record before the cascade's shard
+    // scan, so a swap's own edge — and any earlier insert of its
+    // component — competes for the replacement as it does serially.
+    for (std::size_t k = 0; k < pms.size(); ++k) {
+      const BatchOp& op = ops[pms[k]];
+      const auto it = swap_of.find(op.cx);
+      if (it != swap_of.end() && k > it->second) {
+        deferred.push_back(op.pos);
+        continue;
+      }
+      store_nontree(op);
+      ++batch_stats_.path_max_grouped;
+    }
   }
-  if (dels.empty() && mrgs.empty()) return;
+  if (cuts.empty() && mrgs.empty()) return deferred;
   phase.next(dmpc::TracePhase::kKWaySplit);
 
   // Every machine now holds every cut descriptor: the k-way transform of
@@ -2291,7 +1679,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
   // Per-vertex repaired (fragment, fragment-original index), derived from
   // `app` at the owner and rebroadcast by each cut's coordinator.
   std::map<std::pair<Word, VertexId>, std::pair<Word, Word>> fixes;
-  if (!dels.empty()) {
+  if (!cuts.empty()) {
     phase.next(dmpc::TracePhase::kCascade);
     const std::uint64_t cascade_start = rounds;
     std::map<Word, std::vector<VertexId>> cut_verts;
@@ -2591,8 +1979,8 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
 
   // ---- Behind the commit barrier: every machine transforms its shard
   // and vertex records with the shared split/join algebra. --------------
-  std::set<std::uint64_t> cut_keys;
-  for (const CutInfo& ci : cuts) cut_keys.insert(ops[ci.op].ekey);
+  std::map<std::uint64_t, bool> cut_keys;  // cut edge -> demoted (a swap)
+  for (const CutInfo& ci : cuts) cut_keys[ci.ekey] = ci.demote;
   struct LinkInfo {
     std::size_t link_id = 0;
     Word fu = 0;
@@ -2609,8 +1997,16 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       if (sit != splits.end()) {
         const SplitComp& sc = sit->second;
         const etour::KWaySplit& sp = *sc.split;
-        if (cut_keys.count(es.key_at(s)) != 0) continue;  // erased below
+        const auto cit = cut_keys.find(es.key_at(s));
+        if (cit != cut_keys.end() && !cit->second) continue;  // erased below
         machines_[m].jlog_edge_slot(s);
+        if (cit != cut_keys.end()) {
+          // A swap's displaced edge stays as a non-tree record; its four
+          // entries were all removed, and the cut-vertex fixes below
+          // resolve its cached endpoints like any other stale copy.
+          es.tree[s] = 0;
+          es.iu2[s] = es.iv2[s] = etour::kNoIndex;
+        }
         if (es.tree[s] != 0) {
           // A surviving tree edge's 4 entries all live in one fragment.
           const std::size_t frag = sc.base + sp.fragment_of(es.iu1[s]);
@@ -2691,9 +2087,10 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       rec.comp = final_label(mbit->second);
     }
   });
-  // Cut records vanish, merge edges become tree records at their
+  // Deleted cut records vanish, merge edges become tree records at their
   // coordinators, and the directory applies the staged writes.
   for (const CutInfo& ci : cuts) {
+    if (ci.demote) continue;
     machines_[ops[ci.op].coord].jlog_edge(ops[ci.op].ekey);
     machines_[ops[ci.op].coord].edges.erase(ops[ci.op].ekey);
     release_edge_record(ops[ci.op].coord);
@@ -2723,6 +2120,7 @@ void DynamicForest::run_stage_kway(std::vector<BatchOp>& ops) {
       it->second = size;
     }
   }
+  return deferred;
 }
 
 // Function-try-block: any mid-protocol throw (a fault-injected cap trip,
@@ -2794,27 +2192,19 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
         rest.push_back(pending[i]);
       }
     }
-    ++batch_stats_.groups;
     batch_stats_.max_group =
         std::max<std::uint64_t>(batch_stats_.max_group, stage.ops.size());
-    if (stage.kind == StageKind::kStageGroup) {
-      // Cycle-rule inserts run as a group, even a lone one.
-      GroupPrep gp = run_group_prepare(stage.ops);
-      GroupOutcome outc = run_group_commit(stage.ops, gp);
-      batch_stats_.grouped_updates += stage.ops.size() - outc.deferred.size();
-      batch_stats_.deferred_updates += outc.deferred.size();
-      if (!outc.deferred.empty()) {
-        rest.insert(rest.end(), outc.deferred.begin(), outc.deferred.end());
-        std::sort(rest.begin(), rest.end());
+    for (const BatchOp& op : stage.ops) {
+      if (op.kind == BatchOpKind::kTreeDelete) {
+        ++batch_stats_.batched_tree_deletes;
       }
-    } else {
-      for (const BatchOp& op : stage.ops) {
-        if (op.kind == BatchOpKind::kTreeDelete) {
-          ++batch_stats_.batched_tree_deletes;
-        }
-      }
-      run_stage_kway(stage.ops);
-      batch_stats_.grouped_updates += stage.ops.size();
+    }
+    const std::vector<std::size_t> deferred = run_stage_kway(stage.ops);
+    batch_stats_.grouped_updates += stage.ops.size() - deferred.size();
+    batch_stats_.deferred_updates += deferred.size();
+    if (!deferred.empty()) {
+      rest.insert(rest.end(), deferred.begin(), deferred.end());
+      std::sort(rest.begin(), rest.end());
     }
     pending.swap(rest);
   }

@@ -40,9 +40,9 @@
 // as one k-way Euler-tour split per component, reconnects the fragments
 // with one parallel replacement cascade, and commits every merge and
 // replacement link as one k-way join per final tree.  MST cycle-rule
-// inserts run in a group stage instead: one shared path-max round, with
-// committing swaps escalating into a grouped split + replacement search.
-// See apply_batch below.
+// inserts ride the same stage: their path-max searches share two extra
+// rounds, and a committing swap becomes one more (demoting) cut of the
+// k-way split.  See apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -151,11 +151,13 @@ class DynamicForest {
   /// executes ALL its tree deletions as one k-way tour split per
   /// component, runs ONE parallel replacement cascade over the resulting
   /// fragments, and commits all merges plus replacement links as one
-  /// k-way join per final tree; MST cycle-rule inserts run through a
-  /// group stage sharing one path-max round (one swap per component per
-  /// stage; same-component members planned behind it defer to the next
-  /// stage).  There is no serial fallback.  Rolls back atomically on a
-  /// throw (atomic_updates).  The final state is identical to applying
+  /// k-way join per final tree.  MST cycle-rule inserts join the same
+  /// stages: their path-max searches share two extra rounds (proposals,
+  /// swap cuts), and a committing swap is one more cut of the k-way split
+  /// whose displaced edge is demoted to a non-tree record (one swap per
+  /// component per stage; same-component inserts behind it defer to the
+  /// next stage).  There is no serial fallback.  Rolls back atomically
+  /// on a throw (atomic_updates).  The final state is identical to applying
   /// the batch one update at a time with insert(x, y, w) / erase(x, y):
   /// Update::w is stored verbatim, so unweighted callers should carry
   /// the serial default of 1 (harness::Driver normalizes its batches
@@ -170,7 +172,7 @@ class DynamicForest {
   }
 
   /// Cumulative scheduling statistics over all apply_batch calls
-  /// (stages, groups, out-of-order executions, k-way and cascade work).
+  /// (stages, out-of-order executions, k-way and cascade work).
   [[nodiscard]] const dmpc::BatchScheduleStats& batch_stats() const {
     return batch_stats_;
   }
@@ -542,8 +544,8 @@ class DynamicForest {
                          // (read claim), swap commits escalate to writes
   };
 
-  // One update of an independent group, pinned to its coordinator (= its
-  // edge machine), with the conflict-graph claims it makes at plan time:
+  // One update of a stage, pinned to its coordinator (= its edge
+  // machine), with the conflict-graph claims it makes at plan time:
   // components it rewrites (merge/split transforms shift their tour
   // indexes) vs. components it only reads (non-tree record ops leave the
   // tour untouched, so they may share a component with each other but
@@ -555,32 +557,12 @@ class DynamicForest {
     Weight w = 1;
     MachineId coord = dmpc::kNoMachine;
     Word cx = -1, cy = -1;
-    Word new_comp = -1;  // tree deletes: id for the split-off side
+    Word new_comp = -1;  // tree deletes, swaps: id for the split-off side
     std::uint64_t ekey = 0;
     Word writes[2] = {0, 0};
     std::size_t num_writes = 0;
     Word reads[1] = {0};
     std::size_t num_reads = 0;
-  };
-
-  // The shared prepare of a group run: rounds 1-3 (scatter, endpoint
-  // broadcast, shard-scan replies) fill `preps`; rounds 4-5 (directory
-  // sizes + the shared path-max search) complete them and fill
-  // `heaviest`.
-  struct GroupPrep {
-    std::vector<std::size_t> active;  // group indexes with real work
-    std::vector<Prep> preps;          // parallel to `active`
-    bool any_merge = false;
-    bool any_delete = false;
-    bool any_pathmax = false;
-    std::vector<std::optional<EdgeRec>> heaviest;  // parallel to `active`
-  };
-
-  // What a group's commit rounds did: the batch positions it bounced
-  // back to pending (a committing cycle-rule swap rewrote their
-  // component).
-  struct GroupOutcome {
-    std::vector<std::size_t> deferred;  // batch positions to re-plan
   };
 
   [[nodiscard]] std::uint64_t edge_key(VertexId u, VertexId v) const;
@@ -648,13 +630,12 @@ class DynamicForest {
 
   /// Computes the split broadcast (and both side sizes) for cutting tree
   /// edge (x, y), given a completed prepare and the id of the split-off
-  /// component.  Shared by the serial and the batched deletion protocol.
+  /// component.
   [[nodiscard]] static SplitPlan make_split(const Prep& p, VertexId x,
                                             VertexId y, Word new_comp);
-  /// The MST cycle rule's demote: the cut edge stays in the graph as a
-  /// crossing non-tree record (its endpoints straddle its own split, so
-  /// it competes in the replacement search).  Shared by the serial and
-  /// the batched swap protocol.
+  /// The serial MST cycle rule's demote: the cut edge stays in the graph
+  /// as a crossing non-tree record (its endpoints straddle its own split,
+  /// so it competes in the replacement search).
   static void demote_record(EdgeRec& rec, const SplitBcast& sb);
 
   /// The serial per-update protocols; insert()/erase() wrap them in the
@@ -663,30 +644,26 @@ class DynamicForest {
   void erase_impl(VertexId x, VertexId y);
 
   /// Classifies one update against the current state: protocol kind,
-  /// coordinator, and component read/write claims.  Mirrors what the
-  /// group rounds recompute in-protocol.
+  /// coordinator, and component read/write claims.
   [[nodiscard]] BatchOp classify_op(const graph::Update& up,
                                     std::size_t pos) const;
-  /// Whether a and b fail to commute (shared edge, or one's component
-  /// writes intersect the other's claims).  Coordinator collisions are
-  /// deliberately NOT part of this: they are a same-group resource
-  /// constraint, not an ordering constraint.
-  [[nodiscard]] static bool ops_conflict(const BatchOp& a, const BatchOp& b);
-  /// The ordering variant of ops_conflict: a cycle-rule insert's
-  /// component claim is a read at plan time but may ESCALATE to a write
-  /// when its swap commits, so for the may-this-overtake-that test (a
-  /// candidate running before an earlier still-pending update) either
-  /// side's kPathMax read counts as a write.  Within a group the relaxed
-  /// ops_conflict still applies — there the commit phase enforces the
-  /// order by admitting one swap per component and deferring the
-  /// members planned behind it.
+  /// Whether a may not run before b (or b before a): they share an edge,
+  /// or one's component writes intersect the other's claims.  A
+  /// cycle-rule insert's component claim is a read at plan time but may
+  /// ESCALATE to a write when its swap commits, so either side's
+  /// kPathMax read counts as a write here.  Within a stage the commit
+  /// phase enforces the order among same-component cycle-rule inserts by
+  /// committing one swap per component and deferring the inserts behind
+  /// it.
   [[nodiscard]] static bool ops_conflict_ordering(const BatchOp& a,
                                                   const BatchOp& b);
 
   /// The heaviest local tree edge of `comp` on the tree path between the
   /// subtree intervals of x ([fx,lx]) and y ([fy,ly]) — the per-machine
   /// share of the path-max search (ancestor-XOR criterion).  Shared by
-  /// the serial cycle-rule protocol and the group's path-max round.
+  /// the serial cycle-rule protocol and the k-way stage's path-max round,
+  /// which passes one cached appearance per endpoint (fx == lx): a
+  /// single index already decides subtree membership.
   /// Returns a copy: SoA slots are not stable across shard mutation.
   [[nodiscard]] std::optional<EdgeRec> path_max_local(MachineId m, Word comp,
                                                       Word fx, Word lx,
@@ -700,65 +677,38 @@ class DynamicForest {
   /// One comm-cap-safe chunk of answer_queries; writes answers in place.
   void answer_query_chunk(std::span<const ReadQuery> queries,
                           std::span<ReadAnswer> answers);
-  /// Rounds 1-3 of a group run: scatter to coordinators (assigns
-  /// split-off component ids, so the group is mutated), endpoint
-  /// broadcasts, and the shard-scan replies folded into per-update
-  /// Preps.
-  GroupPrep run_group_prepare(std::vector<BatchOp>& group);
-  /// Rounds 4-5 of a group run: directory size queries/replies plus the
-  /// shared path-max search, writing the sizes into gp.preps and the
-  /// per-insert maxima into gp.heaviest.
-  void run_group_dir(std::vector<BatchOp>& group, GroupPrep& gp);
-  /// The rest of the group protocol: directory + shared path-max rounds,
-  /// commit-plan confirmation, merge broadcasts, records, and the
-  /// grouped split / shared-replacement-search pipeline (tree deletions
-  /// and committing cycle-rule swaps together).
-  GroupOutcome run_group_commit(std::vector<BatchOp>& group, GroupPrep& gp);
 
   // --- batch-dynamic protocol ---------------------------------------------
 
-  enum class StageKind {
-    kStageGroup,  // cycle-rule inserts: the shared path-max group run
-    kStageKWay,   // k-way split / cascade / k-way join stage
-  };
-
-  // One stage of the batch-dynamic protocol.  A kStageKWay stage admits
-  // every remaining update it can order safely — MANY tree deletions per
-  // component, chained merges — unlike a cycle-rule group, which admits
-  // at most one writer per component.
+  // One stage of the batch-dynamic protocol: every remaining update it
+  // can order safely — MANY tree deletions per component, chained
+  // merges, any number of cycle-rule inserts per component.
   struct StagePlan {
-    StageKind kind = StageKind::kStageKWay;
     std::vector<BatchOp> ops;
     std::vector<std::size_t> taken;  // indexes into `pending`
     std::uint64_t reordered = 0;
   };
 
-  /// Plans the next stage over the still-pending batch positions: the
-  /// first pending op picks the stage kind, then (for kStageKWay) every
-  /// later pending op joins if it can run out of order (no ordering
-  /// conflict with a rejected earlier op), its edge is unclaimed, and
-  /// its components carry at most one writer KIND (all-deletes,
-  /// all-merges via a stage-local DSU, or all-nontree ops per
-  /// component).  kStageGroup stages use plan_group's admission.
+  /// Plans the next stage over the still-pending batch positions: every
+  /// pending op joins if it can run out of order (no ordering conflict
+  /// with a rejected earlier op), its edge is unclaimed, and its
+  /// components carry at most one op KIND (all-deletes, all-merges via a
+  /// stage-local DSU, all-nontree ops, or all cycle-rule inserts per
+  /// component).  The first pending op always joins.
   [[nodiscard]] StagePlan plan_stage(std::span<const graph::Update> batch,
                                      std::span<const std::size_t> pending,
                                      std::vector<BatchOp>& rejected) const;
-  /// Plans a kStageGroup stage over the still-pending batch positions:
-  /// every pending update (in batch order) that commutes with all
-  /// earlier still-pending ones and fits the group's resource
-  /// constraints (distinct coordinators, non-overlapping claims) — the
-  /// first color class of a greedy conflict-graph coloring.
-  [[nodiscard]] StagePlan plan_group(
-      std::span<const graph::Update> batch,
-      std::span<const std::size_t> pending) const;
 
-  /// Executes one kStageKWay stage: scatter, cut/endpoint broadcasts,
-  /// surviving-appearance scans, the parallel replacement cascade
-  /// (per-(fragment,fragment) minima folded over two hops, per-component
-  /// fragment Kruskal), and one global k-way split+join transform pass
-  /// applied locally on every machine.  Adaptive: 1 round for pure
-  /// non-tree stages up to 8 with deletions needing reconnection.
-  void run_stage_kway(std::vector<BatchOp>& ops);
+  /// Executes one stage: scatter, cut/endpoint broadcasts, the shared
+  /// path-max search of the cycle-rule inserts (whose committing swaps
+  /// add demoting cuts), surviving-appearance scans, the parallel
+  /// replacement cascade (per-(fragment,fragment) minima folded over two
+  /// hops, per-component fragment Kruskal), and one global k-way
+  /// split+join transform pass applied locally on every machine.
+  /// Adaptive: 1 round for pure non-tree stages up to 8 with swaps or
+  /// deletions needing reconnection.  Returns the batch positions of the
+  /// cycle-rule inserts deferred behind a same-component swap.
+  std::vector<std::size_t> run_stage_kway(std::vector<BatchOp>& ops);
 
   /// Memory accounting helpers.
   void charge_edge_record(MachineId m);

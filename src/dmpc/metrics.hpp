@@ -94,26 +94,28 @@ struct QueryAggregate {
 /// `batch_stats()` accessor (see harness::BatchScheduled).
 struct BatchScheduleStats {
   std::uint64_t batches = 0;           ///< apply_batch invocations
-  std::uint64_t groups = 0;            ///< shared-round group instances run
-  std::uint64_t grouped_updates = 0;   ///< updates executed inside a group
+  std::uint64_t grouped_updates = 0;   ///< updates committed by a stage
   /// Updates run through the serial per-update protocol inside a batch.
   /// The batch-dynamic protocol has no serial fallback, so this stays 0
   /// (the benches gate on exactly that).
   std::uint64_t serial_updates = 0;
   std::uint64_t reordered_updates = 0; ///< ran before an earlier batch entry
   std::uint64_t batched_tree_deletes = 0;  ///< tree-edge deletions grouped
-  std::uint64_t max_group = 0;         ///< largest group size seen
-  /// MST cycle-rule inserts whose x..y path-max search ran in a shared
-  /// group round instead of a serial per-update protocol.
+  std::uint64_t max_group = 0;         ///< largest stage size seen
+  /// MST cycle-rule inserts committed by a stage whose shared path-max
+  /// round ran their x..y search (instead of a serial per-update
+  /// protocol).
   std::uint64_t path_max_grouped = 0;
-  /// Group members returned to the pending set because a committing
-  /// cycle-rule swap rewrote their component under them.
+  /// Cycle-rule inserts a stage returned to the pending set because an
+  /// earlier committing swap in their component rewrote the tree they
+  /// probed.
   std::uint64_t deferred_updates = 0;
   /// Constant-round stages executed (each stage covers every admissible
   /// update of the remaining batch in one shared schedule).
   std::uint64_t stages = 0;
-  /// Tree deletions applied through a k-way tour split (all cuts of a
-  /// component moved in one composed transform).
+  /// Components split by a k-way tour split — by tree deletions or a
+  /// committing cycle-rule swap (all cuts of a component moved in one
+  /// composed transform).
   std::uint64_t kway_splits = 0;
   /// Links/merges applied through a k-way tour join (replacement links
   /// and batch merges composed into one transform per final tree).
@@ -129,14 +131,9 @@ struct BatchScheduleStats {
   std::uint64_t elided_updates = 0;
 
   [[nodiscard]] double mean_group_size() const {
-    return groups == 0 ? 0.0
+    return stages == 0 ? 0.0
                        : static_cast<double>(grouped_updates) /
-                             static_cast<double>(groups);
-  }
-  [[nodiscard]] double groups_per_batch() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(groups) /
-                              static_cast<double>(batches);
+                             static_cast<double>(stages);
   }
 };
 

@@ -54,9 +54,11 @@ enum class TracePhase : std::uint8_t {
   kKWaySplit,        ///< k-way Euler-tour split construction
   kCascade,          ///< replacement-edge cascade rounds
   kKWayJoin,         ///< fragment universe + k-way join + commit round
-  kDirectory,        ///< directory queries/replies (group rounds 4-5)
-  kPathMax,          ///< path-max probes sharing the directory rounds
-  kGroupCommit,      ///< cycle-rule group commit rounds ("wave-commit")
+  kDirectory,        ///< directory replies + endpoint/cut/probe broadcasts
+  kPathMax,          ///< path-max proposals + swap cut broadcasts
+  /// No longer emitted (cycle-rule inserts run inside the k-way stage);
+  /// kept for bench/e2e, never emitted, so it reads 0 ("wave-commit").
+  kGroupCommit,
   kQueryBatch,       ///< read-only connectivity query batch
   kBatch,            ///< one driver-applied update batch
   /// No longer emitted (the cross-batch lookahead is gone); kept so the

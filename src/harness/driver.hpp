@@ -94,7 +94,7 @@ concept BatchApplicable =
     };
 
 /// Batch-applicable algorithms whose scheduler also reports how batches
-/// were partitioned (stages, groups, out-of-order runs); the
+/// were partitioned (stages, out-of-order runs); the
 /// driver snapshots the stats into AlgorithmStats::sched after every
 /// batch.
 template <typename A>
@@ -186,7 +186,7 @@ struct AlgorithmStats {
   /// directly comparable.
   dmpc::UpdateAggregate batch_agg;
   /// Scheduler statistics (BatchScheduled algorithms applied via
-  /// apply_batch only): stages, groups per batch, reorders.
+  /// apply_batch only): stages, reorders, k-way and cascade work.
   bool scheduled = false;
   dmpc::BatchScheduleStats sched;
   /// Failure-recovery counters (DriverConfig::recover_failures).

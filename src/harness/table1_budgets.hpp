@@ -47,17 +47,19 @@ inline constexpr double kBatchedConnectivityRoundsPerUpdate = 3.8;
 /// (graph::weighted_interleaved_delete_stream: every burst is a set of
 /// independent tree-edge deletions followed by a set of independent
 /// cycle-rule swap inserts), mean rounds per update.  Gated by
-/// tests/test_table1_budgets.cpp at n = 256; bench_table1 measures 1.14
-/// on the same stream shape at n = 1024 and gates that row with the
-/// tighter kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate below.
-inline constexpr double kWeightedDeleteHeavyRoundsPerUpdate = 5.0;
+/// tests/test_table1_budgets.cpp at n = 256, where it measures 0.78;
+/// bench_table1 measures 0.59 on the same stream shape at n = 1024 and
+/// gates that row with kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate
+/// below.
+inline constexpr double kWeightedDeleteHeavyRoundsPerUpdate = 1.1;
 /// Wide (paths = 2x batch) delete-heavy interleaved streams at batch 16,
 /// batch-dynamic protocol (bench_table1's `... delete-heavy wide bdyn16`
 /// rows, which also gate zero serial fallbacks).  Measured 0.29
-/// unweighted (one k-way stage per batch) and 0.91 weighted (the
-/// cycle-rule inserts add group stages) at n = 1024.
+/// unweighted (one k-way stage per batch) and 0.40 weighted (the
+/// cycle-rule inserts' path-max round adds two rounds to a stage, and a
+/// committing swap one more cut) at n = 1024.
 inline constexpr double kWideDeleteHeavyRoundsPerUpdate = 2.25;
-inline constexpr double kWeightedWideDeleteHeavyRoundsPerUpdate = 2.5;
+inline constexpr double kWeightedWideDeleteHeavyRoundsPerUpdate = 0.6;
 /// The batch-dynamic protocol on the delete-heavy interleaved streams at
 /// batch = 16: the whole batch is classified once, every tree deletion
 /// runs through ONE k-way tour split round, one parallel replacement
@@ -67,12 +69,13 @@ inline constexpr double kWeightedWideDeleteHeavyRoundsPerUpdate = 2.5;
 /// rows).  Measured 0.09 unweighted — the interleaved adversary's
 /// delete/re-insert pairs are net no-ops, so net-op compression elides
 /// most of the stream and the remainder runs in O(1)-round stages — and
-/// 1.14 weighted (no compression; every batch pays the k-way split
-/// round, one replacement cascade, the k-way join round, and the shared
-/// path-max round of its cycle-rule inserts).  Serial application
-/// measures 6.72 / 9.56, so losing either the compression or the shared
-/// stage rounds blows these budgets.
+/// 0.59 weighted (no compression; a stage pays the k-way split round, one
+/// replacement cascade, the k-way join round, and — for its cycle-rule
+/// inserts — the shared path-max proposal round plus the swap-cut round,
+/// with every committing swap one more cut of the same split).  Serial
+/// application measures 6.72 / 9.56, so losing either the compression or
+/// the shared stage rounds blows these budgets.
 inline constexpr double kBatchDynamicDeleteHeavyRoundsPerUpdate = 1.0;
-inline constexpr double kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate = 1.5;
+inline constexpr double kBatchDynamicWeightedDeleteHeavyRoundsPerUpdate = 0.85;
 
 }  // namespace harness::budgets

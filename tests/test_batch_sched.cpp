@@ -184,7 +184,6 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   const dmpc::BatchScheduleStats& ss = serial->batch_stats();
   const dmpc::BatchScheduleStats& ps = pooled->batch_stats();
   EXPECT_EQ(ss.batches, ps.batches) << "seed " << seed;
-  EXPECT_EQ(ss.groups, ps.groups) << "seed " << seed;
   EXPECT_EQ(ss.grouped_updates, ps.grouped_updates) << "seed " << seed;
   EXPECT_EQ(ss.serial_updates, ps.serial_updates) << "seed " << seed;
   EXPECT_EQ(ss.reordered_updates, ps.reordered_updates) << "seed " << seed;

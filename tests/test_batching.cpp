@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,7 +211,7 @@ TEST(BatchScheduler, BatchesIndependentTreeDeletions) {
   EXPECT_TRUE(forest.connected(0, 2));
   EXPECT_TRUE(forest.connected(4, 6));
   const auto& stats = forest.batch_stats();
-  EXPECT_EQ(stats.groups, 1u);
+  EXPECT_EQ(stats.stages, 1u);
   EXPECT_EQ(stats.batched_tree_deletes, 2u);
   EXPECT_EQ(stats.serial_updates, 0u);
   std::string why;
@@ -465,6 +466,101 @@ TEST(BatchScheduler, SwapCannotOvertakeEarlierPendingSameComponentInsert) {
   EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
+}
+
+/// Applies `batch` to two weighted forests preprocessed from `initial`,
+/// one update at a time and as one apply_batch, and expects identical
+/// components, tree edges and forest weight.  Returns the batched forest
+/// for stage-shape checks.
+std::unique_ptr<core::DynamicForest> expect_batch_matches_serial(
+    std::size_t n, const graph::WeightedEdgeList& initial,
+    const std::vector<Update>& batch) {
+  const core::DynForestConfig config{.n = n, .m_cap = 4 * n, .weighted = true};
+  core::DynamicForest serial(config);
+  serial.preprocess(initial);
+  for (const Update& up : batch) {
+    if (up.kind == UpdateKind::kInsert) {
+      serial.insert(up.u, up.v, up.w);
+    } else {
+      serial.erase(up.u, up.v);
+    }
+  }
+  auto batched = std::make_unique<core::DynamicForest>(config);
+  batched->preprocess(initial);
+  batched->apply_batch(std::span<const Update>(batch));
+  EXPECT_EQ(serial.component_snapshot(), batched->component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(serial), sorted_tree_edges(*batched));
+  EXPECT_EQ(serial.forest_weight(), batched->forest_weight());
+  std::string why;
+  EXPECT_TRUE(batched->validate(&why)) << why;
+  return batched;
+}
+
+// A tree deletion in one component, a committing cycle-rule swap in a
+// second and a merge of two more share ONE stage: the swap is just one
+// more cut of the k-way split, re-linked by the same cascade.
+TEST(BatchScheduler, SwapDeletionAndMergeShareOneStage) {
+  const graph::WeightedEdgeList initial = {
+      {0, 1, 1}, {1, 2, 2},  {0, 2, 50},  // A: chord (0,2) is non-tree
+      {4, 5, 1}, {5, 6, 9},  {6, 7, 1},   // B
+      {8, 9, 3}, {10, 11, 4},             // C, D
+  };
+  const std::vector<Update> batch = {
+      {UpdateKind::kDelete, 0, 1, 0},   // A: chord replaces it
+      {UpdateKind::kInsert, 4, 7, 2},   // B: displaces (5,6)
+      {UpdateKind::kInsert, 9, 10, 5},  // merges C and D
+  };
+  const auto batched = expect_batch_matches_serial(16, initial, batch);
+  EXPECT_EQ(sorted_tree_edges(*batched),
+            (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
+                {0, 2}, {1, 2}, {4, 5}, {4, 7}, {6, 7}, {8, 9}, {9, 10},
+                {10, 11}}));
+  const auto& stats = batched->batch_stats();
+  EXPECT_EQ(stats.stages, 1u);
+  EXPECT_EQ(stats.path_max_grouped, 1u);
+  EXPECT_EQ(stats.deferred_updates, 0u);
+  EXPECT_EQ(stats.kway_splits, 2u);
+  EXPECT_EQ(stats.cascade_links, 2u);
+}
+
+// The swap's replacement search is the full cut rule: a lighter
+// pre-existing non-tree edge beats the inserted edge.  (The (1+eps)
+// bucketing is what lets the lighter chord (1,3) sit outside the tree:
+// weights 38 and 40 share a bucket, and (1,2) came first.)
+TEST(BatchScheduler, SwapPromotesLighterExistingNontreeEdge) {
+  const graph::WeightedEdgeList initial = {
+      {0, 1, 1}, {2, 3, 1}, {1, 2, 40}, {1, 3, 38}};
+  const std::vector<Update> batch = {{UpdateKind::kInsert, 0, 3, 39}};
+  const auto batched = expect_batch_matches_serial(8, initial, batch);
+  EXPECT_EQ(sorted_tree_edges(*batched),
+            (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
+                {0, 1}, {1, 3}, {2, 3}}));
+  EXPECT_EQ(batched->batch_stats().stages, 1u);
+  EXPECT_EQ(batched->batch_stats().cascade_links, 1u);
+}
+
+// Three cycle-rule inserts in one component: a non-swapping insert, a
+// swap, and a third insert.  The first two commit in stage 1 — the
+// first one's record is stored before the swap's replacement scan, so
+// it competes there as it does serially — and the third, which probed
+// the pre-swap tree, defers to stage 2 (where it swaps in turn).
+TEST(BatchScheduler, InsertsBehindSameComponentSwapDefer) {
+  const graph::WeightedEdgeList initial = {
+      {0, 1, 1}, {1, 2, 30}, {2, 3, 1}, {3, 4, 1}};
+  const std::vector<Update> batch = {
+      {UpdateKind::kInsert, 0, 2, 35},  // path max 30: stays non-tree
+      {UpdateKind::kInsert, 0, 3, 5},   // displaces (1,2)
+      {UpdateKind::kInsert, 1, 4, 3},   // deferred; then displaces (0,3)
+  };
+  const auto batched = expect_batch_matches_serial(8, initial, batch);
+  EXPECT_EQ(sorted_tree_edges(*batched),
+            (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
+                {0, 1}, {1, 4}, {2, 3}, {3, 4}}));
+  const auto& stats = batched->batch_stats();
+  EXPECT_EQ(stats.stages, 2u);
+  EXPECT_EQ(stats.deferred_updates, 1u);
+  EXPECT_EQ(stats.path_max_grouped, 3u);
+  EXPECT_EQ(stats.cascade_links, 2u);
 }
 
 TEST(ApplyBatch, HandlesNoopsAndNontreeOps) {

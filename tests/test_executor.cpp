@@ -222,7 +222,6 @@ void expect_same_sched(const core::DynamicForest& a,
   const dmpc::BatchScheduleStats& sa = a.batch_stats();
   const dmpc::BatchScheduleStats& sb = b.batch_stats();
   EXPECT_EQ(sa.batches, sb.batches);
-  EXPECT_EQ(sa.groups, sb.groups);
   EXPECT_EQ(sa.grouped_updates, sb.grouped_updates);
   EXPECT_EQ(sa.serial_updates, sb.serial_updates);
   EXPECT_EQ(sa.reordered_updates, sb.reordered_updates);

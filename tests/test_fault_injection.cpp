@@ -91,10 +91,13 @@ std::vector<std::vector<Update>> make_batches(std::size_t n,
 // sweep for_each_machine dispatches) until the armed point lies beyond
 // the batch's protocol and the attempt commits.  Every faulted attempt
 // must throw and leave the forest exactly at its pre-batch snapshot.
+// `stats`, when given, receives the forest's final scheduling counters
+// (rolled-back attempts leave no trace in them).
 void sweep_every_injection_point(const DynForestConfig& config,
                                  bool thread_pool,
                                  const graph::UpdateStream& stream,
-                                 std::size_t batch_size) {
+                                 std::size_t batch_size,
+                                 dmpc::BatchScheduleStats* stats = nullptr) {
   DynamicForest forest(config);
   forest.preprocess(graph::EdgeList{});
   if (thread_pool) {
@@ -150,6 +153,7 @@ void sweep_every_injection_point(const DynForestConfig& config,
     std::string why;
     ASSERT_TRUE(forest.validate(&why)) << "after batch " << b << ": " << why;
   }
+  if (stats != nullptr) *stats = forest.batch_stats();
 }
 
 DynForestConfig sweep_config(bool weighted) {
@@ -174,7 +178,15 @@ TEST(FaultSweep, BatchDynamicDeleteHeavy) {
 
 TEST(FaultSweep, BatchDynamicWeighted) {
   const auto config = sweep_config(true);
-  sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6);
+  dmpc::BatchScheduleStats stats;
+  sweep_every_injection_point(config, false, sweep_stream(config.n, true), 6,
+                              &stats);
+  // The sweep covers the swap rounds only if a swap actually committed.
+  // Each tree deletion adds at most one split component, so a split
+  // component beyond the deletions is a committed swap's cut.
+  EXPECT_GT(stats.path_max_grouped, 0u);
+  EXPECT_GT(stats.kway_splits, stats.batched_tree_deletes)
+      << "the swept stream committed no cycle-rule swap";
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }
 

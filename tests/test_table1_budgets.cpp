@@ -108,10 +108,9 @@ TEST(Table1Budgets, WeightedBatchedDeleteHeavy) {
   // The weighted-batched gate: mean rounds per update of apply_batch at
   // batch = 16 on the weighted delete-heavy adversary, whose bursts are
   // independent tree-edge deletions plus independent cycle-rule swap
-  // inserts.  The batch-dynamic stages (k-way split + cascade + join for
-  // the deletions, one shared path-max round for the inserts) must keep
-  // this under the budget (rounds per update is n-independent, so the
-  // same bound applies here at n = 256 and at the bench's n = 1024).
+  // inserts.  The batch-dynamic stages (one shared path-max round for
+  // the inserts, then k-way split + cascade + join for the deletions and
+  // the committing swaps' cuts alike) must keep this under the budget.
   core::DynamicForest mst({.n = kN, .m_cap = kMCap, .weighted = true});
   mst.preprocess(graph::WeightedEdgeList{});
   harness::DriverConfig config{.batch_size = 16,
@@ -129,7 +128,7 @@ TEST(Table1Budgets, WeightedBatchedDeleteHeavy) {
   EXPECT_LE(rpu, harness::budgets::kWeightedDeleteHeavyRoundsPerUpdate)
       << "weighted batched rounds/update regressed";
   // The budget is only meaningful if the stream actually exercised the
-  // grouped cycle-rule path.
+  // shared cycle-rule path.
   EXPECT_GT(mst.batch_stats().path_max_grouped, 0u);
   EXPECT_GT(mst.batch_stats().batched_tree_deletes, 0u);
 }
