@@ -18,7 +18,7 @@ CsMatching::CsMatching(const CsMatchingConfig& config)
   const std::size_t mu = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::ceil(std::sqrt(4.0 * n))));
   const dmpc::WordCount S = static_cast<dmpc::WordCount>(
-      config_.memory_slack * std::sqrt(4.0 * n) + 512.0);
+      kMemorySlack * std::sqrt(4.0 * n) + 512.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   adj_.resize(config_.n);
   lvl_.assign(config_.n, -1);

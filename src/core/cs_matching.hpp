@@ -60,7 +60,6 @@ struct CsMatchingConfig {
                                ///< small here so levels are exercised)
   std::size_t delta = 0;       ///< batch size Delta (0 = c * log^2 n)
   std::uint64_t seed = 1;
-  double memory_slack = 64;
 };
 
 class CsMatching {
@@ -90,6 +89,9 @@ class CsMatching {
   [[nodiscard]] bool validate(std::string* why = nullptr) const;
 
  private:
+  /// S = kMemorySlack * sqrt(4n) + 512 words per machine.
+  static constexpr double kMemorySlack = 64;
+
   struct PendingFree {
     VertexId v;
   };

@@ -62,6 +62,44 @@ enum Tag : Word {
   kQueryAnswer,
 };
 
+// A tree edge's child endpoint owns the inner pair of the edge's four
+// tour indexes (its appearances nest inside the parent's); that pair is
+// the split-off subtree's interval [f_c, l_c].
+struct ChildInterval {
+  bool u_is_child = false;
+  Word f_c = 0, l_c = 0;
+
+  // The edge lies on the tree path between the subtree intervals
+  // [fx, lx] and [fy, ly] iff its child subtree holds exactly one of
+  // them (the ancestor-XOR criterion).
+  [[nodiscard]] bool on_path(Word fx, Word lx, Word fy, Word ly) const {
+    return (f_c <= fx && lx <= l_c) != (f_c <= fy && ly <= l_c);
+  }
+};
+
+// Takes the four indexes one by one, so shard scans read the index
+// columns without materializing an EdgeRec per slot.
+ChildInterval child_interval(Word iu1, Word iu2, Word iv1, Word iv2) {
+  const Word u_lo = std::min(iu1, iu2);
+  const Word v_lo = std::min(iv1, iv2);
+  if (u_lo > v_lo) return {true, u_lo, std::max(iu1, iu2)};
+  return {false, v_lo, std::max(iv1, iv2)};
+}
+
+// Calls fn(slot) for every tree record of `comp` in the shard that lies
+// on the tree path between [fx, lx] and [fy, ly].
+template <typename Shard, typename Fn>
+void for_each_path_slot(const Shard& es, Word comp, Word fx, Word lx, Word fy,
+                        Word ly, const Fn& fn) {
+  for (std::size_t i = 0; i < es.size(); ++i) {
+    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
+    if (child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i])
+            .on_path(fx, lx, fy, ly)) {
+      fn(i);
+    }
+  }
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -77,7 +115,7 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
   const std::size_t mu = std::max<std::size_t>(
       4, static_cast<std::size_t>(std::ceil(std::sqrt(N))));
   const dmpc::WordCount S = static_cast<dmpc::WordCount>(
-      config_.memory_slack * std::sqrt(N) + 256.0);
+      kMemorySlack * std::sqrt(N) + 256.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   machines_.resize(mu);
   // Vertex records: comp(v) = v, no tour index yet.
@@ -692,23 +730,12 @@ void DynamicForest::link_components(const Prep& p, VertexId x, VertexId y,
 
 DynamicForest::SplitPlan DynamicForest::make_split(const Prep& p, VertexId x,
                                                    VertexId y, Word new_comp) {
-  // Identify the child endpoint: it owns the inner pair of the edge's
-  // four indexes.
   const EdgeKey key(x, y);
   const EdgeRec& e = p.edge;
-  const Word u_lo = std::min(e.iu1, e.iu2), u_hi = std::max(e.iu1, e.iu2);
-  const Word v_lo = std::min(e.iv1, e.iv2), v_hi = std::max(e.iv1, e.iv2);
-  VertexId child, parent;
-  etour::SplitParams sp{};
-  if (u_lo > v_lo && u_hi < v_hi) {
-    child = key.u;
-    parent = key.v;
-    sp = {u_lo, u_hi};
-  } else {
-    child = key.v;
-    parent = key.u;
-    sp = {v_lo, v_hi};
-  }
+  const ChildInterval c = child_interval(e.iu1, e.iu2, e.iv1, e.iv2);
+  const VertexId child = c.u_is_child ? key.u : key.v;
+  const VertexId parent = c.u_is_child ? key.v : key.u;
+  const etour::SplitParams sp{c.f_c, c.l_c};
   // f/l of parent from the prepare results.
   const Word f_p = parent == x ? p.fx : p.fy;
   const Word l_p = parent == x ? p.lx : p.ly;
@@ -853,28 +880,11 @@ std::optional<DynamicForest::EdgeRec> DynamicForest::path_max_local(
     MachineId m, Word comp, Word fx, Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
   std::ptrdiff_t best_slot = EdgeShard::kNpos;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
-    // Child endpoint owns the inner index pair.
-    const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
-    const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
-    const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
-    const Word v_hi = std::max(es.iv1[i], es.iv2[i]);
-    Word f_c, l_c;
-    if (u_lo > v_lo) {
-      f_c = u_lo;
-      l_c = u_hi;
-    } else {
-      f_c = v_lo;
-      l_c = v_hi;
-    }
-    const bool anc_x = f_c <= fx && lx <= l_c;
-    const bool anc_y = f_c <= fy && ly <= l_c;
-    if (anc_x == anc_y) continue;  // not on the tree path
+  for_each_path_slot(es, comp, fx, lx, fy, ly, [&](std::size_t i) {
     if (best_slot == EdgeShard::kNpos || es.w[i] > es.w[best_slot]) {
       best_slot = static_cast<std::ptrdiff_t>(i);
     }
-  }
+  });
   if (best_slot == EdgeShard::kNpos) return std::nullopt;
   return es.get(static_cast<std::size_t>(best_slot));
 }
@@ -883,25 +893,8 @@ Weight DynamicForest::path_weight_local(MachineId m, Word comp, Word fx,
                                         Word lx, Word fy, Word ly) const {
   const EdgeShard& es = machines_[m].edges;
   Weight sum = 0;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
-    const Word u_lo = std::min(es.iu1[i], es.iu2[i]);
-    const Word u_hi = std::max(es.iu1[i], es.iu2[i]);
-    const Word v_lo = std::min(es.iv1[i], es.iv2[i]);
-    const Word v_hi = std::max(es.iv1[i], es.iv2[i]);
-    Word f_c, l_c;
-    if (u_lo > v_lo) {
-      f_c = u_lo;
-      l_c = u_hi;
-    } else {
-      f_c = v_lo;
-      l_c = v_hi;
-    }
-    const bool anc_x = f_c <= fx && lx <= l_c;
-    const bool anc_y = f_c <= fy && ly <= l_c;
-    if (anc_x == anc_y) continue;  // not on the tree path
-    sum += es.w[i];
-  }
+  for_each_path_slot(es, comp, fx, lx, fy, ly,
+                     [&](std::size_t i) { sum += es.w[i]; });
   return sum;
 }
 
@@ -1514,29 +1507,17 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     VertexId parent = 0, child = 0;
     Word f_c = 0, l_c = 0;
   };
-  // The child endpoint of a tree edge owns the inner pair of its four
-  // tour indexes; that pair is the split-off subtree's interval.
   const auto make_cut = [&](std::size_t i, const EdgeRec& e) {
-    const Word u_lo = std::min(e.iu1, e.iu2);
-    const Word u_hi = std::max(e.iu1, e.iu2);
-    const Word v_lo = std::min(e.iv1, e.iv2);
-    const Word v_hi = std::max(e.iv1, e.iv2);
+    const ChildInterval c = child_interval(e.iu1, e.iu2, e.iv1, e.iv2);
     CutInfo ci;
     ci.op = i;
     ci.ekey = edge_key(e.u, e.v);
     ci.comp = ops[i].cx;
     ci.new_comp = ops[i].new_comp;
-    if (u_lo > v_lo) {  // u's appearances nest inside v's: u is the child
-      ci.child = e.u;
-      ci.parent = e.v;
-      ci.f_c = u_lo;
-      ci.l_c = u_hi;
-    } else {
-      ci.child = e.v;
-      ci.parent = e.u;
-      ci.f_c = v_lo;
-      ci.l_c = v_hi;
-    }
+    ci.child = c.u_is_child ? e.u : e.v;
+    ci.parent = c.u_is_child ? e.v : e.u;
+    ci.f_c = c.f_c;
+    ci.l_c = c.l_c;
     return ci;
   };
   std::vector<CutInfo> cuts;  // deletions in batch order, then swaps

@@ -90,7 +90,6 @@ struct DynForestConfig {
   std::size_t m_cap = 0;     ///< maximum number of edges over the run
   bool weighted = false;     ///< MST variant if true
   double eps = 0.1;          ///< MST approximation slack (bucketing)
-  double memory_slack = 32;  ///< S = slack * sqrt(N) words per machine
   /// Strong exception guarantee for updates: insert/erase/apply_batch
   /// keep a per-machine undo journal (pre-images of every record,
   /// vertex, and directory entry they touch, appended as they mutate)
@@ -220,6 +219,9 @@ class DynamicForest {
   [[nodiscard]] bool validate(std::string* why = nullptr) const;
 
  private:
+  /// S = kMemorySlack * sqrt(N) + 256 words per machine.
+  static constexpr double kMemorySlack = 32;
+
   struct EdgeRec {
     VertexId u = dmpc::kNoVertex;  // canonical u < v
     VertexId v = dmpc::kNoVertex;

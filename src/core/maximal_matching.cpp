@@ -44,7 +44,7 @@ MaximalMatching::MaximalMatching(const MaximalMatchingConfig& config)
       8 + 2 * static_cast<std::size_t>(std::ceil(sqrtN)) + 2 * heavy_possible;
   const std::size_t mu = 1 + stats_count + pool;
   const dmpc::WordCount S = static_cast<dmpc::WordCount>(
-      config_.memory_slack * sqrtN + 512.0);
+      kMemorySlack * sqrtN + 512.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   machines_.resize(mu);
   stats_.resize(config_.n);

@@ -54,8 +54,7 @@ using dmpc::Word;
 
 struct MaximalMatchingConfig {
   std::size_t n = 0;
-  std::size_t m_cap = 0;      ///< max live edges over the run
-  double memory_slack = 96;   ///< S = slack * sqrt(N) words
+  std::size_t m_cap = 0;  ///< max live edges over the run
 };
 
 class MaximalMatching {
@@ -92,6 +91,9 @@ class MaximalMatching {
   [[nodiscard]] std::size_t heavy_threshold() const { return heavy_thresh_; }
 
  protected:
+  /// S = kMemorySlack * sqrt(N) + 512 words per machine.
+  static constexpr double kMemorySlack = 96;
+
   // -- events (the update-history H) -------------------------------------
   enum class EventKind : std::uint8_t {
     kEdgeDelete,   // (a=u, b=v): remove edge wherever it is still stored

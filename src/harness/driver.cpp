@@ -1,73 +1,18 @@
 #include "harness/driver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
-#include <thread>
 
 namespace harness {
 namespace {
 
-/// Folds one per-update record into a per-batch accumulator: rounds and
-/// traffic add up, the per-round maxima stay maxima.
+/// Folds one committed attempt's record into a per-batch accumulator:
+/// rounds and traffic add up, the per-round maxima stay maxima.
 void accumulate(dmpc::UpdateRecord& batch, const dmpc::UpdateRecord& up) {
   batch.rounds += up.rounds;
   batch.total_comm_words += up.total_comm_words;
   batch.max_active_machines =
       std::max(batch.max_active_machines, up.max_active_machines);
   batch.max_comm_words = std::max(batch.max_comm_words, up.max_comm_words);
-}
-
-/// Capped exponential backoff before retry `attempt` (0-based).
-void recovery_backoff(const DriverConfig& config, std::size_t attempt) {
-  if (config.recovery_backoff_base_us == 0) return;
-  const std::uint64_t shift = std::min<std::size_t>(attempt, 20);
-  const std::uint64_t us = std::min(config.recovery_backoff_cap_us,
-                                    config.recovery_backoff_base_us << shift);
-  std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
-/// Bisect-and-retry recovery after a failed whole-batch apply (which the
-/// caller already counted): sub-batches are retried in batch order with
-/// backoff, split in half when retries run out, and abandoned as
-/// singletons.  `attempt(off, len)` applies b[off, off+len); `abandoned`
-/// is marked per dropped position.  Assumes the algorithm restores its
-/// pre-attempt state on every throw (the strong exception guarantee).
-template <typename Attempt>
-void recover_batch(const DriverConfig& config, std::size_t size,
-                   const Attempt& attempt, RecoveryStats& rs,
-                   std::vector<char>& abandoned) {
-  std::deque<std::pair<std::size_t, std::size_t>> segs;
-  segs.emplace_back(0, size);
-  while (!segs.empty()) {
-    const auto [off, len] = segs.front();
-    segs.pop_front();
-    bool committed = false;
-    for (std::size_t a = 0; a < std::max<std::size_t>(
-                                    1, config.recovery_max_retries) &&
-                            !committed;
-         ++a) {
-      recovery_backoff(config, a);
-      ++rs.retries;
-      try {
-        attempt(off, len);
-        committed = true;
-      } catch (...) {
-        ++rs.aborts;
-      }
-    }
-    if (committed) {
-      rs.updates_recovered += len;
-    } else if (len > 1) {
-      ++rs.bisections;
-      const std::size_t half = len / 2;
-      segs.emplace_front(off + half, len - half);
-      segs.emplace_front(off, half);
-    } else {
-      ++rs.updates_abandoned;
-      abandoned[off] = 1;
-    }
-  }
 }
 
 }  // namespace
@@ -118,9 +63,6 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
   // The open batch's effective updates (already applied to the filter
   // shadow).
   std::vector<graph::Update> batch;
-  // Per-algorithm accumulation of a closing batch's per-update records
-  // (serial instrumented algorithms only).
-  std::vector<dmpc::UpdateRecord> batch_acc(handles_.size());
   std::size_t batches_since_checkpoint = 0;
   // True while the current state has already been checkpointed, so the
   // final checkpoint is skipped when the last batch landed on a
@@ -137,81 +79,42 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
     // registration only stays differential while nothing is abandoned.
     std::vector<char> abandoned(b.size(), 0);
     dmpc::PhaseScope batch_phase(tracer_.get(), dmpc::TracePhase::kBatch);
+    const std::span<const graph::Update> whole(b);
     for (std::size_t i = 0; i < handles_.size(); ++i) {
       const Handle& h = handles_[i];
-      RecoveryStats& rs = report_.algorithms[i].recovery;
-      if (batching() && h.apply_batch) {
-        const std::span<const graph::Update> whole(b);
-        if (!config_.recover_failures) {
-          h.apply_batch(whole);
+      AlgorithmStats& stats = report_.algorithms[i];
+      dmpc::UpdateRecord batch_rec;
+      const auto attempt = [&](std::size_t off, std::size_t len) {
+        if (stats.batched) {
+          h.apply_batch(whole.subspan(off, len));
         } else {
-          bool ok = true;
-          try {
-            h.apply_batch(whole);
-          } catch (...) {
-            ok = false;
-            ++rs.aborts;
-          }
-          if (!ok) {
-            dmpc::PhaseScope recovery(tracer_.get(),
-                                      dmpc::TracePhase::kRecovery);
-            recover_batch(
-                config_, b.size(),
-                [&](std::size_t off, std::size_t len) {
-                  h.apply_batch(whole.subspan(off, len));
-                },
-                rs, abandoned);
-          }
+          h.apply(b[off]);
         }
         if (h.last_update) {
-          report_.algorithms[i].batch_agg.absorb(h.last_update());
+          const dmpc::UpdateRecord rec = h.last_update();
+          if (!stats.batched) stats.agg.absorb(rec);
+          accumulate(batch_rec, rec);
         }
-        // The algorithm's scheduler stats are cumulative; keep the
-        // report's copy current after every batch.
-        if (h.sched_stats) report_.algorithms[i].sched = h.sched_stats();
-      } else {
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          if (abandoned[j] != 0) continue;
-          const graph::Update& up = b[j];
-          if (!config_.recover_failures) {
-            h.apply(up);
-          } else {
-            // The per-update analogue: retry the lone update with
-            // backoff, abandon when retries run out.
-            bool ok = true;
-            try {
-              h.apply(up);
-            } catch (...) {
-              ok = false;
-              ++rs.aborts;
-            }
-            if (!ok) {
-              std::vector<char> one(1, 0);
-              dmpc::PhaseScope recovery(tracer_.get(),
-                                        dmpc::TracePhase::kRecovery);
-              recover_batch(
-                  config_, 1,
-                  [&](std::size_t, std::size_t) { h.apply(up); }, rs, one);
-              if (one[0] != 0) {
-                abandoned[j] = 1;
-                continue;
-              }
-            }
-          }
-          if (h.last_update) {
-            const dmpc::UpdateRecord rec = h.last_update();
-            report_.algorithms[i].agg.absorb(rec);
-            accumulate(batch_acc[i], rec);
-          }
-        }
-        if (h.last_update) {
-          report_.algorithms[i].batch_agg.absorb(batch_acc[i]);
-          batch_acc[i] = dmpc::UpdateRecord{};
+      };
+      const auto abandon = [&](std::size_t off) { abandoned[off] = 1; };
+      BisectRetry recovery(config_.recovery_max_retries, stats.recovery);
+      const std::size_t unit = stats.batched ? b.size() : 1;
+      for (std::size_t off = 0; off < b.size(); off += unit) {
+        if (unit == 1 && abandoned[off] != 0) continue;
+        recovery.push(off, unit);
+        if (!recovery.step(attempt, abandon)) {
+          dmpc::PhaseScope recovery_phase(tracer_.get(),
+                                          dmpc::TracePhase::kRecovery);
+          recovery.drain(attempt, abandon);
         }
       }
+      if (h.last_update) stats.batch_agg.absorb(batch_rec);
+      // The algorithm's scheduler stats are cumulative; keep the
+      // report's copy current after every batch.
+      if (stats.scheduled) stats.sched = h.sched_stats();
     }
-    // The batch span ends here: commit hooks (the serving layer's epoch
-    // pump) and checkpoints that follow are not batch-apply work.
+    // The batch span ends here: commit hooks and checkpoints that follow
+    // are not batch-apply work.
     batch_phase.close();
     std::size_t dropped = 0;
     for (const char a : abandoned) dropped += a != 0 ? 1 : 0;

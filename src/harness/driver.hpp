@@ -24,9 +24,7 @@
 //     concept) makes the algorithm *batched* whenever batch_size > 1:
 //     the driver hands it each whole batch at the batch boundary so
 //     independent updates can share protocol rounds, instead of
-//     replaying the batch one update at a time.  Set
-//     DriverConfig::use_apply_batch = false to force the per-update
-//     path.
+//     replaying the batch one update at a time.
 //
 // Updates are grouped into batches of `batch_size`, and each batch is
 // applied the moment it fills; checkpoints and the on_batch_end hooks
@@ -35,6 +33,11 @@
 // Per-batch DMPC cost is aggregated for every instrumented algorithm
 // (AlgorithmStats::batch_agg) in both modes, so the round-sharing win of
 // a batch protocol is directly measurable against the serial baseline.
+//
+// A failed apply is recovered by the shared bisect-and-retry routine
+// (recovery.hpp): a batched algorithm's unit is the whole batch, a
+// per-update algorithm's unit is one update, and every committed
+// attempt's DMPC record adds into the batch record.
 //
 // The driver can also install a RoundExecutor on every registered
 // cluster-backed algorithm (DriverConfig::executor): kThreadPool runs
@@ -60,6 +63,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
+#include "harness/recovery.hpp"
 
 namespace harness {
 
@@ -136,39 +140,16 @@ struct DriverConfig {
   std::size_t checkpoint_every = 1;  ///< in *batches*; 0 = only at the end
   bool weighted = false;             ///< pass Update::w to weighted inserts
   bool final_checkpoint = true;      ///< checkpoint after the last batch
-  bool use_apply_batch = true;  ///< prefer apply_batch() if batch_size > 1
   ExecutorKind executor = ExecutorKind::kSerial;
   std::size_t executor_threads = 0;  ///< 0 = hardware concurrency
   /// Recovery: when an algorithm's apply throws mid-batch (a fault-
   /// injected cap trip, a crash), the driver assumes the algorithm
-  /// rolled itself back to the pre-batch state (DynamicForest's
-  /// atomic_updates journal provides exactly that) and retries — the
-  /// whole batch first, then bisected halves — with capped exponential
-  /// backoff between attempts.  An update whose singleton sub-batch
-  /// still fails after recovery_max_retries attempts is ABANDONED: it is
-  /// un-applied from the driver's shadow so checkpoints compare against
-  /// what actually committed.  Costs nothing on the fault-free path.
-  bool recover_failures = true;
-  /// Apply attempts per (sub-)batch before bisecting (or abandoning a
-  /// singleton).
+  /// rolled itself back to the pre-attempt state (DynamicForest's
+  /// atomic_updates journal provides exactly that) and runs
+  /// harness::BisectRetry with this many retries per segment.  An
+  /// abandoned update is un-applied from the driver's shadow so
+  /// checkpoints compare against what actually committed.
   std::size_t recovery_max_retries = 3;
-  /// Exponential backoff between retries: min(cap, base << attempt)
-  /// microseconds; base 0 disables sleeping (simulated faults are
-  /// deterministic, so waiting buys nothing in tests).
-  std::uint64_t recovery_backoff_base_us = 0;
-  std::uint64_t recovery_backoff_cap_us = 1000;
-};
-
-/// Failure-recovery counters, per registered algorithm (see
-/// docs/ROBUSTNESS.md).  All zero on a fault-free run.
-struct RecoveryStats {
-  std::uint64_t aborts = 0;      ///< apply attempts that threw
-  std::uint64_t retries = 0;     ///< re-attempts after the first failure
-  std::uint64_t bisections = 0;  ///< failed sub-batches split in half
-  /// Updates that committed despite riding at least one failed attempt.
-  std::uint64_t updates_recovered = 0;
-  /// Updates dropped after their singleton sub-batch exhausted retries.
-  std::uint64_t updates_abandoned = 0;
 };
 
 /// Per-registered-algorithm results of a run.
@@ -181,15 +162,16 @@ struct AlgorithmStats {
   /// batch_agg instead.
   dmpc::UpdateAggregate agg;
   /// Per-*batch* DMPC cost, one record per closed batch (instrumented
-  /// algorithms only).  For per-update algorithms the batch record is
-  /// the sum of its updates' records, so batched and serial runs are
-  /// directly comparable.
+  /// algorithms only): the sum of the records of every attempt that
+  /// committed in the batch — its updates for a per-update algorithm,
+  /// the batch (or its recovered segments) for a batched one — so batched
+  /// and serial runs are directly comparable.
   dmpc::UpdateAggregate batch_agg;
   /// Scheduler statistics (BatchScheduled algorithms applied via
   /// apply_batch only): stages, reorders, k-way and cascade work.
   bool scheduled = false;
   dmpc::BatchScheduleStats sched;
-  /// Failure-recovery counters (DriverConfig::recover_failures).
+  /// Failure-recovery counters (DriverConfig::recovery_max_retries).
   RecoveryStats recovery;
 };
 
@@ -274,11 +256,8 @@ class Driver {
   /// Called the moment a batch COMMITS — after the algorithms applied
   /// it, before the on_batch_end hooks and any checkpoint.  `epoch` is the
   /// number of committed batches so far and `committed` is the graph at
-  /// exactly that epoch: the serving layer's interleave point — a
-  /// QueryBroker drains its pending read-only query batch here, in the
-  /// bubble between two update stages, and stamps the answers with
-  /// `epoch` (snapshot consistency: a query never observes a
-  /// half-committed stage because the hook only fires between stages).
+  /// exactly that epoch: a reader running here sits in the bubble between
+  /// two update stages, so it never observes a half-committed stage.
   void on_batch_commit(
       std::function<void(std::size_t, const graph::DynamicGraph&)> fn) {
     batch_commit_fns_.push_back(std::move(fn));
@@ -328,9 +307,7 @@ class Driver {
   };
 
   void run_checkpoint();
-  [[nodiscard]] bool batching() const {
-    return config_.use_apply_batch && config_.batch_size > 1;
-  }
+  [[nodiscard]] bool batching() const { return config_.batch_size > 1; }
 
   DriverConfig config_;
   graph::DynamicGraph shadow_;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <span>
-#include <utility>
 
 #include "dmpc/trace.hpp"
-#include "harness/driver.hpp"
 
 namespace serve {
 
@@ -22,7 +20,9 @@ std::optional<ServedAnswer> ClientSession::poll(QueryId id) {
 }
 
 QueryBroker::QueryBroker(core::DynamicForest& forest, ServingConfig config)
-    : forest_(forest), config_(config) {}
+    : forest_(forest),
+      config_(config),
+      recovery_(config.recovery_max_retries, recovery_stats_) {}
 
 ClientSession QueryBroker::session() {
   {
@@ -73,107 +73,60 @@ void QueryBroker::pump() {
 }
 
 void QueryBroker::pump_updates() {
-  if (!recovery_queue_.empty()) {
-    // Degraded mode: ONE attempt on the front sub-batch, so the query
-    // backlog between attempts never starves.  The forest's journal
-    // restored the last committed epoch after every abort, so each
-    // attempt starts from clean state.
-    std::vector<graph::Update>& seg = recovery_queue_.front();
-    bool ok = true;
+  // Pending recovery segments are degraded mode: this pump makes ONE
+  // more attempt on them, so the query backlog between attempts never
+  // starves.  Otherwise commit at most one update batch drained from the
+  // bounded queue; apply_batch tolerates no-op updates (duplicate
+  // inserts, absent erases), so the raw queue is applied verbatim.  The
+  // forest's journal restores the last committed epoch after every
+  // abort, so each attempt starts from clean state.
+  const bool degraded = !recovery_.done();
+  if (!degraded) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.degraded_intervals;
-      ++stats_.update_retries;
+      batch_.assign(pending_updates_.begin(), pending_updates_.end());
+      pending_updates_.clear();
     }
-    try {
-      // Inside the try so an aborted attempt closes as an aborted span.
-      dmpc::PhaseScope epoch_phase(forest_.cluster().tracer(),
-                                   dmpc::TracePhase::kEpoch);
-      forest_.apply_batch(std::span<const graph::Update>(seg));
-    } catch (...) {
-      ok = false;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (ok) {
-      ++epoch_;
-      ++stats_.update_batches;
-      stats_.updates_applied += seg.size();
-      recovery_queue_.pop_front();
-      recovery_attempts_ = 0;
-    } else {
-      ++stats_.update_aborts;
-      if (++recovery_attempts_ >= config_.recovery_max_retries) {
-        recovery_attempts_ = 0;
-        if (seg.size() > 1) {
-          ++stats_.update_bisections;
-          const std::size_t half = seg.size() / 2;
-          std::vector<graph::Update> tail(seg.begin() +
-                                              static_cast<std::ptrdiff_t>(half),
-                                          seg.end());
-          seg.resize(half);
-          recovery_queue_.insert(recovery_queue_.begin() + 1,
-                                 std::move(tail));
-        } else {
-          ++stats_.updates_abandoned;
-          recovery_queue_.pop_front();
-        }
-      }
-    }
-    if (recovery_queue_.empty()) {
-      const double us = std::chrono::duration<double, std::micro>(
-                            now - degraded_since_)
-                            .count();
-      stats_.degraded_time_us += us;
-      stats_.worst_recovery_us = std::max(stats_.worst_recovery_us, us);
-    }
-    return;
+    if (batch_.empty()) return;
+    recovery_.push(0, batch_.size());
   }
-  // Healthy path: commit at most one update batch drained from the
-  // bounded queue.  apply_batch tolerates no-op updates (duplicate
-  // inserts, absent erases), so the raw queue is applied verbatim.
-  std::vector<graph::Update> batch;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    while (!pending_updates_.empty()) {
-      batch.push_back(pending_updates_.front());
-      pending_updates_.pop_front();
-    }
-  }
-  if (batch.empty()) return;
-  bool ok = true;
-  try {
-    dmpc::PhaseScope epoch_phase(forest_.cluster().tracer(),
-                                 dmpc::TracePhase::kEpoch);
-    forest_.apply_batch(std::span<const graph::Update>(batch));
-  } catch (...) {
-    ok = false;
-  }
+  std::size_t applied = 0;
+  const bool committed = recovery_.step(
+      [this, &applied](std::size_t off, std::size_t len) {
+        // Inside the attempt so an aborted attempt closes as an aborted
+        // span.
+        dmpc::PhaseScope epoch_phase(forest_.cluster().tracer(),
+                                     dmpc::TracePhase::kEpoch);
+        forest_.apply_batch(
+            std::span<const graph::Update>(batch_).subspan(off, len));
+        applied = len;
+      },
+      [](std::size_t /*off*/) {});
+  const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mu_);
-  if (ok) {
+  if (committed) {
     ++epoch_;
     ++stats_.update_batches;
-    stats_.updates_applied += batch.size();
+    stats_.updates_applied += applied;
+  }
+  stats_.update_aborts = recovery_stats_.aborts;
+  stats_.update_retries = recovery_stats_.retries;
+  stats_.update_bisections = recovery_stats_.bisections;
+  stats_.updates_abandoned = recovery_stats_.updates_abandoned;
+  if (!degraded) {
+    // A failed healthy attempt enters degraded mode: queries keep being
+    // answered from the epoch that did commit.
+    if (!recovery_.done()) degraded_since_ = now;
     return;
   }
-  // Enter degraded mode: the failed epoch re-queues for bisection
-  // recovery on subsequent pumps while queries keep being answered from
-  // the epoch that did commit.
-  ++stats_.update_aborts;
-  degraded_since_ = std::chrono::steady_clock::now();
-  recovery_attempts_ = 0;
-  recovery_queue_.push_back(std::move(batch));
-}
-
-void QueryBroker::attach(harness::Driver& driver) {
-  driver.on_batch_commit(
-      [this](std::size_t epoch, const graph::DynamicGraph& /*committed*/) {
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          epoch_ = epoch;
-        }
-        drain_queries();
-      });
+  ++stats_.degraded_intervals;
+  if (recovery_.done()) {
+    const double us =
+        std::chrono::duration<double, std::micro>(now - degraded_since_)
+            .count();
+    stats_.degraded_time_us += us;
+    stats_.worst_recovery_us = std::max(stats_.worst_recovery_us, us);
+  }
 }
 
 std::size_t QueryBroker::epoch() const {

@@ -5,25 +5,15 @@
 // connected?(u,v) / path-weight queries, batches them into shared
 // O(1)-round directory lookups (DynamicForest::answer_queries — pure
 // reads, no split/join/cascade participation), and interleaves those
-// query batches with update stages:
-//
-//   * standalone mode: the broker owns a bounded update queue and a
-//     single-threaded pump() that alternates one update batch
-//     (apply_batch) with the drained query backlog;
-//   * driver-attached mode (attach()): the broker registers a
-//     harness::Driver::on_batch_commit hook and drains its query
-//     backlog in the bubble between two committed update batches, so
-//     serving rides the driver's batch loop without touching its
-//     scheduling.
+// query batches with update stages: the broker owns a bounded update
+// queue and a single-threaded pump() that alternates one update batch
+// (apply_batch) with the drained query backlog.
 //
 // Snapshot consistency: query batches only ever run between update
 // batches (never inside one), and every answer is stamped with the
 // EPOCH — the number of committed update batches — it observed.  A
 // client can therefore replay an oracle to exactly that epoch and
-// compare; a query never observes a half-committed stage.  In
-// driver-attached mode the epoch is the driver's committed-batch count,
-// and the driver applies each batch the moment it fills, so the graph
-// the hook sees is exactly that epoch's.
+// compare; a query never observes a half-committed stage.
 //
 // Admission control / backpressure: the update queue is bounded
 // (submit_update returns false when full — the caller must retry or
@@ -32,8 +22,7 @@
 //
 // Threading: submit/poll/stats are thread-safe (one mutex, swap-out
 // under lock).  The protocol itself runs on whichever single thread
-// calls pump() — or the driver's thread via the commit hook — because
-// DynamicForest is not thread-safe; never run both concurrently.
+// calls pump(), because DynamicForest is not thread-safe.
 #pragma once
 
 #include <chrono>
@@ -46,10 +35,7 @@
 
 #include "core/dyn_forest.hpp"
 #include "graph/update_stream.hpp"
-
-namespace harness {
-class Driver;
-}  // namespace harness
+#include "harness/recovery.hpp"
 
 namespace serve {
 
@@ -68,14 +54,15 @@ struct ServingConfig {
   /// Query backlog bound: submissions above this are shed (admission
   /// control; ServingStats::queries_shed).
   std::size_t max_pending_queries = 4096;
-  /// Update queue bound (standalone mode): submit_update returns false
-  /// above this (backpressure; ServingStats::updates_rejected).  A
-  /// zero capacity rejects every update — a read-only replica.
+  /// Update queue bound: submit_update returns false above this
+  /// (backpressure; ServingStats::updates_rejected).  A zero capacity
+  /// rejects every update — a read-only replica.
   std::size_t max_pending_updates = 1024;
-  /// Apply attempts per failed (sub-)batch before it is bisected, or —
-  /// once it is a single update — abandoned.  Recovery runs one attempt
-  /// per pump(), so queries keep draining from the last committed epoch
-  /// between attempts (graceful degradation; see docs/ROBUSTNESS.md).
+  /// Retries per failed segment before it is bisected, or — once it is
+  /// a single update — abandoned (harness::BisectRetry).  Recovery runs
+  /// one attempt per pump(), so queries keep draining from the last
+  /// committed epoch between attempts (graceful degradation; see
+  /// docs/ROBUSTNESS.md).
   std::size_t recovery_max_retries = 3;
 };
 
@@ -88,12 +75,12 @@ struct ServingStats {
   std::uint64_t updates_enqueued = 0;
   std::uint64_t updates_rejected = 0;  ///< bounced off the bounded queue
   std::uint64_t updates_applied = 0;
-  std::uint64_t update_batches = 0;  ///< standalone pump() apply_batch calls
-  // Failure recovery (standalone mode; a driver-attached broker leaves
-  // recovery to harness::Driver).  All zero on a fault-free run.
+  std::uint64_t update_batches = 0;  ///< committed pump() apply_batch calls
+  // Failure recovery (harness::RecoveryStats under serving names).  All
+  // zero on a fault-free run.
   std::uint64_t update_aborts = 0;      ///< apply attempts that threw
   std::uint64_t update_retries = 0;     ///< degraded-mode re-attempts
-  std::uint64_t update_bisections = 0;  ///< failed sub-batches split in half
+  std::uint64_t update_bisections = 0;  ///< failed segments split in half
   std::uint64_t updates_abandoned = 0;  ///< dropped after exhausting retries
   std::uint64_t degraded_intervals = 0;  ///< pump()s spent in degraded mode
   double degraded_time_us = 0;     ///< total wall time the epoch lagged
@@ -131,9 +118,8 @@ class ClientSession {
 
 class QueryBroker {
  public:
-  /// The forest is not owned and must outlive the broker.  Its updates
-  /// must flow EITHER through submit_update/pump (standalone) OR
-  /// through an attached driver — never both.
+  /// The forest is not owned and must outlive the broker; its updates
+  /// flow through submit_update/pump.
   explicit QueryBroker(core::DynamicForest& forest, ServingConfig config = {});
 
   /// Opens a client session (thread-safe).
@@ -142,32 +128,27 @@ class QueryBroker {
   /// Thread-safe admission: nullopt = shed (backlog at capacity).
   std::optional<QueryId> submit_query(const ReadQuery& query);
 
-  /// Thread-safe bounded enqueue (standalone mode): false = queue full,
-  /// caller owns the retry (backpressure).
+  /// Thread-safe bounded enqueue: false = queue full, caller owns the
+  /// retry (backpressure).
   bool submit_update(const graph::Update& update);
 
   /// Thread-safe poll; consumes the ticket when an answer is returned.
   std::optional<ServedAnswer> try_answer(QueryId id);
 
-  /// One service iteration (standalone mode, single pump thread):
-  /// applies at most one bounded batch drained from the update queue,
-  /// advancing the epoch, then answers the entire pending query backlog
-  /// in max_query_batch-sized shared lookups.
+  /// One service iteration (single pump thread): applies at most one
+  /// bounded batch drained from the update queue, advancing the epoch,
+  /// then answers the entire pending query backlog in
+  /// max_query_batch-sized shared lookups.
   ///
   /// Graceful degradation: when the apply throws mid-protocol the
-  /// forest's undo journal restores the last committed epoch, the batch
-  /// re-queues, and the broker enters DEGRADED mode — every subsequent
-  /// pump() makes ONE recovery attempt (retrying, then bisecting the
-  /// failed batch per recovery_max_retries) and still answers the whole
+  /// forest's undo journal restores the last committed epoch and the
+  /// broker enters DEGRADED mode — every subsequent pump() makes ONE
+  /// harness::BisectRetry step on the failed batch (retry, bisect, or
+  /// abandon, per recovery_max_retries) and still answers the whole
   /// query backlog against the last committed epoch.  The epoch only
   /// advances as recovered sub-batches commit; queries are never shed
   /// because of a failing update.
   void pump();
-
-  /// Driver-attached mode: drain the query backlog at every batch
-  /// commit, in the bubble between update batches.  The broker
-  /// adopts the driver's committed-batch count as its epoch.
-  void attach(harness::Driver& driver);
 
   /// Committed-update-batch count = the snapshot token stamped on
   /// answers issued now (thread-safe).
@@ -186,7 +167,7 @@ class QueryBroker {
   /// outside it, deposits stamped answers back under the lock.
   void drain_queries();
   /// pump()'s update stage: one committed batch, or — in degraded mode —
-  /// one recovery attempt on the re-queued work.
+  /// one recovery step on the failed batch.
   void pump_updates();
 
   core::DynamicForest& forest_;
@@ -199,10 +180,12 @@ class QueryBroker {
   QueryId next_id_ = 0;
   std::size_t epoch_ = 0;
   ServingStats stats_;
-  /// Degraded mode (pump thread only): failed update batches awaiting
-  /// recovery, in submission order; non-empty IS the mode flag.
-  std::deque<std::vector<graph::Update>> recovery_queue_;
-  std::size_t recovery_attempts_ = 0;  ///< on the current front sub-batch
+  // Pump thread only: the batch being applied, and the recovery routine
+  // whose pending segments index into it — pending segments ARE degraded
+  // mode.
+  std::vector<graph::Update> batch_;
+  harness::RecoveryStats recovery_stats_;
+  harness::BisectRetry recovery_;
   std::chrono::steady_clock::time_point degraded_since_;
 };
 

@@ -615,23 +615,6 @@ TEST(DriverBatching, ReportsPerBatchStatsForBothModes) {
   EXPECT_EQ(ms->batch_agg.total_comm_words, ms->agg.total_comm_words);
 }
 
-TEST(DriverBatching, OptOutRestoresPerUpdatePath) {
-  const std::size_t n = 32;
-  core::DynamicForest forest({.n = n, .m_cap = 4 * n});
-  forest.preprocess(graph::EdgeList{});
-  Driver driver(n, DriverConfig{.batch_size = 4,
-                                .checkpoint_every = 0,
-                                .use_apply_batch = false});
-  driver.add("forest", forest);
-  const auto stream = test_util::make_stream(test_util::StreamKind::kRandom,
-                                             n, 40, 18);
-  const auto& report = driver.run(stream);
-  const auto* fs = report.find("forest");
-  ASSERT_NE(fs, nullptr);
-  EXPECT_FALSE(fs->batched);
-  EXPECT_EQ(fs->agg.updates, report.applied);
-}
-
 TEST(DriverBatching, OracleCheckpointsPassOnBatchedBridgeAdversary) {
   const std::size_t n = 32;
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});

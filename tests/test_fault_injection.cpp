@@ -4,11 +4,14 @@
 //    round boundary (and, on alternating batches, at every
 //    for_each_machine dispatch) of every batch must roll the forest back
 //    to exactly its pre-batch state — the undo journal's strong
-//    exception guarantee — across both executors and both batch
-//    policies, on delete-heavy and weighted streams;
+//    exception guarantee — across both executors, on delete-heavy and
+//    weighted streams;
+//  * the shared bisect-and-retry routine (harness::BisectRetry) against
+//    a scripted apply: retry budget, front-first bisection, abandonment;
 //  * Driver recovery: a seeded Bernoulli fault schedule must converge —
-//    retries/bisections commit every update (none abandoned) and every
-//    checkpoint matches the no-fault oracle;
+//    retries/bisections commit every update (none abandoned), every
+//    checkpoint matches the no-fault oracle, and the per-batch DMPC cost
+//    sums to what the forest committed;
 //  * the serving layer's graceful degradation: a failed update epoch
 //    re-queues while queries keep answering from the committed epoch;
 //  * determinism plumbing: ThreadPoolExecutor rethrows the LOWEST task
@@ -19,9 +22,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,6 +39,7 @@
 #include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/driver.hpp"
+#include "harness/recovery.hpp"
 #include "oracle/oracles.hpp"
 #include "serve/query_broker.hpp"
 #include "test_util.hpp"
@@ -232,6 +238,143 @@ TEST(FaultSweep, AtomicUpdatesOffStillCommitsCleanly) {
   EXPECT_FALSE(forest.connected(0, 1));
 }
 
+// ---------------------------------------------------------------------------
+// harness::BisectRetry against a scripted apply
+// ---------------------------------------------------------------------------
+
+// A scripted apply: the first `transient` attempts fail whatever they
+// cover, and any segment holding a poisoned position always fails.
+// Every attempt and every abandoned position is logged.
+struct ScriptedApply {
+  std::set<std::size_t> poisoned;
+  std::size_t transient = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> attempts;
+  std::vector<std::size_t> abandoned;
+
+  void attempt(std::size_t off, std::size_t len) {
+    attempts.emplace_back(off, len);
+    if (attempts.size() <= transient) throw std::runtime_error("transient");
+    for (const std::size_t p : poisoned) {
+      if (off <= p && p < off + len) throw std::runtime_error("poisoned");
+    }
+  }
+};
+
+auto counters(const harness::RecoveryStats& rs) {
+  return std::make_tuple(rs.aborts, rs.retries, rs.bisections,
+                         rs.updates_recovered, rs.updates_abandoned);
+}
+
+// Queues every unit, then drains the routine (or, with `one_step_each`,
+// calls step() once per loop iteration, as the QueryBroker's pump does).
+harness::RecoveryStats run_script(
+    ScriptedApply& script, std::size_t max_retries,
+    const std::vector<std::pair<std::size_t, std::size_t>>& units,
+    bool one_step_each = false) {
+  harness::RecoveryStats rs;
+  harness::BisectRetry retry(max_retries, rs);
+  for (const auto& [off, len] : units) retry.push(off, len);
+  const auto attempt = [&](std::size_t off, std::size_t len) {
+    script.attempt(off, len);
+  };
+  const auto abandon = [&](std::size_t off) {
+    script.abandoned.push_back(off);
+  };
+  if (one_step_each) {
+    while (!retry.done()) retry.step(attempt, abandon);
+  } else {
+    retry.drain(attempt, abandon);
+  }
+  return rs;
+}
+
+using Segments = std::vector<std::pair<std::size_t, std::size_t>>;
+
+// A unit's first failure buys it max_retries more attempts on the whole
+// unit; only when those fail too is it bisected.
+TEST(BisectRetryUnit, RetriesAUnitBeforeBisecting) {
+  ScriptedApply heals;
+  heals.transient = 3;  // first attempt + 2 retries fail; retry 3 commits
+  const harness::RecoveryStats a = run_script(heals, 3, {{0, 8}});
+  EXPECT_EQ(heals.attempts, Segments(4, {0, 8}));
+  EXPECT_EQ(counters(a), std::make_tuple(3u, 3u, 0u, 8u, 0u));
+
+  ScriptedApply splits;
+  splits.transient = 4;  // the third retry fails too: bisect
+  const harness::RecoveryStats b = run_script(splits, 3, {{0, 8}});
+  EXPECT_EQ(splits.attempts,
+            Segments({{0, 8}, {0, 8}, {0, 8}, {0, 8}, {0, 4}, {4, 4}}));
+  EXPECT_EQ(counters(b), std::make_tuple(4u, 5u, 1u, 8u, 0u));
+  EXPECT_TRUE(splits.abandoned.empty());
+}
+
+// Halves get the same retry budget and run front first; a poisoned
+// singleton is abandoned and everything around it commits.
+TEST(BisectRetryUnit, BisectsFrontFirstAndAbandonsThePoisonedPosition) {
+  ScriptedApply script;
+  script.poisoned = {5};
+  const harness::RecoveryStats rs = run_script(script, 2, {{0, 8}});
+  EXPECT_EQ(script.attempts, Segments({{0, 8},
+                                       {0, 8},
+                                       {0, 8},
+                                       {0, 4},
+                                       {4, 4},
+                                       {4, 4},
+                                       {4, 2},
+                                       {4, 2},
+                                       {4, 1},
+                                       {5, 1},
+                                       {5, 1},
+                                       {6, 2}}));
+  EXPECT_EQ(script.abandoned, std::vector<std::size_t>({5}));
+  EXPECT_EQ(counters(rs), std::make_tuple(9u, 11u, 3u, 7u, 1u));
+}
+
+// Every unit is recovered in queue order, each with its own budget.
+TEST(BisectRetryUnit, QueuedUnitsRecoverInOrder) {
+  ScriptedApply script;
+  script.poisoned = {0, 3};
+  const harness::RecoveryStats rs =
+      run_script(script, 1, {{0, 1}, {1, 1}, {2, 2}});
+  EXPECT_EQ(script.attempts,
+            Segments({{0, 1}, {0, 1}, {1, 1}, {2, 2}, {2, 2}, {2, 1},
+                      {3, 1}}));
+  EXPECT_EQ(script.abandoned, std::vector<std::size_t>({0, 3}));
+  EXPECT_EQ(counters(rs), std::make_tuple(5u, 4u, 1u, 1u, 2u));
+}
+
+// max_retries 0 is clamped to one retry per segment.
+TEST(BisectRetryUnit, ZeroRetriesBehavesAsOne) {
+  for (const std::size_t transient : {0u, 1u, 2u, 5u}) {
+    ScriptedApply zero, one;
+    zero.poisoned = one.poisoned = {2, 6};
+    zero.transient = one.transient = transient;
+    const harness::RecoveryStats a = run_script(zero, 0, {{0, 8}, {8, 4}});
+    const harness::RecoveryStats b = run_script(one, 1, {{0, 8}, {8, 4}});
+    EXPECT_EQ(zero.attempts, one.attempts) << "transient " << transient;
+    EXPECT_EQ(zero.abandoned, one.abandoned) << "transient " << transient;
+    EXPECT_EQ(counters(a), counters(b)) << "transient " << transient;
+  }
+}
+
+// step() is resumable: one attempt per call reaches exactly the state
+// a drain does.
+TEST(BisectRetryUnit, SteppingMatchesDraining) {
+  for (const std::size_t retries : {1u, 2u, 3u}) {
+    ScriptedApply drained, stepped;
+    drained.poisoned = stepped.poisoned = {1, 9, 10};
+    drained.transient = stepped.transient = 2;
+    const Segments units = {{0, 4}, {4, 8}, {12, 1}};
+    const harness::RecoveryStats a = run_script(drained, retries, units);
+    const harness::RecoveryStats b =
+        run_script(stepped, retries, units, /*one_step_each=*/true);
+    EXPECT_EQ(drained.attempts, stepped.attempts) << "retries " << retries;
+    EXPECT_EQ(drained.abandoned, stepped.abandoned) << "retries " << retries;
+    EXPECT_EQ(counters(a), counters(b)) << "retries " << retries;
+    EXPECT_EQ(drained.abandoned, std::vector<std::size_t>({1, 9, 10}));
+  }
+}
+
 // Driver recovery: a Bernoulli fault schedule aborts batches throughout
 // the run; retry + bisection must commit every update (none abandoned)
 // and every checkpoint must match the oracle on the driver's shadow.
@@ -305,6 +448,36 @@ TEST(DriverRecovery, AbandonsUnrecoverableUpdates) {
     EXPECT_FALSE(forest.connected(v, v + 1));
   }
   EXPECT_TRUE(forest.validate());
+}
+
+// A recovered batch's DMPC cost is the sum of its committed attempts:
+// with bisection in play, the per-batch records must add up to exactly
+// what the forest committed (aborted attempts count in neither).
+TEST(DriverRecovery, BisectedBatchCostSumsToForestAggregate) {
+  constexpr std::size_t kN = 48;
+  DynamicForest forest(DynForestConfig{.n = kN, .m_cap = 400});
+  forest.preprocess(graph::EdgeList{});
+  forest.cluster().set_fault_injector(
+      std::make_shared<FaultInjector>(/*seed=*/11, /*rate=*/0.08));
+
+  harness::DriverConfig dconfig;
+  dconfig.batch_size = 8;
+  dconfig.checkpoint_every = 0;
+  dconfig.final_checkpoint = false;
+  dconfig.recovery_max_retries = 1;
+  harness::Driver driver(kN, dconfig);
+  driver.add("forest", forest);
+  const harness::DriverReport& report =
+      driver.run(graph::interleaved_delete_stream(kN, 480, 4, 2, 23));
+  const harness::AlgorithmStats* stats = report.find("forest");
+  ASSERT_NE(stats, nullptr);
+  ASSERT_TRUE(stats->batched);
+  ASSERT_GT(stats->recovery.bisections, 0u) << "the schedule must bisect";
+  const dmpc::UpdateAggregate& committed =
+      forest.cluster().metrics().aggregate();
+  EXPECT_EQ(stats->batch_agg.updates, report.batches);
+  EXPECT_EQ(stats->batch_agg.total_rounds, committed.total_rounds);
+  EXPECT_EQ(stats->batch_agg.total_comm_words, committed.total_comm_words);
 }
 
 // Standalone serving: a failed update epoch re-queues for recovery while

@@ -2,22 +2,19 @@
 // connectivity oracle and exact tree-path sums, the O(1)-round /
 // pure-read contract of the query path, the QueryBroker's snapshot
 // consistency (every answer's epoch names the exact committed state it
-// observed, under both executors and in driver-attached mode), and the
-// admission-control edges (zero-capacity update queue, query shedding,
-// all-update workloads).
+// observed, under both executors), and the admission-control edges
+// (zero-capacity update queue, query shedding, all-update workloads).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "core/dyn_forest.hpp"
 #include "dmpc/executor.hpp"
 #include "graph/update_stream.hpp"
-#include "harness/driver.hpp"
 #include "oracle/oracles.hpp"
 #include "serve/query_broker.hpp"
 
@@ -288,80 +285,6 @@ TEST(QueryBrokerStandalone, SnapshotDifferentialSerialExecutor) {
 
 TEST(QueryBrokerStandalone, SnapshotDifferentialThreadPoolExecutor) {
   run_snapshot_differential(/*thread_pool=*/true);
-}
-
-// ---------------------------------------------------------------------------
-// QueryBroker: driver-attached mode
-// ---------------------------------------------------------------------------
-
-TEST(QueryBrokerAttached, MidStageAdmissionObservesCommittedEpochsOnly) {
-  const std::size_t n = 64;
-  DynamicForest forest({.n = n, .m_cap = 512});
-  forest.preprocess(graph::EdgeList{});
-  harness::Driver driver(n, {.batch_size = 8, .checkpoint_every = 0});
-  driver.add("forest", forest);
-
-  QueryBroker broker(forest);
-  serve::ClientSession client = broker.session();
-
-  // Snapshot hook FIRST, so snapshots[e] is recorded before the broker
-  // (attached below, so its commit hook runs second) drains at epoch e.
-  std::vector<graph::DynamicGraph> snapshots;
-  snapshots.emplace_back(n);  // epoch 0
-  driver.on_batch_commit(
-      [&](std::size_t epoch, const graph::DynamicGraph& committed) {
-        ASSERT_EQ(epoch, snapshots.size());
-        snapshots.push_back(committed);
-      });
-  broker.attach(driver);
-
-  // Mid-stage admission: a query submitted from the on_batch_end hook of
-  // epoch e lands AFTER the broker drained at e, so it must be served at
-  // exactly epoch e + 1 — it can never observe the inside of a stage.
-  struct Expectation {
-    serve::QueryId id;
-    ReadQuery query;
-    std::size_t expected_epoch;
-  };
-  std::vector<Expectation> expectations;
-  std::mt19937_64 rng(99);
-  driver.on_batch_end([&] {
-    const std::size_t committed = broker.epoch();
-    const auto u = static_cast<dmpc::VertexId>(rng() % n);
-    const auto v = static_cast<dmpc::VertexId>(rng() % n);
-    const auto id = client.connected(u, v);
-    ASSERT_TRUE(id.has_value());
-    expectations.push_back(
-        {*id, {QueryKind::kConnected, u, v}, committed + 1});
-  });
-
-  // Queries submitted before the run drain at the first commit.
-  const auto pre = client.connected(1, 2);
-  ASSERT_TRUE(pre.has_value());
-  expectations.push_back({*pre, {QueryKind::kConnected, 1, 2}, 1});
-
-  const graph::UpdateStream stream = graph::random_stream(n, 80, 0.7, 21);
-  driver.run(stream);
-  const std::size_t total_epochs = driver.report().batches;
-  ASSERT_EQ(snapshots.size(), total_epochs + 1);
-
-  std::size_t served = 0;
-  for (const Expectation& ex : expectations) {
-    const std::optional<ServedAnswer> answer = client.poll(ex.id);
-    if (ex.expected_epoch > total_epochs) {
-      // Submitted at the last batch boundary: no later commit drained it.
-      EXPECT_FALSE(answer.has_value());
-      continue;
-    }
-    ASSERT_TRUE(answer.has_value());
-    EXPECT_EQ(answer->epoch, ex.expected_epoch);
-    EXPECT_EQ(answer->answer.connected,
-              oracle::same_component(snapshots[answer->epoch], ex.query.u,
-                                     ex.query.v))
-        << "epoch " << answer->epoch;
-    ++served;
-  }
-  EXPECT_GE(served, total_epochs - 1);
 }
 
 // ---------------------------------------------------------------------------
