@@ -198,10 +198,10 @@ inline double rounds_per_update(const harness::DriverReport& report,
 /// Prints a batched algorithm's row from the driver's per-batch
 /// aggregate: total and per-update rounds (the round-sharing win), the
 /// total communication, and — for algorithms with a batch scheduler —
-/// how the batches were partitioned (out-of-order executions, serial
-/// fallbacks, grouped tree deletions, cycle-rule inserts) plus the
-/// batch-dynamic protocol's stages, k-way transforms, replacement-cascade
-/// volume, and net-op-compression elisions.
+/// how the batches were partitioned (out-of-order executions, grouped
+/// tree deletions, cycle-rule inserts) plus the batch-dynamic protocol's
+/// stages, k-way transforms, replacement-cascade volume, and
+/// net-op-compression elisions.
 inline void print_batch_row(const harness::DriverReport& report,
                             const std::string& name, const char* note) {
   const harness::AlgorithmStats* stats = report.find(name);
@@ -216,10 +216,9 @@ inline void print_batch_row(const harness::DriverReport& report,
     char sched[256];
     std::snprintf(
         sched, sizeof sched,
-        " | reord=%llu serial=%llu sdel=%llu pmax=%llu "
+        " | reord=%llu sdel=%llu pmax=%llu "
         "stg=%llu kway=%llu/%llu casc=%llu/%llu elide=%llu",
         static_cast<unsigned long long>(stats->sched.reordered_updates),
-        static_cast<unsigned long long>(stats->sched.serial_updates),
         static_cast<unsigned long long>(stats->sched.batched_tree_deletes),
         static_cast<unsigned long long>(stats->sched.path_max_grouped),
         static_cast<unsigned long long>(stats->sched.stages),
@@ -267,7 +266,6 @@ inline bool batched_json_row(JsonReport& json,
         .u64("total_comm_words", agg.total_comm_words);
     if (stats->scheduled) {
       json.u64("reordered_updates", stats->sched.reordered_updates)
-          .u64("serial_updates", stats->sched.serial_updates)
           .u64("batched_tree_deletes", stats->sched.batched_tree_deletes)
           .u64("path_max_grouped", stats->sched.path_max_grouped)
           .u64("deferred_updates", stats->sched.deferred_updates)

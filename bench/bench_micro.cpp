@@ -140,7 +140,6 @@ bool matches_serial(const ForestRun& run, const ForestRun& serial) {
          run.weight == serial.weight &&
          run.sched.batches == serial.sched.batches &&
          run.sched.grouped_updates == serial.sched.grouped_updates &&
-         run.sched.serial_updates == serial.sched.serial_updates &&
          run.sched.reordered_updates == serial.sched.reordered_updates &&
          run.sched.batched_tree_deletes == serial.sched.batched_tree_deletes &&
          run.sched.max_group == serial.sched.max_group &&
@@ -163,7 +162,6 @@ void forest_json_row(bench::JsonReport& json, const std::string& name,
                                     static_cast<double>(kForestUpdates))
       .u64("total_rounds", run.total_rounds)
       .u64("total_comm_words", run.total_comm_words)
-      .u64("serial_updates", run.sched.serial_updates)
       .u64("grouped_updates", run.sched.grouped_updates);
 }
 

@@ -81,9 +81,9 @@ void print_series(const char* name, std::size_t n,
 
 /// Batched connectivity on a thread-pool executor: the out-of-order
 /// scheduler shares protocol rounds between independent updates (tree
-/// deletions included), so rounds/update drops below the per-update
-/// protocol's constant as N grows while the state stays byte-identical
-/// to the serial run.
+/// deletions included), so rounds/update drops below a batch of one's
+/// constant as N grows while the state stays byte-identical to the
+/// serial-executor run.
 void run_batched_connectivity(
     std::size_t n, const std::shared_ptr<dmpc::Tracer>& tracer = nullptr) {
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
@@ -106,7 +106,7 @@ void run_batched_connectivity(
   const double rpu = bench::rounds_per_update(report, "alg");
   const auto& sched = report.find("alg")->sched;
   std::printf("%-24s n=%7zu batches=%4zu | rounds/update=%6.2f "
-              "(vs ~6 serial) comm(tot)=%8llu reord=%llu sdel=%llu\n",
+              "(vs ~3.5 unbatched) comm(tot)=%8llu reord=%llu sdel=%llu\n",
               "connectivity (batch=16)", n, report.batches, rpu,
               static_cast<unsigned long long>(agg.total_comm_words),
               static_cast<unsigned long long>(sched.reordered_updates),

@@ -4,11 +4,12 @@
 // components).  Reports sustained throughput and p50/p99 query latency,
 // plus the query-path round accounting the model cares about: query
 // batches are O(1) rounds each (worst <= 6), answered purely from reads
-// — zero serial update-protocol fallbacks.
+// — the update protocol runs only for the broker's update batches.
 //
 // CI contract (--check): fails if the query share drops below 90%, any
-// query batch exceeds 6 rounds, a query triggers the update protocol
-// (serial_updates != 0), or the broker sheds/rejects on this sized
+// query batch exceeds 6 rounds, a query opens an update-protocol record
+// (the forest's committed update records must equal the broker's
+// committed update batches), or the broker sheds/rejects on this sized
 // workload.  BENCH_serving.json feeds scripts/bench_trend.py, which
 // gates query_rounds_per_batch tightly (deterministic) and p99 latency
 // against the cached baseline (noise-floored).
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
   const ServingRun run = run_standalone(forest, stream, 256);
   const dmpc::QueryAggregate& qa =
       forest.cluster().metrics().query_aggregate();
-  const dmpc::BatchScheduleStats& sched = forest.batch_stats();
+  const dmpc::UpdateAggregate& ua = forest.cluster().metrics().aggregate();
 
   const double query_share = static_cast<double>(run.queries_submitted) /
                              static_cast<double>(run.ops);
@@ -216,10 +217,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(qa.batches),
               qa.mean_rounds_per_batch(),
               static_cast<unsigned long long>(qa.worst_rounds));
-  std::printf("update batches     %llu (%llu updates, %llu serial)\n",
+  std::printf("update batches     %llu (%llu updates, %llu update "
+              "records)\n",
               static_cast<unsigned long long>(run.stats.update_batches),
               static_cast<unsigned long long>(run.stats.updates_applied),
-              static_cast<unsigned long long>(sched.serial_updates));
+              static_cast<unsigned long long>(ua.updates));
   std::printf("admission          %llu shed queries, %llu rejected updates\n",
               static_cast<unsigned long long>(run.stats.queries_shed),
               static_cast<unsigned long long>(run.stats.updates_rejected));
@@ -237,8 +239,8 @@ int main(int argc, char** argv) {
   gate(run.stats.queries_answered == run.queries_submitted,
        "not every admitted query was answered");
   gate(qa.worst_rounds <= 6, "a query batch exceeded 6 rounds");
-  gate(sched.serial_updates == 0,
-       "the read path triggered serial update-protocol rounds");
+  gate(ua.updates == run.stats.update_batches,
+       "the read path opened update-protocol records");
   gate(run.stats.queries_shed == 0, "queries shed at this workload size");
   gate(run.stats.updates_rejected == 0,
        "updates rejected at this workload size");
@@ -329,7 +331,6 @@ int main(int argc, char** argv) {
         .u64("query_comm_words", qa.total_comm_words)
         .u64("update_batches", run.stats.update_batches)
         .u64("updates_applied", run.stats.updates_applied)
-        .u64("serial_updates", sched.serial_updates)
         .u64("queries_shed", run.stats.queries_shed)
         .u64("updates_rejected", run.stats.updates_rejected)
         .num("p50_us", run.latency.p50_us)

@@ -96,7 +96,42 @@ class LoadTraceTest(unittest.TestCase):
 
 class CheckTest(unittest.TestCase):
     def test_clean_trace_passes(self):
-        doc = trace_doc([phase_row("batch", rounds=1)])
+        doc = trace_doc([phase_row("cascade", rounds=1)])
+        with TempTrace(doc) as path:
+            dmpc = trace_report.load_trace(path)
+            trace_report.check(dmpc, path)  # must not raise
+
+    def test_catch_all_rounds_over_one_percent_fail(self):
+        for phase in ("batch", "unattributed"):
+            doc = trace_doc([phase_row(phase, rounds=2),
+                             phase_row("cascade", rounds=98)])
+            with TempTrace(doc) as path:
+                dmpc = trace_report.load_trace(path)
+                with self.assertRaisesRegex(trace_report.TraceError,
+                                            "2.0% of rounds"):
+                    trace_report.check(dmpc, path)
+
+    def test_catch_all_share_sums_both_phases(self):
+        doc = trace_doc([phase_row("batch", charged=1),
+                         phase_row("unattributed", overlapped=1),
+                         phase_row("kway-join", rounds=98)])
+        with TempTrace(doc) as path:
+            dmpc = trace_report.load_trace(path)
+            with self.assertRaises(trace_report.TraceError):
+                trace_report.check(dmpc, path)
+
+    def test_catch_all_at_one_percent_passes(self):
+        doc = trace_doc([phase_row("batch", rounds=1),
+                         phase_row("cascade", rounds=99)])
+        with TempTrace(doc) as path:
+            dmpc = trace_report.load_trace(path)
+            trace_report.check(dmpc, path)  # must not raise
+
+    def test_batch_spans_without_rounds_pass(self):
+        # The driver's batch span annotates whole batches; it only fails
+        # the check when rounds land in it directly.
+        doc = trace_doc([phase_row("batch", spans=50, wall=10**9),
+                         phase_row("cascade", rounds=3)])
         with TempTrace(doc) as path:
             dmpc = trace_report.load_trace(path)
             trace_report.check(dmpc, path)  # must not raise
@@ -170,6 +205,12 @@ class MainTest(unittest.TestCase):
 
     def test_check_open_spans_exit_one(self):
         doc = trace_doc([phase_row("cascade", rounds=1)], open_spans=1)
+        with TempTrace(doc) as path:
+            self.assertEqual(trace_report.main([path, "--check"]), 1)
+
+    def test_check_catch_all_rounds_exit_one(self):
+        doc = trace_doc([phase_row("batch", rounds=84),
+                         phase_row("kway-join", rounds=16)])
         with TempTrace(doc) as path:
             self.assertEqual(trace_report.main([path, "--check"]), 1)
 

@@ -19,9 +19,12 @@ among phases that recorded rounds), answering "what dominates
 per-round" with numbers.
 
 --check mode validates a captured trace for CI (the bench job runs it
-over the bench_serving --trace artifact): the file must be valid JSON
-with a "dmpc" section, every span must be closed (open_spans == 0), and
-the phase table must be non-empty.  Exit 1 with a reason on failure.
+over the bench_serving and bench_table1 --trace artifacts): the file
+must be valid JSON with a "dmpc" section, every span must be closed
+(open_spans == 0), the phase table must be non-empty, and the catch-all
+phases — the driver's "batch" span and "unattributed" — may own at most
+1% of the trace's rounds, so every round is charged to a named protocol
+phase.  Exit 1 with a reason on failure.
 
 Usage:
   trace_report.py TRACE.json            # print the attribution table
@@ -38,6 +41,11 @@ import sys
 # with recorded rounds).
 COLUMNS = ("spans", "aborted_spans", "rounds", "overlapped_rounds",
            "charged_rounds", "comm_words", "wall_ns")
+
+# Phases that name no protocol step: rounds charged there are
+# unexplained, so --check caps their share of a trace's rounds.
+CATCH_ALL_PHASES = ("batch", "unattributed")
+MAX_CATCH_ALL_SHARE = 0.01
 
 
 class TraceError(Exception):
@@ -83,6 +91,15 @@ def check(dmpc, path):
     if not dmpc["phases"]:
         raise TraceError(f"{path}: phase table is empty — nothing was "
                          "traced (tracer never enabled?)")
+    rounds = sum(total_rounds(r) for r in dmpc["phases"])
+    catch_all = sum(total_rounds(r) for r in dmpc["phases"]
+                    if r["phase"] in CATCH_ALL_PHASES)
+    if rounds and catch_all > MAX_CATCH_ALL_SHARE * rounds:
+        raise TraceError(
+            f"{path}: {100.0 * catch_all / rounds:.1f}% of rounds are "
+            f"charged to {'/'.join(CATCH_ALL_PHASES)} (limit "
+            f"{100.0 * MAX_CATCH_ALL_SHARE:g}%) — open a named phase "
+            "around the protocol that runs them")
 
 
 def total_rounds(row):
@@ -152,7 +169,8 @@ def main(argv=None):
     parser.add_argument("trace", help="trace JSON written by --trace")
     parser.add_argument("--check", action="store_true",
                         help="CI validation: valid JSON, all spans "
-                             "closed, phase table non-empty")
+                             "closed, phase table non-empty, at most 1%% "
+                             "of rounds in batch/unattributed")
     args = parser.parse_args(argv)
 
     try:

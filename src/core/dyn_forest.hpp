@@ -13,36 +13,23 @@
 //     id and one cached tour index;
 //   * every component has a directory record on machine (comp % mu)
 //     holding its size (hence ELength = 4(size-1));
-//   * machine 0 is the ingress: updates enter there and it orchestrates
-//     the O(1)-round protocols (it is the paper's "messages from x and y
-//     to all other machines" sender).
+//   * machine 0 is the ingress: updates and queries enter there and it
+//     scatters them to their coordinator machines.
 //
-// Per-update protocol shapes (all O(1) rounds, O(sqrt N) active machines,
-// O(sqrt N) words per round — Table 1 rows "Connected comps" and
-// "(1+eps)-MST"):
-//   insert(x,y), different components:    prepare (4 rounds: broadcast,
-//     f/l+component replies, directory query, reply) then one merge
-//     broadcast round applying reroot+splice transforms locally on every
-//     machine, then one record/directory round.
-//   insert(x,y), same component (MST):    prepare, path-max search
-//     (broadcast + proposals), then a combined swap broadcast performing
-//     split+merge in one local pass if the cycle rule fires.
-//   delete tree edge:                     prepare, split broadcast,
-//     crossing-candidate gather, optional replacement merge (its own
-//     prepare + broadcast).
-//
-// Batched updates (apply_batch): a whole batch — conflicting updates
-// included — shares a constant number of O(1)-round protocol stages
-// instead of running the per-update protocol once each, which is the
-// paper's observation that Theta(sqrt N) updates fit in the same rounds.
-// Each update's edge machine acts as its coordinator, so the per-machine
-// round traffic stays O(sqrt N).  A stage runs all of its tree deletions
-// as one k-way Euler-tour split per component, reconnects the fragments
-// with one parallel replacement cascade, and commits every merge and
-// replacement link as one k-way join per final tree.  MST cycle-rule
-// inserts ride the same stage: their path-max searches share two extra
-// rounds, and a committing swap becomes one more (demoting) cut of the
-// k-way split.  See apply_batch below.
+// Updates: one protocol.  A batch — conflicting updates included —
+// shares a constant number of O(1)-round protocol stages (apply_batch),
+// which is the paper's observation that Theta(sqrt N) updates fit in the
+// same rounds; a single insert(x, y) / erase(x, y) is a batch of one
+// (O(1) rounds, O(sqrt N) active machines, O(sqrt N) words per round —
+// Table 1 rows "Connected comps" and "(1+eps)-MST").  Each update's edge
+// machine acts as its coordinator, so the per-machine round traffic
+// stays O(sqrt N).  A stage runs all of its tree deletions as one k-way
+// Euler-tour split per component, reconnects the fragments with one
+// parallel replacement cascade, and commits every merge and replacement
+// link as one k-way join per final tree.  MST cycle-rule inserts ride
+// the same stage: their path-max searches share two extra rounds, and a
+// committing swap becomes one more (demoting) cut of the k-way split.
+// See apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -51,7 +38,7 @@
 // the finish_round barrier).  Edge records are stored per machine in a
 // structure-of-arrays shard (EdgeShard) so those scans stream dense
 // columns instead of hash-map nodes, and the driver-side serial folds —
-// per-update scan reductions, preprocessing's tour builds, validate()'s
+// per-query scan reductions, preprocessing's tour builds, validate()'s
 // full-tour walk, the snapshot helpers — also run on the installed
 // executor with deterministic merge order (byte-identical results under
 // SerialExecutor and ThreadPoolExecutor).
@@ -137,8 +124,10 @@ class DynamicForest {
   void preprocess(const graph::WeightedEdgeList& edges);
   void preprocess(const graph::EdgeList& edges);
 
-  /// Fully-dynamic updates; each runs the O(1)-round protocol and is
-  /// wrapped in begin_update()/end_update() for metrics.
+  /// Fully-dynamic updates: each is apply_batch on a one-update batch,
+  /// so it runs the same O(1)-round stages, is one
+  /// begin_update()/end_update() record for metrics, and throws
+  /// std::invalid_argument on a malformed update.
   void insert(VertexId x, VertexId y, Weight w = 1);
   void erase(VertexId x, VertexId y);
 
@@ -155,12 +144,14 @@ class DynamicForest {
   /// swap cuts), and a committing swap is one more cut of the k-way split
   /// whose displaced edge is demoted to a non-tree record (one swap per
   /// component per stage; same-component inserts behind it defer to the
-  /// next stage).  There is no serial fallback.  Rolls back atomically
-  /// on a throw (atomic_updates).  The final state is identical to applying
-  /// the batch one update at a time with insert(x, y, w) / erase(x, y):
-  /// Update::w is stored verbatim, so unweighted callers should carry
-  /// the serial default of 1 (harness::Driver normalizes its batches
-  /// this way when configured unweighted).
+  /// next stage).  Rolls back atomically on a throw (atomic_updates).
+  /// Every update must name two distinct vertices below n; otherwise it
+  /// throws std::invalid_argument before any round runs, state
+  /// untouched.  The final state is identical to applying the batch one
+  /// update at a time with insert(x, y, w) / erase(x, y): Update::w is
+  /// stored verbatim, so unweighted callers should carry insert's
+  /// default of 1 (harness::Driver normalizes its batches this way when
+  /// configured unweighted).
   void apply_batch(std::span<const graph::Update> batch);
 
   /// Kept for bench/e2e, which still passes the next batch: forwards to
@@ -231,11 +222,6 @@ class DynamicForest {
     // Tree edges: the 4 tour indexes the edge owns (two per endpoint).
     // Non-tree edges: iu1 / iv1 cache one tour index per endpoint.
     Word iu1 = 0, iu2 = 0, iv1 = 0, iv2 = 0;
-    // Crossing bookkeeping during a split: which endpoints landed in the
-    // split-off subtree.
-    bool crossing = false;
-    bool u_in_subtree = false;
-    bool v_in_subtree = false;
   };
 
   struct VertexRec {
@@ -272,9 +258,6 @@ class DynamicForest {
       iv1.reserve(n);
       iv2.reserve(n);
       tree.reserve(n);
-      crossing.reserve(n);
-      u_in_subtree.reserve(n);
-      v_in_subtree.reserve(n);
     }
 
     [[nodiscard]] std::ptrdiff_t find(std::uint64_t key) const {
@@ -298,9 +281,6 @@ class DynamicForest {
       r.iu2 = iu2[s];
       r.iv1 = iv1[s];
       r.iv2 = iv2[s];
-      r.crossing = crossing[s] != 0;
-      r.u_in_subtree = u_in_subtree[s] != 0;
-      r.v_in_subtree = v_in_subtree[s] != 0;
       return r;
     }
 
@@ -314,9 +294,6 @@ class DynamicForest {
       iu2[s] = r.iu2;
       iv1[s] = r.iv1;
       iv2[s] = r.iv2;
-      crossing[s] = r.crossing ? 1 : 0;
-      u_in_subtree[s] = r.u_in_subtree ? 1 : 0;
-      v_in_subtree[s] = r.v_in_subtree ? 1 : 0;
     }
 
     /// Insert-or-overwrite under `key`.
@@ -337,9 +314,6 @@ class DynamicForest {
       iu2.push_back(r.iu2);
       iv1.push_back(r.iv1);
       iv2.push_back(r.iv2);
-      crossing.push_back(r.crossing ? 1 : 0);
-      u_in_subtree.push_back(r.u_in_subtree ? 1 : 0);
-      v_in_subtree.push_back(r.v_in_subtree ? 1 : 0);
     }
 
     /// Swap-remove; absent keys are a no-op.
@@ -360,9 +334,6 @@ class DynamicForest {
         iu2[s] = iu2[last];
         iv1[s] = iv1[last];
         iv2[s] = iv2[last];
-        crossing[s] = crossing[last];
-        u_in_subtree[s] = u_in_subtree[last];
-        v_in_subtree[s] = v_in_subtree[last];
         index_[keys_[s]] = static_cast<std::uint32_t>(s);
       }
       keys_.pop_back();
@@ -375,19 +346,16 @@ class DynamicForest {
       iu2.pop_back();
       iv1.pop_back();
       iv2.pop_back();
-      crossing.pop_back();
-      u_in_subtree.pop_back();
-      v_in_subtree.pop_back();
     }
 
     // The columns, slot-indexed.  Mutators above keep them parallel;
-    // transform loops (apply_merge_local / apply_split_local) write the
-    // index columns in place.
+    // the k-way stage's commit pass writes the index, component and tree
+    // columns in place.
     std::vector<VertexId> u, v;
     std::vector<Word> comp;
     std::vector<Weight> w;
     std::vector<Word> iu1, iu2, iv1, iv2;
-    std::vector<std::uint8_t> tree, crossing, u_in_subtree, v_in_subtree;
+    std::vector<std::uint8_t> tree;
 
    private:
     std::vector<std::uint64_t> keys_;
@@ -474,16 +442,16 @@ class DynamicForest {
     }
   };
 
-  // Result of the prepare phase for an update touching (x, y).
+  // A path-weight query's endpoints (x, y) resolved from every machine's
+  // scan: component ids, tour intervals, and the (x,y) record if any.
   struct Prep {
     Word cx = -1, cy = -1;
     Word fx = 0, lx = 0, fy = 0, ly = 0;
-    Word size_cx = 1, size_cy = 1;
     bool edge_exists = false;
     EdgeRec edge;  // valid if edge_exists
   };
 
-  // One machine's contribution to a prepare: its local f/l extremes for
+  // One machine's contribution to a Prep: its local f/l extremes for
   // the two endpoints, the endpoints' component ids if it hosts them,
   // and the (x,y) record if it owns it.  Computed per machine inside
   // for_each_machine (concurrently under a thread-pool executor) and
@@ -495,43 +463,6 @@ class DynamicForest {
     Word cx = -1, cy = -1;
     bool edge_here = false;
     EdgeRec edge;
-  };
-
-  // Parameters of a merge broadcast: link (x, y) where y's tree becomes
-  // the spliced subtree.
-  struct MergeBcast {
-    Word cx, cy;
-    VertexId x, y;
-    bool reroot;       // y was not the root of its tree
-    Word reroot_l_y;   // l(y) before rerooting
-    Word elen_ty;      // ELength of y's tree (= l(y) after reroot)
-    Word f_x;          // f(x) (0 when x is a singleton)
-    Word cached_x;     // new cached index for x's vertex record
-    Word cached_y;     // ... and y's
-    bool resolve_crossing;  // clear crossing marks into comp cx
-  };
-
-  // A merge broadcast plus the new tree edge's four tour indexes.
-  struct MergePlan {
-    MergeBcast mb{};
-    etour::MergeNewIndexes ni{};
-  };
-
-  // Parameters of a split broadcast: cut tree edge (parent, child).
-  struct SplitBcast {
-    Word comp;       // the component being split
-    Word new_comp;   // id assigned to the subtree side
-    VertexId parent, child;
-    Word f_c, l_c;   // the subtree interval
-    Word cached_parent, cached_child;  // refreshed cached indexes
-  };
-
-  // A split broadcast plus the two side sizes it implies (the directory
-  // deltas, and the elengths a replacement merge needs).
-  struct SplitPlan {
-    SplitBcast sb{};
-    Word rest_size = 0;
-    Word sub_size = 0;
   };
 
   // --- batched updates -----------------------------------------------------
@@ -578,72 +509,20 @@ class DynamicForest {
                                   machines_.size());
   }
 
-  /// Machine m's local prepare contribution for endpoints (x, y).
+  /// Machine m's local scan contribution for endpoints (x, y).
   [[nodiscard]] EndpointScan scan_endpoints(MachineId m, VertexId x,
                                             VertexId y) const;
-  /// The scan serialized as the machine's kPrepReply payload (empty when
-  /// the machine has nothing to report).
+  /// The scan serialized as the machine's kQueryScanReply payload (empty
+  /// when the machine has nothing to report).
   [[nodiscard]] static std::vector<Word> scan_reply(const EndpointScan& s);
-  /// Ingress-side fold of all machines' scans into one Prep.
+  /// Coordinator-side fold of all machines' scans into one Prep.
   [[nodiscard]] static Prep fold_scans(const std::vector<EndpointScan>& scans);
 
-  /// Rounds 1-4 of every update: broadcast (x,y), gather f/l + component
-  /// replies, query the directory, gather sizes.
-  Prep prepare(VertexId x, VertexId y);
-
-  /// Builds the merge broadcast (and the linking edge's new indexes) for
-  /// linking (x, y) given a completed prepare.
-  [[nodiscard]] static MergePlan make_merge(const Prep& p, VertexId x,
-                                            VertexId y,
-                                            bool resolve_crossing);
-  /// The new tree-edge record created by a merge, oriented to the
-  /// canonical (u < v) key.
+  /// The tree-edge record a merge commits, with the four tour indexes
+  /// the k-way join assigned it, oriented to the canonical (u < v) key.
   [[nodiscard]] static EdgeRec make_tree_record(
       VertexId x, VertexId y, Weight w, Word comp,
       const etour::MergeNewIndexes& ni);
-  /// A fresh non-tree record for (x, y) with cached indexes taken from
-  /// the prepare results, oriented to the canonical key.
-  [[nodiscard]] static EdgeRec make_nontree_record(const Prep& p, VertexId x,
-                                                   VertexId y, Weight w);
-  /// The merge broadcast's wire payload (shared by the serial and the
-  /// batched protocol so both account identical traffic).
-  [[nodiscard]] static std::vector<Word> merge_payload(const MergeBcast& mb);
-
-  /// One broadcast round applying the merge transform on every machine.
-  void run_merge(const MergeBcast& mb);
-  /// One broadcast round applying the split transform on every machine.
-  void run_split(const SplitBcast& sb);
-
-  /// Applies the merge/split index transforms to one machine's state.
-  /// (The MST cycle-rule swap composes these two: the displaced edge is
-  /// demoted to a crossing non-tree record and the replacement search
-  /// re-links the parts — see delete_tree_edge.)
-  static void apply_merge_local(MachineState& ms, const MergeBcast& mb);
-  void apply_split_local(MachineState& ms, const SplitBcast& sb);
-
-  void insert_nontree_record(const Prep& p, VertexId x, VertexId y, Weight w);
-  void link_components(const Prep& p, VertexId x, VertexId y, Weight w);
-  /// Cuts tree edge (x, y), searches for a replacement, re-links if one
-  /// exists.  With `demote` (the MST cycle rule) the edge stays in the
-  /// graph as a non-tree record and competes in the replacement search;
-  /// otherwise its record is deleted.
-  void delete_tree_edge(const Prep& p, VertexId x, VertexId y,
-                        bool demote = false);
-
-  /// Computes the split broadcast (and both side sizes) for cutting tree
-  /// edge (x, y), given a completed prepare and the id of the split-off
-  /// component.
-  [[nodiscard]] static SplitPlan make_split(const Prep& p, VertexId x,
-                                            VertexId y, Word new_comp);
-  /// The serial MST cycle rule's demote: the cut edge stays in the graph
-  /// as a crossing non-tree record (its endpoints straddle its own split,
-  /// so it competes in the replacement search).
-  static void demote_record(EdgeRec& rec, const SplitBcast& sb);
-
-  /// The serial per-update protocols; insert()/erase() wrap them in the
-  /// begin_update()/end_update() bracket and the undo journal.
-  void insert_impl(VertexId x, VertexId y, Weight w);
-  void erase_impl(VertexId x, VertexId y);
 
   /// Classifies one update against the current state: protocol kind,
   /// coordinator, and component read/write claims.
@@ -662,9 +541,8 @@ class DynamicForest {
 
   /// The heaviest local tree edge of `comp` on the tree path between the
   /// subtree intervals of x ([fx,lx]) and y ([fy,ly]) — the per-machine
-  /// share of the path-max search (ancestor-XOR criterion).  Shared by
-  /// the serial cycle-rule protocol and the k-way stage's path-max round,
-  /// which passes one cached appearance per endpoint (fx == lx): a
+  /// share of the k-way stage's path-max search (ancestor-XOR criterion).
+  /// The stage passes one cached appearance per endpoint (fx == lx): a
   /// single index already decides subtree membership.
   /// Returns a copy: SoA slots are not stable across shard mutation.
   [[nodiscard]] std::optional<EdgeRec> path_max_local(MachineId m, Word comp,

@@ -86,8 +86,8 @@ struct QueryAggregate {
 };
 
 /// Scheduling statistics of a batch-update planner: how apply_batch
-/// partitioned its batches into shared-round groups, how much fell back
-/// to the serial per-update protocols, and how much ran out of order.
+/// partitioned its batches into shared-round groups and how much ran
+/// out of order.
 /// Defined here (not in the algorithm) so the harness and benches can
 /// aggregate/print them without depending on the algorithm's type —
 /// any BatchApplicable algorithm with a scheduler can expose one via a
@@ -95,9 +95,8 @@ struct QueryAggregate {
 struct BatchScheduleStats {
   std::uint64_t batches = 0;           ///< apply_batch invocations
   std::uint64_t grouped_updates = 0;   ///< updates committed by a stage
-  /// Updates run through the serial per-update protocol inside a batch.
-  /// The batch-dynamic protocol has no serial fallback, so this stays 0
-  /// (the benches gate on exactly that).
+  /// No longer written (there is no serial per-update protocol); kept
+  /// so the frozen end-to-end bench (bench/e2e) still compiles, always 0.
   std::uint64_t serial_updates = 0;
   std::uint64_t reordered_updates = 0; ///< ran before an earlier batch entry
   std::uint64_t batched_tree_deletes = 0;  ///< tree-edge deletions grouped

@@ -251,6 +251,12 @@ class KWaySplit {
   /// Fragment containing surviving pre-split index i: the innermost cut
   /// interval containing i, else the root fragment.
   std::size_t fragment_of(Word i) const {
+    // One cut (every single-update stage): a branch-free interval test
+    // in place of the search, which mispredicts on scattered indexes.
+    if (cuts_.size() == 1) {
+      return static_cast<std::size_t>((cuts_[0].f_c <= i) &
+                                      (i <= cuts_[0].l_c));
+    }
     std::size_t lo = 0, hi = cuts_.size();
     while (lo < hi) {  // count of cuts with f_c <= i
       const std::size_t mid = (lo + hi) / 2;
@@ -266,8 +272,11 @@ class KWaySplit {
   }
 
   /// Post-split index of surviving pre-split index i within its fragment.
-  Word new_index(Word i) const {
-    const std::size_t frag = fragment_of(i);
+  Word new_index(Word i) const { return new_index(i, fragment_of(i)); }
+
+  /// new_index for a caller that already knows frag == fragment_of(i)
+  /// (the commit pass maps a tree edge's 4 entries, all in one fragment).
+  Word new_index(Word i, std::size_t frag) const {
     Word idx = frag == 0 ? i : i - cuts_[frag - 1].f_c;
     for (const std::size_t m : children_[frag]) {
       if (cuts_[m].l_c + 1 < i) idx -= cuts_[m].l_c - cuts_[m].f_c + 3;
@@ -408,9 +417,14 @@ class KWayJoinPlan {
     Word base = kNoIndex;
   };
 
+  // A rotation only ever sees positions of its own tour, i and threshold
+  // in [1, rot_elen], so one conditional add stands in for
+  // ((i + rot_elen - threshold) % rot_elen) + 1.
   static Word apply_step(Word i, const Step& s) {
-    if (s.rot_elen != 0)
-      return ((i + s.rot_elen - s.threshold) % s.rot_elen) + 1;
+    if (s.rot_elen != 0) {
+      const Word r = i - s.threshold;
+      return (r < 0 ? r + s.rot_elen : r) + 1;
+    }
     return i > s.threshold ? i + s.add : i;
   }
 

@@ -151,11 +151,11 @@ const DriverReport& Driver::run(const graph::UpdateStream& stream) {
       ++report_.skipped;
       continue;
     }
-    // Queue the update as the serial path would pass it: when the driver
-    // is configured weighted the stream's weight travels verbatim (0
-    // included — it is a legal weight); otherwise serial inserts see the
-    // algorithms' default weight of 1, so the batch carries that.  Batched
-    // and serial application therefore see identical inputs.
+    // Queue the update as the per-update path would pass it: when the
+    // driver is configured weighted the stream's weight travels verbatim
+    // (0 included — it is a legal weight); otherwise insert(u, v) uses
+    // the algorithms' default weight of 1, so the batch carries that.
+    // Batched and per-update application therefore see identical inputs.
     graph::Update queued = up;
     if (!config_.weighted) queued.w = 1;
     batch.push_back(queued);

@@ -1,12 +1,14 @@
 // Randomized stress tests of the batch-dynamic protocol: arbitrary
 // mixed insert/delete batches through DynamicForest::apply_batch versus
-// serial replay, across many seeds, stream shapes, batch sizes, both
-// weighted modes, and the undo journal on and off.  Asserts identical final state (component partition,
-// forest weight, tree-edge count), canonicalized directory contents, the
-// structural validate() invariants, and oracle connectivity at driver
-// checkpoints.  Component IDS may differ between the two runs (split-off
-// ids are assigned in execution order), so the directory is compared as
-// the multiset of (canonical component, size) pairs derived from the
+// the same updates applied as batches of one, across many seeds, stream
+// shapes, batch sizes, both weighted modes, and the undo journal on and
+// off.  Asserts identical final state (component partition, forest
+// weight, tree-edge count), canonicalized directory contents, the
+// structural validate() invariants, oracle connectivity at driver
+// checkpoints, and (weighted) the exact MSF weight of the final graph.
+// Component IDS may differ between the two runs (split-off ids are
+// assigned in execution order), so the directory is compared as the
+// multiset of (canonical component, size) pairs derived from the
 // snapshot.
 #include <gtest/gtest.h>
 
@@ -18,9 +20,12 @@
 
 #include "core/dyn_forest.hpp"
 #include "dmpc/executor.hpp"
+#include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/checks.hpp"
 #include "harness/driver.hpp"
+#include "oracle/oracles.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -78,12 +83,12 @@ TEST_P(BatchSchedulerStress, MatchesSerialReplay) {
       break;
   }
 
-  core::DynamicForest serial({.n = n, .m_cap = 4 * n, .weighted = weighted});
-  serial.preprocess(graph::WeightedEdgeList{});
-  Driver serial_driver(
+  core::DynamicForest single({.n = n, .m_cap = 4 * n, .weighted = weighted});
+  single.preprocess(graph::WeightedEdgeList{});
+  Driver single_driver(
       n, DriverConfig{.checkpoint_every = 0, .weighted = weighted});
-  serial_driver.add("forest", serial);
-  serial_driver.run(stream);
+  single_driver.add("forest", single);
+  single_driver.run(stream);
 
   core::DynamicForest batched({.n = n,
                                .m_cap = 4 * n,
@@ -98,17 +103,24 @@ TEST_P(BatchSchedulerStress, MatchesSerialReplay) {
       harness::components_match_oracle(batched, "forest"));
   ASSERT_NO_THROW(batched_driver.run(stream)) << "seed " << seed;
 
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot())
+  EXPECT_EQ(single.component_snapshot(), batched.component_snapshot())
       << "seed " << seed;
-  EXPECT_EQ(canonical_directory(serial), canonical_directory(batched))
+  EXPECT_EQ(canonical_directory(single), canonical_directory(batched))
       << "seed " << seed;
-  auto st = serial.tree_edges(), bt = batched.tree_edges();
+  auto st = single.tree_edges(), bt = batched.tree_edges();
   EXPECT_EQ(st.size(), bt.size()) << "seed " << seed;
-  EXPECT_EQ(serial.forest_weight(), batched.forest_weight())
+  EXPECT_EQ(single.forest_weight(), batched.forest_weight())
       << "seed " << seed;
+  if (weighted) {
+    // Every edge arrived through an update (the cycle and cut rules are
+    // exact), so the forest is an exact MSF of the final graph.
+    const auto g = test_util::final_weighted_graph(n, {}, stream);
+    EXPECT_EQ(batched.forest_weight(), oracle::msf_weight(g))
+        << "seed " << seed;
+  }
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << "seed " << seed << ": " << why;
-  EXPECT_TRUE(serial.validate(&why)) << "seed " << seed << ": " << why;
+  EXPECT_TRUE(single.validate(&why)) << "seed " << seed << ": " << why;
 }
 
 /// Pooled-executor bit-identity: the SAME batched schedule run once under
@@ -185,7 +197,6 @@ TEST_P(PooledExecutorBitIdentity, MatchesSerialExecutor) {
   const dmpc::BatchScheduleStats& ps = pooled->batch_stats();
   EXPECT_EQ(ss.batches, ps.batches) << "seed " << seed;
   EXPECT_EQ(ss.grouped_updates, ps.grouped_updates) << "seed " << seed;
-  EXPECT_EQ(ss.serial_updates, ps.serial_updates) << "seed " << seed;
   EXPECT_EQ(ss.reordered_updates, ps.reordered_updates) << "seed " << seed;
   EXPECT_EQ(ss.batched_tree_deletes, ps.batched_tree_deletes)
       << "seed " << seed;

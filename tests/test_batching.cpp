@@ -2,6 +2,12 @@
 // shared-round stages (the paper's observation that many updates can
 // share the O(1)-round protocols), its ordering of conflicting updates,
 // and the Driver's batch detection + per-batch aggregation.
+//
+// The equivalence tests compare a batch against the same updates
+// applied as batches of one (insert/erase, or a Driver with
+// batch_size = 1), and both against an independent oracle: the
+// sequential seq::HdtConnectivity for connectivity, oracle::msf_weight
+// for the MST variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +19,12 @@
 
 #include "core/dyn_forest.hpp"
 #include "core/maximal_matching.hpp"
+#include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/checks.hpp"
 #include "harness/driver.hpp"
+#include "oracle/oracles.hpp"
+#include "seq/hdt.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -36,6 +45,32 @@ std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>> sorted_tree_edges(
   return edges;
 }
 
+/// The forest's component partition must agree with `hdt` — the
+/// sequential HDT structure, fed the same updates — on every vertex pair.
+void expect_partition_matches_hdt(const core::DynamicForest& f,
+                                  seq::HdtConnectivity& hdt) {
+  const auto labels = f.component_snapshot();
+  for (std::size_t x = 0; x < labels.size(); ++x) {
+    for (std::size_t y = x + 1; y < labels.size(); ++y) {
+      ASSERT_EQ(labels[x] == labels[y],
+                hdt.connected(static_cast<dmpc::VertexId>(x),
+                              static_cast<dmpc::VertexId>(y)))
+          << "pair (" << x << "," << y << ")";
+    }
+  }
+}
+
+/// The MSF oracle: the maintained forest is a (1+eps)-approximate MSF
+/// of `g`.  Exact when every edge arrived through an update — the cycle
+/// and cut rules are exact, only preprocessing buckets weights.
+void expect_msf_within_eps(const core::DynamicForest& f,
+                           const graph::WeightedDynamicGraph& g, double eps) {
+  const graph::Weight msf = oracle::msf_weight(g);
+  EXPECT_GE(f.forest_weight(), msf);
+  EXPECT_LE(static_cast<double>(f.forest_weight()),
+            (1.0 + eps) * static_cast<double>(msf));
+}
+
 /// k pairwise-independent inserts: a perfect matching over 2k singleton
 /// vertices, so every insert links two fresh components.
 graph::UpdateStream independent_inserts(std::size_t k) {
@@ -47,28 +82,30 @@ graph::UpdateStream independent_inserts(std::size_t k) {
   return stream;
 }
 
-// The ISSUE acceptance criterion: a Driver with batch_size = k > 1 must
-// use strictly fewer total rounds than k serial updates on a batch of
-// independent edges.
+// A Driver with batch_size = k > 1 must use strictly fewer total rounds
+// than the same k independent inserts applied as batches of one.
 TEST(ApplyBatch, IndependentInsertsUseStrictlyFewerRounds) {
   const std::size_t n = 64, k = 8;
   const auto stream = independent_inserts(k);
 
-  core::DynamicForest serial({.n = n, .m_cap = 4 * n});
-  serial.preprocess(graph::EdgeList{});
-  Driver serial_driver(n, DriverConfig{.checkpoint_every = 0});
-  serial_driver.add("forest", serial);
-  const auto& serial_report = serial_driver.run(stream);
-  const auto* ss = serial_report.find("forest");
+  core::DynamicForest single({.n = n, .m_cap = 4 * n});
+  single.preprocess(graph::EdgeList{});
+  Driver single_driver(n, DriverConfig{.checkpoint_every = 0});
+  single_driver.add("forest", single);
+  const auto& single_report = single_driver.run(stream);
+  const auto* ss = single_report.find("forest");
   ASSERT_NE(ss, nullptr);
   ASSERT_EQ(ss->agg.updates, k);
-  const auto serial_rounds = ss->agg.total_rounds;
+  const auto single_rounds = ss->agg.total_rounds;
 
   core::DynamicForest batched({.n = n, .m_cap = 4 * n});
   batched.preprocess(graph::EdgeList{});
+  seq::AccessCounter counter;
+  seq::HdtConnectivity hdt(n, counter);
   Driver batched_driver(n, DriverConfig{.batch_size = k,
                                         .checkpoint_every = 0});
   batched_driver.add("forest", batched);
+  batched_driver.add("hdt", hdt);
   const auto& batched_report = batched_driver.run(stream);
   const auto* bs = batched_report.find("forest");
   ASSERT_NE(bs, nullptr);
@@ -76,18 +113,19 @@ TEST(ApplyBatch, IndependentInsertsUseStrictlyFewerRounds) {
   ASSERT_EQ(bs->batch_agg.updates, 1u);  // one batch
   const auto batched_rounds = bs->batch_agg.total_rounds;
 
-  EXPECT_LT(batched_rounds, serial_rounds);
-  // Each independent group shares one constant-round protocol instance
-  // (8 rounds).  On this deterministic workload a coordinator-machine
-  // hash collision may keep one insert out of the shared stage (a second
-  // stage), so the batch costs at most two instances — still far below
-  // the 6k serial rounds.
-  EXPECT_LE(batched_rounds, 16u);
-  EXPECT_LT(batched_rounds, serial_rounds / 2);
+  EXPECT_LT(batched_rounds, single_rounds);
+  // A merges-only stage is 3 rounds (scatter, directory, commit), so
+  // one-update batches pay 3k.  On this deterministic workload a
+  // coordinator-machine hash collision may keep one insert out of the
+  // shared stage (a second stage), so the batch costs at most two
+  // stages — still well below half of that.
+  EXPECT_LE(batched_rounds, 6u);
+  EXPECT_LT(batched_rounds, single_rounds / 2);
 
-  // Same final state either way.
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(serial), sorted_tree_edges(batched));
+  // Same final state either way, and the oracle's partition.
+  EXPECT_EQ(single.component_snapshot(), batched.component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(single), sorted_tree_edges(batched));
+  expect_partition_matches_hdt(batched, hdt);
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
 }
@@ -96,24 +134,28 @@ TEST(ApplyBatch, MatchesSerialOnRandomStreams) {
   const std::size_t n = 48;
   const auto stream = graph::random_stream(n, 300, 0.6, 91);
 
-  core::DynamicForest serial({.n = n, .m_cap = 4 * n});
-  serial.preprocess(graph::EdgeList{});
-  Driver serial_driver(n, DriverConfig{.checkpoint_every = 0});
-  serial_driver.add("forest", serial);
-  serial_driver.run(stream);
+  core::DynamicForest single({.n = n, .m_cap = 4 * n});
+  single.preprocess(graph::EdgeList{});
+  Driver single_driver(n, DriverConfig{.checkpoint_every = 0});
+  single_driver.add("forest", single);
+  single_driver.run(stream);
 
   core::DynamicForest batched({.n = n, .m_cap = 4 * n});
   batched.preprocess(graph::EdgeList{});
+  seq::AccessCounter counter;
+  seq::HdtConnectivity hdt(n, counter);
   Driver batched_driver(n, DriverConfig{.batch_size = 8,
                                         .checkpoint_every = 4});
   batched_driver.add("forest", batched);
+  batched_driver.add("hdt", hdt);
   batched_driver.on_checkpoint(
       harness::components_match_oracle(batched, "forest"));
   EXPECT_NO_THROW(batched_driver.run(stream));
 
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(serial).size(),
+  EXPECT_EQ(single.component_snapshot(), batched.component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(single).size(),
             sorted_tree_edges(batched).size());
+  expect_partition_matches_hdt(batched, hdt);
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
 }
@@ -122,12 +164,12 @@ TEST(ApplyBatch, MatchesSerialOnWeightedStreams) {
   const std::size_t n = 40;
   const auto stream = graph::random_stream(n, 250, 0.65, 92, /*weighted=*/true);
 
-  core::DynamicForest serial({.n = n, .m_cap = 4 * n, .weighted = true});
-  serial.preprocess(graph::WeightedEdgeList{});
-  Driver serial_driver(
+  core::DynamicForest single({.n = n, .m_cap = 4 * n, .weighted = true});
+  single.preprocess(graph::WeightedEdgeList{});
+  Driver single_driver(
       n, DriverConfig{.checkpoint_every = 0, .weighted = true});
-  serial_driver.add("mst", serial);
-  serial_driver.run(stream);
+  single_driver.add("mst", single);
+  single_driver.run(stream);
 
   core::DynamicForest batched({.n = n, .m_cap = 4 * n, .weighted = true});
   batched.preprocess(graph::WeightedEdgeList{});
@@ -137,8 +179,11 @@ TEST(ApplyBatch, MatchesSerialOnWeightedStreams) {
   batched_driver.add("mst", batched);
   batched_driver.run(stream);
 
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
-  EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
+  EXPECT_EQ(single.component_snapshot(), batched.component_snapshot());
+  EXPECT_EQ(single.forest_weight(), batched.forest_weight());
+  // Every edge arrived through an update, so the forest is an exact MSF.
+  EXPECT_EQ(batched.forest_weight(),
+            oracle::msf_weight(test_util::final_weighted_graph(n, {}, stream)));
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
 }
@@ -187,7 +232,6 @@ TEST(BatchScheduler, ExecutesIndependentUpdatesOutOfOrder) {
   EXPECT_EQ(stats.stages, 2u);
   EXPECT_EQ(stats.reordered_updates, 2u);
   EXPECT_EQ(stats.grouped_updates, 4u);
-  EXPECT_EQ(stats.serial_updates, 0u);
   std::string why;
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
@@ -213,7 +257,6 @@ TEST(BatchScheduler, BatchesIndependentTreeDeletions) {
   const auto& stats = forest.batch_stats();
   EXPECT_EQ(stats.stages, 1u);
   EXPECT_EQ(stats.batched_tree_deletes, 2u);
-  EXPECT_EQ(stats.serial_updates, 0u);
   std::string why;
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
@@ -238,132 +281,116 @@ TEST(BatchScheduler, BatchedTreeDeletionsDisconnectWithoutReplacement) {
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
 
+/// Applies `batch` to two forests preprocessed from `initial`, once as
+/// batches of one and once as a single apply_batch, and expects
+/// identical components, tree edges and forest weight, the MSF oracle's
+/// (1+eps) bound, and validate().  Returns the batched forest for
+/// stage-shape checks.
+std::unique_ptr<core::DynamicForest> expect_batch_matches_one_by_one(
+    const core::DynForestConfig& config, const graph::WeightedEdgeList& initial,
+    const std::vector<Update>& batch) {
+  core::DynamicForest single(config);
+  single.preprocess(initial);
+  for (const Update& up : batch) {
+    single.apply_batch(std::span<const Update>(&up, 1));
+  }
+  auto batched = std::make_unique<core::DynamicForest>(config);
+  batched->preprocess(initial);
+  batched->apply_batch(std::span<const Update>(batch));
+  EXPECT_EQ(single.component_snapshot(), batched->component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(single), sorted_tree_edges(*batched));
+  EXPECT_EQ(single.forest_weight(), batched->forest_weight());
+  expect_msf_within_eps(
+      *batched, test_util::final_weighted_graph(config.n, initial, batch),
+      config.eps);
+  std::string why;
+  EXPECT_TRUE(batched->validate(&why)) << why;
+  return batched;
+}
+
+core::DynForestConfig weighted_config(std::size_t n) {
+  return {.n = n, .m_cap = 4 * n, .weighted = true};
+}
+
 TEST(BatchScheduler, WeightedTreeDeletionsPickMinWeightReplacement) {
-  const std::size_t n = 16;
   // Two weighted triangles; deleting the tree edges must promote each
-  // triangle's cheapest crossing chord, matching serial application.
+  // triangle's cheapest crossing chord.
   const graph::WeightedEdgeList initial = {
       {0, 1, 5}, {1, 2, 7}, {0, 2, 50}, {4, 5, 3}, {5, 6, 4}, {4, 6, 40}};
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
-    f->preprocess(initial);
-    return f;
-  };
-  auto serial = make();
-  serial->erase(0, 1);
-  serial->erase(4, 5);
-
-  auto batched = make();
   const std::vector<Update> batch = {
       {UpdateKind::kDelete, 0, 1, 0},
       {UpdateKind::kDelete, 4, 5, 0},
   };
-  batched->apply_batch(std::span<const Update>(batch));
-
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
   EXPECT_EQ(batched->batch_stats().batched_tree_deletes, 2u);
-  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
-  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
 }
 
 TEST(BatchScheduler, MatchesSerialOnDeleteHeavyInterleavedStream) {
   const std::size_t n = 64;
   const auto stream = graph::interleaved_delete_stream(n, 400, 6, 2, 98);
 
-  core::DynamicForest serial({.n = n, .m_cap = 4 * n});
-  serial.preprocess(graph::EdgeList{});
-  Driver serial_driver(n, DriverConfig{.checkpoint_every = 0});
-  serial_driver.add("forest", serial);
-  serial_driver.run(stream);
+  core::DynamicForest single({.n = n, .m_cap = 4 * n});
+  single.preprocess(graph::EdgeList{});
+  Driver single_driver(n, DriverConfig{.checkpoint_every = 0});
+  single_driver.add("forest", single);
+  single_driver.run(stream);
 
   core::DynamicForest batched({.n = n, .m_cap = 4 * n});
   batched.preprocess(graph::EdgeList{});
+  seq::AccessCounter counter;
+  seq::HdtConnectivity hdt(n, counter);
   Driver batched_driver(n, DriverConfig{.batch_size = 16,
                                         .checkpoint_every = 2});
   batched_driver.add("forest", batched);
+  batched_driver.add("hdt", hdt);
   batched_driver.on_checkpoint(
       harness::components_match_oracle(batched, "forest"));
   EXPECT_NO_THROW(batched_driver.run(stream));
 
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(serial).size(),
+  EXPECT_EQ(single.component_snapshot(), batched.component_snapshot());
+  EXPECT_EQ(sorted_tree_edges(single).size(),
             sorted_tree_edges(batched).size());
   EXPECT_GT(batched.batch_stats().batched_tree_deletes, 0u);
+  expect_partition_matches_hdt(batched, hdt);
   std::string why;
   EXPECT_TRUE(batched.validate(&why)) << why;
 }
 
 // Equal-weight tie: the cycle rule fires only on a STRICTLY heavier
-// path edge, so an insert matching its path max must stay non-tree —
-// in a shared path-max round exactly as serially.
+// path edge, so an insert matching its path max must stay non-tree in a
+// shared path-max round exactly as in its own.
 TEST(BatchScheduler, EqualWeightTiesInsertAsNontree) {
-  const std::size_t n = 16;
   const graph::WeightedEdgeList initial = {
       {0, 1, 5}, {1, 2, 5}, {4, 5, 5}, {5, 6, 5}};
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
-    f->preprocess(initial);
-    return f;
-  };
-  auto serial = make();
-  serial->insert(0, 2, 5);
-  serial->insert(4, 6, 5);
-
-  auto batched = make();
   const std::vector<Update> batch = {
       {UpdateKind::kInsert, 0, 2, 5},
       {UpdateKind::kInsert, 4, 6, 5},
   };
-  batched->apply_batch(std::span<const Update>(batch));
-
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
   EXPECT_EQ(batched->batch_stats().path_max_grouped, 2u);
-  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
-  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
   // No swap: the preprocessed tree survives.
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 1}, {1, 2}, {4, 5}, {5, 6}}));
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
 }
 
 // Swap-rejected inserts: a new edge heavier than its whole cycle path
 // must stay non-tree (the search runs, the swap does not).
 TEST(BatchScheduler, SwapRejectedInsertsStayNontree) {
-  const std::size_t n = 16;
   const graph::WeightedEdgeList initial = {
       {0, 1, 3}, {1, 2, 4}, {4, 5, 3}, {5, 6, 4}};
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
-    f->preprocess(initial);
-    return f;
-  };
-  auto serial = make();
-  serial->insert(0, 2, 10);
-  serial->insert(4, 6, 10);
-
-  auto batched = make();
   const std::vector<Update> batch = {
       {UpdateKind::kInsert, 0, 2, 10},
       {UpdateKind::kInsert, 4, 6, 10},
   };
-  batched->apply_batch(std::span<const Update>(batch));
-
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
   EXPECT_EQ(batched->batch_stats().path_max_grouped, 2u);
-  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 1}, {1, 2}, {4, 5}, {5, 6}}));
-  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
 }
 
 // A grouped swap displacing a tree edge in the MIDDLE of the cycle path
@@ -371,69 +398,34 @@ TEST(BatchScheduler, SwapRejectedInsertsStayNontree) {
 // crossing candidate of its own split and lose the replacement search
 // to the lighter inserted edge.
 TEST(BatchScheduler, SwapDisplacesMidPathTreeEdge) {
-  const std::size_t n = 16;
   const graph::WeightedEdgeList initial = {{0, 1, 1},  {1, 2, 9},
                                            {2, 3, 1},  {12, 13, 1},
                                            {13, 14, 9}, {14, 15, 1}};
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
-    f->preprocess(initial);
-    return f;
-  };
-  auto serial = make();
-  serial->insert(0, 3, 2);
-  serial->insert(12, 15, 2);
-
-  auto batched = make();
   const std::vector<Update> batch = {
       {UpdateKind::kInsert, 0, 3, 2},
       {UpdateKind::kInsert, 12, 15, 2},
   };
-  batched->apply_batch(std::span<const Update>(batch));
-
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
   EXPECT_EQ(batched->batch_stats().path_max_grouped, 2u);
-  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
   // The mid-path 9-weight edges were displaced by the new 2-weight ones.
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 1}, {0, 3}, {2, 3}, {12, 13}, {12, 15}, {14, 15}}));
-  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
   EXPECT_EQ(batched->forest_weight(), 2 * (1 + 1 + 2));
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
 }
 
 // Two cycle-rule inserts in the SAME component that both want to swap:
 // only the earlier batch position may commit; the later one must be
-// deferred and re-planned against the committed tree, matching serial
-// application exactly.
+// deferred and re-planned against the committed tree, matching the
+// one-by-one application exactly.
 TEST(BatchScheduler, SameComponentSwapsDeferAndMatchSerial) {
-  const std::size_t n = 16;
   const graph::WeightedEdgeList initial = {{0, 1, 9}, {1, 2, 9}, {2, 3, 9}};
-  auto make = [&] {
-    auto f = std::make_unique<core::DynamicForest>(
-        core::DynForestConfig{.n = n, .m_cap = 4 * n, .weighted = true});
-    f->preprocess(initial);
-    return f;
-  };
-  auto serial = make();
-  serial->insert(0, 2, 1);
-  serial->insert(1, 3, 1);
-
-  auto batched = make();
   const std::vector<Update> batch = {
       {UpdateKind::kInsert, 0, 2, 1},
       {UpdateKind::kInsert, 1, 3, 1},
   };
-  batched->apply_batch(std::span<const Update>(batch));
-
-  EXPECT_EQ(serial->component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(*serial), sorted_tree_edges(*batched));
-  EXPECT_EQ(serial->forest_weight(), batched->forest_weight());
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
+  expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
 }
 
 // Regression: a later cycle-rule insert must not overtake an EARLIER
@@ -442,7 +434,7 @@ TEST(BatchScheduler, SameComponentSwapsDeferAndMatchSerial) {
 // The plan-time ordering check treats a path-max read claim as a
 // potential write, so the later insert waits.  Found by review: with
 // read-read overtaking allowed, this batch promoted edge (5,6) where
-// serial replay keeps (1,6).
+// one-by-one application keeps (1,6).
 TEST(BatchScheduler, SwapCannotOvertakeEarlierPendingSameComponentInsert) {
   const std::size_t n = 12;
   const graph::WeightedEdgeList initial = {{0, 1, 3}, {1, 2, 1}, {1, 3, 5},
@@ -453,47 +445,8 @@ TEST(BatchScheduler, SwapCannotOvertakeEarlierPendingSameComponentInsert) {
       {UpdateKind::kInsert, 2, 3, 1}, {UpdateKind::kInsert, 6, 5, 2},
       {UpdateKind::kInsert, 1, 4, 4}, {UpdateKind::kInsert, 6, 3, 2},
   };
-  core::DynamicForest serial({.n = n, .m_cap = 8 * n, .weighted = true});
-  serial.preprocess(initial);
-  for (const Update& up : batch) serial.insert(up.u, up.v, up.w);
-
-  core::DynamicForest batched({.n = n, .m_cap = 8 * n, .weighted = true});
-  batched.preprocess(initial);
-  batched.apply_batch(std::span<const Update>(batch));
-
-  EXPECT_EQ(serial.component_snapshot(), batched.component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(serial), sorted_tree_edges(batched));
-  EXPECT_EQ(serial.forest_weight(), batched.forest_weight());
-  std::string why;
-  EXPECT_TRUE(batched.validate(&why)) << why;
-}
-
-/// Applies `batch` to two weighted forests preprocessed from `initial`,
-/// one update at a time and as one apply_batch, and expects identical
-/// components, tree edges and forest weight.  Returns the batched forest
-/// for stage-shape checks.
-std::unique_ptr<core::DynamicForest> expect_batch_matches_serial(
-    std::size_t n, const graph::WeightedEdgeList& initial,
-    const std::vector<Update>& batch) {
-  const core::DynForestConfig config{.n = n, .m_cap = 4 * n, .weighted = true};
-  core::DynamicForest serial(config);
-  serial.preprocess(initial);
-  for (const Update& up : batch) {
-    if (up.kind == UpdateKind::kInsert) {
-      serial.insert(up.u, up.v, up.w);
-    } else {
-      serial.erase(up.u, up.v);
-    }
-  }
-  auto batched = std::make_unique<core::DynamicForest>(config);
-  batched->preprocess(initial);
-  batched->apply_batch(std::span<const Update>(batch));
-  EXPECT_EQ(serial.component_snapshot(), batched->component_snapshot());
-  EXPECT_EQ(sorted_tree_edges(serial), sorted_tree_edges(*batched));
-  EXPECT_EQ(serial.forest_weight(), batched->forest_weight());
-  std::string why;
-  EXPECT_TRUE(batched->validate(&why)) << why;
-  return batched;
+  expect_batch_matches_one_by_one({.n = n, .m_cap = 8 * n, .weighted = true},
+                                  initial, batch);
 }
 
 // A tree deletion in one component, a committing cycle-rule swap in a
@@ -510,7 +463,8 @@ TEST(BatchScheduler, SwapDeletionAndMergeShareOneStage) {
       {UpdateKind::kInsert, 4, 7, 2},   // B: displaces (5,6)
       {UpdateKind::kInsert, 9, 10, 5},  // merges C and D
   };
-  const auto batched = expect_batch_matches_serial(16, initial, batch);
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(16), initial, batch);
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 2}, {1, 2}, {4, 5}, {4, 7}, {6, 7}, {8, 9}, {9, 10},
@@ -531,7 +485,8 @@ TEST(BatchScheduler, SwapPromotesLighterExistingNontreeEdge) {
   const graph::WeightedEdgeList initial = {
       {0, 1, 1}, {2, 3, 1}, {1, 2, 40}, {1, 3, 38}};
   const std::vector<Update> batch = {{UpdateKind::kInsert, 0, 3, 39}};
-  const auto batched = expect_batch_matches_serial(8, initial, batch);
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(8), initial, batch);
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 1}, {1, 3}, {2, 3}}));
@@ -542,7 +497,7 @@ TEST(BatchScheduler, SwapPromotesLighterExistingNontreeEdge) {
 // Three cycle-rule inserts in one component: a non-swapping insert, a
 // swap, and a third insert.  The first two commit in stage 1 — the
 // first one's record is stored before the swap's replacement scan, so
-// it competes there as it does serially — and the third, which probed
+// it competes there as it does one by one — and the third, which probed
 // the pre-swap tree, defers to stage 2 (where it swaps in turn).
 TEST(BatchScheduler, InsertsBehindSameComponentSwapDefer) {
   const graph::WeightedEdgeList initial = {
@@ -552,7 +507,8 @@ TEST(BatchScheduler, InsertsBehindSameComponentSwapDefer) {
       {UpdateKind::kInsert, 0, 3, 5},   // displaces (1,2)
       {UpdateKind::kInsert, 1, 4, 3},   // deferred; then displaces (0,3)
   };
-  const auto batched = expect_batch_matches_serial(8, initial, batch);
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(8), initial, batch);
   EXPECT_EQ(sorted_tree_edges(*batched),
             (std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>>{
                 {0, 1}, {1, 4}, {2, 3}, {3, 4}}));
@@ -609,7 +565,7 @@ TEST(DriverBatching, ReportsPerBatchStatsForBothModes) {
   EXPECT_FALSE(ms->batched);
   EXPECT_EQ(ms->agg.updates, report.applied);
   EXPECT_EQ(ms->batch_agg.updates, report.batches);
-  // Per-batch rounds of a serial algorithm are the sum of its per-update
+  // Per-batch rounds of a per-update algorithm are the sum of its update
   // rounds, so the two aggregates must agree on totals.
   EXPECT_EQ(ms->batch_agg.total_rounds, ms->agg.total_rounds);
   EXPECT_EQ(ms->batch_agg.total_comm_words, ms->agg.total_comm_words);

@@ -27,10 +27,10 @@ using graph::UpdateKind;
 using graph::VertexId;
 using graph::WeightedDynamicGraph;
 
-// Worst-case rounds any single update is allowed to take.  The protocol
-// uses a bounded constant number of phases (prepare, broadcast, record,
-// search, replacement prepare/merge; the MST swap path chains two of
-// these), so 40 is a safe constant that does not grow with N.
+// Worst-case rounds any single update is allowed to take.  An update is
+// a one-update k-way stage with a bounded constant number of rounds
+// (scatter, directory, cascade, commit; the MST cycle rule adds the
+// path-max rounds), so 40 is a safe constant that does not grow with N.
 constexpr std::uint64_t kRoundCap = 40;
 
 void expect_components_match(const DynamicForest& forest,

@@ -223,7 +223,6 @@ void expect_same_sched(const core::DynamicForest& a,
   const dmpc::BatchScheduleStats& sb = b.batch_stats();
   EXPECT_EQ(sa.batches, sb.batches);
   EXPECT_EQ(sa.grouped_updates, sb.grouped_updates);
-  EXPECT_EQ(sa.serial_updates, sb.serial_updates);
   EXPECT_EQ(sa.reordered_updates, sb.reordered_updates);
   EXPECT_EQ(sa.batched_tree_deletes, sb.batched_tree_deletes);
   EXPECT_EQ(sa.max_group, sb.max_group);

@@ -196,7 +196,7 @@ TEST(FaultSweep, BatchDynamicWeighted) {
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }
 
-// Serial (non-batch) insert/erase journal and roll back too.
+// Single-update insert/erase (batches of one) journal and roll back too.
 TEST(FaultSweep, SerialEraseRollsBack) {
   DynamicForest forest(DynForestConfig{.n = 12, .m_cap = 48});
   forest.preprocess(graph::EdgeList{});
@@ -215,7 +215,7 @@ TEST(FaultSweep, SerialEraseRollsBack) {
       break;
     } catch (const std::exception&) {
       ASSERT_TRUE(faults->fired());
-      ASSERT_EQ(capture(forest), before) << "serial erase, round " << r;
+      ASSERT_EQ(capture(forest), before) << "single erase, round " << r;
       ASSERT_TRUE(forest.validate());
     }
   }
@@ -566,6 +566,30 @@ TEST(ServingDegradation, BisectsAndAbandonsPoisonedUpdate) {
   EXPECT_GE(stats.update_bisections, 2u);
   EXPECT_EQ(stats.updates_applied, 3u);
   EXPECT_TRUE(forest.validate());
+}
+
+// A malformed update (a self-loop) reaching the broker throws out of
+// apply_batch before any round runs.  Recovery treats it like any other
+// failed batch: bisection isolates it, it alone is abandoned, and the
+// valid updates around it commit.
+TEST(ServingDegradation, MalformedUpdateIsBisectedOutAndAbandoned) {
+  constexpr std::size_t kN = 16;
+  DynamicForest forest(DynForestConfig{.n = kN, .m_cap = 64});
+  forest.preprocess(graph::EdgeList{});
+  serve::ServingConfig sconfig;
+  sconfig.recovery_max_retries = 1;
+  serve::QueryBroker broker(forest, sconfig);
+  ASSERT_TRUE(broker.submit_update({UpdateKind::kInsert, 0, 1, 1}));
+  ASSERT_TRUE(broker.submit_update({UpdateKind::kInsert, 3, 3, 1}));
+  ASSERT_TRUE(broker.submit_update({UpdateKind::kInsert, 1, 2, 1}));
+  for (int i = 0; i < 16; ++i) broker.pump();
+
+  const serve::ServingStats stats = broker.stats();
+  EXPECT_EQ(stats.updates_abandoned, 1u);
+  EXPECT_EQ(stats.updates_applied, 2u);
+  EXPECT_TRUE(forest.connected(0, 2));
+  std::string why;
+  EXPECT_TRUE(forest.validate(&why)) << why;
 }
 
 // The injector never fires inside a query batch: reads stay available

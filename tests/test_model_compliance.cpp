@@ -6,8 +6,11 @@
 // cap (Cluster throws), and clean failure on precondition violations.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/cs_matching.hpp"
 #include "core/dyn_forest.hpp"
@@ -100,6 +103,30 @@ TEST(PreconditionFailures, ThrowCleanly) {
   ns.insert(0, 1);
   EXPECT_THROW(ns.insert(0, 1), std::logic_error);
   EXPECT_THROW(ns.erase(1, 2), std::logic_error);
+
+  // DynamicForest rejects an out-of-range endpoint (edge keys are
+  // u * n + v, so delete (0, 10) at n = 8 would alias the key of (1, 2))
+  // and a self-loop before any round runs — through insert/erase and
+  // apply_batch alike, a valid update ahead of a bad one included.
+  core::DynamicForest forest({.n = 8, .m_cap = 32});
+  forest.preprocess(graph::EdgeList{});
+  forest.insert(1, 2);
+  const auto tree_before = forest.tree_edges();
+  const std::uint64_t updates_before =
+      forest.cluster().metrics().aggregate().updates;
+  const std::vector<Update> alias = {{UpdateKind::kDelete, 0, 10, 1}};
+  EXPECT_THROW(forest.apply_batch(alias), std::invalid_argument);
+  EXPECT_THROW(forest.erase(0, 10), std::invalid_argument);
+  EXPECT_THROW(forest.insert(-1, 2), std::invalid_argument);
+  EXPECT_THROW(forest.insert(3, 3), std::invalid_argument);
+  const std::vector<Update> mixed = {{UpdateKind::kInsert, 4, 5, 1},
+                                     {UpdateKind::kInsert, 3, 3, 1}};
+  EXPECT_THROW(forest.apply_batch(mixed), std::invalid_argument);
+  std::string why;
+  EXPECT_TRUE(forest.validate(&why)) << why;
+  EXPECT_EQ(forest.tree_edges(), tree_before);
+  EXPECT_EQ(forest.cluster().metrics().aggregate().updates, updates_before);
+  EXPECT_FALSE(forest.connected(4, 5));
 }
 
 TEST(PreconditionFailures, EulerForestGuards) {

@@ -126,7 +126,7 @@ TEST(AnswerQueries, QueriesAreO1RoundsAndNeverTouchUpdateAccounting) {
   forest.preprocess(edges);
   forest.cluster().metrics().reset();
   const dmpc::UpdateAggregate before = forest.cluster().metrics().aggregate();
-  const std::uint64_t serial_before = forest.batch_stats().serial_updates;
+  const std::uint64_t stages_before = forest.batch_stats().stages;
 
   // Enough mixed queries to force several comm-cap chunks.
   std::vector<ReadQuery> queries;
@@ -144,12 +144,12 @@ TEST(AnswerQueries, QueriesAreO1RoundsAndNeverTouchUpdateAccounting) {
   EXPECT_GE(qa.batches, 2u);  // the cap chunking split the batch
   EXPECT_LE(qa.worst_rounds, 6u) << "a query batch exceeded O(1) rounds";
   EXPECT_GT(qa.total_comm_words, 0u);
-  // Pure reads: the update-side aggregates and the serial-fallback
-  // counter are untouched — the read path never joins the protocol.
+  // Pure reads: the update-side aggregates and the stage counter are
+  // untouched — the read path never joins the update protocol.
   const dmpc::UpdateAggregate after = forest.cluster().metrics().aggregate();
   EXPECT_EQ(after.updates, before.updates);
   EXPECT_EQ(after.total_rounds, before.total_rounds);
-  EXPECT_EQ(forest.batch_stats().serial_updates, serial_before);
+  EXPECT_EQ(forest.batch_stats().stages, stages_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -411,6 +411,46 @@ TEST(TracerExecutors, BatchDynamicRunCoversTheProtocolPhases) {
   EXPECT_GT(attributed_rounds, 0u);
 }
 
+// A batch_size = 1 Driver applies every update through insert/erase, a
+// one-update k-way stage, so each of its rounds lands in a named
+// protocol phase: the driver's `batch` span and the unattributed bucket
+// own none, on the connectivity and the MST variant alike.
+TEST(TracerPhases, OneUpdateBatchesAttributeEveryRound) {
+  constexpr std::size_t kN = 64;
+  for (const bool weighted : {false, true}) {
+    DynamicForest forest({.n = kN, .m_cap = 4 * kN, .weighted = weighted});
+    forest.preprocess(graph::WeightedEdgeList{});
+    const auto tracer = std::make_shared<Tracer>();
+    forest.cluster().set_tracer(tracer);
+    harness::Driver driver(
+        kN, {.batch_size = 1, .checkpoint_every = 0, .weighted = weighted});
+    driver.add("forest", forest);
+    driver.set_tracer(tracer);
+    tracer->set_enabled(true);
+    driver.run(weighted
+                   ? graph::weighted_interleaved_delete_stream(kN, 400, 6,
+                                                               2, 98)
+                   : graph::interleaved_delete_stream(kN, 400, 6, 2, 98));
+    tracer->set_enabled(false);
+
+    const auto& totals = tracer->phase_totals();
+    const auto rounds_of = [&](TracePhase p) {
+      const PhaseTotals& t = totals[static_cast<std::size_t>(p)];
+      return t.rounds + t.overlapped_rounds + t.charged_rounds;
+    };
+    std::uint64_t all_rounds = 0;
+    for (std::size_t p = 0; p < dmpc::kTracePhaseCount; ++p) {
+      all_rounds += rounds_of(static_cast<TracePhase>(p));
+    }
+    EXPECT_EQ(all_rounds, forest.cluster().metrics().aggregate().total_rounds)
+        << "weighted " << weighted;
+    EXPECT_GT(rounds_of(TracePhase::kCascade), 0u) << "weighted " << weighted;
+    EXPECT_EQ(rounds_of(TracePhase::kBatch), 0u) << "weighted " << weighted;
+    EXPECT_EQ(rounds_of(TracePhase::kNone), 0u) << "weighted " << weighted;
+    EXPECT_EQ(tracer->open_depth(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Aborted batches close their spans
 // ---------------------------------------------------------------------------

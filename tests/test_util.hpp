@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -94,6 +95,24 @@ template <typename Step>
 graph::DynamicGraph replay(std::size_t n, const graph::UpdateStream& stream,
                            Step&& step) {
   return replay(n, graph::EdgeList{}, stream, std::forward<Step>(step));
+}
+
+/// The weighted graph left by `initial` followed by `updates` (duplicate
+/// inserts and absent deletes are no-ops, as in DynamicForest) — the
+/// input of the oracle::msf_weight checks.
+inline graph::WeightedDynamicGraph final_weighted_graph(
+    std::size_t n, const graph::WeightedEdgeList& initial,
+    std::span<const graph::Update> updates) {
+  graph::WeightedDynamicGraph g(n);
+  for (const auto& e : initial) g.insert_edge(e.u, e.v, e.w);
+  for (const graph::Update& up : updates) {
+    if (up.kind == graph::UpdateKind::kInsert) {
+      g.insert_edge(up.u, up.v, up.w);
+    } else {
+      g.delete_edge(up.u, up.v);
+    }
+  }
+  return g;
 }
 
 /// Oracle-replay assertion: the snapshot must be a valid maximal matching
