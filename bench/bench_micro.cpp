@@ -14,7 +14,12 @@
 //     communication, scheduler counters and the forest weight must be
 //     byte-identical across all three executors (that is the determinism
 //     contract of the pooled folds), and `--check` makes a mismatch
-//     fatal.
+//     fatal;
+//   * the read path: 200-query answer_queries batches on a weighted
+//     gnm(n, n) forest at n = 2^14 and 2^16, connectivity-only and with
+//     every 10th query a path weight — wall time, rounds and words per
+//     batch.  `--check` fails when a batch's rounds differ from its
+//     protocol's count (2 connectivity-only, 5 with a path query).
 //
 // `--json BENCH_micro.json` writes the rows for the CI bench-trend gate,
 // including the detected core count: the gate skips wall-clock
@@ -22,12 +27,15 @@
 // change is not a regression).
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/dyn_forest.hpp"
 #include "dmpc/executor.hpp"
+#include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 
 namespace {
@@ -36,6 +44,8 @@ constexpr std::size_t kForestN = std::size_t{1} << 17;
 constexpr std::size_t kForestUpdates = 512;
 constexpr std::size_t kForestBatch = 16;
 constexpr int kExecIters = 4096;
+constexpr std::size_t kReadBatch = 200;
+constexpr std::size_t kReadBatches = 40;
 
 /// Seconds for `iters` executor rounds of `count` near-empty tasks.
 double executor_round_seconds(dmpc::RoundExecutor& exec, std::size_t count,
@@ -165,6 +175,40 @@ void forest_json_row(bench::JsonReport& json, const std::string& name,
       .u64("grouped_updates", run.sched.grouped_updates);
 }
 
+/// One read-path row: kReadBatches answer_queries batches of kReadBatch
+/// random distinct-endpoint queries on a weighted gnm(n, n) forest,
+/// every `path_every`-th query a path weight (0: connectivity only).
+struct ReadRun {
+  double seconds = 0;
+  dmpc::QueryAggregate agg;
+};
+
+ReadRun run_reads(std::size_t n, std::size_t path_every) {
+  core::DynamicForest forest({.n = n, .m_cap = 2 * n, .weighted = true});
+  forest.preprocess(graph::with_random_weights(graph::gnm(n, n, 3), 1000, 4));
+  std::mt19937_64 rng(5);
+  std::vector<std::vector<core::ReadQuery>> batches(kReadBatches);
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < kReadBatch; ++i) {
+      const auto u = static_cast<dmpc::VertexId>(rng() % n);
+      auto v = static_cast<dmpc::VertexId>(rng() % (n - 1));
+      if (v >= u) ++v;
+      const bool path = path_every != 0 && i % path_every == 0;
+      batch.push_back({path ? core::QueryKind::kPathWeight
+                            : core::QueryKind::kConnected,
+                       u, v});
+    }
+  }
+  forest.answer_queries(batches.front());  // warm-up, not measured
+  forest.cluster().metrics().reset();
+  ReadRun out;
+  out.seconds = bench::timed_seconds([&] {
+    for (const auto& batch : batches) forest.answer_queries(batch);
+  });
+  out.agg = forest.cluster().metrics().query_aggregate();
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -290,6 +334,49 @@ int main(int argc, char** argv) {
       .num("trace_overhead_pct", trace_pct)
       .num("trace_on_seconds", trace_on)
       .num("trace_off_seconds", trace_off);
+
+  // --- Read path: answer_queries batches -------------------------------
+  std::printf("\n=== read path: %zu-query answer_queries batches, weighted "
+              "gnm(n, n) ===\n",
+              kReadBatch);
+  std::printf("%-8s %-10s %10s %14s %12s\n", "n", "mix", "ms/batch",
+              "rounds/batch", "words/batch");
+  for (const std::size_t n : {std::size_t{1} << 14, std::size_t{1} << 16}) {
+    for (const std::size_t path_every : {std::size_t{0}, std::size_t{10}}) {
+      const ReadRun r = run_reads(n, path_every);
+      const auto batches = static_cast<double>(r.agg.batches);
+      const double ms = r.seconds * 1e3 / batches;
+      const double rounds = static_cast<double>(r.agg.total_rounds) / batches;
+      const double words =
+          static_cast<double>(r.agg.total_comm_words) / batches;
+      const char* mix = path_every == 0 ? "conn" : "10% path";
+      std::printf("%-8zu %-10s %10.3f %14.2f %12.1f\n", n, mix, ms, rounds,
+                  words);
+      // Every batch is one chunk, so each must take exactly its
+      // protocol's rounds.
+      const std::uint64_t want = path_every == 0 ? 2 : 5;
+      const bool exact = r.agg.batches == kReadBatches &&
+                         r.agg.worst_rounds == want &&
+                         r.agg.total_rounds == want * kReadBatches;
+      if (!exact) {
+        std::fprintf(stderr, "READ PATH VIOLATION: n=%zu %s batches took "
+                             "%.2f rounds, not %llu\n",
+                     n, mix, rounds, static_cast<unsigned long long>(want));
+        ok = false;
+      }
+      json.row(std::string("read_batch_") +
+               (path_every == 0 ? "conn" : "path10") + "_n" +
+               std::to_string(n))
+          .u64("cores", cores)
+          .u64("queries_per_batch", kReadBatch)
+          .u64("batches", r.agg.batches)
+          .num("wall_seconds", r.seconds)
+          .num("ms_per_batch", ms)
+          .num("query_rounds_per_batch", rounds)
+          .num("words_per_batch", words)
+          .flag("within_budget", exact);
+    }
+  }
 
   if (!args.json_path.empty() && !json.write(args.json_path, ok)) {
     std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());

@@ -3,11 +3,11 @@
 // query-update stream (millions of ops, >= 90% queries, skewed hot
 // components).  Reports sustained throughput and p50/p99 query latency,
 // plus the query-path round accounting the model cares about: query
-// batches are O(1) rounds each (worst <= 6), answered purely from reads
+// batches are O(1) rounds each (worst <= 5), answered purely from reads
 // — the update protocol runs only for the broker's update batches.
 //
 // CI contract (--check): fails if the query share drops below 90%, any
-// query batch exceeds 6 rounds, a query opens an update-protocol record
+// query batch exceeds 5 rounds, a query opens an update-protocol record
 // (the forest's committed update records must equal the broker's
 // committed update batches), or the broker sheds/rejects on this sized
 // workload.  BENCH_serving.json feeds scripts/bench_trend.py, which
@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   gate(query_share >= 0.90, "query share below 90%");
   gate(run.stats.queries_answered == run.queries_submitted,
        "not every admitted query was answered");
-  gate(qa.worst_rounds <= 6, "a query batch exceeded 6 rounds");
+  gate(qa.worst_rounds <= 5, "a query batch exceeded 5 rounds");
   gate(ua.updates == run.stats.update_batches,
        "the read path opened update-protocol records");
   gate(run.stats.queries_shed == 0, "queries shed at this workload size");

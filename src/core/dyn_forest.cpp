@@ -45,13 +45,17 @@ enum Tag : Word {
   kLinkGrant,
   kLinkBcast,
   kMergeDesc,
-  // Read-only query batches (answer_queries): path-weight queries are
-  // scattered to per-query coordinators, which broadcast the endpoints
-  // for the shard scans, fold the scan replies, broadcast the resolved
-  // tour intervals, fold the local path sums, and return the answers to
-  // the ingress.  Connectivity-only queries reuse kQuery/kQueryReply.
-  kQueryScanBcast,
-  kQueryScanReply,
+  // Read-only query batches (answer_queries): the ingress assigns each
+  // path-weight query to a coordinator (kQueryPath) and sends each path
+  // endpoint to its home machine with the coordinators that need it
+  // (kQueryEndpoint); the home machines send the endpoint's component
+  // and cached tour index to those coordinators (kQueryEndpointReply),
+  // which broadcast the connected queries' indexes, fold the local path
+  // sums, and return the answers to the ingress.  Connectivity lookups
+  // use kQuery/kQueryReply.
+  kQueryPath,
+  kQueryEndpoint,
+  kQueryEndpointReply,
   kQuerySumBcast,
   kQuerySumReply,
   kQueryAnswer,
@@ -64,11 +68,12 @@ struct ChildInterval {
   bool u_is_child = false;
   Word f_c = 0, l_c = 0;
 
-  // The edge lies on the tree path between the subtree intervals
-  // [fx, lx] and [fy, ly] iff its child subtree holds exactly one of
-  // them (the ancestor-XOR criterion).
-  [[nodiscard]] bool on_path(Word fx, Word lx, Word fy, Word ly) const {
-    return (f_c <= fx && lx <= l_c) != (f_c <= fy && ly <= l_c);
+  // The edge lies on the tree path between the vertices appearing at
+  // tour indexes ix and iy iff its child subtree holds exactly one of
+  // them (the ancestor-XOR criterion).  Any single appearance of a
+  // vertex decides subtree membership.
+  [[nodiscard]] bool on_path(Word ix, Word iy) const {
+    return (f_c <= ix && ix <= l_c) != (f_c <= iy && iy <= l_c);
   }
 };
 
@@ -81,16 +86,44 @@ ChildInterval child_interval(Word iu1, Word iu2, Word iv1, Word iv2) {
   return {false, v_lo, std::max(iv1, iv2)};
 }
 
-// Calls fn(slot) for every tree record of `comp` in the shard that lies
-// on the tree path between [fx, lx] and [fy, ly].
+// One tree-path probe: the path of component `comp` between the cached
+// appearances ix and iy of its two endpoints; `id` is the caller's.
+struct PathProbe {
+  Word comp = 0;
+  Word ix = 0, iy = 0;
+  std::size_t id = 0;
+};
+
+// Sorts probes by (comp, id), the order for_each_path_slot expects.
+void sort_probes(std::vector<PathProbe>& probes) {
+  std::sort(probes.begin(), probes.end(),
+            [](const PathProbe& a, const PathProbe& b) {
+              return std::tie(a.comp, a.id) < std::tie(b.comp, b.id);
+            });
+}
+
+// One pass over the shard for a whole batch of probes (sorted by
+// sort_probes): calls fn(id, slot) for every probe and every tree record
+// of the probe's component on its path, slots in shard order.  Each
+// tree slot's child interval is computed once and tested against the
+// probes of its component only.
 template <typename Shard, typename Fn>
-void for_each_path_slot(const Shard& es, Word comp, Word fx, Word lx, Word fy,
-                        Word ly, const Fn& fn) {
+void for_each_path_slot(const Shard& es, const std::vector<PathProbe>& probes,
+                        const Fn& fn) {
+  if (probes.empty()) return;
+  const Word lo_comp = probes.front().comp;
+  const Word hi_comp = probes.back().comp;
   for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0 || es.comp[i] != comp) continue;
-    if (child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i])
-            .on_path(fx, lx, fy, ly)) {
-      fn(i);
+    const Word comp = es.comp[i];
+    if (es.tree[i] == 0 || comp < lo_comp || comp > hi_comp) continue;
+    auto p = std::lower_bound(
+        probes.begin(), probes.end(), comp,
+        [](const PathProbe& q, Word c) { return q.comp < c; });
+    if (p == probes.end() || p->comp != comp) continue;
+    const ChildInterval c =
+        child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
+    for (; p != probes.end() && p->comp == comp; ++p) {
+      if (c.on_path(p->ix, p->iy)) fn(p->id, i);
     }
   }
 }
@@ -355,112 +388,8 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
 }
 
 // ---------------------------------------------------------------------------
-// Local shard scans: endpoint intervals and path sums (the read path)
-// and path maxima (the k-way stage's cycle rule).
+// The read path: batched connectivity and path-weight queries
 // ---------------------------------------------------------------------------
-
-DynamicForest::EndpointScan DynamicForest::scan_endpoints(MachineId m,
-                                                          VertexId x,
-                                                          VertexId y) const {
-  const MachineState& ms = machines_[m];
-  const EdgeShard& es = ms.edges;
-  EndpointScan s;
-  auto touch = [&](VertexId side, Word i1, Word i2) {
-    if (side == x) {
-      s.fx = s.has_x ? std::min(s.fx, std::min(i1, i2)) : std::min(i1, i2);
-      s.lx = s.has_x ? std::max(s.lx, std::max(i1, i2)) : std::max(i1, i2);
-      s.has_x = true;
-    } else if (side == y) {
-      s.fy = s.has_y ? std::min(s.fy, std::min(i1, i2)) : std::min(i1, i2);
-      s.ly = s.has_y ? std::max(s.ly, std::max(i1, i2)) : std::max(i1, i2);
-      s.has_y = true;
-    }
-  };
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    if (es.tree[i] == 0) continue;
-    touch(es.u[i], es.iu1[i], es.iu2[i]);
-    touch(es.v[i], es.iv1[i], es.iv2[i]);
-  }
-  if (m == vertex_machine(x)) {
-    s.hosts_x = true;
-    s.cx = ms.vertices.at(x).comp;
-  }
-  if (m == vertex_machine(y)) {
-    s.hosts_y = true;
-    s.cy = ms.vertices.at(y).comp;
-  }
-  if (m == edge_machine(x, y)) {
-    const std::ptrdiff_t slot = es.find(edge_key(x, y));
-    if (slot != EdgeShard::kNpos) {
-      s.edge_here = true;
-      s.edge = es.get(static_cast<std::size_t>(slot));
-    }
-  }
-  return s;
-}
-
-std::vector<Word> DynamicForest::scan_reply(const EndpointScan& s) {
-  std::vector<Word> reply;
-  if (s.has_x) reply.insert(reply.end(), {1, s.fx, s.lx});
-  if (s.has_y) reply.insert(reply.end(), {2, s.fy, s.ly});
-  if (s.hosts_x) reply.insert(reply.end(), {3, s.cx});
-  if (s.hosts_y) reply.insert(reply.end(), {4, s.cy});
-  if (s.edge_here) {
-    reply.insert(reply.end(),
-                 {5, s.edge.tree ? 1 : 0, s.edge.w, s.edge.iu1, s.edge.iu2,
-                  s.edge.iv1, s.edge.iv2});
-  }
-  return reply;
-}
-
-DynamicForest::Prep DynamicForest::fold_scans(
-    const std::vector<EndpointScan>& scans) {
-  Prep p;
-  bool have_x = false, have_y = false;
-  for (const EndpointScan& s : scans) {
-    if (s.has_x) {
-      p.fx = have_x ? std::min(p.fx, s.fx) : s.fx;
-      p.lx = have_x ? std::max(p.lx, s.lx) : s.lx;
-      have_x = true;
-    }
-    if (s.has_y) {
-      p.fy = have_y ? std::min(p.fy, s.fy) : s.fy;
-      p.ly = have_y ? std::max(p.ly, s.ly) : s.ly;
-      have_y = true;
-    }
-    if (s.hosts_x) p.cx = s.cx;
-    if (s.hosts_y) p.cy = s.cy;
-    if (s.edge_here) {
-      p.edge_exists = true;
-      p.edge = s.edge;
-    }
-  }
-  if (!have_x) p.fx = p.lx = etour::kNoIndex;
-  if (!have_y) p.fy = p.ly = etour::kNoIndex;
-  return p;
-}
-
-std::optional<DynamicForest::EdgeRec> DynamicForest::path_max_local(
-    MachineId m, Word comp, Word fx, Word lx, Word fy, Word ly) const {
-  const EdgeShard& es = machines_[m].edges;
-  std::ptrdiff_t best_slot = EdgeShard::kNpos;
-  for_each_path_slot(es, comp, fx, lx, fy, ly, [&](std::size_t i) {
-    if (best_slot == EdgeShard::kNpos || es.w[i] > es.w[best_slot]) {
-      best_slot = static_cast<std::ptrdiff_t>(i);
-    }
-  });
-  if (best_slot == EdgeShard::kNpos) return std::nullopt;
-  return es.get(static_cast<std::size_t>(best_slot));
-}
-
-Weight DynamicForest::path_weight_local(MachineId m, Word comp, Word fx,
-                                        Word lx, Word fy, Word ly) const {
-  const EdgeShard& es = machines_[m].edges;
-  Weight sum = 0;
-  for_each_path_slot(es, comp, fx, lx, fy, ly,
-                     [&](std::size_t i) { sum += es.w[i]; });
-  return sum;
-}
 
 bool DynamicForest::connected(VertexId u, VertexId v) {
   const ReadQuery q{QueryKind::kConnected, u, v};
@@ -469,15 +398,32 @@ bool DynamicForest::connected(VertexId u, VertexId v) {
 
 std::vector<ReadAnswer> DynamicForest::answer_queries(
     std::span<const ReadQuery> queries) {
+  // Reject an out-of-range endpoint before any round runs: no machine
+  // holds a record for it.
+  for (const ReadQuery& q : queries) {
+    if (!is_vertex(q.u) || !is_vertex(q.v)) {
+      throw std::invalid_argument("DynamicForest: query endpoint out of "
+                                  "range");
+    }
+  }
   std::vector<ReadAnswer> answers(queries.size());
   if (queries.empty()) return answers;
   // Chunk the batch so no machine's round traffic can exceed the S-word
-  // cap even in the worst case (every tree edge of every queried
-  // component on one machine): a connectivity query costs <= 6
-  // ingress-side words, a path-weight query up to ~19 words per scan
-  // reply at its coordinator, so they are budgeted 1 and 4 units
-  // against an S/16-unit chunk.  Rounds stay O(1) per chunk and the
-  // broker bounds batch sizes, so served batches are one chunk each.
+  // cap.  Per query, a message costing its payload plus one tag word:
+  //   * connectivity: <= 4 words sent by the ingress in round 1 and <= 6
+  //     received by it in round 2;
+  //   * path weight: <= 10 words sent by the ingress in round 1 (the
+  //     coordinator assignment plus one coordinator word on each
+  //     endpoint's message), <= 8 received by its coordinator in round 2,
+  //     5 received by EVERY machine in round 3, <= 3 per machine in
+  //     round 4 and 4 at the ingress in round 5.  A coordinator also
+  //     sends 5 mu words per query in round 3 and receives <= 3 mu in
+  //     round 4, but round-robin coordinators hold ceil(P / mu) of the P
+  //     path queries each, which adds at most 5 mu <= S/6 words.
+  // Budgeted 1 and 4 units against an S/16-unit chunk, every machine
+  // stays under 6 S/16 + S/6 < S words per round.  Rounds stay O(1) per
+  // chunk and the broker bounds batch sizes, so served batches are one
+  // chunk each.
   const auto cap = static_cast<std::size_t>(cluster_->machine_capacity());
   const std::size_t budget = std::max<std::size_t>(4, cap / 16);
   auto unit_cost = [](const ReadQuery& q) -> std::size_t {
@@ -511,15 +457,16 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   cluster_->begin_query_batch();
 
   // Plan host-side: unique connectivity endpoints grouped by their home
-  // machines, and one coordinator per path-weight query (round-robin,
-  // so scan-reply folds spread across the cluster).
+  // machines; one coordinator per path-weight query (round-robin, so the
+  // sum folds spread across the cluster); and every path endpoint, per
+  // home machine, with the coordinators that need it.
   std::vector<std::vector<VertexId>> lookups(mu);
   std::set<VertexId> seen;
-  struct PathQ {
-    std::size_t pos;
-    MachineId coord;
+  std::vector<std::size_t> paths;  // query k's position in qs
+  const auto coord = [&](std::size_t k) {
+    return static_cast<MachineId>(k % mu);
   };
-  std::vector<PathQ> paths;
+  std::vector<std::vector<std::pair<VertexId, MachineId>>> endpoints(mu);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const ReadQuery& q = qs[i];
     out[i] = ReadAnswer{};
@@ -528,120 +475,125 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
       continue;
     }
     if (q.kind == QueryKind::kPathWeight) {
-      paths.push_back({i, static_cast<MachineId>(paths.size() % mu)});
-      continue;  // the scan replies carry the component ids
+      for (const VertexId vtx : {q.u, q.v}) {
+        endpoints[vertex_machine(vtx)].emplace_back(vtx, coord(paths.size()));
+      }
+      paths.push_back(i);
+      continue;
     }
     for (const VertexId vtx : {q.u, q.v}) {
       if (seen.insert(vtx).second) lookups[vertex_machine(vtx)].push_back(vtx);
     }
   }
+  for (auto& ends : endpoints) {
+    std::sort(ends.begin(), ends.end());
+    ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  }
 
-  // Round 1: the ingress scatters each connectivity endpoint to its
-  // home machine and each path query to its coordinator.
+  // Round 1: the ingress scatters each connectivity endpoint to its home
+  // machine, each path query to its coordinator, and each path endpoint
+  // to its home machine with the coordinators that need it.
   for (MachineId m = 0; m < mu; ++m) {
     for (const VertexId vtx : lookups[m]) cluster_->send(0, m, kQuery, {vtx});
   }
   for (std::size_t k = 0; k < paths.size(); ++k) {
-    const ReadQuery& q = qs[paths[k].pos];
-    cluster_->send(0, paths[k].coord, kQueryScanBcast,
-                   {static_cast<Word>(k), q.u, q.v});
+    const ReadQuery& q = qs[paths[k]];
+    cluster_->send(0, coord(k), kQueryPath, {static_cast<Word>(k), q.u, q.v});
+  }
+  std::vector<Word> msg;
+  for (MachineId m = 0; m < mu; ++m) {
+    const auto& ends = endpoints[m];
+    for (std::size_t a = 0; a < ends.size();) {
+      const VertexId vtx = ends[a].first;
+      msg.assign(1, vtx);
+      for (; a < ends.size() && ends[a].first == vtx; ++a) {
+        msg.push_back(static_cast<Word>(ends[a].second));
+      }
+      cluster_->send(0, m, kQueryEndpoint, msg);
+    }
   }
   cluster_->finish_round();
 
-  // Round 2: home machines reply the component ids; path coordinators
-  // broadcast their queries' endpoints for the shard scans.
+  // Round 2: home machines reply the component ids to the ingress and
+  // send each path endpoint's component and cached tour index to its
+  // coordinators.
   cluster_->for_each_machine([&](MachineId m) {
     for (const VertexId vtx : lookups[m]) {
       cluster_->send(m, 0, kQueryReply,
                      {vtx, machines_[m].vertices.at(vtx).comp});
     }
-    for (std::size_t k = 0; k < paths.size(); ++k) {
-      if (paths[k].coord != m) continue;
-      const ReadQuery& q = qs[paths[k].pos];
-      for (MachineId to = 0; to < mu; ++to) {
-        cluster_->send(m, to, kQueryScanBcast,
-                       {static_cast<Word>(k), q.u, q.v});
-      }
+    for (const auto& [vtx, to] : endpoints[m]) {
+      const VertexRec& rec = machines_[m].vertices.at(vtx);
+      cluster_->send(m, to, kQueryEndpointReply,
+                     {vtx, rec.comp, rec.cached_idx});
     }
   });
   cluster_->finish_round();
+  const auto vertex_rec = [&](VertexId vtx) -> const VertexRec& {
+    return machines_[vertex_machine(vtx)].vertices.at(vtx);
+  };
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const ReadQuery& q = qs[i];
     if (q.u == q.v || q.kind == QueryKind::kPathWeight) continue;
-    out[i].connected =
-        machines_[vertex_machine(q.u)].vertices.at(q.u).comp ==
-        machines_[vertex_machine(q.v)].vertices.at(q.v).comp;
+    out[i].connected = vertex_rec(q.u).comp == vertex_rec(q.v).comp;
   }
   if (paths.empty()) {
     cluster_->end_query_batch(qs.size());
     return;
   }
 
-  // Round 3: every machine scans its shard once per path query and
-  // stages the f/l + component contributions to the query's coordinator.
-  std::vector<std::vector<EndpointScan>> scans(mu);
-  cluster_->for_each_machine([&](MachineId m) {
-    scans[m].resize(paths.size());
-    for (std::size_t k = 0; k < paths.size(); ++k) {
-      const ReadQuery& q = qs[paths[k].pos];
-      scans[m][k] = scan_endpoints(m, q.u, q.v);
-      std::vector<Word> reply = scan_reply(scans[m][k]);
-      if (!reply.empty()) {
-        reply.insert(reply.begin(), static_cast<Word>(k));
-        cluster_->send(m, paths[k].coord, kQueryScanReply, reply);
-      }
-    }
-  });
-  cluster_->finish_round();
-  std::vector<Prep> preps(paths.size());
-  {
-    std::vector<EndpointScan> column(mu);
-    for (std::size_t k = 0; k < paths.size(); ++k) {
-      for (MachineId m = 0; m < mu; ++m) column[m] = scans[m][k];
-      preps[k] = fold_scans(column);
-      out[paths[k].pos].connected = preps[k].cx == preps[k].cy;
-    }
+  // Coordinators resolve their queries: connected iff both endpoints
+  // report one component, whose path is then probed between the
+  // endpoints' cached appearances (any one decides subtree membership).
+  std::vector<PathProbe> probes;
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    const ReadQuery& q = qs[paths[k]];
+    const VertexRec& rx = vertex_rec(q.u);
+    const VertexRec& ry = vertex_rec(q.v);
+    if (rx.comp != ry.comp) continue;
+    out[paths[k]].connected = true;
+    probes.push_back({rx.comp, rx.cached_idx, ry.cached_idx, k});
   }
 
-  // Round 4: coordinators broadcast the connected queries' resolved
-  // tour intervals for the local path sums.
+  // Round 3: coordinators broadcast their connected queries' probes.
   cluster_->for_each_machine([&](MachineId m) {
-    for (std::size_t k = 0; k < paths.size(); ++k) {
-      if (paths[k].coord != m || !out[paths[k].pos].connected) continue;
-      const Prep& p = preps[k];
+    for (const PathProbe& p : probes) {
+      if (coord(p.id) != m) continue;
       for (MachineId to = 0; to < mu; ++to) {
         cluster_->send(m, to, kQuerySumBcast,
-                       {static_cast<Word>(k), p.cx, p.fx, p.lx, p.fy, p.ly});
+                       {static_cast<Word>(p.id), p.comp, p.ix, p.iy});
       }
     }
   });
   cluster_->finish_round();
 
-  // Round 5: local path sums (ancestor-XOR criterion, summed) back to
-  // the coordinators.
+  // Round 4: every machine sums its tree edges on every probed path in
+  // one pass over its shard and sends the nonzero sums to the
+  // coordinators.
+  sort_probes(probes);
   std::vector<std::vector<Weight>> sums(mu);
   cluster_->for_each_machine([&](MachineId m) {
-    sums[m].assign(paths.size(), 0);
+    const EdgeShard& es = machines_[m].edges;
+    std::vector<Weight>& local = sums[m];
+    local.assign(paths.size(), 0);
+    for_each_path_slot(es, probes, [&](std::size_t k, std::size_t i) {
+      local[k] += es.w[i];
+    });
     for (std::size_t k = 0; k < paths.size(); ++k) {
-      if (!out[paths[k].pos].connected) continue;
-      const Prep& p = preps[k];
-      sums[m][k] = path_weight_local(m, p.cx, p.fx, p.lx, p.fy, p.ly);
-      if (sums[m][k] != 0) {
-        cluster_->send(m, paths[k].coord, kQuerySumReply,
-                       {static_cast<Word>(k), sums[m][k]});
+      if (local[k] != 0) {
+        cluster_->send(m, coord(k), kQuerySumReply,
+                       {static_cast<Word>(k), local[k]});
       }
     }
   });
   cluster_->finish_round();
 
-  // Round 6: coordinators fold the sums and return the answers to the
+  // Round 5: coordinators fold the sums and return the answers to the
   // ingress.
   for (std::size_t k = 0; k < paths.size(); ++k) {
-    ReadAnswer& a = out[paths[k].pos];
-    if (a.connected) {
-      for (MachineId m = 0; m < mu; ++m) a.path_weight += sums[m][k];
-    }
-    cluster_->send(paths[k].coord, 0, kQueryAnswer,
+    ReadAnswer& a = out[paths[k]];
+    for (MachineId m = 0; m < mu; ++m) a.path_weight += sums[m][k];
+    cluster_->send(coord(k), 0, kQueryAnswer,
                    {static_cast<Word>(k), a.connected ? Word{1} : Word{0},
                     a.path_weight});
   }
@@ -1058,19 +1010,32 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
 
   if (!pms.empty()) {
     phase.next(dmpc::TracePhase::kPathMax);
-    // ---- Round 3: path-max proposals.  Every machine scans its shard
-    // once per probe (concurrently) with the endpoints' broadcast cached
-    // appearances and proposes its local maximum, as a tour-index cut
-    // descriptor, to the insert's coordinator.
+    // ---- Round 3: path-max proposals.  Every machine makes one pass
+    // over its shard (concurrently) for all probes, with the endpoints'
+    // broadcast cached appearances, and proposes each probe's local
+    // maximum — the first strictly heavier slot in shard order — as a
+    // tour-index cut descriptor to the insert's coordinator.
+    std::vector<PathProbe> probes;
+    for (std::size_t k = 0; k < pms.size(); ++k) {
+      const BatchOp& op = ops[pms[k]];
+      probes.push_back({op.cx, vert_idx.at(op.x), vert_idx.at(op.y), k});
+    }
+    sort_probes(probes);
     std::vector<std::vector<std::optional<EdgeRec>>> pmc(
         machines_.size(), std::vector<std::optional<EdgeRec>>(pms.size()));
     cluster_->for_each_machine([&](MachineId m) {
+      const EdgeShard& es = machines_[m].edges;
+      std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
+      for_each_path_slot(es, probes, [&](std::size_t k, std::size_t i) {
+        if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
+          best[k] = static_cast<std::ptrdiff_t>(i);
+        }
+      });
       for (std::size_t k = 0; k < pms.size(); ++k) {
         const BatchOp& op = ops[pms[k]];
-        const Word ix = vert_idx.at(op.x);
-        const Word iy = vert_idx.at(op.y);
-        pmc[m][k] = path_max_local(m, op.cx, ix, ix, iy, iy);
-        if (!pmc[m][k].has_value() || m == op.coord) continue;
+        if (best[k] == EdgeShard::kNpos) continue;
+        pmc[m][k] = es.get(static_cast<std::size_t>(best[k]));
+        if (m == op.coord) continue;
         const CutInfo c = make_cut(pms[k], *pmc[m][k]);
         cluster_->send(m, op.coord, kProposal,
                        {static_cast<Word>(op.pos),
@@ -1622,11 +1587,8 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
   // Reject malformed updates before any state changes: an out-of-range
   // endpoint would alias another edge's key (u * n + v), and a self-loop
   // has no place in a forest.
-  const auto in_range = [&](VertexId v) {
-    return v >= 0 && v < static_cast<VertexId>(config_.n);
-  };
   for (const graph::Update& up : batch) {
-    if (!in_range(up.u) || !in_range(up.v)) {
+    if (!is_vertex(up.u) || !is_vertex(up.v)) {
       throw std::invalid_argument("DynamicForest: update endpoint out of "
                                   "range");
     }

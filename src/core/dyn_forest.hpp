@@ -38,8 +38,8 @@
 // the finish_round barrier).  Edge records are stored per machine in a
 // structure-of-arrays shard (EdgeShard) so those scans stream dense
 // columns instead of hash-map nodes, and the driver-side serial folds —
-// per-query scan reductions, preprocessing's tour builds, validate()'s
-// full-tour walk, the snapshot helpers — also run on the installed
+// preprocessing's tour builds, validate()'s full-tour walk, the
+// snapshot helpers — also run on the installed
 // executor with deterministic merge order (byte-identical results under
 // SerialExecutor and ThreadPoolExecutor).
 //
@@ -172,21 +172,30 @@ class DynamicForest {
   bool connected(VertexId u, VertexId v);
 
   /// Answers a batch of read-only queries in O(1) rounds, sharing the
-  /// round structure across the whole batch: one ingress scatter of the
-  /// endpoints to their home machines and one component-id reply round
-  /// for connectivity; path-weight queries add a coordinator-scattered
-  /// endpoint broadcast, a shard-scan reply round, an interval
-  /// broadcast, a local path-sum reply round (the path-max ancestor-XOR
-  /// criterion with + instead of max), and a coordinator-to-ingress
-  /// answer round.  The batch is internally chunked so no machine
-  /// exceeds its S-word round cap; every chunk is bracketed by
-  /// begin_query_batch()/end_query_batch(), so query rounds settle into
-  /// Metrics::query_aggregate() and NEVER touch the update accounting
-  /// (worst_rounds stays <= 6 regardless of batch size).  Reads only:
-  /// no machine state is written.
+  /// round structure across the whole batch.  A connectivity-only chunk
+  /// takes 2 rounds: the ingress scatters the endpoints to their home
+  /// machines, which reply the component ids.  A chunk holding a
+  /// path-weight query takes 5: in round 1 the ingress also assigns each
+  /// path query a round-robin coordinator and sends each path endpoint
+  /// to its home machine; in round 2 the home machines send the
+  /// endpoint's component id and cached tour index to the coordinators;
+  /// in round 3 each coordinator broadcasts its connected queries'
+  /// (component, index, index) probes; in round 4 every machine sums its
+  /// tree edges on all probed paths in one pass over its shard (the
+  /// ancestor-XOR criterion on single appearances, summed) and sends
+  /// the nonzero sums to the coordinators; in round 5 the coordinators
+  /// return the answers to the ingress.  The batch is internally chunked
+  /// so no machine exceeds its S-word round cap; every chunk is
+  /// bracketed by begin_query_batch()/end_query_batch(), so query rounds
+  /// settle into Metrics::query_aggregate() and NEVER touch the update
+  /// accounting (worst_rounds stays <= 5 regardless of batch size).
+  /// Reads only: no machine state is written.  Every endpoint must lie
+  /// in [0, n); otherwise it throws std::invalid_argument before any
+  /// round runs, metrics untouched.
   std::vector<ReadAnswer> answer_queries(std::span<const ReadQuery> queries);
 
   [[nodiscard]] std::size_t num_machines() const;
+  [[nodiscard]] std::size_t num_vertices() const { return config_.n; }
   [[nodiscard]] dmpc::Cluster& cluster() { return *cluster_; }
   [[nodiscard]] const dmpc::Cluster& cluster() const { return *cluster_; }
 
@@ -230,7 +239,7 @@ class DynamicForest {
   };
 
   /// Structure-of-arrays storage for one machine's edge records.  The
-  /// replacement-search and path-max scans walk the whole shard testing a
+  /// replacement-search and tree-path scans walk the whole shard testing a
   /// couple of fields per record; dense per-field columns let those scans
   /// touch only the bytes they read (and vectorize) instead of striding
   /// over hash-map nodes.  Slots are dense [0, size()); erase swap-removes
@@ -442,29 +451,6 @@ class DynamicForest {
     }
   };
 
-  // A path-weight query's endpoints (x, y) resolved from every machine's
-  // scan: component ids, tour intervals, and the (x,y) record if any.
-  struct Prep {
-    Word cx = -1, cy = -1;
-    Word fx = 0, lx = 0, fy = 0, ly = 0;
-    bool edge_exists = false;
-    EdgeRec edge;  // valid if edge_exists
-  };
-
-  // One machine's contribution to a Prep: its local f/l extremes for
-  // the two endpoints, the endpoints' component ids if it hosts them,
-  // and the (x,y) record if it owns it.  Computed per machine inside
-  // for_each_machine (concurrently under a thread-pool executor) and
-  // folded into a Prep at the barrier.
-  struct EndpointScan {
-    bool has_x = false, has_y = false;
-    Word fx = 0, lx = 0, fy = 0, ly = 0;
-    bool hosts_x = false, hosts_y = false;
-    Word cx = -1, cy = -1;
-    bool edge_here = false;
-    EdgeRec edge;
-  };
-
   // --- batched updates -----------------------------------------------------
 
   enum class BatchOpKind : Word {
@@ -500,6 +486,10 @@ class DynamicForest {
 
   [[nodiscard]] std::uint64_t edge_key(VertexId u, VertexId v) const;
   [[nodiscard]] MachineId edge_machine(VertexId u, VertexId v) const;
+  /// Whether v names a vertex, i.e. lies in [0, n).
+  [[nodiscard]] bool is_vertex(VertexId v) const {
+    return v >= 0 && v < static_cast<VertexId>(config_.n);
+  }
   [[nodiscard]] MachineId vertex_machine(VertexId v) const {
     return static_cast<MachineId>(static_cast<std::uint64_t>(v) %
                                   machines_.size());
@@ -508,15 +498,6 @@ class DynamicForest {
     return static_cast<MachineId>(static_cast<std::uint64_t>(comp) %
                                   machines_.size());
   }
-
-  /// Machine m's local scan contribution for endpoints (x, y).
-  [[nodiscard]] EndpointScan scan_endpoints(MachineId m, VertexId x,
-                                            VertexId y) const;
-  /// The scan serialized as the machine's kQueryScanReply payload (empty
-  /// when the machine has nothing to report).
-  [[nodiscard]] static std::vector<Word> scan_reply(const EndpointScan& s);
-  /// Coordinator-side fold of all machines' scans into one Prep.
-  [[nodiscard]] static Prep fold_scans(const std::vector<EndpointScan>& scans);
 
   /// The tree-edge record a merge commits, with the four tour indexes
   /// the k-way join assigned it, oriented to the canonical (u < v) key.
@@ -538,21 +519,6 @@ class DynamicForest {
   /// it.
   [[nodiscard]] static bool ops_conflict_ordering(const BatchOp& a,
                                                   const BatchOp& b);
-
-  /// The heaviest local tree edge of `comp` on the tree path between the
-  /// subtree intervals of x ([fx,lx]) and y ([fy,ly]) — the per-machine
-  /// share of the k-way stage's path-max search (ancestor-XOR criterion).
-  /// The stage passes one cached appearance per endpoint (fx == lx): a
-  /// single index already decides subtree membership.
-  /// Returns a copy: SoA slots are not stable across shard mutation.
-  [[nodiscard]] std::optional<EdgeRec> path_max_local(MachineId m, Word comp,
-                                                      Word fx, Word lx,
-                                                      Word fy, Word ly) const;
-
-  /// Sum of this machine's tree-edge weights on the x..y path (the
-  /// path-max ancestor-XOR criterion, folded with + instead of max).
-  [[nodiscard]] Weight path_weight_local(MachineId m, Word comp, Word fx,
-                                         Word lx, Word fy, Word ly) const;
 
   /// One comm-cap-safe chunk of answer_queries; writes answers in place.
   void answer_query_chunk(std::span<const ReadQuery> queries,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "dmpc/trace.hpp"
 
@@ -33,6 +34,12 @@ ClientSession QueryBroker::session() {
 }
 
 std::optional<QueryId> QueryBroker::submit_query(const ReadQuery& query) {
+  // Rejected here, not in pump(): a bad endpoint would make the whole
+  // shared lookup throw and strand the valid queries batched with it.
+  const auto n = static_cast<VertexId>(forest_.num_vertices());
+  if (query.u < 0 || query.u >= n || query.v < 0 || query.v >= n) {
+    throw std::invalid_argument("QueryBroker: query endpoint out of range");
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   if (pending_queries_.size() >= config_.max_pending_queries) {
     ++stats_.queries_shed;

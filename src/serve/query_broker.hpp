@@ -102,7 +102,8 @@ class QueryBroker;
 /// each may live on its own thread (the broker serializes internally).
 class ClientSession {
  public:
-  /// Shed (nullopt) when the broker's query backlog is saturated.
+  /// Shed (nullopt) when the broker's query backlog is saturated;
+  /// std::invalid_argument on an out-of-range endpoint.
   std::optional<QueryId> connected(VertexId u, VertexId v);
   std::optional<QueryId> path_weight(VertexId u, VertexId v);
 
@@ -126,6 +127,8 @@ class QueryBroker {
   ClientSession session();
 
   /// Thread-safe admission: nullopt = shed (backlog at capacity).
+  /// Throws std::invalid_argument, enqueueing nothing, when an endpoint
+  /// lies outside [0, n).
   std::optional<QueryId> submit_query(const ReadQuery& query);
 
   /// Thread-safe bounded enqueue: false = queue full, caller owns the

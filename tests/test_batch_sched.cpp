@@ -128,8 +128,8 @@ TEST_P(BatchSchedulerStress, MatchesSerialReplay) {
 /// observable — final state, the full tree-edge sequence (merge order is
 /// part of the contract), validate()'s verdict, the metrics stream, and
 /// every scheduler counter.  This is what licenses running the driver's
-/// serial folds (fold_scans, validate(), preprocess, the snapshot
-/// helpers) on the pool.
+/// serial folds (validate(), preprocess, the snapshot helpers) on the
+/// pool.
 class PooledExecutorBitIdentity : public ::testing::TestWithParam<StressCase> {
 };
 

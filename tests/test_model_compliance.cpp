@@ -127,6 +127,29 @@ TEST(PreconditionFailures, ThrowCleanly) {
   EXPECT_EQ(forest.tree_edges(), tree_before);
   EXPECT_EQ(forest.cluster().metrics().aggregate().updates, updates_before);
   EXPECT_FALSE(forest.connected(4, 5));
+
+  // The read path rejects an out-of-range endpoint the same way: before
+  // any round runs, with the query accounting untouched, for both query
+  // kinds and a valid query ahead of the bad one.
+  const dmpc::QueryAggregate queries_before =
+      forest.cluster().metrics().query_aggregate();
+  for (const VertexId bad : {VertexId{-1}, VertexId{8}, VertexId{9}}) {
+    for (const core::QueryKind kind :
+         {core::QueryKind::kConnected, core::QueryKind::kPathWeight}) {
+      const std::vector<core::ReadQuery> batch = {{kind, 1, 2},
+                                                  {kind, 0, bad}};
+      EXPECT_THROW(forest.answer_queries(batch), std::invalid_argument)
+          << "endpoint " << bad;
+    }
+  }
+  EXPECT_THROW(forest.connected(8, 0), std::invalid_argument);
+  const dmpc::QueryAggregate& queries_after =
+      forest.cluster().metrics().query_aggregate();
+  EXPECT_EQ(queries_after.batches, queries_before.batches);
+  EXPECT_EQ(queries_after.queries, queries_before.queries);
+  EXPECT_EQ(queries_after.total_rounds, queries_before.total_rounds);
+  EXPECT_EQ(queries_after.total_comm_words, queries_before.total_comm_words);
+  EXPECT_TRUE(forest.connected(1, 2));
 }
 
 TEST(PreconditionFailures, EulerForestGuards) {
