@@ -9,7 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "dmpc/primitives.hpp"
 #include "dmpc/trace.hpp"
 #include "etour/tour_builder.hpp"
 #include "oracle/dsu.hpp"

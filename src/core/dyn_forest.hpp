@@ -572,7 +572,7 @@ class DynamicForest {
   void journal_commit();
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
-  /// drops the round buffer's staged/inbox state, and aborts the
+  /// drops the round buffer's staged messages, and aborts the
   /// in-flight metrics update.  Restores the
   /// exact pre-update record/vertex/directory CONTENT; EdgeShard slot
   /// order may differ from the pre-update order (put/erase replay uses

@@ -73,21 +73,11 @@ void Cluster::check_machine(MachineId m, const char* what) const {
   }
 }
 
-void Cluster::send(MachineId from, MachineId to, const Message& msg) {
+void Cluster::send(MachineId from, MachineId to, Word /*tag*/,
+                   std::span<const Word> payload) {
   check_machine(from, "send(from)");
   check_machine(to, "send(to)");
-  Message staged = msg;
-  staged.from = from;
-  staged.to = to;
-  buffer_.stage(staged);
-}
-
-void Cluster::send(MachineId from, MachineId to, Word tag,
-                   std::span<const Word> payload) {
-  Message msg;
-  msg.tag = tag;
-  msg.payload = payload;
-  send(from, to, msg);
+  buffer_.stage(from, to, payload.size() + 1);
 }
 
 RoundRecord Cluster::finish_round() {
@@ -98,11 +88,6 @@ RoundRecord Cluster::finish_round() {
     tracer_->record_round(TraceRoundKind::kReal, rec);
   }
   return rec;
-}
-
-const std::vector<Message>& Cluster::inbox(MachineId m) const {
-  check_machine(m, "inbox");
-  return buffer_.inbox(m);
 }
 
 MemoryMeter& Cluster::memory(MachineId m) {

@@ -3,20 +3,24 @@
 //
 // Usage pattern of an algorithm step:
 //   cluster.begin_update();
-//   cluster.send(a, b, msg); cluster.send(c, d, msg2);   // stage round 1
-//   cluster.finish_round();                              // deliver + account
-//   ... read inboxes, stage round 2 ...
+//   cluster.send(a, b, tag, {x, y});   // stage round 1's traffic
+//   cluster.finish_round();            // settle + account
+//   ... compute from machine state, stage round 2 ...
 //   cluster.finish_round();
 //   cluster.end_update();
 //
-// The cluster enforces the model's communication cap: each machine may send
-// and receive at most S words per round.  A machine is "active" in a round
-// iff it sends or receives at least one message.  Machine-local algorithm
-// state lives outside the cluster (in the algorithm's own per-machine
-// structures) but must be charged against the machine's MemoryMeter via
-// memory(m).charge()/release().
+// The cluster is a ledger of the model's costs: rounds, active machines
+// per round and words per round.  A message is charged as
+// `payload.size() + 1` words (the tag travels in one header word) but
+// its payload is not delivered; protocols read machine state directly.
+// The cluster enforces the model's communication cap: each machine may
+// send and receive at most S words per round.  A machine is "active" in
+// a round iff it sends or receives at least one message.  Machine-local
+// algorithm state lives outside the cluster (in the algorithm's own
+// per-machine structures) but must be charged against the machine's
+// MemoryMeter via memory(m).charge()/release().
 //
-// Execution model: message staging/delivery lives in a RoundBuffer (one
+// Execution model: message staging/accounting lives in a RoundBuffer (one
 // staging shard per sender) and the per-machine work between two
 // finish_round() barriers is scheduled by a pluggable RoundExecutor —
 // serial by default, or a thread pool via set_executor().  Algorithms
@@ -40,7 +44,6 @@
 #include "dmpc/executor.hpp"
 #include "dmpc/fault.hpp"
 #include "dmpc/memory.hpp"
-#include "dmpc/message.hpp"
 #include "dmpc/metrics.hpp"
 #include "dmpc/round_buffer.hpp"
 #include "dmpc/trace.hpp"
@@ -90,9 +93,9 @@ class Cluster {
   [[nodiscard]] Tracer* tracer() const { return tracer_.get(); }
 
   /// Recovery wipe after a mid-protocol throw: drops every staged
-  /// message and clears every inbox, so a retried protocol starts from
-  /// a quiet network.  Machine-local algorithm state is the caller's to
-  /// roll back (the forest's undo journal does that side).
+  /// message, so a retried protocol starts from a quiet network.
+  /// Machine-local algorithm state is the caller's to roll back (the
+  /// forest's undo journal does that side).
   void drop_round_state() { buffer_.reset(); }
 
   /// Runs work(m) for every machine, scheduled by the installed executor
@@ -101,14 +104,12 @@ class Cluster {
   /// (send with from == m); see executor.hpp for the full contract.
   void for_each_machine(const std::function<void(MachineId)>& work);
 
-  /// Stage a message for delivery at the end of the current round; the
-  /// payload view is copied into the sender's staging arena during the
-  /// call.  Thread-safe across distinct senders (per-sender shards).
-  void send(MachineId from, MachineId to, const Message& msg);
-
-  /// Convenience: tag+payload staging.  The span binds to vectors,
-  /// arrays, and subranges alike; the brace-list overload covers the
-  /// ubiquitous O(1)-word protocol messages without touching the heap.
+  /// Stages a message for the current round, charged
+  /// `payload.size() + 1` words at the barrier.  The tag and payload
+  /// name the protocol message at the call site; only the cost is
+  /// recorded.  The span binds to vectors, arrays, and subranges alike;
+  /// the brace-list overload covers the ubiquitous O(1)-word protocol
+  /// messages.  Thread-safe across distinct senders (per-sender shards).
   void send(MachineId from, MachineId to, Word tag,
             std::span<const Word> payload);
   void send(MachineId from, MachineId to, Word tag,
@@ -116,21 +117,17 @@ class Cluster {
     send(from, to, tag, std::span<const Word>(payload.begin(), payload.size()));
   }
 
-  /// Deliver all staged messages, enforce per-machine send/receive caps,
-  /// record the round in the metrics, and make messages available in the
-  /// recipients' inboxes (replacing the previous round's inboxes).  This
-  /// is the barrier: never call it with for_each_machine tasks in flight.
+  /// Settles all staged messages, enforces per-machine send/receive
+  /// caps and records the round in the metrics.  This is the barrier:
+  /// never call it with for_each_machine tasks in flight.
   RoundRecord finish_round();
 
-  /// Inbox of machine `m`: the messages delivered at the last
-  /// finish_round().  Cleared by the next finish_round().
-  [[nodiscard]] const std::vector<Message>& inbox(MachineId m) const;
-
-  /// Records a synthetic round without simulating its individual messages.
-  /// Used only by the primitives layer for operations the paper cites as
-  /// O(1)-round black boxes (sorting, searching, prefix sums; Goodrich et
-  /// al. [19]); the caller supplies the round's activity and traffic so the
-  /// accounting stays honest.
+  /// Records a synthetic round without staging its individual messages.
+  /// Used for rounds the paper charges as black boxes: the O(log n)
+  /// preprocessing rounds of the forest and the maximal matching, the
+  /// (2+eps)-matching's per-update cycle and the static baselines'
+  /// iterations.  The caller supplies the round's activity and traffic
+  /// so the accounting stays honest.
   void charge_round(const RoundRecord& rec) {
     metrics_.record_round(rec);
     if (tracer_ && tracer_->enabled()) {

@@ -3,10 +3,10 @@
 //
 // In the DMPC model machines compute independently within a round and
 // synchronize only at round boundaries, so the simulator may run each
-// machine's local step (inbox processing, shard scans, staging of the
-// round's outgoing messages) on any thread it likes as long as the
-// finish_round() barrier sees all of it.  A RoundExecutor owns that
-// scheduling decision:
+// machine's local step (shard scans, staging of the round's outgoing
+// messages) on any thread it likes as long as the finish_round()
+// barrier sees all of it.  A RoundExecutor owns that scheduling
+// decision:
 //   * SerialExecutor runs machines one after another on the calling
 //     thread (the seed behaviour, and the reference for determinism);
 //   * ThreadPoolExecutor fans the machines out over a persistent worker
@@ -18,8 +18,8 @@
 // machine i (Cluster::send with from == i; the RoundBuffer's per-sender
 // staging shards make that race-free).  It must not touch other
 // machines' state, the Metrics stream, or stage messages on their
-// behalf — cross-machine effects only happen through delivered messages,
-// exactly as in the model.
+// behalf — cross-machine effects happen only between barriers, charged
+// as the messages that carry them, exactly as in the model.
 #pragma once
 
 #include <atomic>
@@ -87,8 +87,8 @@ class SerialExecutor final : public RoundExecutor {
 ///     pool, so a round with 24 tasks on an 8-thread pool no longer
 ///     stampedes workers into the claim counter and the join barrier —
 ///     unticketed workers re-sleep immediately.
-/// Results are byte-identical across all paths: tasks stage per-sender
-/// and the barrier merge is deterministic regardless of who ran what.
+/// Results are identical across all paths: tasks stage per-sender and
+/// the barrier settles in sender order regardless of who ran what.
 class ThreadPoolExecutor final : public RoundExecutor {
  public:
   /// Below this task count run() bypasses the pool entirely.  Chosen so

@@ -29,12 +29,10 @@ double Metrics::pair_entropy_bits() const {
 }
 
 void Metrics::reset() {
-  rounds_.clear();
   current_ = UpdateRecord{};
   last_update_ = UpdateRecord{};
   in_update_ = false;
   in_query_ = false;
-  rounds_mark_ = 0;
   aggregate_ = UpdateAggregate{};
   query_agg_ = QueryAggregate{};
   abort_agg_ = AbortAggregate{};

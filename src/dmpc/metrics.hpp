@@ -14,7 +14,6 @@
 #include <map>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "dmpc/types.hpp"
 
@@ -24,7 +23,7 @@ namespace dmpc {
 struct RoundRecord {
   std::uint64_t active_machines = 0;  ///< machines sending or receiving
   WordCount comm_words = 0;           ///< total words moved this round
-  std::uint64_t messages = 0;         ///< number of messages delivered
+  std::uint64_t messages = 0;         ///< number of messages sent
 };
 
 /// Accounting for one update operation (a group of rounds).
@@ -77,6 +76,8 @@ struct QueryAggregate {
   std::uint64_t worst_rounds = 0;  ///< max rounds of any one batch
   std::uint64_t worst_active_machines = 0;
   WordCount total_comm_words = 0;
+
+  bool operator==(const QueryAggregate&) const = default;
 
   [[nodiscard]] double mean_rounds_per_batch() const {
     return batches == 0 ? 0.0
@@ -145,6 +146,8 @@ struct AbortAggregate {
   std::uint64_t aborts = 0;
   std::uint64_t rounds_discarded = 0;
   WordCount comm_words_discarded = 0;
+
+  bool operator==(const AbortAggregate&) const = default;
 };
 
 /// Full metrics stream attached to a Cluster.
@@ -153,7 +156,6 @@ class Metrics {
   void begin_update() {
     current_ = UpdateRecord{};
     in_update_ = true;
-    rounds_mark_ = rounds_.size();
   }
 
   UpdateRecord end_update() {
@@ -171,7 +173,6 @@ class Metrics {
     current_ = UpdateRecord{};
     in_update_ = true;
     in_query_ = true;
-    rounds_mark_ = rounds_.size();
   }
 
   UpdateRecord end_query_batch(std::uint64_t queries) {
@@ -196,16 +197,14 @@ class Metrics {
 
   /// Aborts the in-flight update (or query batch) after a mid-protocol
   /// throw: the partial UpdateRecord is discarded instead of settling
-  /// into the aggregates, its round entries are truncated from the
-  /// round list, and the discarded work is tallied separately in
-  /// abort_aggregate().  One caveat is deliberate: per-pair traffic of
+  /// into the aggregates, and the discarded work is tallied separately
+  /// in abort_aggregate().  One caveat is deliberate: per-pair traffic of
   /// the aborted rounds stays in pair_traffic() — those words really
   /// crossed the network before the fault.
   void abort_update() {
     abort_agg_.aborts += 1;
     abort_agg_.rounds_discarded += current_.rounds;
     abort_agg_.comm_words_discarded += current_.total_comm_words;
-    if (rounds_.size() > rounds_mark_) rounds_.resize(rounds_mark_);
     current_ = UpdateRecord{};
     in_update_ = false;
     in_query_ = false;
@@ -219,10 +218,9 @@ class Metrics {
 
   /// Records `count` identical rounds at once (the Section 7 reduction
   /// charges one round per memory access, which can be thousands per
-  /// update; only one representative entry is kept in the round list).
+  /// update).
   void record_rounds(const RoundRecord& r, std::uint64_t count) {
     if (count == 0) return;
-    rounds_.push_back(r);
     if (in_update_) {
       current_.rounds += count;
       if (r.active_machines > current_.max_active_machines) {
@@ -235,16 +233,13 @@ class Metrics {
     }
   }
 
-  /// Hot path: called once per delivered message at the round barrier,
+  /// Hot path: called once per staged message at the round barrier,
   /// so the histogram lives in a hash map keyed on the packed pair; the
   /// ordered view callers see is built on demand by pair_traffic().
   void record_pair_traffic(MachineId from, MachineId to, WordCount words) {
     pair_traffic_[pack_pair(from, to)] += words;
   }
 
-  [[nodiscard]] const std::vector<RoundRecord>& rounds() const {
-    return rounds_;
-  }
   [[nodiscard]] const UpdateAggregate& aggregate() const { return aggregate_; }
   [[nodiscard]] const QueryAggregate& query_aggregate() const {
     return query_agg_;
@@ -276,12 +271,10 @@ class Metrics {
            static_cast<std::uint64_t>(to);
   }
 
-  std::vector<RoundRecord> rounds_;
   UpdateRecord current_{};
   UpdateRecord last_update_{};
   bool in_update_ = false;
   bool in_query_ = false;
-  std::size_t rounds_mark_ = 0;  ///< rounds_.size() at begin_update
   UpdateAggregate aggregate_{};
   QueryAggregate query_agg_{};
   AbortAggregate abort_agg_{};

@@ -7,62 +7,42 @@
 
 namespace dmpc {
 
-void RoundBuffer::clear_staged() {
-  for (Shard& shard : staged_) {
-    shard.words.clear();  // clear() keeps capacity: the high-water reuse
-    shard.recs.clear();
-  }
-}
-
 void RoundBuffer::reset() {
-  clear_staged();
-  for (Inbox& in : inboxes_) {
-    in.words.clear();
-    in.msgs.clear();
-  }
+  // clear() keeps capacity: the high-water reuse.
+  for (std::vector<StagedRec>& shard : staged_) shard.clear();
 }
 
 RoundRecord RoundBuffer::deliver(WordCount capacity, Metrics& metrics) {
-  const std::size_t mu = inboxes_.size();
+  const std::size_t mu = staged_.size();
   std::fill(sent_.begin(), sent_.end(), 0);
   std::fill(received_.begin(), received_.end(), 0);
   std::fill(active_.begin(), active_.end(), 0);
 
+  // Accounting in sender order, per-sender FIFO: the determinism anchor.
+  // The same staged multiset yields the same record regardless of which
+  // threads staged it.
   RoundRecord rec;
-  for (Inbox& in : inboxes_) {
-    in.words.clear();
-    in.msgs.clear();
-  }
-
-  // Pass 1 — accounting, in sender order (the determinism anchor: the
-  // same staged multiset of messages yields the same inboxes and the
-  // same accounting regardless of which threads staged them).  This also
-  // produces the per-receiver word totals that pass 2 needs to reserve
-  // the inbox arenas up front: the delivered Message views point into
-  // those arenas, so they must not reallocate while pass 2 appends.
   for (MachineId from = 0; from < mu; ++from) {
-    for (const StagedRec& sr : staged_[from].recs) {
-      const WordCount cost = sr.len + 1;
-      sent_[from] += cost;
-      received_[sr.to] += cost;
+    for (const StagedRec& sr : staged_[from]) {
+      sent_[from] += sr.words;
+      received_[sr.to] += sr.words;
       active_[from] = 1;
       active_[sr.to] = 1;
-      rec.comm_words += cost;
+      rec.comm_words += sr.words;
       ++rec.messages;
-      metrics.record_pair_traffic(from, sr.to, cost);
+      metrics.record_pair_traffic(from, sr.to, sr.words);
     }
   }
+  reset();
 
   for (MachineId m = 0; m < mu; ++m) {
     if (sent_[m] > capacity) {
-      clear_staged();
       throw CommOverflowError("machine " + std::to_string(m) + " sent " +
                               std::to_string(sent_[m]) +
                               " words in one round (cap " +
                               std::to_string(capacity) + ")");
     }
     if (received_[m] > capacity) {
-      clear_staged();
       throw CommOverflowError("machine " + std::to_string(m) + " received " +
                               std::to_string(received_[m]) +
                               " words in one round (cap " +
@@ -70,31 +50,6 @@ RoundRecord RoundBuffer::deliver(WordCount capacity, Metrics& metrics) {
     }
     if (active_[m] != 0) ++rec.active_machines;
   }
-
-  // Pass 2 — merge the shards into the inbox arenas, still in sender
-  // order with per-sender FIFO preserved.
-  for (MachineId to = 0; to < mu; ++to) {
-    // received_ counts one header word per message on top of the
-    // payloads, so it over-reserves slightly; what matters is that the
-    // arena never grows past it mid-merge.
-    inboxes_[to].words.reserve(received_[to]);
-  }
-  for (MachineId from = 0; from < mu; ++from) {
-    Shard& shard = staged_[from];
-    for (const StagedRec& sr : shard.recs) {
-      Inbox& in = inboxes_[sr.to];
-      const std::size_t off = in.words.size();
-      in.words.insert(in.words.end(), shard.words.begin() + sr.off,
-                      shard.words.begin() + sr.off + sr.len);
-      Message msg;
-      msg.from = from;
-      msg.to = sr.to;
-      msg.tag = sr.tag;
-      msg.payload = std::span<const Word>(in.words.data() + off, sr.len);
-      in.msgs.push_back(msg);
-    }
-  }
-  clear_staged();
   return rec;
 }
 

@@ -1,28 +1,28 @@
-// Message staging and delivery for one synchronous round.
+// The per-round communication ledger.
 //
-// Extracted from Cluster so the staging side can be written to
-// concurrently: staged messages live in one shard per *sender*, and the
-// executor contract (see executor.hpp) guarantees machine i's round task
-// is the only writer of shard i.  deliver() — always called at the
-// finish_round() barrier, on the orchestrating thread — merges the
-// shards in sender order (per-sender FIFO preserved), so the delivered
-// inbox contents are byte-identical no matter which executor staged
-// them.  All Metrics accounting happens here, at the barrier, which is
-// what keeps the metrics stream race-free without any locking.
+// The model charges a round by its traffic, not by what the messages
+// say (paper, Section 2): the words each machine sends and receives,
+// checked against the S-word cap, the machines that took part, and the
+// total words moved.  So a staged message is recorded as its cost alone:
+// a (to, words) entry in the sender's shard.  Protocols compute from
+// machine state directly, so no payload is ever stored or delivered.
 //
-// Storage is arena-shaped and reused across rounds: each sender shard is
-// one flat Word arena plus a record list, each inbox is one flat Word
-// arena plus the delivered Message views into it.  stage() appends to the
-// sender's arena and deliver() clears everything back to empty while
-// keeping the high-water capacity, so in steady state neither side of a
-// round touches the allocator.
+// Staging can be written to concurrently: each *sender* has its own
+// shard, and the executor contract (see executor.hpp) makes machine i's
+// round task the only writer of shard i.  deliver() (always called at
+// the finish_round() barrier, on the orchestrating thread) walks the
+// shards in sender order, so the accounting is identical no matter
+// which executor staged them.  All Metrics accounting happens there, at
+// the barrier, which keeps the metrics stream race-free without locks.
+//
+// The shards are cleared with their capacity kept, so in steady state
+// staging never touches the allocator.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "dmpc/message.hpp"
 #include "dmpc/metrics.hpp"
 #include "dmpc/types.hpp"
 
@@ -32,72 +32,38 @@ class RoundBuffer {
  public:
   explicit RoundBuffer(std::size_t num_machines)
       : staged_(num_machines),
-        inboxes_(num_machines),
         sent_(num_machines, 0),
         received_(num_machines, 0),
         active_(num_machines, 0) {}
 
-  [[nodiscard]] std::size_t num_machines() const { return inboxes_.size(); }
-
-  /// Stages a message for delivery at the end of the current round,
-  /// copying its payload into the sender's shard arena (the caller's
-  /// payload storage may be reused immediately after the call).
-  /// msg.from/msg.to must already be validated by the caller.  Safe to
+  /// Records a `words`-word message from `from` to `to` for the current
+  /// round.  Both ids must already be validated by the caller.  Safe to
   /// call concurrently for *distinct* senders (one shard per sender);
   /// two concurrent stagings from the same sender are a data race.
-  void stage(const Message& msg) {
-    Shard& shard = staged_[msg.from];
-    shard.recs.push_back({msg.to, msg.tag,
-                          static_cast<std::uint32_t>(shard.words.size()),
-                          static_cast<std::uint32_t>(msg.payload.size())});
-    shard.words.insert(shard.words.end(), msg.payload.begin(),
-                       msg.payload.end());
+  void stage(MachineId from, MachineId to, WordCount words) {
+    staged_[from].push_back({to, words});
   }
 
-  /// Inbox of machine `m`: the messages delivered by the last deliver().
-  /// The payload views point into the inbox arena and stay valid until
-  /// the next deliver().
-  [[nodiscard]] const std::vector<Message>& inbox(MachineId m) const {
-    return inboxes_[m].msgs;
-  }
-
-  /// The barrier step: replaces the previous round's inboxes with the
-  /// staged messages (merged in sender order), records per-pair traffic
-  /// into `metrics`, enforces the per-machine send/receive caps
-  /// (throwing CommOverflowError — defined in cluster.hpp — on
-  /// violation) and returns the round's record.  On overflow the staged
-  /// shards are dropped and every inbox is left empty.  Must be called
-  /// from a single thread with no round tasks in flight.
+  /// The barrier step: settles the staged records in sender order,
+  /// records per-pair traffic into `metrics`, enforces the per-machine
+  /// send/receive caps (throwing CommOverflowError, defined in
+  /// cluster.hpp, on violation) and returns the round's record.  The
+  /// staged records are dropped either way.  Must be called from a
+  /// single thread with no round tasks in flight.
   RoundRecord deliver(WordCount capacity, Metrics& metrics);
 
-  /// Recovery wipe: drops staged-but-undelivered messages AND clears
-  /// every inbox.  A fault between staging and the barrier leaves
-  /// shards populated (deliver()'s own failure path clears them, but an
-  /// injected task fault never reaches deliver), and a retried protocol
-  /// must not read a dead round's inboxes — so rollback resets both
-  /// sides.  Arena capacity is kept, like every other clear here.
+  /// Recovery wipe: drops staged-but-undelivered records.  A fault
+  /// between staging and the barrier (an injected task fault) never
+  /// reaches deliver(), so rollback clears the shards here.
   void reset();
 
  private:
   struct StagedRec {
     MachineId to;
-    Word tag;
-    std::uint32_t off;  // payload offset into the shard arena
-    std::uint32_t len;  // payload length in words
-  };
-  struct Shard {
-    std::vector<Word> words;     // payload arena, reused across rounds
-    std::vector<StagedRec> recs;
-  };
-  struct Inbox {
-    std::vector<Word> words;     // payload arena, reused across rounds
-    std::vector<Message> msgs;   // views into `words`
+    WordCount words;  // payload + one tag word
   };
 
-  void clear_staged();
-
-  std::vector<Shard> staged_;  // one shard per sender
-  std::vector<Inbox> inboxes_;
+  std::vector<std::vector<StagedRec>> staged_;  // one shard per sender
   // deliver() scratch, reused across rounds.
   std::vector<WordCount> sent_;
   std::vector<WordCount> received_;

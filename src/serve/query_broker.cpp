@@ -23,7 +23,11 @@ std::optional<ServedAnswer> ClientSession::poll(QueryId id) {
 QueryBroker::QueryBroker(core::DynamicForest& forest, ServingConfig config)
     : forest_(forest),
       config_(config),
-      recovery_(config.recovery_max_retries, recovery_stats_) {}
+      recovery_(config.recovery_max_retries, recovery_stats_) {
+  if (config_.max_query_batch == 0) {
+    throw std::invalid_argument("QueryBroker: max_query_batch must be > 0");
+  }
+}
 
 ClientSession QueryBroker::session() {
   {

@@ -120,7 +120,8 @@ class ClientSession {
 class QueryBroker {
  public:
   /// The forest is not owned and must outlive the broker; its updates
-  /// flow through submit_update/pump.
+  /// flow through submit_update/pump.  Throws std::invalid_argument when
+  /// config.max_query_batch is 0.
   explicit QueryBroker(core::DynamicForest& forest, ServingConfig config = {});
 
   /// Opens a client session (thread-safe).

@@ -1,186 +1,136 @@
-// RoundBuffer: the arena-backed staging/delivery path behind every
-// Cluster round.  These tests pin the properties the allocation-free
-// design must preserve:
-//   * repeated stage/deliver cycles produce byte-identical inboxes while
-//     the arenas are reused at high-water capacity (steady state);
-//   * delivery merges shards in sender order with per-sender FIFO;
-//   * an overflowing round throws CommOverflowError, drops the staged
-//     shards and leaves every inbox empty, and the buffer keeps working
-//     afterwards.
+// RoundBuffer: the per-round communication ledger behind every Cluster
+// round.  These tests pin its contract:
+//   * staging from concurrent round tasks settles to the same record and
+//     pair traffic as serial staging (the shards are walked in sender
+//     order at the barrier);
+//   * a send-cap or receive-cap overflow throws CommOverflowError and
+//     drops the staged records, so the next round records only its own
+//     traffic;
+//   * reset() (drop_round_state) after staging with no barrier leaves the
+//     next round clean;
+//   * an empty round records zeros.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "dmpc/cluster.hpp"
+#include "dmpc/executor.hpp"
 #include "dmpc/metrics.hpp"
 #include "dmpc/round_buffer.hpp"
 
 namespace {
 
 using dmpc::MachineId;
-using dmpc::Message;
 using dmpc::Metrics;
 using dmpc::RoundBuffer;
-using dmpc::Word;
+using dmpc::RoundRecord;
+using dmpc::WordCount;
 
-Message make_msg(MachineId from, MachineId to, Word tag,
-                 std::span<const Word> payload) {
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.tag = tag;
-  msg.payload = payload;
-  return msg;
+using PairTraffic = std::map<std::pair<MachineId, MachineId>, WordCount>;
+
+void expect_same_record(const RoundRecord& a, const RoundRecord& b) {
+  EXPECT_EQ(a.active_machines, b.active_machines);
+  EXPECT_EQ(a.comm_words, b.comm_words);
+  EXPECT_EQ(a.messages, b.messages);
 }
 
-/// A value copy of one delivered inbox (the Message payloads are views
-/// into the inbox arena, so comparisons across deliver() calls must
-/// materialize them).
-struct InboxCopy {
-  struct Msg {
-    MachineId from, to;
-    Word tag;
-    std::vector<Word> payload;
-    bool operator==(const Msg&) const = default;
-  };
-  std::vector<Msg> msgs;
-  bool operator==(const InboxCopy&) const = default;
-};
-
-InboxCopy copy_inbox(const RoundBuffer& buf, MachineId m) {
-  InboxCopy out;
-  for (const Message& msg : buf.inbox(m)) {
-    out.msgs.push_back({msg.from, msg.to, msg.tag,
-                        {msg.payload.begin(), msg.payload.end()}});
-  }
-  return out;
-}
-
-/// Stages the same deterministic message pattern every cycle: each
-/// machine sends to every other machine a payload derived from the pair.
-void stage_pattern(RoundBuffer& buf, std::size_t machines) {
-  std::vector<Word> payload;
-  for (MachineId from = 0; from < static_cast<MachineId>(machines); ++from) {
-    for (MachineId to = 0; to < static_cast<MachineId>(machines); ++to) {
-      if (to == from) continue;
-      payload.clear();
-      for (Word w = 0; w <= static_cast<Word>(from + to); ++w) {
-        payload.push_back(1000 * from + 10 * to + w);
-      }
-      buf.stage(make_msg(from, to, /*tag=*/from + 1, payload));
-    }
+/// Machine `from`'s share of a deterministic all-to-all pattern: one
+/// message to every other machine, costing from + to + 1 words.
+void stage_from(RoundBuffer& buf, MachineId from, std::size_t machines) {
+  for (MachineId to = 0; to < static_cast<MachineId>(machines); ++to) {
+    if (to != from) buf.stage(from, to, from + to + 1);
   }
 }
 
-TEST(RoundBuffer, RepeatedDeliverCyclesAreByteIdentical) {
-  constexpr std::size_t kMachines = 5;
-  constexpr int kCycles = 6;
-  RoundBuffer buf(kMachines);
-  Metrics metrics;
+TEST(RoundBuffer, ConcurrentStagingMatchesSerial) {
+  constexpr std::size_t kMachines = 16;
+  constexpr int kRounds = 4;
+  RoundBuffer serial_buf(kMachines), pooled_buf(kMachines);
+  Metrics serial_metrics, pooled_metrics;
+  dmpc::SerialExecutor serial;
+  dmpc::ThreadPoolExecutor pool(4);
 
-  std::vector<InboxCopy> first(kMachines);
-  const Word* arena_probe = nullptr;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    stage_pattern(buf, kMachines);
-    const dmpc::RoundRecord rec = buf.deliver(/*capacity=*/1 << 20, metrics);
-    EXPECT_EQ(rec.messages, kMachines * (kMachines - 1)) << "cycle " << cycle;
-    for (MachineId m = 0; m < static_cast<MachineId>(kMachines); ++m) {
-      if (cycle == 0) {
-        first[m] = copy_inbox(buf, m);
-        EXPECT_FALSE(first[m].msgs.empty());
-      } else {
-        EXPECT_EQ(copy_inbox(buf, m), first[m])
-            << "inbox " << m << " diverged at cycle " << cycle;
-      }
-    }
-    // Steady state: once the arenas reached high-water capacity the
-    // delivered views must point into the SAME storage every cycle — no
-    // reallocation on the round path.
-    const Word* data = buf.inbox(0).front().payload.data();
-    if (cycle == 1) {
-      arena_probe = data;
-    } else if (cycle > 1) {
-      EXPECT_EQ(data, arena_probe)
-          << "inbox arena reallocated in steady state at cycle " << cycle;
-    }
+  for (int round = 0; round < kRounds; ++round) {
+    serial.run(kMachines, [&](std::size_t m) {
+      stage_from(serial_buf, static_cast<MachineId>(m), kMachines);
+    });
+    pool.run(kMachines, [&](std::size_t m) {
+      stage_from(pooled_buf, static_cast<MachineId>(m), kMachines);
+    });
+    const RoundRecord a = serial_buf.deliver(/*capacity=*/1 << 20,
+                                             serial_metrics);
+    const RoundRecord b = pooled_buf.deliver(/*capacity=*/1 << 20,
+                                             pooled_metrics);
+    EXPECT_EQ(a.messages, kMachines * (kMachines - 1)) << "round " << round;
+    EXPECT_EQ(a.active_machines, kMachines) << "round " << round;
+    expect_same_record(a, b);
   }
+  const PairTraffic traffic = serial_metrics.pair_traffic();
+  EXPECT_EQ(traffic, pooled_metrics.pair_traffic());
+  EXPECT_EQ(traffic.size(), kMachines * (kMachines - 1));
+  EXPECT_EQ((traffic.at({3, 5})), WordCount{kRounds * 9});
 }
 
-TEST(RoundBuffer, MergesInSenderOrderWithPerSenderFifo) {
+TEST(RoundBuffer, SendCapOverflowThrowsAndDropsStaged) {
   RoundBuffer buf(3);
   Metrics metrics;
-  const std::vector<Word> a{1}, b{2}, c{3}, d{4};
-  // Stage out of sender order; delivery must order by sender, FIFO
-  // within a sender.
-  buf.stage(make_msg(2, 0, 20, a));
-  buf.stage(make_msg(1, 0, 10, b));
-  buf.stage(make_msg(1, 0, 11, c));
-  buf.stage(make_msg(0, 1, 1, d));
-  buf.deliver(/*capacity=*/64, metrics);
-
-  const auto& inbox0 = buf.inbox(0);
-  ASSERT_EQ(inbox0.size(), 3u);
-  EXPECT_EQ(inbox0[0].from, 1);
-  EXPECT_EQ(inbox0[0].tag, 10);
-  EXPECT_EQ(inbox0[1].from, 1);
-  EXPECT_EQ(inbox0[1].tag, 11);
-  EXPECT_EQ(inbox0[2].from, 2);
-  EXPECT_EQ(inbox0[2].tag, 20);
-  ASSERT_EQ(buf.inbox(1).size(), 1u);
-  EXPECT_EQ(buf.inbox(1)[0].from, 0);
-  ASSERT_TRUE(buf.inbox(2).empty());
-}
-
-TEST(RoundBuffer, OverflowThrowsDropsStagedAndEmptiesInboxes) {
-  constexpr std::size_t kMachines = 3;
-  RoundBuffer buf(kMachines);
-  Metrics metrics;
-
-  // A successful round first, so the inboxes hold something that MUST be
-  // gone after the failed round (no stale views may survive).
-  const std::vector<Word> small{7, 8};
-  buf.stage(make_msg(0, 1, 1, small));
-  buf.deliver(/*capacity=*/16, metrics);
-  ASSERT_EQ(buf.inbox(1).size(), 1u);
-
-  // Now blow the per-machine cap: payload + tag word exceeds capacity.
-  const std::vector<Word> big(32, 99);
-  buf.stage(make_msg(0, 1, 2, big));
-  buf.stage(make_msg(2, 0, 3, small));
+  buf.stage(0, 1, 10);
+  buf.stage(0, 2, 10);  // machine 0 sends 20 > 16
   EXPECT_THROW(buf.deliver(/*capacity=*/16, metrics),
                dmpc::CommOverflowError);
-  for (MachineId m = 0; m < static_cast<MachineId>(kMachines); ++m) {
-    EXPECT_TRUE(buf.inbox(m).empty()) << "inbox " << m;
-  }
 
-  // The staged shards were dropped with the failed round: the next
-  // deliver() must see ONLY what is staged after the failure, and the
-  // result must match a fresh buffer fed the same messages.
-  buf.stage(make_msg(1, 2, 4, small));
-  buf.deliver(/*capacity=*/16, metrics);
-
-  RoundBuffer fresh(kMachines);
-  Metrics fresh_metrics;
-  fresh.stage(make_msg(1, 2, 4, small));
-  fresh.deliver(/*capacity=*/16, fresh_metrics);
-  for (MachineId m = 0; m < static_cast<MachineId>(kMachines); ++m) {
-    EXPECT_EQ(copy_inbox(buf, m), copy_inbox(fresh, m)) << "inbox " << m;
-  }
+  // The staged records went with the failed round: the next round
+  // records only its own traffic.
+  buf.stage(2, 1, 4);
+  const RoundRecord rec = buf.deliver(/*capacity=*/16, metrics);
+  EXPECT_EQ(rec.messages, 1u);
+  EXPECT_EQ(rec.comm_words, 4u);
+  EXPECT_EQ(rec.active_machines, 2u);
 }
 
-TEST(RoundBuffer, EmptyRoundDeliversEmptyInboxes) {
+TEST(RoundBuffer, ReceiveCapOverflowThrowsAndDropsStaged) {
+  RoundBuffer buf(3);
+  Metrics metrics;
+  buf.stage(0, 2, 9);
+  buf.stage(1, 2, 9);  // machine 2 receives 18 > 16
+  EXPECT_THROW(buf.deliver(/*capacity=*/16, metrics),
+               dmpc::CommOverflowError);
+
+  buf.stage(1, 0, 3);
+  const RoundRecord rec = buf.deliver(/*capacity=*/16, metrics);
+  EXPECT_EQ(rec.messages, 1u);
+  EXPECT_EQ(rec.comm_words, 3u);
+  EXPECT_EQ(rec.active_machines, 2u);
+}
+
+TEST(RoundBuffer, ResetAfterStagingLeavesNextRoundClean) {
+  // An injected task fault throws between staging and the barrier, so
+  // deliver() never runs; recovery calls reset() instead.
+  RoundBuffer buf(4);
+  Metrics metrics;
+  buf.stage(0, 1, 5);
+  buf.stage(3, 2, 7);
+  buf.reset();
+
+  buf.stage(1, 2, 2);
+  const RoundRecord rec = buf.deliver(/*capacity=*/16, metrics);
+  EXPECT_EQ(rec.messages, 1u);
+  EXPECT_EQ(rec.comm_words, 2u);
+  EXPECT_EQ(rec.active_machines, 2u);
+  EXPECT_EQ(metrics.pair_traffic(), (PairTraffic{{{1, 2}, 2}}));
+}
+
+TEST(RoundBuffer, EmptyRoundRecordsZeros) {
   RoundBuffer buf(2);
   Metrics metrics;
-  const std::vector<Word> p{1, 2, 3};
-  buf.stage(make_msg(0, 1, 1, p));
+  buf.stage(0, 1, 4);
   buf.deliver(/*capacity=*/8, metrics);
-  ASSERT_EQ(buf.inbox(1).size(), 1u);
-  // A round with nothing staged clears the previous round's inboxes.
-  const dmpc::RoundRecord rec = buf.deliver(/*capacity=*/8, metrics);
+  const RoundRecord rec = buf.deliver(/*capacity=*/8, metrics);
   EXPECT_EQ(rec.messages, 0u);
-  EXPECT_TRUE(buf.inbox(0).empty());
-  EXPECT_TRUE(buf.inbox(1).empty());
+  EXPECT_EQ(rec.comm_words, 0u);
+  EXPECT_EQ(rec.active_machines, 0u);
 }
 
 }  // namespace

@@ -431,6 +431,9 @@ TEST(QueryBrokerStandalone, SnapshotDifferentialThreadPoolExecutor) {
 TEST(QueryBrokerBackpressure, ZeroCapacityUpdateQueueAlwaysRejects) {
   DynamicForest forest({.n = 8, .m_cap = 16});
   forest.preprocess(graph::EdgeList{});
+  // A zero query batch could never drain the backlog, so it is refused.
+  EXPECT_THROW(QueryBroker(forest, {.max_query_batch = 0}),
+               std::invalid_argument);
   QueryBroker broker(forest, {.max_pending_updates = 0});  // read-only replica
   serve::ClientSession client = broker.session();
   for (int i = 0; i < 5; ++i) {
