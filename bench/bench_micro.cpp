@@ -19,12 +19,20 @@
 //     gnm(n, n) forest at n = 2^14 and 2^16, connectivity-only and with
 //     every 10th query a path weight — wall time, rounds and words per
 //     batch.  `--check` fails when a batch's rounds differ from its
-//     protocol's count (2 connectivity-only, 5 with a path query).
+//     protocol's count (2 connectivity-only, 5 with a path query);
+//   * the k-way commit pass at n = 2^18: single-update tree deletes and
+//     re-inserts on the giant component of gnm(n, n) under the serial
+//     executor, so every write stage rewrites that whole component on
+//     every machine — wall time per write stage, rounds and words.
+//     `--check` requires validate() afterwards and the pinned rounds and
+//     words (kCommitRounds / kCommitWords; the protocol is
+//     deterministic, so any other count is a protocol change).
 //
 // `--json BENCH_micro.json` writes the rows for the CI bench-trend gate,
 // including the detected core count: the gate skips wall-clock
 // comparisons between runs whose core counts differ (a runner-hardware
 // change is not a regression).
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <random>
@@ -46,6 +54,10 @@ constexpr std::size_t kForestBatch = 16;
 constexpr int kExecIters = 4096;
 constexpr std::size_t kReadBatch = 200;
 constexpr std::size_t kReadBatches = 40;
+constexpr std::size_t kCommitN = std::size_t{1} << 18;
+constexpr std::size_t kCommitPairs = 32;
+constexpr std::uint64_t kCommitRounds = 267;
+constexpr std::uint64_t kCommitWords = 657973;
 
 /// Seconds for `iters` executor rounds of `count` near-empty tasks.
 double executor_round_seconds(dmpc::RoundExecutor& exec, std::size_t count,
@@ -206,6 +218,58 @@ ReadRun run_reads(std::size_t n, std::size_t path_every) {
     for (const auto& batch : batches) forest.answer_queries(batch);
   });
   out.agg = forest.cluster().metrics().query_aggregate();
+  return out;
+}
+
+/// The commit-pass row: kCommitPairs distinct giant-component tree
+/// edges of gnm(kCommitN, kCommitN), each deleted and re-inserted as
+/// one-update batches.  A write stage is one that ran a k-way split or
+/// join, i.e. the commit pass over the whole giant component.
+struct CommitRun {
+  double seconds = 0;
+  std::uint64_t write_stages = 0;
+  std::uint64_t updates = 0;
+  dmpc::UpdateAggregate agg;
+  bool valid = false;
+};
+
+CommitRun run_commit_pass() {
+  core::DynamicForest forest({.n = kCommitN, .m_cap = 2 * kCommitN});
+  forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
+  forest.preprocess(graph::gnm(kCommitN, kCommitN, 11));
+  const std::vector<dmpc::VertexId> comp = forest.component_snapshot();
+  // Labels are vertex ids (each component's smallest member).
+  std::vector<std::size_t> sizes(kCommitN, 0);
+  for (const dmpc::VertexId c : comp) ++sizes[static_cast<std::size_t>(c)];
+  const auto giant = static_cast<dmpc::VertexId>(
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+  std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>> edges;
+  for (const auto& e : forest.tree_edges()) {
+    if (comp[static_cast<std::size_t>(e.first)] == giant) edges.push_back(e);
+  }
+  std::sort(edges.begin(), edges.end());
+  std::shuffle(edges.begin(), edges.end(), std::mt19937_64(13));
+  edges.resize(std::min(edges.size(), kCommitPairs));
+  std::vector<graph::Update> updates;
+  for (const auto& [u, v] : edges) {
+    updates.push_back({graph::UpdateKind::kDelete, u, v});
+    updates.push_back({graph::UpdateKind::kInsert, u, v});
+  }
+  forest.cluster().metrics().reset();
+  CommitRun out;
+  out.updates = updates.size();
+  for (const graph::Update& up : updates) {
+    const dmpc::BatchScheduleStats before = forest.batch_stats();
+    out.seconds += bench::timed_seconds(
+        [&] { forest.apply_batch(std::span<const graph::Update>(&up, 1)); });
+    const dmpc::BatchScheduleStats& after = forest.batch_stats();
+    if (after.kway_splits + after.kway_joins !=
+        before.kway_splits + before.kway_joins) {
+      ++out.write_stages;
+    }
+  }
+  out.agg = forest.cluster().metrics().aggregate();
+  out.valid = forest.validate();
   return out;
 }
 
@@ -376,6 +440,44 @@ int main(int argc, char** argv) {
           .num("words_per_batch", words)
           .flag("within_budget", exact);
     }
+  }
+
+  // --- The k-way commit pass on a 2^18-vertex giant component ----------
+  {
+    const CommitRun r = run_commit_pass();
+    const double ms_per_stage =
+        r.write_stages == 0 ? 0.0
+                            : r.seconds * 1e3 /
+                                  static_cast<double>(r.write_stages);
+    const bool pinned = r.agg.total_rounds == kCommitRounds &&
+                        r.agg.total_comm_words == kCommitWords;
+    std::printf("\n=== k-way commit pass: gnm(n, n) giant component, "
+                "n=%zu, serial ===\n",
+                kCommitN);
+    std::printf("%zu one-update batches, %llu write stages: %.3f "
+                "ms/write stage, %llu rounds, %llu words, valid %s\n",
+                static_cast<std::size_t>(r.updates),
+                static_cast<unsigned long long>(r.write_stages), ms_per_stage,
+                static_cast<unsigned long long>(r.agg.total_rounds),
+                static_cast<unsigned long long>(r.agg.total_comm_words),
+                r.valid ? "yes" : "NO");
+    if (!r.valid || !pinned) {
+      std::fprintf(stderr, "COMMIT PASS VIOLATION: %s\n",
+                   r.valid ? "rounds/words differ from the pinned counts"
+                           : "validate() failed");
+      ok = false;
+    }
+    json.row("kway_commit_n262144")
+        .u64("cores", cores)
+        .u64("updates", r.updates)
+        .u64("write_stages", r.write_stages)
+        .num("wall_seconds", r.seconds)
+        .num("ms_per_write_stage", ms_per_stage)
+        .num("rounds_per_update", static_cast<double>(r.agg.total_rounds) /
+                                      static_cast<double>(r.updates))
+        .u64("total_rounds", r.agg.total_rounds)
+        .u64("total_comm_words", r.agg.total_comm_words)
+        .flag("within_budget", r.valid && pinned);
   }
 
   if (!args.json_path.empty() && !json.write(args.json_path, ok)) {

@@ -145,10 +145,15 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
       kMemorySlack * std::sqrt(N) + 256.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   machines_.resize(mu);
+  for (std::size_t m = 0; m < mu; ++m) {
+    const std::size_t count = m < config_.n ? (config_.n - m + mu - 1) / mu : 0;
+    machines_[m].vertices.resize(count);
+    machines_[m].vertex_marks.assign(count, 0);
+  }
   // Vertex records: comp(v) = v, no tour index yet.
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
-    MachineState& ms = machines_[vertex_machine(v)];
-    ms.vertices[v] = VertexRec{v, etour::kNoIndex};
+    machines_[vertex_machine(v)].vertices[vertex_slot(v)] =
+        VertexRec{v, etour::kNoIndex};
     cluster_->memory(vertex_machine(v)).charge(kVertexRecWords);
     machines_[dir_machine(v)].comp_sizes[v] = 1;
     cluster_->memory(dir_machine(v)).charge(kDirRecWords);
@@ -186,6 +191,7 @@ void DynamicForest::journal_begin() {
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     machines_[m].journal.clear();
     machines_[m].journal_armed = true;
+    ++machines_[m].journal_epoch;
     journal_mem_used_[m] = cluster_->memory(static_cast<MachineId>(m)).used();
   }
   journal_next_comp_id_ = next_comp_id_;
@@ -215,7 +221,7 @@ void DynamicForest::journal_rollback() {
     }
     for (auto it = ms.journal.vertices.rbegin();
          it != ms.journal.vertices.rend(); ++it) {
-      ms.vertices[it->v] = it->rec;
+      ms.vertices[it->slot] = it->rec;
     }
     for (auto it = ms.journal.dirs.rbegin(); it != ms.journal.dirs.rend();
          ++it) {
@@ -248,6 +254,28 @@ void DynamicForest::preprocess(const graph::EdgeList& edges) {
 }
 
 void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
+  // Reject a malformed edge list before any state changes: an
+  // out-of-range endpoint has no vertex record, a self-loop has no place
+  // in a forest, and a repeated edge would overwrite its first copy's
+  // record.
+  {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(edges.size());
+    for (const auto& e : edges) {
+      if (!is_vertex(e.u) || !is_vertex(e.v)) {
+        throw std::invalid_argument("DynamicForest: preprocess edge endpoint "
+                                    "out of range");
+      }
+      if (e.u == e.v) {
+        throw std::invalid_argument("DynamicForest: preprocess self-loop");
+      }
+      keys.push_back(edge_key(e.u, e.v));
+    }
+    std::sort(keys.begin(), keys.end());
+    if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+      throw std::invalid_argument("DynamicForest: preprocess repeated edge");
+    }
+  }
   // Select the spanning forest.  The MST variant considers edges bucket by
   // bucket in increasing (1+eps) weight classes — exactly the paper's
   // bucketization, which is what makes the result a (1+eps)-approximate
@@ -323,7 +351,7 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
   // singleton directory.
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
     const std::size_t sv = static_cast<std::size_t>(v);
-    VertexRec& rec = machines_[vertex_machine(v)].vertices[v];
+    VertexRec& rec = machines_[vertex_machine(v)].vertices[vertex_slot(v)];
     rec.comp = comp_of[sv];
     rec.cached_idx = first_idx[sv];
     auto& dir = machines_[dir_machine(v)].comp_sizes;
@@ -518,23 +546,19 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // coordinators.
   cluster_->for_each_machine([&](MachineId m) {
     for (const VertexId vtx : lookups[m]) {
-      cluster_->send(m, 0, kQueryReply,
-                     {vtx, machines_[m].vertices.at(vtx).comp});
+      cluster_->send(m, 0, kQueryReply, {vtx, vertex(vtx).comp});
     }
     for (const auto& [vtx, to] : endpoints[m]) {
-      const VertexRec& rec = machines_[m].vertices.at(vtx);
+      const VertexRec& rec = vertex(vtx);
       cluster_->send(m, to, kQueryEndpointReply,
                      {vtx, rec.comp, rec.cached_idx});
     }
   });
   cluster_->finish_round();
-  const auto vertex_rec = [&](VertexId vtx) -> const VertexRec& {
-    return machines_[vertex_machine(vtx)].vertices.at(vtx);
-  };
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const ReadQuery& q = qs[i];
     if (q.u == q.v || q.kind == QueryKind::kPathWeight) continue;
-    out[i].connected = vertex_rec(q.u).comp == vertex_rec(q.v).comp;
+    out[i].connected = vertex(q.u).comp == vertex(q.v).comp;
   }
   if (paths.empty()) {
     cluster_->end_query_batch(qs.size());
@@ -547,8 +571,8 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   std::vector<PathProbe> probes;
   for (std::size_t k = 0; k < paths.size(); ++k) {
     const ReadQuery& q = qs[paths[k]];
-    const VertexRec& rx = vertex_rec(q.u);
-    const VertexRec& ry = vertex_rec(q.v);
+    const VertexRec& rx = vertex(q.u);
+    const VertexRec& ry = vertex(q.v);
     if (rx.comp != ry.comp) continue;
     out[paths[k]].connected = true;
     probes.push_back({rx.comp, rx.cached_idx, ry.cached_idx, k});
@@ -622,8 +646,8 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
   const bool exists = slot != EdgeShard::kNpos;
   if (up.kind == graph::UpdateKind::kInsert) {
     if (exists) return op;  // duplicate insert: kNoop
-    op.cx = machines_[vertex_machine(op.x)].vertices.at(op.x).comp;
-    op.cy = machines_[vertex_machine(op.y)].vertices.at(op.y).comp;
+    op.cx = vertex(op.x).comp;
+    op.cy = vertex(op.y).comp;
     if (op.cx != op.cy) {
       op.kind = BatchOpKind::kMerge;
       op.writes[op.num_writes++] = op.cx;
@@ -937,7 +961,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   }
   std::map<VertexId, Word> vert_idx;
   for (const VertexId v : bcast_verts) {
-    const Word idx = machines_[vertex_machine(v)].vertices.at(v).cached_idx;
+    const Word idx = vertex(v).cached_idx;
     vert_idx[v] = idx;
     // Every machine resolves merge endpoints inside the shared join plan
     // and probes cycle-rule paths, so the cached appearance is broadcast,
@@ -945,7 +969,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     bcast(vertex_machine(v), kQueryReply, {v, idx});
   }
   for (const auto& [v, targets] : ntins_targets) {
-    const Word idx = machines_[vertex_machine(v)].vertices.at(v).cached_idx;
+    const Word idx = vertex(v).cached_idx;
     vert_idx[v] = idx;
     if (bcast_verts.count(v) != 0) continue;  // already broadcast
     for (const MachineId t : targets) {
@@ -1096,7 +1120,6 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::size_t> cut_ids;  ///< into cuts, batch order
     std::vector<VertexId> cut_verts;   ///< cut endpoints, sorted, unique
     std::optional<etour::KWaySplit> split;
-    std::size_t base = 0;  ///< universe index of fragment 0
   };
   std::map<Word, SplitComp> splits;
   for (std::size_t c = 0; c < cuts.size(); ++c) {
@@ -1324,10 +1347,17 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     Word elen = 0;
   };
   std::vector<Frag> frags;
-  std::map<Word, std::size_t> comp_base;
-  for (auto& [comp, sc] : splits) {
-    sc.base = frags.size();
-    comp_base[comp] = sc.base;
+  // The stage's rewritten components, ascending: each one's split (null
+  // for a merge component, which joins as one whole-tour fragment) and
+  // the universe index of its fragment 0.
+  struct Rewritten {
+    Word comp = 0;
+    const SplitComp* split = nullptr;
+    std::size_t base = 0;
+  };
+  std::vector<Rewritten> rewritten;
+  for (const auto& [comp, sc] : splits) {
+    rewritten.push_back({comp, &sc, frags.size()});
     const etour::KWaySplit& sp = *sc.split;
     std::vector<Word> label_of(sp.fragments(), comp);
     for (std::size_t j = 0; j < sc.cut_ids.size(); ++j) {
@@ -1343,9 +1373,20 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     merge_comps.insert(ops[i].cy);
   }
   for (const Word c : merge_comps) {
-    comp_base[c] = frags.size();
+    rewritten.push_back({c, nullptr, frags.size()});
     frags.push_back({c, etour::elength(comp_size.at(c))});
   }
+  std::sort(rewritten.begin(), rewritten.end(),
+            [](const Rewritten& a, const Rewritten& b) {
+              return a.comp < b.comp;
+            });
+  const auto find_rewritten = [&](Word comp) -> const Rewritten* {
+    const auto it = std::lower_bound(
+        rewritten.begin(), rewritten.end(), comp,
+        [](const Rewritten& r, Word c) { return r.comp < c; });
+    return it == rewritten.end() || it->comp != comp ? nullptr : &*it;
+  };
+  const auto base_of = [&](Word comp) { return find_rewritten(comp)->base; };
   std::vector<Word> elens;
   elens.reserve(frags.size());
   for (const Frag& f : frags) elens.push_back(f.elen);
@@ -1354,7 +1395,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   // then the batch merges in batch order.  The x side's label survives
   // each link, matching the sequential merge.
   for (LinkRec& lr : links) {
-    const std::size_t base = splits.at(lr.comp).base;
+    const std::size_t base = base_of(lr.comp);
     lr.link_id = plan.link(base + lr.c.fu, lr.ia, base + lr.c.fv, lr.ib);
   }
   struct MergeApp {
@@ -1365,20 +1406,22 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   for (const std::size_t i : mrgs) {
     const BatchOp& op = ops[i];
     const std::size_t id =
-        plan.link(comp_base.at(op.cx), vert_idx.at(op.x), comp_base.at(op.cy),
+        plan.link(base_of(op.cx), vert_idx.at(op.x), base_of(op.cy),
                   vert_idx.at(op.y));
     mapply.push_back({i, id});
   }
-  const auto final_label = [&](std::size_t frag) {
-    return frags[plan.tree_of(frag)].label;
-  };
+  // Each fragment's final tree label (the plan is complete).
+  std::vector<Word> final_label(frags.size());
+  for (std::size_t f = 0; f < frags.size(); ++f) {
+    final_label[f] = frags[plan.tree_of(f)].label;
+  }
   {
     std::set<std::size_t> join_roots;
     for (const LinkRec& lr : links) {
-      join_roots.insert(plan.tree_of(splits.at(lr.comp).base + lr.c.fu));
+      join_roots.insert(plan.tree_of(base_of(lr.comp) + lr.c.fu));
     }
     for (const MergeApp& ma : mapply) {
-      join_roots.insert(plan.tree_of(comp_base.at(ops[ma.op].cx)));
+      join_roots.insert(plan.tree_of(base_of(ops[ma.op].cx)));
     }
     batch_stats_.kway_joins += join_roots.size();
   }
@@ -1411,8 +1454,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       dir_writes.emplace_back(frags[f].label,
                               etour::tree_size(plan.tree_elength(f)));
     }
-    for (const auto& [c, base] : comp_base) {
-      if (surviving.count(c) == 0) dir_writes.emplace_back(c, 0);
+    for (const Rewritten& r : rewritten) {
+      if (surviving.count(r.comp) == 0) dir_writes.emplace_back(r.comp, 0);
     }
   }
   for (const auto& [label, size] : dir_writes) {
@@ -1422,8 +1465,6 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
 
   // ---- Behind the commit barrier: every machine transforms its shard
   // and vertex records with the shared split/join algebra. --------------
-  std::map<std::uint64_t, bool> cut_keys;  // cut edge -> demoted (a swap)
-  for (const CutInfo& ci : cuts) cut_keys[ci.ekey] = ci.demote;
   // Each cut vertex's repaired (fragment, index).  The broadcast carries
   // only the index: every machine derives the fragment from the shared
   // split, where the parent's removed entry f_c - 1 and the child's f_c
@@ -1437,26 +1478,61 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       cut_fix[key] = {sp.fragment_of(probe), fixes.at(key)};
     }
   }
-  struct LinkInfo {
-    std::size_t link_id = 0;
-    Word fu = 0;
+  // The few records the pass treats specially, per edge machine: a cut
+  // edge (erased below, or demoted by a swap) or a promoted link, all
+  // still in their shards.  Each machine walks its own in slot order
+  // beside the pass.
+  struct SpecialSlot {
+    std::size_t slot = 0;
+    const CutInfo* cut = nullptr;  ///< else the link below
+    const LinkRec* link = nullptr;
   };
-  std::map<std::uint64_t, LinkInfo> link_keys;
-  for (const LinkRec& lr : links) {
-    link_keys[edge_key(lr.c.u, lr.c.v)] = {lr.link_id, lr.c.fu};
+  std::vector<std::vector<SpecialSlot>> specials(mu);
+  const auto add_special = [&](VertexId u, VertexId v, const CutInfo* cut,
+                        const LinkRec* link) {
+    const MachineId m = edge_machine(u, v);
+    const std::ptrdiff_t slot = machines_[m].edges.find(edge_key(u, v));
+    assert(slot != EdgeShard::kNpos);
+    specials[m].push_back({static_cast<std::size_t>(slot), cut, link});
+  };
+  for (const CutInfo& ci : cuts) add_special(ci.parent, ci.child, &ci, nullptr);
+  for (const LinkRec& lr : links) add_special(lr.c.u, lr.c.v, nullptr, &lr);
+  for (std::vector<SpecialSlot>& mine : specials) {
+    std::sort(mine.begin(), mine.end(),
+              [](const SpecialSlot& a, const SpecialSlot& b) {
+                return a.slot < b.slot;
+              });
   }
   cluster_->for_each_machine([&](MachineId m) {
-    EdgeShard& es = machines_[m].edges;
+    MachineState& ms = machines_[m];
+    EdgeShard& es = ms.edges;
+    const std::vector<SpecialSlot>& mine = specials[m];
+    std::size_t next = 0;
+    // A large component owns most of the records its stage rewrites, so
+    // the last lookup is usually the next one's answer.
+    Word last_comp = -1;
+    const Rewritten* last = nullptr;
+    const auto lookup = [&](Word comp) {
+      if (comp != last_comp) {
+        last_comp = comp;
+        last = find_rewritten(comp);
+      }
+      return last;
+    };
     for (std::size_t s = 0; s < es.size(); ++s) {
-      const Word comp = es.comp[s];
-      const auto sit = splits.find(comp);
-      if (sit != splits.end()) {
-        const SplitComp& sc = sit->second;
-        const etour::KWaySplit& sp = *sc.split;
-        const auto cit = cut_keys.find(es.key_at(s));
-        if (cit != cut_keys.end() && !cit->second) continue;  // erased below
-        machines_[m].jlog_edge_slot(s);
-        if (cit != cut_keys.end()) {
+      const SpecialSlot* special = nullptr;
+      if (next < mine.size() && mine[next].slot == s) {
+        special = &mine[next++];
+      }
+      const Rewritten* rw = lookup(es.comp[s]);
+      if (rw == nullptr) continue;
+      const std::size_t base = rw->base;
+      if (rw->split != nullptr) {
+        const etour::KWaySplit& sp = *rw->split->split;
+        const CutInfo* cut = special != nullptr ? special->cut : nullptr;
+        if (cut != nullptr && !cut->demote) continue;  // erased below
+        ms.jlog_edge_slot(s);
+        if (cut != nullptr) {
           // A swap's displaced edge stays as a non-tree record; its four
           // entries were all removed, and the cut-vertex fixes below
           // resolve its cached endpoints like any other stale copy.
@@ -1466,27 +1542,27 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         if (es.tree[s] != 0) {
           // A surviving tree edge's 4 entries all live in one fragment.
           const std::size_t f = sp.fragment_of(es.iu1[s]);
-          const std::size_t frag = sc.base + f;
+          const std::size_t frag = base + f;
           es.iu1[s] = plan.map_index(frag, sp.new_index(es.iu1[s], f));
           es.iu2[s] = plan.map_index(frag, sp.new_index(es.iu2[s], f));
           es.iv1[s] = plan.map_index(frag, sp.new_index(es.iv1[s], f));
           es.iv2[s] = plan.map_index(frag, sp.new_index(es.iv2[s], f));
-          es.comp[s] = final_label(frag);
+          es.comp[s] = final_label[frag];
           continue;
         }
-        const auto lit = link_keys.find(es.key_at(s));
-        if (lit != link_keys.end()) {
+        if (special != nullptr && special->link != nullptr) {
           // Promoted replacement: the join plan owns its 4 new entries.
           const etour::MergeNewIndexes ni =
-              plan.edge_indexes(lit->second.link_id);
+              plan.edge_indexes(special->link->link_id);
           es.tree[s] = 1;
           es.iu1[s] = ni.x_enter;
           es.iu2[s] = ni.x_exit;
           es.iv1[s] = ni.y_enter;
           es.iv2[s] = ni.y_exit;
-          es.comp[s] = final_label(sc.base + lit->second.fu);
+          es.comp[s] = final_label[base + special->link->c.fu];
           continue;
         }
+        const Word comp = es.comp[s];
         const auto endpoint = [&](VertexId vert, Word raw) {
           if (!sp.removed(raw)) {
             const std::size_t f = sp.fragment_of(raw);
@@ -1496,15 +1572,12 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         };
         const auto pu = endpoint(es.u[s], es.iu1[s]);
         const auto pv = endpoint(es.v[s], es.iv1[s]);
-        es.iu1[s] = plan.resolve(sc.base + pu.first, pu.second);
-        es.iv1[s] = plan.resolve(sc.base + pv.first, pv.second);
-        es.comp[s] = final_label(sc.base + pu.first);
+        es.iu1[s] = plan.resolve(base + pu.first, pu.second);
+        es.iv1[s] = plan.resolve(base + pv.first, pv.second);
+        es.comp[s] = final_label[base + pu.first];
         continue;
       }
-      const auto mbit = comp_base.find(comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_edge_slot(s);
-      const std::size_t base = mbit->second;
+      ms.jlog_edge_slot(s);
       if (es.tree[s] != 0) {
         es.iu1[s] = plan.map_index(base, es.iu1[s]);
         es.iu2[s] = plan.map_index(base, es.iu2[s]);
@@ -1514,31 +1587,30 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         es.iu1[s] = plan.map_index(base, es.iu1[s]);
         es.iv1[s] = plan.map_index(base, es.iv1[s]);
       }
-      es.comp[s] = final_label(base);
+      es.comp[s] = final_label[base];
     }
-    for (auto& [v, rec] : machines_[m].vertices) {
-      const auto sit = splits.find(rec.comp);
-      if (sit != splits.end()) {
-        machines_[m].jlog_vertex(v, rec);
-        const SplitComp& sc = sit->second;
-        const etour::KWaySplit& sp = *sc.split;
+    for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
+      VertexRec& rec = ms.vertices[j];
+      const Rewritten* rw = lookup(rec.comp);
+      if (rw == nullptr) continue;
+      ms.jlog_vertex(j);
+      if (rw->split != nullptr) {
+        const etour::KWaySplit& sp = *rw->split->split;
         std::size_t frag;
         Word idx;
         if (!sp.removed(rec.cached_idx)) {
           frag = sp.fragment_of(rec.cached_idx);
           idx = sp.new_index(rec.cached_idx, frag);
         } else {
+          const auto v = static_cast<VertexId>(j * mu + m);
           std::tie(frag, idx) = cut_fix.at(std::make_pair(rec.comp, v));
         }
-        rec.cached_idx = plan.resolve(sc.base + frag, idx);
-        rec.comp = final_label(sc.base + frag);
+        rec.cached_idx = plan.resolve(rw->base + frag, idx);
+        rec.comp = final_label[rw->base + frag];
         continue;
       }
-      const auto mbit = comp_base.find(rec.comp);
-      if (mbit == comp_base.end()) continue;
-      machines_[m].jlog_vertex(v, rec);
-      rec.cached_idx = plan.resolve(mbit->second, rec.cached_idx);
-      rec.comp = final_label(mbit->second);
+      rec.cached_idx = plan.resolve(rw->base, rec.cached_idx);
+      rec.comp = final_label[rw->base];
     }
   });
   // Deleted cut records vanish, merge edges become tree records at their
@@ -1552,7 +1624,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   for (const MergeApp& ma : mapply) {
     const BatchOp& op = ops[ma.op];
     const etour::MergeNewIndexes ni = plan.edge_indexes(ma.link_id);
-    const Word label = final_label(comp_base.at(op.cx));
+    const Word label = final_label[base_of(op.cx)];
     machines_[op.coord].jlog_edge(op.ekey);
     machines_[op.coord].edges.put(
         op.ekey, make_tree_record(op.x, op.y, op.w, label, ni));
@@ -1699,10 +1771,10 @@ std::vector<VertexId> DynamicForest::component_snapshot() const {
   // Vertices are partitioned across machines, so the per-machine fills
   // write disjoint elements of `raw` and run on the installed executor.
   std::vector<Word> raw(config_.n);
-  exec().run(machines_.size(), [&](std::size_t m) {
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      raw[static_cast<std::size_t>(v)] = rec.comp;
-    }
+  const std::size_t mu = machines_.size();
+  exec().run(mu, [&](std::size_t m) {
+    const std::vector<VertexRec>& vs = machines_[m].vertices;
+    for (std::size_t j = 0; j < vs.size(); ++j) raw[j * mu + m] = vs[j].comp;
   });
   // Canonicalize to the smallest member vertex id.
   std::map<Word, VertexId> smallest;
@@ -1781,7 +1853,7 @@ bool DynamicForest::validate(std::string* why) const {
   });
   std::map<Word, std::map<EdgeKey, etour::EdgeIndexes>> comp_edges;
   std::map<Word, std::set<VertexId>> comp_members;
-  std::map<VertexId, VertexRec> vrecs;
+  std::vector<VertexRec> vrecs(config_.n);
   std::map<Word, Word> dir;
   std::vector<EdgeRec> nontree;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
@@ -1790,9 +1862,11 @@ bool DynamicForest::validate(std::string* why) const {
     }
     nontree.insert(nontree.end(), parts[m].nontree.begin(),
                    parts[m].nontree.end());
-    for (const auto& [v, rec] : machines_[m].vertices) {
-      vrecs[v] = rec;
-      comp_members[rec.comp].insert(v);
+    const std::vector<VertexRec>& vs = machines_[m].vertices;
+    for (std::size_t j = 0; j < vs.size(); ++j) {
+      const auto v = static_cast<VertexId>(j * machines_.size() + m);
+      vrecs[static_cast<std::size_t>(v)] = vs[j];
+      comp_members[vs[j].comp].insert(v);
     }
     for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
   }
@@ -1820,7 +1894,7 @@ bool DynamicForest::validate(std::string* why) const {
     const auto eit = comp_edges.find(comp);
     if (members.size() == 1) {
       if (eit != comp_edges.end()) return err("singleton with tree edges");
-      const VertexRec& vr = vrecs.at(*members.begin());
+      const VertexRec& vr = vrecs[static_cast<std::size_t>(*members.begin())];
       if (vr.cached_idx != etour::kNoIndex) {
         return err("singleton with a cached tour index");
       }
@@ -1860,7 +1934,7 @@ bool DynamicForest::validate(std::string* why) const {
       if (ait == appearances.end()) {
         return err("vertex " + std::to_string(v) + " missing from tour");
       }
-      const VertexRec& vr = vrecs.at(v);
+      const VertexRec& vr = vrecs[static_cast<std::size_t>(v)];
       if (ait->second.count(vr.cached_idx) == 0) {
         return err("stale cached index for vertex " + std::to_string(v));
       }
@@ -1880,8 +1954,8 @@ bool DynamicForest::validate(std::string* why) const {
   std::vector<std::optional<std::string>> nt_err(nontree.size());
   exec().run(nontree.size(), [&](std::size_t i) {
     const EdgeRec& rec = nontree[i];
-    if (vrecs.at(rec.u).comp != rec.comp ||
-        vrecs.at(rec.v).comp != rec.comp) {
+    if (vrecs[static_cast<std::size_t>(rec.u)].comp != rec.comp ||
+        vrecs[static_cast<std::size_t>(rec.v)].comp != rec.comp) {
       nt_err[i] = "non-tree record with inconsistent component";
       return;
     }

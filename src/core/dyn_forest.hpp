@@ -9,8 +9,9 @@
 //     of that endpoint; a subtree occupies a contiguous index interval, so
 //     any single index decides subtree membership — the paper's trick for
 //     avoiding O(N) neighbour refresh traffic);
-//   * every vertex has a record on machine (v % mu) holding its component
-//     id and one cached tour index;
+//   * every vertex has a record on machine (v % mu), at index v / mu of
+//     that machine's dense vertex table, holding its component id and one
+//     cached tour index;
 //   * every component has a directory record on machine (comp % mu)
 //     holding its size (hence ELength = 4(size-1));
 //   * machine 0 is the ingress: updates and queries enter there and it
@@ -78,15 +79,17 @@ struct DynForestConfig {
   bool weighted = false;     ///< MST variant if true
   double eps = 0.1;          ///< MST approximation slack (bucketing)
   /// Strong exception guarantee for updates: insert/erase/apply_batch
-  /// keep a per-machine undo journal (pre-images of every record,
-  /// vertex, and directory entry they touch, appended as they mutate)
-  /// and ANY mid-protocol throw — comm/memory cap trips, injected
-  /// faults — rolls the forest, the round buffer, and the metrics
-  /// stream back to the pre-update state before rethrowing.  The
-  /// journal is mutation-proportional (nothing is copied eagerly), so
-  /// its fault-free cost rides the update path at a few percent; off
-  /// restores the pre-journal behavior where a throw leaves the forest
-  /// half-transformed (benches use that to measure the overhead).
+  /// keep a per-machine undo journal (the first pre-image per batch of
+  /// every record, vertex, and directory entry they touch, appended as
+  /// they mutate) and ANY mid-protocol throw — comm/memory cap trips,
+  /// injected faults — rolls the forest, the round buffer, and the
+  /// metrics stream back to the pre-update state before rethrowing.
+  /// Nothing is copied eagerly and a record is copied at most once per
+  /// batch, however many stages rewrite it, so the fault-free cost is
+  /// one epoch compare per rewritten record plus one copy of each
+  /// record the batch touches; off restores the pre-journal behavior
+  /// where a throw leaves the forest half-transformed (benches use that
+  /// to measure the overhead).
   bool atomic_updates = true;
 };
 
@@ -246,6 +249,10 @@ class DynamicForest {
   /// the last slot in, so slot order depends on the shard's full mutation
   /// history — callers may rely on it only being identical across
   /// executors (the mutation sequence is), never on any particular order.
+  /// Besides the record fields, the `mark` column holds the journal epoch
+  /// that last logged the slot's pre-image (0: never); it belongs to the
+  /// record, so put starts a new record at 0 and erase moves it with the
+  /// swapped-in record.
   class EdgeShard {
    public:
     static constexpr std::ptrdiff_t kNpos = -1;
@@ -267,6 +274,7 @@ class DynamicForest {
       iv1.reserve(n);
       iv2.reserve(n);
       tree.reserve(n);
+      mark.reserve(n);
     }
 
     [[nodiscard]] std::ptrdiff_t find(std::uint64_t key) const {
@@ -323,6 +331,7 @@ class DynamicForest {
       iu2.push_back(r.iu2);
       iv1.push_back(r.iv1);
       iv2.push_back(r.iv2);
+      mark.push_back(0);
     }
 
     /// Swap-remove; absent keys are a no-op.
@@ -343,6 +352,7 @@ class DynamicForest {
         iu2[s] = iu2[last];
         iv1[s] = iv1[last];
         iv2[s] = iv2[last];
+        mark[s] = mark[last];
         index_[keys_[s]] = static_cast<std::uint32_t>(s);
       }
       keys_.pop_back();
@@ -355,6 +365,7 @@ class DynamicForest {
       iu2.pop_back();
       iv1.pop_back();
       iv2.pop_back();
+      mark.pop_back();
     }
 
     // The columns, slot-indexed.  Mutators above keep them parallel;
@@ -365,6 +376,7 @@ class DynamicForest {
     std::vector<Weight> w;
     std::vector<Word> iu1, iu2, iv1, iv2;
     std::vector<std::uint8_t> tree;
+    std::vector<std::uint64_t> mark;
 
    private:
     std::vector<std::uint64_t> keys_;
@@ -374,10 +386,14 @@ class DynamicForest {
   /// One machine's undo journal: pre-images appended right before each
   /// mutation, replayed in REVERSE on rollback (so a record touched at
   /// several protocol sites settles back to its earliest pre-image).
-  /// Entries are logged without dedup — the log length is bounded by the
-  /// mutation work the protocol performs anyway, and reverse replay
-  /// makes duplicates harmless.  Arenas keep their capacity across
-  /// batches, so in steady state arming and logging never allocate.
+  /// Only that earliest pre-image is ever used, so the slot and vertex
+  /// loggers keep exactly one per record per batch: journal_begin bumps
+  /// the machine's epoch, and a record whose mark already holds it is
+  /// skipped (the epoch is 64-bit, so it never wraps).  The key path
+  /// (jlog_edge, before a put or erase) logs without that check —
+  /// reverse replay makes its duplicates harmless.  Arenas keep their
+  /// capacity across batches, so in steady state arming and logging
+  /// never allocate.
   struct MachineJournal {
     struct EdgeEntry {
       std::uint64_t key = 0;
@@ -385,7 +401,7 @@ class DynamicForest {
       EdgeRec rec;           ///< pre-image when existed
     };
     struct VertexEntry {
-      VertexId v = dmpc::kNoVertex;
+      std::size_t slot = 0;  ///< index into MachineState::vertices
       VertexRec rec;
     };
     struct DirEntry {
@@ -406,13 +422,18 @@ class DynamicForest {
 
   struct MachineState {
     EdgeShard edges;
-    std::unordered_map<VertexId, VertexRec> vertices;
+    // Vertex records, dense: vertex v lives on machine v % mu at slot
+    // v / mu.  vertex_marks[slot] is the slot's journal epoch, as
+    // EdgeShard::mark is for edge records.
+    std::vector<VertexRec> vertices;
+    std::vector<std::uint64_t> vertex_marks;
     std::unordered_map<Word, Word> comp_sizes;  // directory shard
     // Undo journal (see MachineJournal).  Written only by this machine's
     // round task or by the orchestrator between barriers — exactly the
     // executor contract the rest of the machine state lives under — so
     // journaling is race-free without locks.
     bool journal_armed = false;
+    std::uint64_t journal_epoch = 0;
     MachineJournal journal;
 
     /// Logs edge `key`'s pre-image (or its absence) before a put/erase.
@@ -427,17 +448,20 @@ class DynamicForest {
       }
     }
     /// Logs a known-live slot's pre-image before in-place column writes
-    /// (the transform loops' path: no hash lookup on the hot path).
+    /// (the transform loops' path: no hash lookup on the hot path), once
+    /// per batch.
     void jlog_edge_slot(std::size_t s) {
-      if (!journal_armed) return;
+      if (!journal_armed || edges.mark[s] == journal_epoch) return;
+      edges.mark[s] = journal_epoch;
       journal.edges.push_back({edges.key_at(s), true, edges.get(s)});
     }
-    /// Logs vertex `v`'s pre-image before a record write.  Vertex
-    /// records exist for the lifetime of the forest, so there is no
-    /// created-by-the-mutation case.
-    void jlog_vertex(VertexId v, const VertexRec& rec) {
-      if (!journal_armed) return;
-      journal.vertices.push_back({v, rec});
+    /// Logs vertex slot `slot`'s pre-image before a record write, once
+    /// per batch.  Vertex records exist for the lifetime of the forest,
+    /// so there is no created-by-the-mutation case.
+    void jlog_vertex(std::size_t slot) {
+      if (!journal_armed || vertex_marks[slot] == journal_epoch) return;
+      vertex_marks[slot] = journal_epoch;
+      journal.vertices.push_back({slot, vertices[slot]});
     }
     /// Logs directory entry `comp`'s pre-image before a write or erase.
     void jlog_dir(Word comp) {
@@ -493,6 +517,14 @@ class DynamicForest {
   [[nodiscard]] MachineId vertex_machine(VertexId v) const {
     return static_cast<MachineId>(static_cast<std::uint64_t>(v) %
                                   machines_.size());
+  }
+  /// v's index in its home machine's dense vertex table.
+  [[nodiscard]] std::size_t vertex_slot(VertexId v) const {
+    return static_cast<std::size_t>(v) / machines_.size();
+  }
+  /// v's record on its home machine (v must name a vertex).
+  [[nodiscard]] const VertexRec& vertex(VertexId v) const {
+    return machines_[vertex_machine(v)].vertices[vertex_slot(v)];
   }
   [[nodiscard]] MachineId dir_machine(Word comp) const {
     return static_cast<MachineId>(static_cast<std::uint64_t>(comp) %
@@ -562,7 +594,8 @@ class DynamicForest {
 
   // --- atomic updates (config_.atomic_updates) -----------------------------
 
-  /// Arms every machine's undo journal and snapshots the ingress-local
+  /// Arms every machine's undo journal, bumps its epoch (so every record
+  /// is unlogged for this batch), and snapshots the ingress-local
   /// scalars (next_comp_id_, batch_stats_) plus each memory meter's
   /// usage.  No machine state is copied — pre-images accrue lazily as
   /// the protocol mutates (jlog_* above).

@@ -10,6 +10,9 @@
 
 #include <array>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/dyn_forest.hpp"
 #include "graph/generators.hpp"
@@ -60,6 +63,24 @@ TEST(DynForestBasic, PreprocessArbitraryGraph) {
   expect_components_match(forest, shadow, "after preprocess");
   std::string why;
   EXPECT_TRUE(forest.validate(&why)) << why;
+}
+
+// A malformed edge list — a repeated edge in either orientation, a
+// self-loop, an endpoint outside [0, n) — throws before any state
+// changes, so the forest is still the valid all-singletons start.
+TEST(DynForestBasic, PreprocessRejectsMalformedEdgeLists) {
+  const std::vector<graph::EdgeList> malformed = {
+      {{0, 1}, {0, 1}}, {{0, 1}, {1, 0}}, {{2, 2}}, {{0, 9}}};
+  for (const graph::EdgeList& edges : malformed) {
+    DynamicForest forest({.n = 8, .m_cap = 16});
+    EXPECT_THROW(forest.preprocess(edges), std::invalid_argument);
+    std::string why;
+    EXPECT_TRUE(forest.validate(&why)) << why;
+    const auto labels = forest.component_snapshot();
+    for (std::size_t v = 0; v < 8; ++v) {
+      EXPECT_EQ(labels[v], static_cast<VertexId>(v));
+    }
+  }
 }
 
 TEST(DynForestBasic, InsertLinksComponents) {

@@ -196,6 +196,19 @@ TEST(FaultSweep, BatchDynamicWeighted) {
   sweep_every_injection_point(config, true, sweep_stream(config.n, true), 6);
 }
 
+// Random churn over many small components: batches mix merges, tree
+// deletions and non-tree record ops, so shard erases swap-remove
+// records that an earlier stage of the same batch already journaled.
+// The journal keeps one pre-image per record per batch, found by the
+// record's epoch mark, so this sweep checks that a swap-remove carries
+// the mark with the moved record.
+TEST(FaultSweep, BatchDynamicMixedComponents) {
+  const DynForestConfig config{.n = 64, .m_cap = 384};
+  const auto stream = graph::random_stream(config.n, 320, 0.55, 8);
+  sweep_every_injection_point(config, false, stream, 16);
+  sweep_every_injection_point(config, true, stream, 16);
+}
+
 // Single-update insert/erase (batches of one) journal and roll back too.
 TEST(FaultSweep, SerialEraseRollsBack) {
   DynamicForest forest(DynForestConfig{.n = 12, .m_cap = 48});
