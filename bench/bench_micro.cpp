@@ -188,27 +188,45 @@ void forest_json_row(bench::JsonReport& json, const std::string& name,
 }
 
 /// One read-path row: kReadBatches answer_queries batches of kReadBatch
-/// random distinct-endpoint queries on a weighted gnm(n, n) forest,
-/// every `path_every`-th query a path weight (0: connectivity only).
+/// random distinct-endpoint queries, every `path_every`-th query a path
+/// weight (0: connectivity only).  With `blocks` == 0 the forest is a
+/// weighted gnm(n, n), whose giant component every path probe shares.
+/// Otherwise it is `blocks` weighted paths of n / blocks vertices (the
+/// shape of e2e serve's preprocessed graph), and each query's endpoints
+/// lie in one random block, so a batch probes a few of many components.
 struct ReadRun {
   double seconds = 0;
   dmpc::QueryAggregate agg;
 };
 
-ReadRun run_reads(std::size_t n, std::size_t path_every) {
+ReadRun run_reads(std::size_t n, std::size_t path_every, std::size_t blocks) {
   core::DynamicForest forest({.n = n, .m_cap = 2 * n, .weighted = true});
-  forest.preprocess(graph::with_random_weights(graph::gnm(n, n, 3), 1000, 4));
+  graph::EdgeList edges;
+  if (blocks == 0) {
+    edges = graph::gnm(n, n, 3);
+  } else {
+    for (graph::VertexId v = 0; v + 1 < static_cast<graph::VertexId>(n);
+         ++v) {
+      if ((v + 1) % static_cast<graph::VertexId>(n / blocks) != 0) {
+        edges.emplace_back(v, v + 1);
+      }
+    }
+  }
+  forest.preprocess(graph::with_random_weights(edges, 1000, 4));
   std::mt19937_64 rng(5);
+  const std::size_t span = blocks == 0 ? n : n / blocks;
   std::vector<std::vector<core::ReadQuery>> batches(kReadBatches);
   for (auto& batch : batches) {
     for (std::size_t i = 0; i < kReadBatch; ++i) {
-      const auto u = static_cast<dmpc::VertexId>(rng() % n);
-      auto v = static_cast<dmpc::VertexId>(rng() % (n - 1));
+      const auto base = static_cast<dmpc::VertexId>(
+          blocks == 0 ? 0 : rng() % blocks * span);
+      const auto u = static_cast<dmpc::VertexId>(rng() % span);
+      auto v = static_cast<dmpc::VertexId>(rng() % (span - 1));
       if (v >= u) ++v;
       const bool path = path_every != 0 && i % path_every == 0;
       batch.push_back({path ? core::QueryKind::kPathWeight
                             : core::QueryKind::kConnected,
-                       u, v});
+                       base + u, base + v});
     }
   }
   forest.answer_queries(batches.front());  // warm-up, not measured
@@ -401,45 +419,55 @@ int main(int argc, char** argv) {
 
   // --- Read path: answer_queries batches -------------------------------
   std::printf("\n=== read path: %zu-query answer_queries batches, weighted "
-              "gnm(n, n) ===\n",
+              "gnm(n, n), or 64 paths (blocks) ===\n",
               kReadBatch);
-  std::printf("%-8s %-10s %10s %14s %12s\n", "n", "mix", "ms/batch",
+  std::printf("%-8s %-12s %10s %14s %12s\n", "n", "mix", "ms/batch",
               "rounds/batch", "words/batch");
-  for (const std::size_t n : {std::size_t{1} << 14, std::size_t{1} << 16}) {
-    for (const std::size_t path_every : {std::size_t{0}, std::size_t{10}}) {
-      const ReadRun r = run_reads(n, path_every);
-      const auto batches = static_cast<double>(r.agg.batches);
-      const double ms = r.seconds * 1e3 / batches;
-      const double rounds = static_cast<double>(r.agg.total_rounds) / batches;
-      const double words =
-          static_cast<double>(r.agg.total_comm_words) / batches;
-      const char* mix = path_every == 0 ? "conn" : "10% path";
-      std::printf("%-8zu %-10s %10.3f %14.2f %12.1f\n", n, mix, ms, rounds,
-                  words);
-      // Every batch is one chunk, so each must take exactly its
-      // protocol's rounds.
-      const std::uint64_t want = path_every == 0 ? 2 : 5;
-      const bool exact = r.agg.batches == kReadBatches &&
-                         r.agg.worst_rounds == want &&
-                         r.agg.total_rounds == want * kReadBatches;
-      if (!exact) {
-        std::fprintf(stderr, "READ PATH VIOLATION: n=%zu %s batches took "
-                             "%.2f rounds, not %llu\n",
-                     n, mix, rounds, static_cast<unsigned long long>(want));
-        ok = false;
-      }
-      json.row(std::string("read_batch_") +
-               (path_every == 0 ? "conn" : "path10") + "_n" +
-               std::to_string(n))
-          .u64("cores", cores)
-          .u64("queries_per_batch", kReadBatch)
-          .u64("batches", r.agg.batches)
-          .num("wall_seconds", r.seconds)
-          .num("ms_per_batch", ms)
-          .num("query_rounds_per_batch", rounds)
-          .num("words_per_batch", words)
-          .flag("within_budget", exact);
+  struct ReadRow {
+    std::size_t n, path_every, blocks;
+  };
+  for (const ReadRow row : {ReadRow{std::size_t{1} << 14, 0, 0},
+                            ReadRow{std::size_t{1} << 14, 10, 0},
+                            ReadRow{std::size_t{1} << 14, 10, 64},
+                            ReadRow{std::size_t{1} << 16, 0, 0},
+                            ReadRow{std::size_t{1} << 16, 10, 0}}) {
+    const std::size_t n = row.n;
+    const std::size_t path_every = row.path_every;
+    const ReadRun r = run_reads(n, path_every, row.blocks);
+    const auto batches = static_cast<double>(r.agg.batches);
+    const double ms = r.seconds * 1e3 / batches;
+    const double rounds = static_cast<double>(r.agg.total_rounds) / batches;
+    const double words =
+        static_cast<double>(r.agg.total_comm_words) / batches;
+    const std::string mix =
+        std::string(path_every == 0 ? "conn" : "10% path") +
+        (row.blocks == 0 ? "" : " blk");
+    std::printf("%-8zu %-12s %10.3f %14.2f %12.1f\n", n, mix.c_str(), ms,
+                rounds, words);
+    // Every batch is one chunk, so each must take exactly its
+    // protocol's rounds.
+    const std::uint64_t want = path_every == 0 ? 2 : 5;
+    const bool exact = r.agg.batches == kReadBatches &&
+                       r.agg.worst_rounds == want &&
+                       r.agg.total_rounds == want * kReadBatches;
+    if (!exact) {
+      std::fprintf(stderr, "READ PATH VIOLATION: n=%zu %s batches took "
+                           "%.2f rounds, not %llu\n",
+                   n, mix.c_str(), rounds,
+                   static_cast<unsigned long long>(want));
+      ok = false;
     }
+    json.row(std::string("read_batch_") +
+             (path_every == 0 ? "conn" : "path10") +
+             (row.blocks == 0 ? "" : "_blocks") + "_n" + std::to_string(n))
+        .u64("cores", cores)
+        .u64("queries_per_batch", kReadBatch)
+        .u64("batches", r.agg.batches)
+        .num("wall_seconds", r.seconds)
+        .num("ms_per_batch", ms)
+        .num("query_rounds_per_batch", rounds)
+        .num("words_per_batch", words)
+        .flag("within_budget", exact);
   }
 
   // --- The k-way commit pass on a 2^18-vertex giant component ----------

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "graph/graph.hpp"
+
 namespace core {
 
 CsMatching::CsMatching(const CsMatchingConfig& config)
@@ -266,6 +268,7 @@ void CsMatching::run_schedulers() {
 }
 
 void CsMatching::insert(VertexId u, VertexId v) {
+  graph::require_edge_endpoints(u, v, config_.n, "CsMatching");
   cluster_->begin_update();
   touched_.clear();
   if (!adj_[static_cast<std::size_t>(u)].insert(v).second) {
@@ -290,6 +293,7 @@ void CsMatching::insert(VertexId u, VertexId v) {
 }
 
 void CsMatching::erase(VertexId u, VertexId v) {
+  graph::require_edge_endpoints(u, v, config_.n, "CsMatching");
   cluster_->begin_update();
   touched_.clear();
   if (adj_[static_cast<std::size_t>(u)].erase(v) == 0) {

@@ -1,8 +1,10 @@
 #include "core/dyn_forest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <compare>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -70,9 +72,12 @@ struct ChildInterval {
   // The edge lies on the tree path between the vertices appearing at
   // tour indexes ix and iy iff its child subtree holds exactly one of
   // them (the ancestor-XOR criterion).  Any single appearance of a
-  // vertex decides subtree membership.
+  // vertex decides subtree membership.  An unsigned compare tests each
+  // range in one step, so the shard scan takes no data-dependent branch.
   [[nodiscard]] bool on_path(Word ix, Word iy) const {
-    return (f_c <= ix && ix <= l_c) != (f_c <= iy && iy <= l_c);
+    const auto width = static_cast<std::uint64_t>(l_c - f_c);
+    return (static_cast<std::uint64_t>(ix - f_c) <= width) !=
+           (static_cast<std::uint64_t>(iy - f_c) <= width);
   }
 };
 
@@ -81,8 +86,9 @@ struct ChildInterval {
 ChildInterval child_interval(Word iu1, Word iu2, Word iv1, Word iv2) {
   const Word u_lo = std::min(iu1, iu2);
   const Word v_lo = std::min(iv1, iv2);
-  if (u_lo > v_lo) return {true, u_lo, std::max(iu1, iu2)};
-  return {false, v_lo, std::max(iv1, iv2)};
+  const bool u_is_child = u_lo > v_lo;
+  return {u_is_child, u_is_child ? u_lo : v_lo,
+          u_is_child ? std::max(iu1, iu2) : std::max(iv1, iv2)};
 }
 
 // One tree-path probe: the path of component `comp` between the cached
@@ -93,36 +99,119 @@ struct PathProbe {
   std::size_t id = 0;
 };
 
-// Sorts probes by (comp, id), the order for_each_path_slot expects.
-void sort_probes(std::vector<PathProbe>& probes) {
-  std::sort(probes.begin(), probes.end(),
-            [](const PathProbe& a, const PathProbe& b) {
-              return std::tie(a.comp, a.id) < std::tie(b.comp, b.id);
-            });
-}
+// One batch's probes, sorted by (comp, id), with two O(1) tables over
+// the probed components: a bitmap filter with no false negatives, and an
+// exact open-addressing index from each component to its run of probes.
+// Every machine derives the same set from the probe broadcast it
+// receives; the simulation builds it once and shares it read-only
+// across the machine tasks.
+class ProbeSet {
+ public:
+  explicit ProbeSet(std::vector<PathProbe> probes)
+      : probes_(std::move(probes)) {
+    std::sort(probes_.begin(), probes_.end(),
+              [](const PathProbe& a, const PathProbe& b) {
+                return std::tie(a.comp, a.id) < std::tie(b.comp, b.id);
+              });
+    std::size_t comps = 0;
+    for (std::size_t i = 0; i < probes_.size(); ++i) {
+      if (i == 0 || probes_[i].comp != probes_[i - 1].comp) ++comps;
+    }
+    // The filter passes an unprobed component with odds <= 1/64; the
+    // index, at load <= 1/4, mostly resolves a probed one on its first
+    // read.
+    filter_shift_ = shift_for(64 * comps, 9);
+    filter_.assign((std::size_t{1} << (64 - filter_shift_)) / 64, 0);
+    index_shift_ = shift_for(4 * comps, 2);
+    keys_.assign(std::size_t{1} << (64 - index_shift_), kEmpty);
+    runs_.resize(keys_.size());
+    for (std::size_t b = 0; b < probes_.size();) {
+      const Word comp = probes_[b].comp;
+      std::size_t e = b;
+      while (e < probes_.size() && probes_[e].comp == comp) ++e;
+      const std::size_t f = hash(comp, filter_shift_);
+      filter_[f / 64] |= std::uint64_t{1} << (f % 64);
+      std::size_t h = hash(comp, index_shift_);
+      while (keys_[h] != kEmpty) h = (h + 1) & (keys_.size() - 1);
+      keys_[h] = comp;
+      runs_[h] = {b, e};
+      b = e;
+    }
+  }
 
-// One pass over the shard for a whole batch of probes (sorted by
-// sort_probes): calls fn(id, slot) for every probe and every tree record
-// of the probe's component on its path, slots in shard order.  Each
-// tree slot's child interval is computed once and tested against the
-// probes of its component only.
+  [[nodiscard]] bool empty() const { return probes_.empty(); }
+
+  // False only if `comp` is not probed; one bit test, no branch.
+  [[nodiscard]] bool may_hold(Word comp) const {
+    const std::size_t f = hash(comp, filter_shift_);
+    return ((filter_[f / 64] >> (f % 64)) & 1) != 0;
+  }
+
+  // The probes of component `comp`, empty unless it is probed.
+  [[nodiscard]] std::span<const PathProbe> of(Word comp) const {
+    for (std::size_t h = hash(comp, index_shift_);;
+         h = (h + 1) & (keys_.size() - 1)) {
+      if (keys_[h] == comp) {
+        return std::span<const PathProbe>(probes_).subspan(
+            runs_[h].first, runs_[h].second - runs_[h].first);
+      }
+      if (keys_[h] == kEmpty) return {};
+    }
+  }
+
+ private:
+  static constexpr Word kEmpty = -1;  // component ids are >= 0
+
+  // The shift that maps a 64-bit hash onto the smallest power of two
+  // >= max(want, 2^min_bits).
+  static unsigned shift_for(std::size_t want, unsigned min_bits) {
+    unsigned bits = min_bits;
+    while ((std::size_t{1} << bits) < want) ++bits;
+    return 64 - bits;
+  }
+
+  static std::size_t hash(Word comp, unsigned shift) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(comp) * 0x9e3779b97f4a7c15ULL) >> shift);
+  }
+
+  std::vector<PathProbe> probes_;
+  unsigned filter_shift_ = 0;
+  std::vector<std::uint64_t> filter_;
+  unsigned index_shift_ = 0;
+  std::vector<Word> keys_;
+  std::vector<std::pair<std::size_t, std::size_t>> runs_;
+};
+
+// One pass over the shard for a whole batch of probes: calls fn(id, slot)
+// for every probe and every tree record of the probe's component on its
+// path, slots in shard order and each slot's probes in id order.  Each
+// block of slots first keeps, without a branch, the tree slots whose
+// component passes the filter; only those look up their probes, compute
+// their child interval once and test it against each probe.
 template <typename Shard, typename Fn>
-void for_each_path_slot(const Shard& es, const std::vector<PathProbe>& probes,
+void for_each_path_slot(const Shard& es, const ProbeSet& probes,
                         const Fn& fn) {
   if (probes.empty()) return;
-  const Word lo_comp = probes.front().comp;
-  const Word hi_comp = probes.back().comp;
-  for (std::size_t i = 0; i < es.size(); ++i) {
-    const Word comp = es.comp[i];
-    if (es.tree[i] == 0 || comp < lo_comp || comp > hi_comp) continue;
-    auto p = std::lower_bound(
-        probes.begin(), probes.end(), comp,
-        [](const PathProbe& q, Word c) { return q.comp < c; });
-    if (p == probes.end() || p->comp != comp) continue;
-    const ChildInterval c =
-        child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
-    for (; p != probes.end() && p->comp == comp; ++p) {
-      if (c.on_path(p->ix, p->iy)) fn(p->id, i);
+  constexpr std::size_t kBlock = 256;
+  std::array<std::size_t, kBlock> kept;
+  for (std::size_t base = 0; base < es.size(); base += kBlock) {
+    const std::size_t end = std::min(es.size(), base + kBlock);
+    std::size_t count = 0;
+    for (std::size_t i = base; i < end; ++i) {
+      kept[count] = i;
+      count += static_cast<std::size_t>(es.tree[i] != 0) &
+               static_cast<std::size_t>(probes.may_hold(es.comp[i]));
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = kept[k];
+      const std::span<const PathProbe> run = probes.of(es.comp[i]);
+      if (run.empty()) continue;
+      const ChildInterval c =
+          child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
+      for (const PathProbe& p : run) {
+        if (c.on_path(p.ix, p.iy)) fn(p.id, i);
+      }
     }
   }
 }
@@ -262,13 +351,8 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
     std::vector<std::uint64_t> keys;
     keys.reserve(edges.size());
     for (const auto& e : edges) {
-      if (!is_vertex(e.u) || !is_vertex(e.v)) {
-        throw std::invalid_argument("DynamicForest: preprocess edge endpoint "
-                                    "out of range");
-      }
-      if (e.u == e.v) {
-        throw std::invalid_argument("DynamicForest: preprocess self-loop");
-      }
+      graph::require_edge_endpoints(e.u, e.v, config_.n,
+                                    "DynamicForest::preprocess");
       keys.push_back(edge_key(e.u, e.v));
     }
     std::sort(keys.begin(), keys.end());
@@ -483,17 +567,28 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kQueryBatch);
   cluster_->begin_query_batch();
 
-  // Plan host-side: unique connectivity endpoints grouped by their home
-  // machines; one coordinator per path-weight query (round-robin, so the
-  // sum folds spread across the cluster); and every path endpoint, per
-  // home machine, with the coordinators that need it.
-  std::vector<std::vector<VertexId>> lookups(mu);
-  std::set<VertexId> seen;
+  // Plan host-side, as two flat lists sorted by home machine, each with
+  // mu + 1 offsets so machine m reads its own range in round 2: the
+  // unique connectivity endpoints, and every path endpoint with each
+  // coordinator that needs it.  One coordinator per path-weight query
+  // (round-robin, so the sum folds spread across the cluster).
+  struct Lookup {
+    MachineId home;
+    VertexId vtx;
+    auto operator<=>(const Lookup&) const = default;
+  };
+  struct Endpoint {
+    MachineId home;
+    VertexId vtx;
+    MachineId coord;
+    auto operator<=>(const Endpoint&) const = default;
+  };
+  std::vector<Lookup> lookups;
+  std::vector<Endpoint> endpoints;
   std::vector<std::size_t> paths;  // query k's position in qs
   const auto coord = [&](std::size_t k) {
     return static_cast<MachineId>(k % mu);
   };
-  std::vector<std::vector<std::pair<VertexId, MachineId>>> endpoints(mu);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const ReadQuery& q = qs[i];
     out[i] = ReadAnswer{};
@@ -503,41 +598,44 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
     }
     if (q.kind == QueryKind::kPathWeight) {
       for (const VertexId vtx : {q.u, q.v}) {
-        endpoints[vertex_machine(vtx)].emplace_back(vtx, coord(paths.size()));
+        endpoints.push_back({vertex_machine(vtx), vtx, coord(paths.size())});
       }
       paths.push_back(i);
       continue;
     }
     for (const VertexId vtx : {q.u, q.v}) {
-      if (seen.insert(vtx).second) lookups[vertex_machine(vtx)].push_back(vtx);
+      lookups.push_back({vertex_machine(vtx), vtx});
     }
   }
-  for (auto& ends : endpoints) {
-    std::sort(ends.begin(), ends.end());
-    ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
-  }
+  const auto by_machine = [mu](auto& list) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    std::vector<std::size_t> offsets(mu + 1, 0);
+    for (const auto& entry : list) ++offsets[entry.home + 1];
+    for (std::size_t m = 0; m < mu; ++m) offsets[m + 1] += offsets[m];
+    return offsets;
+  };
+  const std::vector<std::size_t> lookup_off = by_machine(lookups);
+  const std::vector<std::size_t> endpoint_off = by_machine(endpoints);
 
   // Round 1: the ingress scatters each connectivity endpoint to its home
   // machine, each path query to its coordinator, and each path endpoint
   // to its home machine with the coordinators that need it.
-  for (MachineId m = 0; m < mu; ++m) {
-    for (const VertexId vtx : lookups[m]) cluster_->send(0, m, kQuery, {vtx});
-  }
+  for (const Lookup& l : lookups) cluster_->send(0, l.home, kQuery, {l.vtx});
   for (std::size_t k = 0; k < paths.size(); ++k) {
     const ReadQuery& q = qs[paths[k]];
     cluster_->send(0, coord(k), kQueryPath, {static_cast<Word>(k), q.u, q.v});
   }
   std::vector<Word> msg;
-  for (MachineId m = 0; m < mu; ++m) {
-    const auto& ends = endpoints[m];
-    for (std::size_t a = 0; a < ends.size();) {
-      const VertexId vtx = ends[a].first;
-      msg.assign(1, vtx);
-      for (; a < ends.size() && ends[a].first == vtx; ++a) {
-        msg.push_back(static_cast<Word>(ends[a].second));
-      }
-      cluster_->send(0, m, kQueryEndpoint, msg);
+  for (std::size_t a = 0; a < endpoints.size();) {
+    const Endpoint& e = endpoints[a];
+    msg.assign(1, e.vtx);
+    for (; a < endpoints.size() && endpoints[a].home == e.home &&
+           endpoints[a].vtx == e.vtx;
+         ++a) {
+      msg.push_back(static_cast<Word>(endpoints[a].coord));
     }
+    cluster_->send(0, e.home, kQueryEndpoint, msg);
   }
   cluster_->finish_round();
 
@@ -545,13 +643,15 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // send each path endpoint's component and cached tour index to its
   // coordinators.
   cluster_->for_each_machine([&](MachineId m) {
-    for (const VertexId vtx : lookups[m]) {
+    for (std::size_t a = lookup_off[m]; a < lookup_off[m + 1]; ++a) {
+      const VertexId vtx = lookups[a].vtx;
       cluster_->send(m, 0, kQueryReply, {vtx, vertex(vtx).comp});
     }
-    for (const auto& [vtx, to] : endpoints[m]) {
-      const VertexRec& rec = vertex(vtx);
-      cluster_->send(m, to, kQueryEndpointReply,
-                     {vtx, rec.comp, rec.cached_idx});
+    for (std::size_t a = endpoint_off[m]; a < endpoint_off[m + 1]; ++a) {
+      const Endpoint& e = endpoints[a];
+      const VertexRec& rec = vertex(e.vtx);
+      cluster_->send(m, e.coord, kQueryEndpointReply,
+                     {e.vtx, rec.comp, rec.cached_idx});
     }
   });
   cluster_->finish_round();
@@ -593,16 +693,16 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // Round 4: every machine sums its tree edges on every probed path in
   // one pass over its shard and sends the nonzero sums to the
   // coordinators.
-  sort_probes(probes);
-  std::vector<std::vector<Weight>> sums(mu);
+  const ProbeSet probe_set(std::move(probes));
+  const std::size_t num_paths = paths.size();
+  std::vector<Weight> sums(mu * num_paths, 0);  // machine-major
   cluster_->for_each_machine([&](MachineId m) {
     const EdgeShard& es = machines_[m].edges;
-    std::vector<Weight>& local = sums[m];
-    local.assign(paths.size(), 0);
-    for_each_path_slot(es, probes, [&](std::size_t k, std::size_t i) {
+    Weight* local = sums.data() + m * num_paths;
+    for_each_path_slot(es, probe_set, [&](std::size_t k, std::size_t i) {
       local[k] += es.w[i];
     });
-    for (std::size_t k = 0; k < paths.size(); ++k) {
+    for (std::size_t k = 0; k < num_paths; ++k) {
       if (local[k] != 0) {
         cluster_->send(m, coord(k), kQuerySumReply,
                        {static_cast<Word>(k), local[k]});
@@ -613,9 +713,11 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
 
   // Round 5: coordinators fold the sums and return the answers to the
   // ingress.
-  for (std::size_t k = 0; k < paths.size(); ++k) {
+  for (std::size_t k = 0; k < num_paths; ++k) {
     ReadAnswer& a = out[paths[k]];
-    for (MachineId m = 0; m < mu; ++m) a.path_weight += sums[m][k];
+    for (MachineId m = 0; m < mu; ++m) {
+      a.path_weight += sums[m * num_paths + k];
+    }
     cluster_->send(coord(k), 0, kQueryAnswer,
                    {static_cast<Word>(k), a.connected ? Word{1} : Word{0},
                     a.path_weight});
@@ -1043,13 +1145,13 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       const BatchOp& op = ops[pms[k]];
       probes.push_back({op.cx, vert_idx.at(op.x), vert_idx.at(op.y), k});
     }
-    sort_probes(probes);
+    const ProbeSet probe_set(std::move(probes));
     std::vector<std::vector<std::optional<EdgeRec>>> pmc(
         machines_.size(), std::vector<std::optional<EdgeRec>>(pms.size()));
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
       std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
-      for_each_path_slot(es, probes, [&](std::size_t k, std::size_t i) {
+      for_each_path_slot(es, probe_set, [&](std::size_t k, std::size_t i) {
         if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
           best[k] = static_cast<std::ptrdiff_t>(i);
         }
@@ -1659,13 +1761,7 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
   // endpoint would alias another edge's key (u * n + v), and a self-loop
   // has no place in a forest.
   for (const graph::Update& up : batch) {
-    if (!is_vertex(up.u) || !is_vertex(up.v)) {
-      throw std::invalid_argument("DynamicForest: update endpoint out of "
-                                  "range");
-    }
-    if (up.u == up.v) {
-      throw std::invalid_argument("DynamicForest: self-loop update");
-    }
+    graph::require_edge_endpoints(up.u, up.v, config_.n, "DynamicForest");
   }
   cluster_->begin_update();
   journal_begin();

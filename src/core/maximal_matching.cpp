@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "graph/graph.hpp"
+
 namespace core {
 namespace {
 
@@ -660,6 +662,7 @@ void MaximalMatching::preprocess(const graph::EdgeList& edges) {
 }
 
 void MaximalMatching::insert(VertexId x, VertexId y) {
+  graph::require_edge_endpoints(x, y, config_.n, "MaximalMatching");
   cluster_->begin_update();
   query_stats_round({x, y});
   const VertexId mx = stats(x).mate;
@@ -693,6 +696,7 @@ void MaximalMatching::insert(VertexId x, VertexId y) {
 }
 
 void MaximalMatching::erase(VertexId x, VertexId y) {
+  graph::require_edge_endpoints(x, y, config_.n, "MaximalMatching");
   cluster_->begin_update();
   query_stats_round({x, y});
   append_event({EventKind::kEdgeDelete, x, y, false});

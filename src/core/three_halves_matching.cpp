@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "graph/graph.hpp"
+
 namespace core {
 namespace {
 constexpr Word kCounterFanOut = 40;
@@ -189,6 +191,7 @@ void ThreeHalvesMatching::eliminate_insert_path(VertexId u, VertexId v) {
 }
 
 void ThreeHalvesMatching::insert(VertexId x, VertexId y) {
+  graph::require_edge_endpoints(x, y, config_.n, "ThreeHalvesMatching");
   cluster_->begin_update();
   query_stats_round({x, y});
   const VertexId mx = stats(x).mate;
@@ -231,6 +234,7 @@ void ThreeHalvesMatching::insert(VertexId x, VertexId y) {
 }
 
 void ThreeHalvesMatching::erase(VertexId x, VertexId y) {
+  graph::require_edge_endpoints(x, y, config_.n, "ThreeHalvesMatching");
   cluster_->begin_update();
   query_stats_round({x, y});
   append_event({EventKind::kEdgeDelete, x, y, false});

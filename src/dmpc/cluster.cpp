@@ -9,6 +9,7 @@ Cluster::Cluster(std::size_t num_machines, WordCount words_per_machine)
     : capacity_(words_per_machine),
       memories_(num_machines, MemoryMeter(words_per_machine)),
       buffer_(num_machines),
+      metrics_(num_machines),
       executor_(std::make_shared<SerialExecutor>()) {}
 
 void Cluster::set_executor(std::shared_ptr<RoundExecutor> executor) {
@@ -71,13 +72,6 @@ void Cluster::check_machine(MachineId m, const char* what) const {
                             std::to_string(m) + " out of range (cluster has " +
                             std::to_string(memories_.size()) + " machines)");
   }
-}
-
-void Cluster::send(MachineId from, MachineId to, Word /*tag*/,
-                   std::span<const Word> payload) {
-  check_machine(from, "send(from)");
-  check_machine(to, "send(to)");
-  buffer_.stage(from, to, payload.size() + 1);
 }
 
 RoundRecord Cluster::finish_round() {

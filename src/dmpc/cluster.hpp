@@ -110,8 +110,14 @@ class Cluster {
   /// recorded.  The span binds to vectors, arrays, and subranges alike;
   /// the brace-list overload covers the ubiquitous O(1)-word protocol
   /// messages.  Thread-safe across distinct senders (per-sender shards).
-  void send(MachineId from, MachineId to, Word tag,
-            std::span<const Word> payload);
+  void send(MachineId from, MachineId to, Word /*tag*/,
+            std::span<const Word> payload) {
+    if (from >= size() || to >= size()) [[unlikely]] {
+      check_machine(from, "send(from)");
+      check_machine(to, "send(to)");
+    }
+    buffer_.stage(from, to, payload.size() + 1);
+  }
   void send(MachineId from, MachineId to, Word tag,
             std::initializer_list<Word> payload) {
     send(from, to, tag, std::span<const Word>(payload.begin(), payload.size()));

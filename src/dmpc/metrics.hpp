@@ -10,10 +10,11 @@
 // the per-pair histogram so benches can compute it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "dmpc/types.hpp"
 
@@ -153,6 +154,14 @@ struct AbortAggregate {
 /// Full metrics stream attached to a Cluster.
 class Metrics {
  public:
+  /// A bare stream: the pair-traffic ledger starts empty and grows to
+  /// the largest machine id recorded.
+  Metrics() = default;
+  /// A stream for a `machines`-machine cluster: the pair-traffic ledger
+  /// is sized up front, so recording never allocates.
+  explicit Metrics(std::size_t machines)
+      : pair_dim_(machines), pair_words_(machines * machines, 0) {}
+
   void begin_update() {
     current_ = UpdateRecord{};
     in_update_ = true;
@@ -233,11 +242,15 @@ class Metrics {
     }
   }
 
-  /// Hot path: called once per staged message at the round barrier,
-  /// so the histogram lives in a hash map keyed on the packed pair; the
-  /// ordered view callers see is built on demand by pair_traffic().
+  /// Hot path: called once per staged message at the round barrier, so
+  /// the histogram is a dense sender-major mu x mu array and a record is
+  /// one indexed add.  An id past the ledger's size (a bare Metrics)
+  /// grows it first.
   void record_pair_traffic(MachineId from, MachineId to, WordCount words) {
-    pair_traffic_[pack_pair(from, to)] += words;
+    if (from >= pair_dim_ || to >= pair_dim_) {
+      grow_pairs(static_cast<std::size_t>(from > to ? from : to) + 1);
+    }
+    pair_words_[from * pair_dim_ + to] += words;
   }
 
   [[nodiscard]] const UpdateAggregate& aggregate() const { return aggregate_; }
@@ -247,9 +260,9 @@ class Metrics {
   [[nodiscard]] const UpdateRecord& last_update() const {
     return last_update_;
   }
-  /// Per-(sender,receiver) traffic histogram in pair order.  Built on
-  /// demand: the internal store is unordered for the per-message hot
-  /// path, and only diagnostics/tests want the sorted view.
+  /// Per-(sender,receiver) traffic histogram in pair order, holding
+  /// only the pairs that carried words.  Built on demand from the dense
+  /// ledger: only diagnostics and tests want this view.
   [[nodiscard]] std::map<std::pair<MachineId, MachineId>, WordCount>
   pair_traffic() const;
 
@@ -260,16 +273,14 @@ class Metrics {
   /// maximum attainable entropy log2(#pairs-used).
   [[nodiscard]] double pair_entropy_bits() const;
 
-  /// Resets the per-update aggregate and pair traffic (keeps nothing).
+  /// Resets the per-update aggregate and pair traffic (keeps nothing but
+  /// the ledger's size).
   /// Used by benches to separate the preprocessing phase from the update
   /// phase.
   void reset();
 
  private:
-  static std::uint64_t pack_pair(MachineId from, MachineId to) {
-    return (static_cast<std::uint64_t>(from) << 32) |
-           static_cast<std::uint64_t>(to);
-  }
+  void grow_pairs(std::size_t dim);
 
   UpdateRecord current_{};
   UpdateRecord last_update_{};
@@ -278,7 +289,8 @@ class Metrics {
   UpdateAggregate aggregate_{};
   QueryAggregate query_agg_{};
   AbortAggregate abort_agg_{};
-  std::unordered_map<std::uint64_t, WordCount> pair_traffic_;
+  std::size_t pair_dim_ = 0;
+  std::vector<WordCount> pair_words_;  // pair_dim_^2, row = sender
 };
 
 }  // namespace dmpc

@@ -23,15 +23,19 @@ RoundRecord RoundBuffer::deliver(WordCount capacity, Metrics& metrics) {
   // threads staged it.
   RoundRecord rec;
   for (MachineId from = 0; from < mu; ++from) {
-    for (const StagedRec& sr : staged_[from]) {
-      sent_[from] += sr.words;
+    const std::vector<StagedRec>& shard = staged_[from];
+    if (shard.empty()) continue;
+    WordCount sent = 0;
+    for (const StagedRec& sr : shard) {
+      sent += sr.words;
       received_[sr.to] += sr.words;
-      active_[from] = 1;
       active_[sr.to] = 1;
-      rec.comm_words += sr.words;
-      ++rec.messages;
       metrics.record_pair_traffic(from, sr.to, sr.words);
     }
+    sent_[from] = sent;
+    active_[from] = 1;
+    rec.comm_words += sent;
+    rec.messages += shard.size();
   }
   reset();
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -46,6 +47,21 @@ struct EdgeKeyHash {
     return static_cast<std::size_t>(x ^ (x >> 31));
   }
 };
+
+/// Throws std::invalid_argument unless (u, v) can be an edge of a simple
+/// graph over vertices [0, n): both endpoints in range and distinct.
+/// The dynamic algorithms call it before an update changes any state.
+inline void require_edge_endpoints(VertexId u, VertexId v, std::size_t n,
+                                   const char* who) {
+  const auto in_range = [n](VertexId x) {
+    return x >= 0 && static_cast<std::size_t>(x) < n;
+  };
+  if (!in_range(u) || !in_range(v)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": edge endpoint out of range");
+  }
+  if (u == v) throw std::invalid_argument(std::string(who) + ": self-loop");
+}
 
 /// A fully-dynamic undirected graph over vertices [0, n).
 class DynamicGraph {

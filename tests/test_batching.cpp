@@ -393,6 +393,27 @@ TEST(BatchScheduler, SwapRejectedInsertsStayNontree) {
                 {0, 1}, {1, 2}, {4, 5}, {5, 6}}));
 }
 
+// Cycle-rule inserts in paths A and C share one stage's path-max pass
+// while B, heavier than both and between them in component id, gets no
+// probe.  Each insert is heavier than every edge of its own path, so
+// neither swaps; a B edge leaking into either probe's maximum would
+// force a swap.
+TEST(BatchScheduler, PathMaxNeverLeaksAnUnprobedComponent) {
+  const std::size_t len = 24;
+  const std::vector<Update> batch = {
+      {UpdateKind::kInsert, 0, static_cast<dmpc::VertexId>(len - 1), 500},
+      {UpdateKind::kInsert, static_cast<dmpc::VertexId>(2 * len + 1),
+       static_cast<dmpc::VertexId>(3 * len - 2), 5000},
+  };
+  const graph::WeightedEdgeList paths = test_util::three_weighted_paths(len);
+  const auto batched =
+      expect_batch_matches_one_by_one(weighted_config(3 * len), paths, batch);
+  EXPECT_EQ(batched->batch_stats().path_max_grouped, 2u);
+  std::vector<std::pair<dmpc::VertexId, dmpc::VertexId>> path_edges;
+  for (const auto& e : paths) path_edges.emplace_back(e.u, e.v);
+  EXPECT_EQ(sorted_tree_edges(*batched), path_edges);
+}
+
 // A grouped swap displacing a tree edge in the MIDDLE of the cycle path
 // (not adjacent to either endpoint): the demoted edge must become a
 // crossing candidate of its own split and lose the replacement search

@@ -15,6 +15,7 @@
 #include "core/cs_matching.hpp"
 #include "core/dyn_forest.hpp"
 #include "core/maximal_matching.hpp"
+#include "core/three_halves_matching.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 #include "etour/euler_forest.hpp"
@@ -92,6 +93,36 @@ TEST(PreconditionFailures, ThrowCleanly) {
   cs.insert(0, 1);
   EXPECT_THROW(cs.insert(0, 1), std::logic_error);
   EXPECT_THROW(cs.erase(2, 3), std::logic_error);
+
+  // The matchings reject an out-of-range endpoint and a self-loop before
+  // the update begins: the state, the matching and the update count stay
+  // as they were.  (Duplicate inserts and absent erases need a presence
+  // lookup the §3/§4 matchings do not have.)
+  const auto expect_rejected = [](auto& algo, VertexId n) {
+    algo.insert(0, 1);
+    const auto matching_before = algo.matching_snapshot();
+    const std::uint64_t updates_before =
+        algo.cluster().metrics().aggregate().updates;
+    for (const auto& [u, v] :
+         {std::pair<VertexId, VertexId>{2, 2}, {0, n}, {n, 0}, {-1, 1}}) {
+      EXPECT_THROW(algo.insert(u, v), std::invalid_argument)
+          << "insert (" << u << ", " << v << ")";
+      EXPECT_THROW(algo.erase(u, v), std::invalid_argument)
+          << "erase (" << u << ", " << v << ")";
+      std::string why;
+      EXPECT_TRUE(algo.validate(&why)) << why;
+      EXPECT_EQ(algo.matching_snapshot(), matching_before);
+      EXPECT_EQ(algo.cluster().metrics().aggregate().updates, updates_before);
+    }
+  };
+  core::CsMatching cs_bad({.n = 4});
+  expect_rejected(cs_bad, 4);
+  core::MaximalMatching mm({.n = 8, .m_cap = 32});
+  mm.preprocess({});
+  expect_rejected(mm, 8);
+  core::ThreeHalvesMatching th({.n = 8, .m_cap = 32});
+  th.preprocess({});
+  expect_rejected(th, 8);
 
   seq::AccessCounter c;
   seq::HdtConnectivity hdt(4, c);

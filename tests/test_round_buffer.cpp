@@ -8,9 +8,13 @@
 //     traffic;
 //   * reset() (drop_round_state) after staging with no barrier leaves the
 //     next round clean;
-//   * an empty round records zeros.
+//   * an empty round records zeros;
+//   * the dense pair-traffic ledger gives an ordered, zero-free view and
+//     the Section 8 entropy, empties on reset(), keeps an aborted
+//     update's traffic, and grows for ids past its size.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -131,6 +135,45 @@ TEST(RoundBuffer, EmptyRoundRecordsZeros) {
   EXPECT_EQ(rec.messages, 0u);
   EXPECT_EQ(rec.comm_words, 0u);
   EXPECT_EQ(rec.active_machines, 0u);
+}
+
+TEST(PairLedger, OrderedZeroFreeViewAndEntropy) {
+  Metrics metrics(3);
+  metrics.record_pair_traffic(2, 0, 3);
+  metrics.record_pair_traffic(0, 1, 2);
+  metrics.record_pair_traffic(0, 1, 5);
+  EXPECT_EQ(metrics.pair_traffic(), (PairTraffic{{{0, 1}, 7}, {{2, 0}, 3}}));
+  EXPECT_DOUBLE_EQ(metrics.pair_entropy_bits(),
+                   -(0.7 * std::log2(0.7) + 0.3 * std::log2(0.3)));
+
+  metrics.reset();
+  EXPECT_TRUE(metrics.pair_traffic().empty());
+  EXPECT_EQ(metrics.pair_entropy_bits(), 0.0);
+}
+
+TEST(PairLedger, AbortKeepsPairTraffic) {
+  // The words of an aborted update really crossed the network before
+  // the fault, so they stay in the histogram.
+  Metrics metrics(2);
+  metrics.begin_update();
+  metrics.record_pair_traffic(1, 0, 4);
+  metrics.abort_update();
+  EXPECT_EQ(metrics.abort_aggregate().aborts, 1u);
+  EXPECT_EQ(metrics.pair_traffic(), (PairTraffic{{{1, 0}, 4}}));
+}
+
+TEST(PairLedger, AcceptsIdsPastItsSize) {
+  Metrics bare;
+  bare.record_pair_traffic(5, 9, 4);
+  bare.record_pair_traffic(1, 0, 1);
+  EXPECT_EQ(bare.pair_traffic(), (PairTraffic{{{1, 0}, 1}, {{5, 9}, 4}}));
+
+  // Growing a sized ledger keeps what it already holds.
+  Metrics sized(2);
+  sized.record_pair_traffic(1, 0, 6);
+  sized.record_pair_traffic(0, 7, 2);
+  sized.record_pair_traffic(1, 0, 1);
+  EXPECT_EQ(sized.pair_traffic(), (PairTraffic{{{0, 7}, 2}, {{1, 0}, 7}}));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "graph/update_stream.hpp"
 #include "oracle/oracles.hpp"
 #include "serve/query_broker.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -186,6 +187,58 @@ TEST(AnswerQueries, ChunkRoundsArePinned) {
                        {QueryKind::kPathWeight, 2, 20}}),
             5u);
   EXPECT_EQ(rounds_of({{QueryKind::kPathWeight, 2, 40}}), 5u);  // disconnected
+}
+
+TEST(AnswerQueries, PathSumsNeverLeakAnUnprobedComponent) {
+  // One batch probes paths A and C only; B's component id lies between
+  // theirs and its tour intervals overlap their probe indexes, so only
+  // the exact per-component filter keeps B's heavy edges out of the sums.
+  const std::size_t len = 24;
+  const std::size_t n = 3 * len;
+  const graph::WeightedEdgeList edges = test_util::three_weighted_paths(len);
+  DynamicForest forest({.n = n, .m_cap = 2 * n, .weighted = true});
+  forest.preprocess(edges);
+  std::map<graph::EdgeKey, graph::Weight> weight;
+  for (const auto& e : edges) weight[graph::EdgeKey(e.u, e.v)] = e.w;
+  std::vector<std::vector<std::pair<dmpc::VertexId, graph::Weight>>> adj(n);
+  for (const auto& [u, v] : forest.tree_edges()) {
+    const graph::Weight w = weight.at(graph::EdgeKey(u, v));
+    adj[static_cast<std::size_t>(u)].push_back({v, w});
+    adj[static_cast<std::size_t>(v)].push_back({u, w});
+  }
+  std::vector<ReadQuery> queries;
+  for (const std::size_t base : {std::size_t{0}, 2 * len}) {
+    for (std::size_t a = 0; a < len; a += 3) {
+      for (std::size_t b = a + 1; b < len; b += 5) {
+        queries.push_back({QueryKind::kPathWeight,
+                           static_cast<dmpc::VertexId>(base + a),
+                           static_cast<dmpc::VertexId>(base + b)});
+      }
+    }
+  }
+  const std::vector<ReadAnswer> answers =
+      forest.answer_queries(std::span<const ReadQuery>(queries));
+  ASSERT_EQ(answers.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const ReadQuery& q = queries[i];
+    // BFS over the forest's tree edges: the unique tree path's sum.
+    std::vector<graph::Weight> dist(n, -1);
+    std::deque<dmpc::VertexId> frontier{q.u};
+    dist[static_cast<std::size_t>(q.u)] = 0;
+    while (!frontier.empty()) {
+      const dmpc::VertexId x = frontier.front();
+      frontier.pop_front();
+      for (const auto& [y, w] : adj[static_cast<std::size_t>(x)]) {
+        if (dist[static_cast<std::size_t>(y)] >= 0) continue;
+        dist[static_cast<std::size_t>(y)] =
+            dist[static_cast<std::size_t>(x)] + w;
+        frontier.push_back(y);
+      }
+    }
+    EXPECT_TRUE(answers[i].connected) << q.u << " .. " << q.v;
+    EXPECT_EQ(answers[i].path_weight, dist[static_cast<std::size_t>(q.v)])
+        << q.u << " .. " << q.v;
+  }
 }
 
 // Path weights after dynamic updates: the read path resolves endpoints

@@ -115,6 +115,25 @@ inline graph::WeightedDynamicGraph final_weighted_graph(
   return g;
 }
 
+/// Three weighted paths of `len` vertices each, A = [0, len),
+/// B = [len, 2 len) and C = [2 len, 3 len), so their component ids order
+/// A < B < C.  Tour indexes are per component, so B's tree edges overlap
+/// the tour indexes of A's and C's vertices.  Edge weights: 1 on A,
+/// 1,000,000 on B and 1,000 on C.  B, the heaviest, lies between the
+/// others, so a shard scan that lets B's edges reach either neighbour's
+/// probes changes a path sum and a path maximum.
+inline graph::WeightedEdgeList three_weighted_paths(std::size_t len) {
+  graph::WeightedEdgeList edges;
+  const graph::Weight weight[3] = {1, 1000000, 1000};
+  for (std::size_t p = 0; p < 3; ++p) {
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      const auto u = static_cast<graph::VertexId>(p * len + i);
+      edges.push_back({u, u + 1, weight[p]});
+    }
+  }
+  return edges;
+}
+
 /// Oracle-replay assertion: the snapshot must be a valid maximal matching
 /// of the shadow graph.
 inline void expect_maximal(const oracle::Matching& m,
