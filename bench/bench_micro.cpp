@@ -26,7 +26,12 @@
 //     every machine — wall time per write stage, rounds and words.
 //     `--check` requires validate() afterwards and the pinned rounds and
 //     words (kCommitRounds / kCommitWords; the protocol is
-//     deterministic, so any other count is a protocol change).
+//     deterministic, so any other count is a protocol change);
+//   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
+//     links: its compile time, and ns per index (in random order, as the
+//     commit pass meets them) through the map against the per-index
+//     KWaySplit / KWayJoinPlan calls.  `--check` requires both to give
+//     every index the same fragment, removed flag and final index.
 //
 // `--json BENCH_micro.json` writes the rows for the CI bench-trend gate,
 // including the detected core count: the gate skips wall-clock
@@ -43,6 +48,8 @@
 #include "bench_common.hpp"
 #include "core/dyn_forest.hpp"
 #include "dmpc/executor.hpp"
+#include "etour/tour_builder.hpp"
+#include "etour/transforms.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
 
@@ -58,6 +65,9 @@ constexpr std::size_t kCommitN = std::size_t{1} << 18;
 constexpr std::size_t kCommitPairs = 32;
 constexpr std::uint64_t kCommitRounds = 267;
 constexpr std::uint64_t kCommitWords = 657973;
+constexpr std::size_t kStageMapVertices = (std::size_t{1} << 18) + 1;
+constexpr std::size_t kStageMapCuts = 8;
+constexpr int kStageMapCompiles = 200;
 
 /// Seconds for `iters` executor rounds of `count` near-empty tasks.
 double executor_round_seconds(dmpc::RoundExecutor& exec, std::size_t count,
@@ -291,6 +301,111 @@ CommitRun run_commit_pass() {
   return out;
 }
 
+/// The stage-map row: one random recursive tree of kStageMapVertices
+/// vertices (a 2^20-entry tour), kStageMapCuts random tree edges cut, and
+/// the fragments linked back into one tree at random appearances.
+struct StageMapRun {
+  std::size_t pieces = 0;
+  double compile_us = 0;
+  double map_ns = 0;      ///< per index, through the compiled map
+  double algebra_ns = 0;  ///< per index, through the per-index calls
+  bool identical = false;
+};
+
+StageMapRun run_stage_map() {
+  std::mt19937_64 rng(17);
+  const std::size_t n = kStageMapVertices;
+  std::vector<std::vector<dmpc::VertexId>> adj(n);
+  for (std::size_t v = 1; v < n; ++v) {
+    const std::size_t p = rng() % v;
+    adj[p].push_back(static_cast<dmpc::VertexId>(v));
+    adj[v].push_back(static_cast<dmpc::VertexId>(p));
+  }
+  const std::vector<dmpc::VertexId> tour = etour::build_tour(adj, 0);
+  const auto elen = static_cast<etour::Word>(tour.size());
+  // A non-root vertex's first and last appearances bound the subtree its
+  // parent edge's cut splits off.
+  std::vector<etour::Word> first(n, 0), last(n, 0);
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    const auto v = static_cast<std::size_t>(tour[i]);
+    if (first[v] == 0) first[v] = static_cast<etour::Word>(i + 1);
+    last[v] = static_cast<etour::Word>(i + 1);
+  }
+  std::vector<etour::KWaySplit::Cut> cuts;
+  std::vector<std::size_t> children;
+  while (cuts.size() < kStageMapCuts) {
+    const std::size_t c = 1 + rng() % (n - 1);
+    if (std::find(children.begin(), children.end(), c) != children.end()) {
+      continue;
+    }
+    children.push_back(c);
+    cuts.push_back({first[c], last[c]});
+  }
+  const etour::KWaySplit split(elen, cuts);
+  std::vector<etour::Word> elens;
+  for (std::size_t f = 0; f < split.fragments(); ++f) {
+    elens.push_back(split.fragment_elength(f));
+  }
+  etour::KWayJoinPlan plan(elens);
+  while (plan.num_links() + 1 < elens.size()) {
+    const std::size_t a = rng() % elens.size();
+    const std::size_t b = rng() % elens.size();
+    if (plan.same_tree(a, b)) continue;
+    const auto at = [&](std::size_t f) {
+      return elens[f] == 0 ? etour::kNoIndex
+                           : static_cast<etour::Word>(
+                                 1 + rng() % static_cast<std::uint64_t>(
+                                                 elens[f]));
+    };
+    const etour::Word ia = at(a);
+    plan.link(a, ia, b, at(b));
+  }
+
+  StageMapRun out;
+  std::size_t pieces = 0;
+  out.compile_us = bench::timed_seconds([&] {
+                     for (int r = 0; r < kStageMapCompiles; ++r) {
+                       pieces += etour::StageMap(elen, &split, plan, 0)
+                                     .pieces();
+                     }
+                   }) *
+                   1e6 / kStageMapCompiles;
+  const etour::StageMap map(elen, &split, plan, 0);
+  out.pieces = map.pieces();
+
+  // Every old index, in random order; each maps to (fragment, final
+  // index), or (fragment, -1) for a removed entry.
+  std::vector<etour::Word> order(static_cast<std::size_t>(elen) + 1);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<etour::Word>(i);
+  }
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<std::pair<etour::Word, etour::Word>> by_map(order.size()),
+      by_calls(order.size());
+  const double map_s = bench::timed_seconds([&] {
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const etour::Word i = order[j];
+      const etour::StageMap::Piece& p = map.piece(i);
+      by_map[j] = {p.frag, p.removed ? -1 : i + p.delta};
+    }
+  });
+  const double calls_s = bench::timed_seconds([&] {
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      const etour::Word i = order[j];
+      const auto frag = static_cast<etour::Word>(split.fragment_of(i));
+      by_calls[j] = {frag, split.removed(i)
+                               ? -1
+                               : plan.resolve(static_cast<std::size_t>(frag),
+                                              split.new_index(i))};
+    }
+  });
+  out.map_ns = map_s * 1e9 / static_cast<double>(order.size());
+  out.algebra_ns = calls_s * 1e9 / static_cast<double>(order.size());
+  out.identical = by_map == by_calls && pieces == out.pieces *
+                                                      kStageMapCompiles;
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -506,6 +621,32 @@ int main(int argc, char** argv) {
         .u64("total_rounds", r.agg.total_rounds)
         .u64("total_comm_words", r.agg.total_comm_words)
         .flag("within_budget", r.valid && pinned);
+  }
+
+  // --- The compiled stage map against the per-index algebra -----------
+  {
+    const StageMapRun r = run_stage_map();
+    std::printf("\n=== compiled stage map: %zu-entry tour, %zu cuts, %zu "
+                "links ===\n",
+                4 * (kStageMapVertices - 1), kStageMapCuts, kStageMapCuts);
+    std::printf("%zu pieces, compiled in %.1f us; per index (random order): "
+                "map %.2f ns, per-index calls %.2f ns (%.1fx); identical "
+                "%s\n",
+                r.pieces, r.compile_us, r.map_ns, r.algebra_ns,
+                r.map_ns > 0 ? r.algebra_ns / r.map_ns : 0.0,
+                r.identical ? "yes" : "NO");
+    if (!r.identical) {
+      std::fprintf(stderr, "STAGE MAP VIOLATION: the compiled map and the "
+                           "per-index calls disagree\n");
+      ok = false;
+    }
+    json.row("stage_map_n1048576")
+        .u64("cores", cores)
+        .u64("pieces", r.pieces)
+        .num("compile_us", r.compile_us)
+        .num("ns_per_index_map", r.map_ns)
+        .num("ns_per_index_calls", r.algebra_ns)
+        .flag("within_budget", r.identical);
   }
 
   if (!args.json_path.empty() && !json.write(args.json_path, ok)) {

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "dmpc/cluster.hpp"
+#include "graph/graph.hpp"
 #include "oracle/oracles.hpp"
 
 namespace core {
@@ -80,6 +81,7 @@ class CsMatching {
   // --- driver-side introspection -----------------------------------------
   [[nodiscard]] oracle::Matching matching_snapshot() const { return mate_; }
   [[nodiscard]] int level_of(VertexId v) const {
+    graph::require_vertex(v, config_.n, "CsMatching");
     return lvl_[static_cast<std::size_t>(v)];
   }
   [[nodiscard]] std::size_t pending_work() const;

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <compare>
+#include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -216,6 +218,22 @@ void for_each_path_slot(const Shard& es, const ProbeSet& probes,
   }
 }
 
+// std::lower_bound over a sorted range without data-dependent branches:
+// the loop runs ceil(log2(len)) times for any key and each step is a
+// conditional move, so the scattered keys of a shard pass cost no
+// mispredictions.
+template <class T, class Key, class Less>
+const T* branchless_lower_bound(const T* first, std::size_t len,
+                                const Key& key, Less less) {
+  if (len == 0) return first;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    first = less(first[half], key) ? first + half : first;
+    len -= half;
+  }
+  return first + static_cast<std::size_t>(less(*first, key));
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -299,15 +317,35 @@ void DynamicForest::journal_rollback() {
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     MachineState& ms = machines_[m];
     // Reverse replay: the EARLIEST pre-image of a key wins, so later
-    // duplicates are harmlessly overwritten on the way back.
-    for (auto it = ms.journal.edges.rbegin(); it != ms.journal.edges.rend();
-         ++it) {
-      if (it->existed) {
-        ms.edges.put(it->key, it->rec);
-      } else {
-        ms.edges.erase(it->key);
+    // duplicates are harmlessly overwritten on the way back.  The two
+    // edge logs merge back into one reverse order: a slot entry is
+    // restored once every key-path entry logged after it is undone, so
+    // its record exists again (under its key; its slot may differ).
+    std::size_t keyed = ms.journal.edges.size();
+    const auto undo_keys_to = [&](std::size_t stop) {
+      for (; keyed > stop; --keyed) {
+        const MachineJournal::EdgeEntry& e = ms.journal.edges[keyed - 1];
+        if (e.existed) {
+          ms.edges.put(e.key, e.rec);
+        } else {
+          ms.edges.erase(e.key);
+        }
       }
+    };
+    for (auto it = ms.journal.slots.rbegin(); it != ms.journal.slots.rend();
+         ++it) {
+      undo_keys_to(it->edges_before);
+      const std::ptrdiff_t found = ms.edges.find(it->key);
+      assert(found != EdgeShard::kNpos);
+      const auto s = static_cast<std::size_t>(found);
+      ms.edges.comp[s] = it->comp;
+      ms.edges.iu1[s] = it->iu1;
+      ms.edges.iu2[s] = it->iu2;
+      ms.edges.iv1[s] = it->iv1;
+      ms.edges.iv2[s] = it->iv2;
+      ms.edges.tree[s] = it->tree;
     }
+    undo_keys_to(0);
     for (auto it = ms.journal.vertices.rbegin();
          it != ms.journal.vertices.rend(); ++it) {
       ms.vertices[it->slot] = it->rec;
@@ -1220,7 +1258,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   struct SplitComp {
     std::vector<etour::KWaySplit::Cut> ivals;
     std::vector<std::size_t> cut_ids;  ///< into cuts, batch order
-    std::vector<VertexId> cut_verts;   ///< cut endpoints, sorted, unique
+    std::vector<VertexId> cut_verts;   ///< cut endpoints, sorted, unique,
+                                       ///< then a max() sentinel
     std::optional<etour::KWaySplit> split;
   };
   std::map<Word, SplitComp> splits;
@@ -1235,9 +1274,86 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::sort(sc.cut_verts.begin(), sc.cut_verts.end());
     sc.cut_verts.erase(std::unique(sc.cut_verts.begin(), sc.cut_verts.end()),
                        sc.cut_verts.end());
+    sc.cut_verts.push_back(std::numeric_limits<VertexId>::max());
     sc.split.emplace(etour::elength(comp_size.at(comp)), sc.ivals);
     ++batch_stats_.kway_splits;
   }
+
+  // ---- Shared fragment universe ----------------------------------------
+  // Fragment ids: split components ascending (fragment 0 keeps the old
+  // label, cut fragments take their op's pre-assigned new label), then
+  // merge components ascending as single whole-tour fragments.  Every
+  // machine derives the identical universe from the broadcast data.
+  struct Frag {
+    Word label = 0;
+    Word elen = 0;
+  };
+  std::vector<Frag> frags;
+  // The stage's rewritten components, ascending: each one's split (null
+  // for a merge component, which joins as one whole-tour fragment), the
+  // universe index of its fragment 0, and its stage map — the split alone
+  // until the join plan is finished, then the compiled split + join with
+  // each fragment's final label.
+  struct Rewritten {
+    Word comp = 0;
+    const SplitComp* split = nullptr;
+    std::size_t base = 0;
+    etour::StageMap map;
+    std::vector<Word> labels;
+  };
+  std::vector<Rewritten> rewritten;
+  for (const auto& [comp, sc] : splits) {
+    const etour::KWaySplit& sp = *sc.split;
+    rewritten.push_back({comp, &sc, frags.size(),
+                         etour::StageMap(etour::elength(comp_size.at(comp)),
+                                         &sp),
+                         {}});
+    std::vector<Word> label_of(sp.fragments(), comp);
+    for (std::size_t j = 0; j < sc.cut_ids.size(); ++j) {
+      label_of[sp.fragment_of_cut(j)] = cuts[sc.cut_ids[j]].new_comp;
+    }
+    for (std::size_t f = 0; f < sp.fragments(); ++f) {
+      frags.push_back({label_of[f], sp.fragment_elength(f)});
+    }
+  }
+  std::set<Word> merge_comps;
+  for (const std::size_t i : mrgs) {
+    merge_comps.insert(ops[i].cx);
+    merge_comps.insert(ops[i].cy);
+  }
+  for (const Word c : merge_comps) {
+    const Word elen = etour::elength(comp_size.at(c));
+    rewritten.push_back(
+        {c, nullptr, frags.size(), etour::StageMap(elen, nullptr), {}});
+    frags.push_back({c, elen});
+  }
+  std::sort(rewritten.begin(), rewritten.end(),
+            [](const Rewritten& a, const Rewritten& b) {
+              return a.comp < b.comp;
+            });
+  // A record's rewritten component, or null.  A large component owns most
+  // of the records its stage rewrites, so each machine task keeps its
+  // last hit: usually the next record's answer.
+  struct RewrittenCursor {
+    const std::vector<Rewritten>& table;
+    Word last_comp = -1;
+    const Rewritten* last = nullptr;
+    const Rewritten* find(Word comp) {
+      if (comp != last_comp) {
+        last_comp = comp;
+        const Rewritten* it = branchless_lower_bound(
+            table.data(), table.size(), comp,
+            [](const Rewritten& r, Word c) { return r.comp < c; });
+        last = it == table.data() + table.size() || it->comp != comp
+                   ? nullptr
+                   : it;
+      }
+      return last;
+    }
+  };
+  const auto base_of = [&](Word comp) {
+    return RewrittenCursor{rewritten}.find(comp)->base;
+  };
 
   // ---- Replacement cascade (tree deletions only) ----------------------
   struct Cand {
@@ -1275,30 +1391,35 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     // ---- Cascade round A: fragment-crossing scan.  Each machine folds
     // its shard to per-(comp,vertex) appearance minima and per-fragment-
     // pair best (w,u,v) crossing candidates, sent to hashed collectors
-    // (two-hop fold keeps any one receiver under the comm cap).
-    std::map<std::pair<Word, VertexId>, Word> best_app;
-    std::map<std::tuple<Word, Word, Word>, Cand> best;
-    std::vector<std::map<std::pair<Word, VertexId>, Word>> mapp(
-        machines_.size());
-    std::vector<std::map<std::tuple<Word, Word, Word>, Cand>> mbest(
+    // (two-hop fold keeps any one receiver under the comm cap).  Each
+    // machine collects flat and sorts + folds once, so it sends in key
+    // order.
+    using AppKey = std::pair<Word, VertexId>;
+    using PairKey = std::tuple<Word, Word, Word>;
+    std::map<AppKey, Word> best_app;
+    std::map<PairKey, Cand> best;
+    std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
+    std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
       auto& lapp = mapp[m];
       auto& lbest = mbest[m];
+      RewrittenCursor cursor{rewritten};
       for (std::size_t s = 0; s < es.size(); ++s) {
-        const auto sit = splits.find(es.comp[s]);
-        if (sit == splits.end()) continue;
-        const etour::KWaySplit& sp = *sit->second.split;
+        const Rewritten* rw = cursor.find(es.comp[s]);
+        if (rw == nullptr || rw->split == nullptr) continue;
+        const etour::StageMap& sm = rw->map;
         if (es.tree[s] != 0) {
-          const std::vector<VertexId>& cv = sit->second.cut_verts;
+          const std::vector<VertexId>& cv = rw->split->cut_verts;
           const auto touch = [&](VertexId vert, Word i1, Word i2) {
-            if (!std::binary_search(cv.begin(), cv.end(), vert)) return;
+            if (*branchless_lower_bound(cv.data(), cv.size(), vert,
+                                        std::less<>()) != vert) {
+              return;
+            }
             for (const Word entry : {i1, i2}) {
-              if (sp.removed(entry)) continue;
-              const auto [it, fresh] =
-                  lapp.try_emplace(std::make_pair(es.comp[s], vert), entry);
-              if (!fresh && entry < it->second) it->second = entry;
+              if (sm.piece(entry).removed) continue;
+              lapp.push_back({{es.comp[s], vert}, entry});
             }
           };
           touch(es.u[s], es.iu1[s], es.iu2[s]);
@@ -1308,8 +1429,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           // itself was removed (a removed entry sits positionally inside
           // its owner vertex's fragment); only the index VALUE needs the
           // owner-side fix, resolved after the Kruskal.
-          const Word fu = static_cast<Word>(sp.fragment_of(es.iu1[s]));
-          const Word fv = static_cast<Word>(sp.fragment_of(es.iv1[s]));
+          const Word fu = sm.piece(es.iu1[s]).frag;
+          const Word fv = sm.piece(es.iv1[s]).frag;
           if (fu == fv) continue;
           Cand c;
           c.w = es.w[s];
@@ -1319,16 +1440,29 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           c.fv = fv;
           c.iu = es.iu1[s];
           c.iv = es.iv1[s];
-          const auto key = std::make_tuple(es.comp[s], std::min(fu, fv),
-                                           std::max(fu, fv));
-          const auto [it, fresh] = lbest.try_emplace(key, c);
-          if (!fresh && std::tie(c.w, c.u, c.v) <
-                            std::tie(it->second.w, it->second.u,
-                                     it->second.v)) {
-            it->second = c;
-          }
+          lbest.push_back({{es.comp[s], std::min(fu, fv), std::max(fu, fv)},
+                           c});
         }
       }
+      // Per key: the minimum appearance; the (w, u, v)-least candidate.
+      std::sort(lapp.begin(), lapp.end());
+      lapp.erase(std::unique(lapp.begin(), lapp.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 lapp.end());
+      std::sort(lbest.begin(), lbest.end(),
+                [](const auto& a, const auto& b) {
+                  return std::tie(a.first, a.second.w, a.second.u,
+                                  a.second.v) < std::tie(b.first, b.second.w,
+                                                         b.second.u,
+                                                         b.second.v);
+                });
+      lbest.erase(std::unique(lbest.begin(), lbest.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.first == b.first;
+                              }),
+                  lbest.end());
       for (const auto& [k, entry] : lapp) {
         cluster_->send(m, app_collector(k.first, k.second), kBatchReply,
                        {k.first, k.second, entry});
@@ -1439,56 +1573,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   }
   phase.next(dmpc::TracePhase::kKWayJoin);
 
-  // ---- Shared fragment universe + k-way join plan ---------------------
-  // Fragment ids: split components ascending (fragment 0 keeps the old
-  // label, cut fragments take their op's pre-assigned new label), then
-  // merge components ascending as single whole-tour fragments.  Every
-  // machine derives the identical universe from the broadcast data.
-  struct Frag {
-    Word label = 0;
-    Word elen = 0;
-  };
-  std::vector<Frag> frags;
-  // The stage's rewritten components, ascending: each one's split (null
-  // for a merge component, which joins as one whole-tour fragment) and
-  // the universe index of its fragment 0.
-  struct Rewritten {
-    Word comp = 0;
-    const SplitComp* split = nullptr;
-    std::size_t base = 0;
-  };
-  std::vector<Rewritten> rewritten;
-  for (const auto& [comp, sc] : splits) {
-    rewritten.push_back({comp, &sc, frags.size()});
-    const etour::KWaySplit& sp = *sc.split;
-    std::vector<Word> label_of(sp.fragments(), comp);
-    for (std::size_t j = 0; j < sc.cut_ids.size(); ++j) {
-      label_of[sp.fragment_of_cut(j)] = cuts[sc.cut_ids[j]].new_comp;
-    }
-    for (std::size_t f = 0; f < sp.fragments(); ++f) {
-      frags.push_back({label_of[f], sp.fragment_elength(f)});
-    }
-  }
-  std::set<Word> merge_comps;
-  for (const std::size_t i : mrgs) {
-    merge_comps.insert(ops[i].cx);
-    merge_comps.insert(ops[i].cy);
-  }
-  for (const Word c : merge_comps) {
-    rewritten.push_back({c, nullptr, frags.size()});
-    frags.push_back({c, etour::elength(comp_size.at(c))});
-  }
-  std::sort(rewritten.begin(), rewritten.end(),
-            [](const Rewritten& a, const Rewritten& b) {
-              return a.comp < b.comp;
-            });
-  const auto find_rewritten = [&](Word comp) -> const Rewritten* {
-    const auto it = std::lower_bound(
-        rewritten.begin(), rewritten.end(), comp,
-        [](const Rewritten& r, Word c) { return r.comp < c; });
-    return it == rewritten.end() || it->comp != comp ? nullptr : &*it;
-  };
-  const auto base_of = [&](Word comp) { return find_rewritten(comp)->base; };
+  // ---- K-way join plan ------------------------------------------------
   std::vector<Word> elens;
   elens.reserve(frags.size());
   for (const Frag& f : frags) elens.push_back(f.elen);
@@ -1566,18 +1651,31 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   finish();
 
   // ---- Behind the commit barrier: every machine transforms its shard
-  // and vertex records with the shared split/join algebra. --------------
-  // Each cut vertex's repaired (fragment, index).  The broadcast carries
-  // only the index: every machine derives the fragment from the shared
-  // split, where the parent's removed entry f_c - 1 and the child's f_c
-  // sit positionally inside their owners' fragments.
-  std::map<std::pair<Word, VertexId>, std::pair<std::size_t, Word>> cut_fix;
+  // and vertex records through the compiled stage maps. ------------------
+  for (Rewritten& rw : rewritten) {
+    const etour::KWaySplit* sp =
+        rw.split != nullptr ? &*rw.split->split : nullptr;
+    rw.map = etour::StageMap(etour::elength(comp_size.at(rw.comp)), sp, plan,
+                             rw.base);
+    const std::size_t fragments = sp != nullptr ? sp->fragments() : 1;
+    rw.labels.assign(final_label.begin() + static_cast<std::ptrdiff_t>(rw.base),
+                     final_label.begin() +
+                         static_cast<std::ptrdiff_t>(rw.base + fragments));
+  }
+  // Each cut vertex's final (index, label), for records whose cached
+  // appearance was a removed entry.  The broadcast carries only the
+  // fragment-original index: every machine derives the fragment from the
+  // shared split, where the parent's removed entry f_c - 1 and the
+  // child's f_c sit positionally inside their owners' fragments.
+  std::map<std::pair<Word, VertexId>, std::pair<Word, Word>> cut_fix;
   for (const CutInfo& ci : cuts) {
     const etour::KWaySplit& sp = *splits.at(ci.comp).split;
+    const std::size_t base = base_of(ci.comp);
     for (const auto& [vert, probe] :
          {std::pair{ci.parent, ci.f_c - 1}, std::pair{ci.child, ci.f_c}}) {
       const auto key = std::make_pair(ci.comp, vert);
-      cut_fix[key] = {sp.fragment_of(probe), fixes.at(key)};
+      const std::size_t frag = base + sp.fragment_of(probe);
+      cut_fix[key] = {plan.resolve(frag, fixes.at(key)), final_label[frag]};
     }
   }
   // The few records the pass treats specially, per edge machine: a cut
@@ -1605,33 +1703,27 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
                 return a.slot < b.slot;
               });
   }
+  // A record whose indexes and label come out unchanged (the x side up to
+  // its splice anchor, a remainder before its first cut) is neither
+  // written nor journaled: a later stage of the batch that does change it
+  // journals its still-pre-batch image then.
   cluster_->for_each_machine([&](MachineId m) {
     MachineState& ms = machines_[m];
     EdgeShard& es = ms.edges;
     const std::vector<SpecialSlot>& mine = specials[m];
     std::size_t next = 0;
-    // A large component owns most of the records its stage rewrites, so
-    // the last lookup is usually the next one's answer.
-    Word last_comp = -1;
-    const Rewritten* last = nullptr;
-    const auto lookup = [&](Word comp) {
-      if (comp != last_comp) {
-        last_comp = comp;
-        last = find_rewritten(comp);
-      }
-      return last;
-    };
+    RewrittenCursor cursor{rewritten};
     for (std::size_t s = 0; s < es.size(); ++s) {
       const SpecialSlot* special = nullptr;
       if (next < mine.size() && mine[next].slot == s) {
         special = &mine[next++];
       }
-      const Rewritten* rw = lookup(es.comp[s]);
+      const Rewritten* rw = cursor.find(es.comp[s]);
       if (rw == nullptr) continue;
-      const std::size_t base = rw->base;
-      if (rw->split != nullptr) {
-        const etour::KWaySplit& sp = *rw->split->split;
-        const CutInfo* cut = special != nullptr ? special->cut : nullptr;
+      const etour::StageMap& sm = rw->map;
+      const Word comp = es.comp[s];
+      if (special != nullptr) {
+        const CutInfo* cut = special->cut;
         if (cut != nullptr && !cut->demote) continue;  // erased below
         ms.jlog_edge_slot(s);
         if (cut != nullptr) {
@@ -1640,19 +1732,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           // resolve its cached endpoints like any other stale copy.
           es.tree[s] = 0;
           es.iu2[s] = es.iv2[s] = etour::kNoIndex;
-        }
-        if (es.tree[s] != 0) {
-          // A surviving tree edge's 4 entries all live in one fragment.
-          const std::size_t f = sp.fragment_of(es.iu1[s]);
-          const std::size_t frag = base + f;
-          es.iu1[s] = plan.map_index(frag, sp.new_index(es.iu1[s], f));
-          es.iu2[s] = plan.map_index(frag, sp.new_index(es.iu2[s], f));
-          es.iv1[s] = plan.map_index(frag, sp.new_index(es.iv1[s], f));
-          es.iv2[s] = plan.map_index(frag, sp.new_index(es.iv2[s], f));
-          es.comp[s] = final_label[frag];
-          continue;
-        }
-        if (special != nullptr && special->link != nullptr) {
+        } else {
           // Promoted replacement: the join plan owns its 4 new entries.
           const etour::MergeNewIndexes ni =
               plan.edge_indexes(special->link->link_id);
@@ -1661,58 +1741,53 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           es.iu2[s] = ni.x_exit;
           es.iv1[s] = ni.y_enter;
           es.iv2[s] = ni.y_exit;
-          es.comp[s] = final_label[base + special->link->c.fu];
+          es.comp[s] = rw->labels[special->link->c.fu];
           continue;
         }
-        const Word comp = es.comp[s];
-        const auto endpoint = [&](VertexId vert, Word raw) {
-          if (!sp.removed(raw)) {
-            const std::size_t f = sp.fragment_of(raw);
-            return std::make_pair(f, sp.new_index(raw, f));
-          }
-          return cut_fix.at(std::make_pair(comp, vert));
-        };
-        const auto pu = endpoint(es.u[s], es.iu1[s]);
-        const auto pv = endpoint(es.v[s], es.iv1[s]);
-        es.iu1[s] = plan.resolve(base + pu.first, pu.second);
-        es.iv1[s] = plan.resolve(base + pv.first, pv.second);
-        es.comp[s] = final_label[base + pu.first];
+      }
+      if (es.tree[s] != 0) {
+        // A surviving tree edge's 4 entries all live in one fragment, and
+        // each traversal's two entries, (iu1, iv1) and (iu2, iv2), share
+        // a piece.
+        const etour::StageMap::Piece& p1 = sm.piece(es.iu1[s]);
+        const Word d2 = sm.piece(es.iu2[s]).delta;
+        const Word label = rw->labels[p1.frag];
+        if ((p1.delta | d2) == 0 && label == comp) continue;
+        ms.jlog_edge_slot(s);
+        es.iu1[s] += p1.delta;
+        es.iv1[s] += p1.delta;
+        es.iu2[s] += d2;
+        es.iv2[s] += d2;
+        es.comp[s] = label;
         continue;
       }
+      const auto endpoint = [&](VertexId vert, Word raw) {
+        const etour::StageMap::Piece& p = sm.piece(raw);
+        if (p.removed) return cut_fix.at(std::make_pair(comp, vert));
+        return std::make_pair(raw + p.delta, rw->labels[p.frag]);
+      };
+      const auto [iu, label] = endpoint(es.u[s], es.iu1[s]);
+      const Word iv = endpoint(es.v[s], es.iv1[s]).first;
+      if (iu == es.iu1[s] && iv == es.iv1[s] && label == comp) continue;
       ms.jlog_edge_slot(s);
-      if (es.tree[s] != 0) {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
-        es.iu2[s] = plan.map_index(base, es.iu2[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
-        es.iv2[s] = plan.map_index(base, es.iv2[s]);
-      } else {
-        es.iu1[s] = plan.map_index(base, es.iu1[s]);
-        es.iv1[s] = plan.map_index(base, es.iv1[s]);
-      }
-      es.comp[s] = final_label[base];
+      es.iu1[s] = iu;
+      es.iv1[s] = iv;
+      es.comp[s] = label;
     }
     for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
       VertexRec& rec = ms.vertices[j];
-      const Rewritten* rw = lookup(rec.comp);
+      const Rewritten* rw = cursor.find(rec.comp);
       if (rw == nullptr) continue;
+      const etour::StageMap::Piece& p = rw->map.piece(rec.cached_idx);
+      const auto [idx, label] =
+          p.removed ? cut_fix.at(std::make_pair(
+                          rec.comp, static_cast<VertexId>(j * mu + m)))
+                    : std::make_pair(rec.cached_idx + p.delta,
+                                     rw->labels[p.frag]);
+      if (idx == rec.cached_idx && label == rec.comp) continue;
       ms.jlog_vertex(j);
-      if (rw->split != nullptr) {
-        const etour::KWaySplit& sp = *rw->split->split;
-        std::size_t frag;
-        Word idx;
-        if (!sp.removed(rec.cached_idx)) {
-          frag = sp.fragment_of(rec.cached_idx);
-          idx = sp.new_index(rec.cached_idx, frag);
-        } else {
-          const auto v = static_cast<VertexId>(j * mu + m);
-          std::tie(frag, idx) = cut_fix.at(std::make_pair(rec.comp, v));
-        }
-        rec.cached_idx = plan.resolve(rw->base + frag, idx);
-        rec.comp = final_label[rw->base + frag];
-        continue;
-      }
-      rec.cached_idx = plan.resolve(rw->base, rec.cached_idx);
-      rec.comp = final_label[rw->base];
+      rec.cached_idx = idx;
+      rec.comp = label;
     }
   });
   // Deleted cut records vanish, merge edges become tree records at their

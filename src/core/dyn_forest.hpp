@@ -391,7 +391,9 @@ class DynamicForest {
   /// the machine's epoch, and a record whose mark already holds it is
   /// skipped (the epoch is 64-bit, so it never wraps).  The key path
   /// (jlog_edge, before a put or erase) logs without that check —
-  /// reverse replay makes its duplicates harmless.  Arenas keep their
+  /// reverse replay makes its duplicates harmless.  The slot path logs
+  /// only the columns the in-place passes write, and rollback merges the
+  /// two edge logs back into one reverse order.  Arenas keep their
   /// capacity across batches, so in steady state arming and logging
   /// never allocate.
   struct MachineJournal {
@@ -399,6 +401,15 @@ class DynamicForest {
       std::uint64_t key = 0;
       bool existed = false;  ///< false: the mutation created it — undo erases
       EdgeRec rec;           ///< pre-image when existed
+    };
+    /// A live record's pre-image before in-place writes: its key and the
+    /// columns the transform passes write (they never touch u, v or w).
+    struct SlotEntry {
+      std::uint64_t key = 0;
+      std::size_t edges_before = 0;  ///< key-path entries logged before it
+      Word comp = -1;
+      Word iu1 = 0, iu2 = 0, iv1 = 0, iv2 = 0;
+      std::uint8_t tree = 0;
     };
     struct VertexEntry {
       std::size_t slot = 0;  ///< index into MachineState::vertices
@@ -410,11 +421,13 @@ class DynamicForest {
       Word size = 0;
     };
     std::vector<EdgeEntry> edges;
+    std::vector<SlotEntry> slots;
     std::vector<VertexEntry> vertices;
     std::vector<DirEntry> dirs;
 
     void clear() {
       edges.clear();
+      slots.clear();
       vertices.clear();
       dirs.clear();
     }
@@ -453,7 +466,9 @@ class DynamicForest {
     void jlog_edge_slot(std::size_t s) {
       if (!journal_armed || edges.mark[s] == journal_epoch) return;
       edges.mark[s] = journal_epoch;
-      journal.edges.push_back({edges.key_at(s), true, edges.get(s)});
+      journal.slots.push_back({edges.key_at(s), journal.edges.size(),
+                               edges.comp[s], edges.iu1[s], edges.iu2[s],
+                               edges.iv1[s], edges.iv2[s], edges.tree[s]});
     }
     /// Logs vertex slot `slot`'s pre-image before a record write, once
     /// per batch.  Vertex records exist for the lifetime of the forest,

@@ -716,6 +716,7 @@ void MaximalMatching::erase(VertexId x, VertexId y) {
 }
 
 VertexId MaximalMatching::mate_of(VertexId v) {
+  graph::require_vertex(v, config_.n, "MaximalMatching");
   cluster_->begin_update();
   cluster_->send(0, stats_machine(v), kMateQuery, {v});
   cluster_->finish_round();
@@ -737,9 +738,13 @@ oracle::Matching MaximalMatching::matching_snapshot() const {
   return m;
 }
 
-bool MaximalMatching::is_heavy(VertexId v) const { return stats(v).heavy; }
+bool MaximalMatching::is_heavy(VertexId v) const {
+  graph::require_vertex(v, config_.n, "MaximalMatching");
+  return stats(v).heavy;
+}
 
 std::size_t MaximalMatching::degree_of(VertexId v) const {
+  graph::require_vertex(v, config_.n, "MaximalMatching");
   return stats(v).degree;
 }
 

@@ -21,6 +21,7 @@
 #include <optional>
 
 #include "core/maximal_matching.hpp"
+#include "graph/graph.hpp"
 
 namespace core {
 
@@ -37,6 +38,7 @@ class ThreeHalvesMatching : public MaximalMatching {
   void preprocess_empty() { MaximalMatching::preprocess({}); }
 
   [[nodiscard]] std::size_t free_neighbor_count(VertexId v) const {
+    graph::require_vertex(v, config_.n, "ThreeHalvesMatching");
     return stats(v).free_nbs;
   }
 

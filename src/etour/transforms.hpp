@@ -13,7 +13,10 @@
 // stored index by a piecewise-affine function parameterized by O(1)
 // values (f/l of the two endpoints, the tour length).  Broadcasting those
 // O(1) words lets every machine update its indexes locally.  These pure
-// functions are that algebra.
+// functions are that algebra.  A batched stage composes k splits and
+// links per component (KWaySplit, KWayJoinPlan); StageMap compiles that
+// composition once into one flat piecewise table of O(k + links) pieces,
+// which is what the distributed commit pass reads per record.
 //
 // Figure-validated correction: for the merge, the paper writes the shift
 // of the remaining Tx indexes as "i + 4*ELength_Ty"; the arithmetic
@@ -24,7 +27,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "dmpc/types.hpp"
@@ -272,11 +278,8 @@ class KWaySplit {
   }
 
   /// Post-split index of surviving pre-split index i within its fragment.
-  Word new_index(Word i) const { return new_index(i, fragment_of(i)); }
-
-  /// new_index for a caller that already knows frag == fragment_of(i)
-  /// (the commit pass maps a tree edge's 4 entries, all in one fragment).
-  Word new_index(Word i, std::size_t frag) const {
+  Word new_index(Word i) const {
+    const std::size_t frag = fragment_of(i);
     Word idx = frag == 0 ? i : i - cuts_[frag - 1].f_c;
     for (const std::size_t m : children_[frag]) {
       if (cuts_[m].l_c + 1 < i) idx -= cuts_[m].l_c - cuts_[m].f_c + 3;
@@ -288,6 +291,9 @@ class KWaySplit {
   Word fragment_elength(std::size_t frag) const { return elens_[frag]; }
 
  private:
+  friend class StageMap;
+
+
   Word elen_;
   std::vector<Cut> cuts_;                        ///< sorted by f_c
   std::vector<std::size_t> frag_of_cut_;         ///< original cut -> fragment
@@ -401,6 +407,8 @@ class KWayJoinPlan {
   std::size_t num_links() const { return links_.size(); }
 
  private:
+  friend class StageMap;
+
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   struct Step {
@@ -448,6 +456,173 @@ class KWayJoinPlan {
   std::vector<std::vector<std::size_t>> members_;  ///< root -> chain ids
   std::vector<Adopted> adopted_;               ///< singleton first entries
   std::vector<Link> links_;
+};
+
+// ---------------------------------------------------------------------------
+// Compiled stage map: one component's whole k-way stage (its split, if
+// any, then each fragment's join chain) as one flat table over the
+// component's OLD tour indexes.  A split and every chain step move each
+// run of consecutive indexes by one constant, so the composition is a
+// sorted list of breakpoints whose pieces store {fragment, delta}: the
+// new index of i is i + delta.  Each of the 4k removed entries is a
+// width-1 piece flagged removed, carrying the fragment fragment_of names
+// for it (the cut fixes key on that).  Index kNoIndex is piece 0 of
+// fragment 0; no_index(f) is the final position of kNoIndex in fragment
+// f, i.e. the singleton entry the join plan adopted for it.
+//
+// The split's pieces come from the per-index algebra evaluated at the
+// O(k) points where fragment_of, removed or a nested cut's shift can
+// change (f_c - 1 .. f_c + 1 and l_c .. l_c + 2 of every cut).  The join
+// then pushes every chain step of a fragment through that fragment's
+// pieces; a step is affine on each side of one threshold, so it splits
+// at most one piece.  That is O(k + links) pieces, built in
+// O((k + links)^2) at most.  Lookup is O(1): a directory of about
+// kBucketsPerPiece buckets per piece over [0, elen] names each bucket's
+// first piece, and a forward scan rarely takes a step (a branch-free
+// count over the breakpoints cost 4x as much at ten pieces).  Every
+// surviving piece starts at an odd index (cuts remove whole traversals,
+// pivots are odd, splices follow even anchors and all shifts are even),
+// so the two entries 2t - 1 and 2t of a traversal always share a piece.
+//
+// EulerForest keeps the per-index calls above, so the serial reference
+// stays independent of this table; the property tests compare the two.
+// ---------------------------------------------------------------------------
+class StageMap {
+ public:
+  struct Piece {
+    Word delta = 0;          ///< new index = old index + delta
+    std::uint32_t frag = 0;  ///< fragment of the split (0: the remainder)
+    bool removed = false;    ///< an entry of a deleted edge: no new index
+  };
+
+  /// The split alone (null: one whole-tour fragment), to post-split
+  /// fragment coordinates.  elen is the component's tour length.
+  StageMap(Word elen, const KWaySplit* split)
+      : no_index_(split == nullptr ? 1 : split->fragments(), kNoIndex) {
+    finish(elen, split_runs(elen, split));
+  }
+
+  /// The split composed with a finished join plan whose fragment `base`
+  /// is this component's fragment 0, to final coordinates.
+  StageMap(Word elen, const KWaySplit* split, const KWayJoinPlan& plan,
+           std::size_t base)
+      : no_index_(split == nullptr ? 1 : split->fragments()) {
+    for (std::size_t f = 0; f < no_index_.size(); ++f) {
+      no_index_[f] = plan.resolve(base + f, kNoIndex);
+    }
+    std::vector<Run> out;
+    for (const Run& r : split_runs(elen, split)) {
+      out.push_back(r);
+      if (r.lo == kNoIndex) {
+        out.back().p.delta = no_index_[0];
+        continue;
+      }
+      if (r.p.removed) continue;
+      const std::size_t first = out.size() - 1;
+      for (const KWayJoinPlan::Step& s : plan.chains_[base + r.p.frag]) {
+        // The first input position on the step's upper side.
+        const Word c = s.rot_elen != 0 ? s.threshold : s.threshold + 1;
+        for (std::size_t j = first; j < out.size(); ++j) {
+          const Run q = out[j];
+          if (q.lo + q.p.delta < c && c <= q.hi + q.p.delta) {
+            out[j].hi = c - q.p.delta - 1;
+            out.insert(out.begin() + static_cast<std::ptrdiff_t>(j) + 1,
+                       Run{c - q.p.delta, q.hi, q.p});
+            break;
+          }
+        }
+        for (std::size_t j = first; j < out.size(); ++j) {
+          const Word at = out[j].lo + out[j].p.delta;
+          out[j].p.delta += KWayJoinPlan::apply_step(at, s) - at;
+        }
+      }
+    }
+    finish(elen, std::move(out));
+  }
+
+  /// The piece holding old index i (0 <= i <= elen): the directory names
+  /// the first piece of i's bucket, and a short forward scan finishes.
+  const Piece& piece(Word i) const {
+    std::size_t p = first_[std::min(static_cast<std::size_t>(i >> shift_),
+                                    first_.size() - 1)];
+    while (starts_[p + 1] <= i) ++p;
+    return pieces_[p];
+  }
+
+  /// Final position of kNoIndex in fragment frag.
+  Word no_index(std::size_t frag) const { return no_index_[frag]; }
+
+  std::size_t pieces() const { return pieces_.size(); }
+  /// First old index of piece p.
+  Word piece_start(std::size_t p) const { return starts_[p]; }
+
+ private:
+  // Directory buckets per piece: a bucket holding a breakpoint costs its
+  // lookups a second compare, and few buckets do.
+  static constexpr std::size_t kBucketsPerPiece = 32;
+
+  struct Run {
+    Word lo, hi;  ///< old-index range, inclusive
+    Piece p;
+  };
+
+  // The split's runs over [0, elen], from the per-index algebra at every
+  // candidate breakpoint.
+  static std::vector<Run> split_runs(Word elen, const KWaySplit* split) {
+    std::vector<Run> runs{Run{kNoIndex, kNoIndex, Piece{}}};
+    if (elen == 0) return runs;
+    std::vector<Word> at{1};
+    if (split != nullptr) {
+      for (const KWaySplit::Cut& c : split->cuts_) {
+        for (const Word b :
+             {c.f_c - 1, c.f_c, c.f_c + 1, c.l_c, c.l_c + 1, c.l_c + 2}) {
+          if (b <= elen) at.push_back(b);
+        }
+      }
+      std::sort(at.begin(), at.end());
+      at.erase(std::unique(at.begin(), at.end()), at.end());
+    }
+    for (std::size_t j = 0; j < at.size(); ++j) {
+      Run r{at[j], j + 1 < at.size() ? at[j + 1] - 1 : elen, Piece{}};
+      if (split != nullptr) {
+        r.p.frag = static_cast<std::uint32_t>(split->fragment_of(r.lo));
+        r.p.removed = split->removed(r.lo);
+        if (!r.p.removed) r.p.delta = split->new_index(r.lo) - r.lo;
+      }
+      runs.push_back(r);
+    }
+    return runs;
+  }
+
+  // Merges neighbouring runs that map alike and lays out the table.
+  void finish(Word elen, const std::vector<Run>& runs) {
+    for (const Run& r : runs) {
+      if (!pieces_.empty() && !r.p.removed && !pieces_.back().removed &&
+          pieces_.back().frag == r.p.frag &&
+          pieces_.back().delta == r.p.delta) {
+        continue;
+      }
+      starts_.push_back(r.lo);
+      pieces_.push_back(r.p);
+    }
+    starts_.push_back(std::numeric_limits<Word>::max());
+    const auto buckets =
+        static_cast<Word>(std::bit_ceil(kBucketsPerPiece * pieces_.size()));
+    while ((elen >> shift_) >= buckets) ++shift_;
+    first_.resize(static_cast<std::size_t>(elen >> shift_) + 1);
+    std::size_t p = 0;
+    for (std::size_t b = 0; b < first_.size(); ++b) {
+      while (starts_[p + 1] <= static_cast<Word>(b) << shift_) ++p;
+      first_[b] = static_cast<std::uint32_t>(p);
+    }
+  }
+
+  std::vector<Word> starts_;   ///< first old index of each piece, sorted,
+                               ///< then a max() sentinel
+  std::vector<Piece> pieces_;
+  int shift_ = 0;                     ///< old index >> shift_ = bucket
+  std::vector<std::uint32_t> first_;  ///< bucket -> its first piece
+  std::vector<Word> no_index_;        ///< per fragment
 };
 
 }  // namespace etour

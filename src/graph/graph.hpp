@@ -48,15 +48,25 @@ struct EdgeKeyHash {
   }
 };
 
+/// Whether v names a vertex of [0, n).
+inline bool in_vertex_range(VertexId v, std::size_t n) {
+  return v >= 0 && static_cast<std::size_t>(v) < n;
+}
+
+/// Throws std::invalid_argument unless v names a vertex of [0, n).  The
+/// dynamic algorithms call it before a per-vertex read touches any state.
+inline void require_vertex(VertexId v, std::size_t n, const char* who) {
+  if (!in_vertex_range(v, n)) {
+    throw std::invalid_argument(std::string(who) + ": vertex out of range");
+  }
+}
+
 /// Throws std::invalid_argument unless (u, v) can be an edge of a simple
 /// graph over vertices [0, n): both endpoints in range and distinct.
 /// The dynamic algorithms call it before an update changes any state.
 inline void require_edge_endpoints(VertexId u, VertexId v, std::size_t n,
                                    const char* who) {
-  const auto in_range = [n](VertexId x) {
-    return x >= 0 && static_cast<std::size_t>(x) < n;
-  };
-  if (!in_range(u) || !in_range(v)) {
+  if (!in_vertex_range(u, n) || !in_vertex_range(v, n)) {
     throw std::invalid_argument(std::string(who) +
                                 ": edge endpoint out of range");
   }

@@ -334,6 +334,111 @@ TEST(KWayTransforms, LinkManyChainsThroughSingletons) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KWayTransformTest,
                          ::testing::Values(3, 14, 159, 2653));
 
+class StageMapTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StageMapTest, CompiledMapEqualsPerIndexAlgebra) {
+  // Random tours with random cut sets (nested, adjacent and single cuts,
+  // leaf cuts that leave singleton fragments) and random link chains over
+  // the fragments plus a few whole-tour merge components: the compiled
+  // map must give every old index of every component the fragment, the
+  // removed flag and the final index of the per-index calls, kNoIndex
+  // included.
+  std::mt19937_64 rng(GetParam());
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = 2 + rng() % 23;
+    std::vector<std::vector<VertexId>> adj(n);
+    for (std::size_t v = 1; v < n; ++v) {
+      // Mostly recent parents: long paths give deep nesting, and the
+      // rest gives siblings whose cut intervals touch.
+      const std::size_t p = rng() % 2 == 0 ? v - 1 : rng() % v;
+      adj[p].push_back(static_cast<VertexId>(v));
+      adj[v].push_back(static_cast<VertexId>(p));
+    }
+    const std::vector<VertexId> tour = etour::build_tour(adj, 0);
+    const Word elen = etour::elength(static_cast<Word>(n));
+    ASSERT_EQ(static_cast<Word>(tour.size()), elen);
+    std::vector<etour::KWaySplit::Cut> all;
+    for (const auto& [key, idx] : etour::indexes_from_tour(tour)) {
+      // The child endpoint enters second: its entries nest inside.
+      const bool u_child = std::min(idx.u1, idx.u2) > std::min(idx.v1, idx.v2);
+      all.push_back(u_child ? etour::KWaySplit::Cut{std::min(idx.u1, idx.u2),
+                                                    std::max(idx.u1, idx.u2)}
+                            : etour::KWaySplit::Cut{std::min(idx.v1, idx.v2),
+                                                    std::max(idx.v1, idx.v2)});
+    }
+    std::shuffle(all.begin(), all.end(), rng);
+    all.resize(1 + rng() % std::min<std::size_t>(all.size(), 8));
+    const etour::KWaySplit split(elen, all);
+
+    // The fragment universe: the split's fragments, then whole-tour merge
+    // components (singletons among them).
+    std::vector<Word> elens;
+    for (std::size_t f = 0; f < split.fragments(); ++f) {
+      elens.push_back(split.fragment_elength(f));
+    }
+    const std::size_t merges = rng() % 3;
+    for (std::size_t e = 0; e < merges; ++e) {
+      elens.push_back(etour::elength(static_cast<Word>(1 + rng() % 4)));
+    }
+    etour::KWayJoinPlan plan(elens);
+    const std::size_t links = rng() % elens.size();
+    for (int tries = 0; tries < 200 && plan.num_links() < links; ++tries) {
+      const std::size_t a = rng() % elens.size();
+      const std::size_t b = rng() % elens.size();
+      if (plan.same_tree(a, b)) continue;
+      const auto appearance = [&](std::size_t f) {
+        return elens[f] == 0 ? etour::kNoIndex
+                             : static_cast<Word>(1 + rng() % elens[f]);
+      };
+      const Word ia = appearance(a);
+      plan.link(a, ia, b, appearance(b));
+    }
+
+    const etour::StageMap split_only(elen, &split);
+    const etour::StageMap map(elen, &split, plan, 0);
+    for (Word i = 0; i <= elen; ++i) {
+      const etour::StageMap::Piece& s = split_only.piece(i);
+      const etour::StageMap::Piece& p = map.piece(i);
+      const std::size_t frag = split.fragment_of(i);
+      ASSERT_EQ(p.frag, frag) << "seed " << GetParam() << " i " << i;
+      ASSERT_EQ(s.frag, frag) << "seed " << GetParam() << " i " << i;
+      ASSERT_EQ(p.removed, split.removed(i)) << "i " << i;
+      ASSERT_EQ(s.removed, split.removed(i)) << "i " << i;
+      if (p.removed) continue;
+      ASSERT_EQ(i + s.delta, split.new_index(i)) << "i " << i;
+      ASSERT_EQ(i + p.delta, plan.resolve(frag, split.new_index(i)))
+          << "seed " << GetParam() << " round " << round << " i " << i;
+      if (i != etour::kNoIndex) {
+        ASSERT_EQ(i + p.delta, plan.map_index(frag, split.new_index(i)));
+      }
+    }
+    for (std::size_t f = 0; f < split.fragments(); ++f) {
+      ASSERT_EQ(map.no_index(f), plan.resolve(f, etour::kNoIndex));
+      ASSERT_EQ(split_only.no_index(f), etour::kNoIndex);
+    }
+    for (std::size_t e = 0; e < merges; ++e) {
+      const std::size_t base = split.fragments() + e;
+      const etour::StageMap whole(elens[base], nullptr, plan, base);
+      ASSERT_EQ(whole.no_index(0), plan.resolve(base, etour::kNoIndex));
+      for (Word i = 0; i <= elens[base]; ++i) {
+        const etour::StageMap::Piece& p = whole.piece(i);
+        ASSERT_EQ(p.frag, 0u);
+        ASSERT_FALSE(p.removed);
+        ASSERT_EQ(i + p.delta, plan.resolve(base, i)) << "i " << i;
+      }
+    }
+    // A traversal's entries 2t - 1 and 2t never straddle a piece.
+    for (std::size_t q = 1; q < map.pieces(); ++q) {
+      const Word start = map.piece_start(q);
+      EXPECT_TRUE(start % 2 == 1 || map.piece(start).removed)
+          << "piece starting at " << start;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StageMapTest,
+                         ::testing::Values(1, 7, 42, 1234, 98765));
+
 class RandomTreeTransformTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -76,11 +76,13 @@ ForestState capture(const DynamicForest& forest) {
 }
 
 // Splits a stream into no-op-free batches of `batch_size` (tracking a
-// shadow graph so the batch protocols' preconditions hold).
-std::vector<std::vector<Update>> make_batches(std::size_t n,
-                                              const graph::UpdateStream& stream,
-                                              std::size_t batch_size) {
+// shadow graph, seeded with the initial edges, so the batch protocols'
+// preconditions hold).
+std::vector<std::vector<Update>> make_batches(
+    std::size_t n, const graph::UpdateStream& stream, std::size_t batch_size,
+    const graph::EdgeList& initial = {}) {
   graph::DynamicGraph shadow(n);
+  for (const auto& [u, v] : initial) shadow.insert_edge(u, v);
   std::vector<std::vector<Update>> batches(1);
   for (const Update& up : stream) {
     if (!graph::apply_update(shadow, up)) continue;
@@ -98,14 +100,16 @@ std::vector<std::vector<Update>> make_batches(std::size_t n,
 // the batch's protocol and the attempt commits.  Every faulted attempt
 // must throw and leave the forest exactly at its pre-batch snapshot.
 // `stats`, when given, receives the forest's final scheduling counters
-// (rolled-back attempts leave no trace in them).
+// (rolled-back attempts leave no trace in them); `initial` is the graph
+// the forest is preprocessed with.
 void sweep_every_injection_point(const DynForestConfig& config,
                                  bool thread_pool,
                                  const graph::UpdateStream& stream,
                                  std::size_t batch_size,
-                                 dmpc::BatchScheduleStats* stats = nullptr) {
+                                 dmpc::BatchScheduleStats* stats = nullptr,
+                                 const graph::EdgeList& initial = {}) {
   DynamicForest forest(config);
-  forest.preprocess(graph::EdgeList{});
+  forest.preprocess(initial);
   if (thread_pool) {
     // serial_cutoff 1: small test clusters must still go through the
     // pool, or this sweep would silently degenerate to the serial case.
@@ -117,9 +121,10 @@ void sweep_every_injection_point(const DynForestConfig& config,
 
   constexpr FaultKind kBarrierKinds[] = {FaultKind::kComm, FaultKind::kMemory,
                                          FaultKind::kCrash};
-  const auto batches = make_batches(config.n, stream, batch_size);
+  const auto batches = make_batches(config.n, stream, batch_size, initial);
   ASSERT_GE(batches.size(), 4u) << "stream too short to exercise the sweep";
   graph::DynamicGraph shadow(config.n);
+  for (const auto& [u, v] : initial) shadow.insert_edge(u, v);
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const std::span<const Update> batch(batches[b]);
     const bool sweep_tasks = (b % 2) == 1;
@@ -207,6 +212,22 @@ TEST(FaultSweep, BatchDynamicMixedComponents) {
   const auto stream = graph::random_stream(config.n, 320, 0.55, 8);
   sweep_every_injection_point(config, false, stream, 16);
   sweep_every_injection_point(config, true, stream, 16);
+}
+
+// Churn on one giant component: most records of gnm(256, 256) share a
+// label, so every rewriting stage runs its compiled stage map over them,
+// and the commit pass skips the records the map leaves unchanged
+// (neither written nor journaled).  A later stage of the same batch that
+// does change such a record must still journal its pre-batch image.
+TEST(FaultSweep, BatchDynamicGiantComponent) {
+  const DynForestConfig config{.n = 256, .m_cap = 1024};
+  const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
+  const auto stream = graph::random_stream(config.n, 320, 0.5, 9);
+  dmpc::BatchScheduleStats stats;
+  sweep_every_injection_point(config, false, stream, 16, &stats, initial);
+  EXPECT_GT(stats.kway_splits, 0u);
+  EXPECT_GT(stats.kway_joins, 0u);
+  sweep_every_injection_point(config, true, stream, 16, nullptr, initial);
 }
 
 // Single-update insert/erase (batches of one) journal and roll back too.

@@ -124,6 +124,31 @@ TEST(PreconditionFailures, ThrowCleanly) {
   th.preprocess({});
   expect_rejected(th, 8);
 
+  // The per-vertex reads reject a vertex outside [0, n) the same way: the
+  // coordinator query (mate_of) before its update begins, the
+  // introspection accessors before they index a per-vertex table.
+  const auto expect_unchanged_after = [](auto& algo, auto&& read) {
+    const auto matching_before = algo.matching_snapshot();
+    const std::uint64_t updates_before =
+        algo.cluster().metrics().aggregate().updates;
+    EXPECT_THROW(read(), std::invalid_argument);
+    std::string why;
+    EXPECT_TRUE(algo.validate(&why)) << why;
+    EXPECT_EQ(algo.matching_snapshot(), matching_before);
+    EXPECT_EQ(algo.cluster().metrics().aggregate().updates, updates_before);
+  };
+  for (const VertexId v : {VertexId{8}, VertexId{-1}}) {
+    expect_unchanged_after(mm, [&] { return mm.mate_of(v); });
+    expect_unchanged_after(mm, [&] { return mm.degree_of(v); });
+    expect_unchanged_after(mm, [&] { return mm.is_heavy(v); });
+    expect_unchanged_after(th, [&] { return th.mate_of(v); });
+    expect_unchanged_after(th, [&] { return th.free_neighbor_count(v); });
+  }
+  for (const VertexId v : {VertexId{4}, VertexId{-1}}) {
+    expect_unchanged_after(cs_bad, [&] { return cs_bad.level_of(v); });
+  }
+  EXPECT_EQ(mm.mate_of(0), 1);  // a valid read still answers
+
   seq::AccessCounter c;
   seq::HdtConnectivity hdt(4, c);
   hdt.insert(0, 1);
