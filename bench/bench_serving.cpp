@@ -161,9 +161,14 @@ JournalOverhead measure_journal_overhead(std::size_t n) {
       }
     });
   };
+  // ABBA order (off, on, on, off), each mode's best run: a host that
+  // drifts faster or slower over the measurement weighs on both modes
+  // alike instead of faking a journal cost or gain.
   JournalOverhead o;
-  o.off_seconds = std::min(one_run(false), one_run(false));
-  o.on_seconds = std::min(one_run(true), one_run(true));
+  o.off_seconds = one_run(false);
+  o.on_seconds = one_run(true);
+  o.on_seconds = std::min(o.on_seconds, one_run(true));
+  o.off_seconds = std::min(o.off_seconds, one_run(false));
   o.pct = o.off_seconds > 0.0
               ? (o.on_seconds / o.off_seconds - 1.0) * 100.0
               : 0.0;

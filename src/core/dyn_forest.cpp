@@ -280,14 +280,6 @@ MachineId DynamicForest::edge_machine(VertexId u, VertexId v) const {
                                 machines_.size());
 }
 
-void DynamicForest::charge_edge_record(MachineId m) {
-  cluster_->memory(m).charge(kEdgeRecWords);
-}
-
-void DynamicForest::release_edge_record(MachineId m) {
-  cluster_->memory(m).release(kEdgeRecWords);
-}
-
 // ---------------------------------------------------------------------------
 // Atomic updates: the undo journal (config_.atomic_updates)
 // ---------------------------------------------------------------------------
@@ -316,36 +308,33 @@ void DynamicForest::journal_rollback() {
   if (!journal_active_) return;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     MachineState& ms = machines_[m];
-    // Reverse replay: the EARLIEST pre-image of a key wins, so later
-    // duplicates are harmlessly overwritten on the way back.  The two
-    // edge logs merge back into one reverse order: a slot entry is
-    // restored once every key-path entry logged after it is undone, so
-    // its record exists again (under its key; its slot may differ).
-    std::size_t keyed = ms.journal.edges.size();
-    const auto undo_keys_to = [&](std::size_t stop) {
-      for (; keyed > stop; --keyed) {
-        const MachineJournal::EdgeEntry& e = ms.journal.edges[keyed - 1];
-        if (e.existed) {
-          ms.edges.put(e.key, e.rec);
-        } else {
-          ms.edges.erase(e.key);
-        }
-      }
-    };
-    for (auto it = ms.journal.slots.rbegin(); it != ms.journal.slots.rend();
+    // Strict reverse replay: each entry finds its slot as it was logged.
+    using Kind = MachineJournal::EdgeUndo::Kind;
+    for (auto it = ms.journal.edges.rbegin(); it != ms.journal.edges.rend();
          ++it) {
-      undo_keys_to(it->edges_before);
-      const std::ptrdiff_t found = ms.edges.find(it->key);
-      assert(found != EdgeShard::kNpos);
-      const auto s = static_cast<std::size_t>(found);
-      ms.edges.comp[s] = it->comp;
-      ms.edges.iu1[s] = it->iu1;
-      ms.edges.iu2[s] = it->iu2;
-      ms.edges.iv1[s] = it->iv1;
-      ms.edges.iv2[s] = it->iv2;
-      ms.edges.tree[s] = it->tree;
+      const std::size_t s = it->slot;
+      switch (it->kind) {
+        case Kind::kCreated:
+          assert(s + 1 == ms.edges.size());
+          ms.edges.erase_at(s);
+          break;
+        case Kind::kErased:
+          ms.edges.unerase(
+              s, it->key,
+              {static_cast<VertexId>(it->key / config_.n),
+               static_cast<VertexId>(it->key % config_.n), it->comp,
+               it->tree != 0, it->w, it->iu1, it->iu2, it->iv1, it->iv2});
+          break;
+        case Kind::kRewritten:
+          ms.edges.comp[s] = it->comp;
+          ms.edges.iu1[s] = it->iu1;
+          ms.edges.iu2[s] = it->iu2;
+          ms.edges.iv1[s] = it->iv1;
+          ms.edges.iv2[s] = it->iv2;
+          ms.edges.tree[s] = it->tree;
+          break;
+      }
     }
-    undo_keys_to(0);
     for (auto it = ms.journal.vertices.rbegin();
          it != ms.journal.vertices.rend(); ++it) {
       ms.vertices[it->slot] = it->rec;
@@ -515,8 +504,8 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
         rec.iu1 = first_idx[static_cast<std::size_t>(key.u)];
         rec.iv1 = first_idx[static_cast<std::size_t>(key.v)];
       }
-      machines_[m].edges.put(edge_key(key.u, key.v), rec);
-      charge_edge_record(m);
+      machines_[m].create_edge(edge_key(key.u, key.v), rec,
+                               cluster_->memory(m));
     }
   });
 
@@ -1082,9 +1071,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   finish();
   // Behind round 1: a non-tree deletion only touches its own record.
   for (const std::size_t i : ntd) {
-    machines_[ops[i].coord].jlog_edge(ops[i].ekey);
-    machines_[ops[i].coord].edges.erase(ops[i].ekey);
-    release_edge_record(ops[i].coord);
+    const BatchOp& op = ops[i];
+    machines_[op.coord].erase_edge(op.ekey, cluster_->memory(op.coord));
   }
   if (dels.empty() && mrgs.empty() && nti.empty() && pms.empty()) {
     return deferred;
@@ -1165,9 +1153,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     rec.w = op.w;
     rec.iu1 = vert_idx.at(rec.u);
     rec.iv1 = vert_idx.at(rec.v);
-    machines_[op.coord].jlog_edge(op.ekey);
-    machines_[op.coord].edges.put(op.ekey, rec);
-    charge_edge_record(op.coord);
+    machines_[op.coord].create_edge(op.ekey, rec, cluster_->memory(op.coord));
   };
   for (const std::size_t i : nti) store_nontree(ops[i]);
 
@@ -1794,18 +1780,16 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   // coordinators, and the directory applies the staged writes.
   for (const CutInfo& ci : cuts) {
     if (ci.demote) continue;
-    machines_[ops[ci.op].coord].jlog_edge(ops[ci.op].ekey);
-    machines_[ops[ci.op].coord].edges.erase(ops[ci.op].ekey);
-    release_edge_record(ops[ci.op].coord);
+    const BatchOp& op = ops[ci.op];
+    machines_[op.coord].erase_edge(op.ekey, cluster_->memory(op.coord));
   }
   for (const MergeApp& ma : mapply) {
     const BatchOp& op = ops[ma.op];
     const etour::MergeNewIndexes ni = plan.edge_indexes(ma.link_id);
     const Word label = final_label[base_of(op.cx)];
-    machines_[op.coord].jlog_edge(op.ekey);
-    machines_[op.coord].edges.put(
-        op.ekey, make_tree_record(op.x, op.y, op.w, label, ni));
-    charge_edge_record(op.coord);
+    machines_[op.coord].create_edge(
+        op.ekey, make_tree_record(op.x, op.y, op.w, label, ni),
+        cluster_->memory(op.coord));
   }
   for (const auto& [label, size] : dir_writes) {
     machines_[dir_machine(label)].jlog_dir(label);

@@ -51,12 +51,14 @@
 // ([3] + the Section 5 parallel merge; see DESIGN.md on charged rounds).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dmpc/cluster.hpp"
@@ -79,9 +81,10 @@ struct DynForestConfig {
   bool weighted = false;     ///< MST variant if true
   double eps = 0.1;          ///< MST approximation slack (bucketing)
   /// Strong exception guarantee for updates: insert/erase/apply_batch
-  /// keep a per-machine undo journal (the first pre-image per batch of
-  /// every record, vertex, and directory entry they touch, appended as
-  /// they mutate) and ANY mid-protocol throw — comm/memory cap trips,
+  /// keep a per-machine undo journal (the inverse of every edge-record
+  /// append and erase, and the first pre-image per batch of every record,
+  /// vertex, and directory entry they rewrite, appended as they mutate)
+  /// and ANY mid-protocol throw — comm/memory cap trips,
   /// injected faults — rolls the forest, the round buffer, and the
   /// metrics stream back to the pre-update state before rethrowing.
   /// Nothing is copied eagerly and a record is copied at most once per
@@ -245,14 +248,14 @@ class DynamicForest {
   /// replacement-search and tree-path scans walk the whole shard testing a
   /// couple of fields per record; dense per-field columns let those scans
   /// touch only the bytes they read (and vectorize) instead of striding
-  /// over hash-map nodes.  Slots are dense [0, size()); erase swap-removes
-  /// the last slot in, so slot order depends on the shard's full mutation
-  /// history — callers may rely on it only being identical across
-  /// executors (the mutation sequence is), never on any particular order.
+  /// over hash-map nodes.  Slots are dense [0, size()): append adds the
+  /// last slot and erase_at swap-removes, so slot order follows the
+  /// shard's mutation sequence — identical across executors, and restored
+  /// slot for slot by a rollback (unerase inverts erase_at exactly).
   /// Besides the record fields, the `mark` column holds the journal epoch
   /// that last logged the slot's pre-image (0: never); it belongs to the
-  /// record, so put starts a new record at 0 and erase moves it with the
-  /// swapped-in record.
+  /// record, so append starts a new record at 0 and the slot swaps carry
+  /// it along.
   class EdgeShard {
    public:
     static constexpr std::ptrdiff_t kNpos = -1;
@@ -301,26 +304,12 @@ class DynamicForest {
       return r;
     }
 
-    void set(std::size_t s, const EdgeRec& r) {
-      u[s] = r.u;
-      v[s] = r.v;
-      comp[s] = r.comp;
-      tree[s] = r.tree ? 1 : 0;
-      w[s] = r.w;
-      iu1[s] = r.iu1;
-      iu2[s] = r.iu2;
-      iv1[s] = r.iv1;
-      iv2[s] = r.iv2;
-    }
-
-    /// Insert-or-overwrite under `key`.
-    void put(std::uint64_t key, const EdgeRec& r) {
-      const auto it = index_.find(key);
-      if (it != index_.end()) {
-        set(it->second, r);
-        return;
-      }
-      index_.emplace(key, static_cast<std::uint32_t>(keys_.size()));
+    /// Appends a record under a key the shard does not hold.
+    void append(std::uint64_t key, const EdgeRec& r) {
+      [[maybe_unused]] const bool fresh =
+          index_.emplace(key, static_cast<std::uint32_t>(keys_.size()))
+              .second;
+      assert(fresh);
       keys_.push_back(key);
       u.push_back(r.u);
       v.push_back(r.v);
@@ -334,27 +323,11 @@ class DynamicForest {
       mark.push_back(0);
     }
 
-    /// Swap-remove; absent keys are a no-op.
-    void erase(std::uint64_t key) {
-      const auto it = index_.find(key);
-      if (it == index_.end()) return;
-      const std::size_t s = it->second;
-      index_.erase(it);
+    /// Swap-removes slot s: the last record moves into s.
+    void erase_at(std::size_t s) {
       const std::size_t last = keys_.size() - 1;
-      if (s != last) {
-        keys_[s] = keys_[last];
-        u[s] = u[last];
-        v[s] = v[last];
-        comp[s] = comp[last];
-        tree[s] = tree[last];
-        w[s] = w[last];
-        iu1[s] = iu1[last];
-        iu2[s] = iu2[last];
-        iv1[s] = iv1[last];
-        iv2[s] = iv2[last];
-        mark[s] = mark[last];
-        index_[keys_[s]] = static_cast<std::uint32_t>(s);
-      }
+      if (s != last) swap_slots(s, last);
+      index_.erase(keys_[last]);
       keys_.pop_back();
       u.pop_back();
       v.pop_back();
@@ -368,6 +341,14 @@ class DynamicForest {
       mark.pop_back();
     }
 
+    /// Inverts the erase_at(s) that removed `key`'s record r: the record
+    /// it swapped into s returns to the end, and r returns to s.
+    void unerase(std::size_t s, std::uint64_t key, const EdgeRec& r) {
+      append(key, r);
+      const std::size_t last = keys_.size() - 1;
+      if (s != last) swap_slots(s, last);
+    }
+
     // The columns, slot-indexed.  Mutators above keep them parallel;
     // the k-way stage's commit pass writes the index, component and tree
     // columns in place.
@@ -379,38 +360,55 @@ class DynamicForest {
     std::vector<std::uint64_t> mark;
 
    private:
+    void swap_slots(std::size_t a, std::size_t b) {
+      std::swap(keys_[a], keys_[b]);
+      std::swap(u[a], u[b]);
+      std::swap(v[a], v[b]);
+      std::swap(comp[a], comp[b]);
+      std::swap(tree[a], tree[b]);
+      std::swap(w[a], w[b]);
+      std::swap(iu1[a], iu1[b]);
+      std::swap(iu2[a], iu2[b]);
+      std::swap(iv1[a], iv1[b]);
+      std::swap(iv2[a], iv2[b]);
+      std::swap(mark[a], mark[b]);
+      index_[keys_[a]] = static_cast<std::uint32_t>(a);
+      index_[keys_[b]] = static_cast<std::uint32_t>(b);
+    }
+
     std::vector<std::uint64_t> keys_;
     std::unordered_map<std::uint64_t, std::uint32_t> index_;
   };
 
-  /// One machine's undo journal: pre-images appended right before each
-  /// mutation, replayed in REVERSE on rollback (so a record touched at
-  /// several protocol sites settles back to its earliest pre-image).
-  /// Only that earliest pre-image is ever used, so the slot and vertex
-  /// loggers keep exactly one per record per batch: journal_begin bumps
-  /// the machine's epoch, and a record whose mark already holds it is
-  /// skipped (the epoch is 64-bit, so it never wraps).  The key path
-  /// (jlog_edge, before a put or erase) logs without that check —
-  /// reverse replay makes its duplicates harmless.  The slot path logs
-  /// only the columns the in-place passes write, and rollback merges the
-  /// two edge logs back into one reverse order.  Arenas keep their
-  /// capacity across batches, so in steady state arming and logging
-  /// never allocate.
+  /// One machine's undo journal, replayed in REVERSE on rollback.  Its
+  /// edge log holds the exact inverse of every edge-shard mutation in
+  /// mutation order, so when an entry's turn comes every later mutation
+  /// is already undone and its slot means what it meant when logged:
+  /// rollback needs no key lookup and restores each shard slot for slot.
+  /// In-place column writes log one `kRewritten` pre-image per record
+  /// per batch: journal_begin bumps the machine's epoch, and a record
+  /// whose mark already holds it is skipped (the epoch is 64-bit, so it
+  /// never wraps); only the earliest pre-image is ever needed.  Vertex
+  /// records are logged the same way; directory entries before every
+  /// write.  Arenas keep their capacity across batches, so in steady
+  /// state arming and logging never allocate.
   struct MachineJournal {
-    struct EdgeEntry {
+    /// One edge-shard mutation's inverse.  kRewritten: the columns the
+    /// in-place passes write (never u, v or w) as they were at `slot`.
+    /// kCreated: an append at `slot` (the last), undone by removing it.
+    /// kErased: erase_at(`slot`) of the whole record (u and v follow
+    /// from the key), undone by EdgeShard::unerase.
+    struct EdgeUndo {
+      enum class Kind : std::uint8_t { kRewritten, kCreated, kErased };
       std::uint64_t key = 0;
-      bool existed = false;  ///< false: the mutation created it — undo erases
-      EdgeRec rec;           ///< pre-image when existed
-    };
-    /// A live record's pre-image before in-place writes: its key and the
-    /// columns the transform passes write (they never touch u, v or w).
-    struct SlotEntry {
-      std::uint64_t key = 0;
-      std::size_t edges_before = 0;  ///< key-path entries logged before it
+      std::uint32_t slot = 0;
+      Kind kind = Kind::kRewritten;
+      std::uint8_t tree = 0;
       Word comp = -1;
       Word iu1 = 0, iu2 = 0, iv1 = 0, iv2 = 0;
-      std::uint8_t tree = 0;
+      Weight w = 0;  ///< kErased only
     };
+    static_assert(sizeof(EdgeUndo) <= 64);
     struct VertexEntry {
       std::size_t slot = 0;  ///< index into MachineState::vertices
       VertexRec rec;
@@ -420,14 +418,12 @@ class DynamicForest {
       bool existed = false;
       Word size = 0;
     };
-    std::vector<EdgeEntry> edges;
-    std::vector<SlotEntry> slots;
+    std::vector<EdgeUndo> edges;
     std::vector<VertexEntry> vertices;
     std::vector<DirEntry> dirs;
 
     void clear() {
       edges.clear();
-      slots.clear();
       vertices.clear();
       dirs.clear();
     }
@@ -449,26 +445,44 @@ class DynamicForest {
     std::uint64_t journal_epoch = 0;
     MachineJournal journal;
 
-    /// Logs edge `key`'s pre-image (or its absence) before a put/erase.
-    void jlog_edge(std::uint64_t key) {
-      if (!journal_armed) return;
-      const std::ptrdiff_t s = edges.find(key);
-      if (s == EdgeShard::kNpos) {
-        journal.edges.push_back({key, false, EdgeRec{}});
-      } else {
-        journal.edges.push_back(
-            {key, true, edges.get(static_cast<std::size_t>(s))});
+    /// Appends the new record `r` under `key` (logged kCreated) and
+    /// charges it to `mem`, this machine's meter.
+    void create_edge(std::uint64_t key, const EdgeRec& r,
+                     dmpc::MemoryMeter& mem) {
+      if (journal_armed) {
+        journal.edges.push_back({key,
+                                 static_cast<std::uint32_t>(edges.size()),
+                                 MachineJournal::EdgeUndo::Kind::kCreated});
       }
+      edges.append(key, r);
+      mem.charge(kEdgeRecWords);
     }
-    /// Logs a known-live slot's pre-image before in-place column writes
-    /// (the transform loops' path: no hash lookup on the hot path), once
-    /// per batch.
+    /// Swap-removes the live record under `key` (logged kErased, whole)
+    /// and releases it from `mem`, this machine's meter.
+    void erase_edge(std::uint64_t key, dmpc::MemoryMeter& mem) {
+      const std::ptrdiff_t found = edges.find(key);
+      assert(found != EdgeShard::kNpos);
+      const auto s = static_cast<std::size_t>(found);
+      if (journal_armed) {
+        journal.edges.push_back(
+            {key, static_cast<std::uint32_t>(s),
+             MachineJournal::EdgeUndo::Kind::kErased, edges.tree[s],
+             edges.comp[s], edges.iu1[s], edges.iu2[s], edges.iv1[s],
+             edges.iv2[s], edges.w[s]});
+      }
+      edges.erase_at(s);
+      mem.release(kEdgeRecWords);
+    }
+    /// Logs a live slot's pre-image before in-place column writes (the
+    /// transform loops' path: no hash lookup on the hot path), once per
+    /// batch.
     void jlog_edge_slot(std::size_t s) {
       if (!journal_armed || edges.mark[s] == journal_epoch) return;
       edges.mark[s] = journal_epoch;
-      journal.slots.push_back({edges.key_at(s), journal.edges.size(),
-                               edges.comp[s], edges.iu1[s], edges.iu2[s],
-                               edges.iv1[s], edges.iv2[s], edges.tree[s]});
+      journal.edges.push_back({edges.key_at(s), static_cast<std::uint32_t>(s),
+                               MachineJournal::EdgeUndo::Kind::kRewritten,
+                               edges.tree[s], edges.comp[s], edges.iu1[s],
+                               edges.iu2[s], edges.iv1[s], edges.iv2[s]});
     }
     /// Logs vertex slot `slot`'s pre-image before a record write, once
     /// per batch.  Vertex records exist for the lifetime of the forest,
@@ -603,17 +617,13 @@ class DynamicForest {
   /// cycle-rule inserts deferred behind a same-component swap.
   std::vector<std::size_t> run_stage_kway(std::vector<BatchOp>& ops);
 
-  /// Memory accounting helpers.
-  void charge_edge_record(MachineId m);
-  void release_edge_record(MachineId m);
-
   // --- atomic updates (config_.atomic_updates) -----------------------------
 
   /// Arms every machine's undo journal, bumps its epoch (so every record
   /// is unlogged for this batch), and snapshots the ingress-local
   /// scalars (next_comp_id_, batch_stats_) plus each memory meter's
   /// usage.  No machine state is copied — pre-images accrue lazily as
-  /// the protocol mutates (jlog_* above).
+  /// the protocol mutates (create_edge, erase_edge and jlog_* above).
   void journal_begin();
   /// Disarms the journals after a successful update (the logs are kept
   /// as arenas for the next one).
@@ -621,10 +631,8 @@ class DynamicForest {
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
   /// drops the round buffer's staged messages, and aborts the
-  /// in-flight metrics update.  Restores the
-  /// exact pre-update record/vertex/directory CONTENT; EdgeShard slot
-  /// order may differ from the pre-update order (put/erase replay uses
-  /// swap-remove), which callers are already forbidden to rely on.
+  /// in-flight metrics update.  Every shard, vertex table and directory
+  /// returns exactly to its pre-update state, edge slot order included.
   void journal_rollback();
 
   /// The installed round executor, reachable from const introspection

@@ -32,33 +32,22 @@ void Cluster::for_each_machine(const std::function<void(MachineId)>& work) {
   Tracer* tracer = tracer_ && tracer_->enabled() ? tracer_.get() : nullptr;
   const std::size_t mu = memories_.size();
   if (tracer != nullptr) tracer->begin_dispatch(mu);
-  if (faults_ && !metrics_.in_query_batch()) {
-    // Each dispatch is one injection point; the ordinal is drawn before
-    // the tasks fan out so the decision inside maybe_fail_task is a pure
-    // read, identical under every executor.
-    const std::uint64_t call = faults_->next_task_call();
-    FaultInjector* faults = faults_.get();
-    executor_->run(mu, [&work, faults, call, mu, tracer](std::size_t m) {
+  // Each dispatch outside a query batch is one injection point; the
+  // ordinal is drawn before the tasks fan out so the decision inside
+  // maybe_fail_task is a pure read, identical under every executor.
+  FaultInjector* faults =
+      faults_ && !metrics_.in_query_batch() ? faults_.get() : nullptr;
+  const std::uint64_t call = faults != nullptr ? faults->next_task_call() : 0;
+  const auto task = [&](std::size_t m) {
+    if (faults != nullptr) {
       faults->maybe_fail_task(call, static_cast<MachineId>(m), mu);
-      if (tracer != nullptr) {
-        const std::uint64_t begin = tracer->now_ns();
-        work(static_cast<MachineId>(m));
-        tracer->record_task(m, begin, tracer->now_ns());
-        return;
-      }
-      work(static_cast<MachineId>(m));
-    });
-  } else {
-    executor_->run(mu, [&work, tracer](std::size_t m) {
-      if (tracer != nullptr) {
-        const std::uint64_t begin = tracer->now_ns();
-        work(static_cast<MachineId>(m));
-        tracer->record_task(m, begin, tracer->now_ns());
-        return;
-      }
-      work(static_cast<MachineId>(m));
-    });
-  }
+    }
+    const std::uint64_t begin = tracer != nullptr ? tracer->now_ns() : 0;
+    work(static_cast<MachineId>(m));
+    if (tracer != nullptr) tracer->record_task(m, begin, tracer->now_ns());
+  };
+  // One captured reference keeps the std::function inline (no allocation).
+  executor_->run(mu, [&task](std::size_t m) { task(m); });
   if (tracer != nullptr) tracer->flush_dispatch();
 }
 

@@ -131,11 +131,7 @@ struct BatchScheduleStats {
   /// single effective update) skips the protocol entirely.
   std::uint64_t elided_updates = 0;
 
-  [[nodiscard]] double mean_group_size() const {
-    return stages == 0 ? 0.0
-                       : static_cast<double>(grouped_updates) /
-                             static_cast<double>(stages);
-  }
+  bool operator==(const BatchScheduleStats&) const = default;
 };
 
 /// Aggregate over aborted updates/batches: work that threw mid-protocol
