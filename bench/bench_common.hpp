@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,22 @@ double timed_seconds(Fn&& fn) {
   fn();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// CPU seconds the calling thread spent running `fn`: unlike wall time,
+/// it leaves out the time the host ran other work, so it suits an A/B of
+/// single-threaded code (the serial executor) on a shared machine.
+template <typename Fn>
+double thread_cpu_seconds(Fn&& fn) {
+  const auto now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  const double t0 = now();
+  fn();
+  return now() - t0;
 }
 
 /// Minimal JSON emitter for the CI benchmark artifacts

@@ -22,14 +22,21 @@
 //     protocol's count (2 connectivity-only, 5 with a path query);
 //   * the k-way commit pass at n = 2^18: single-update tree deletes and
 //     re-inserts on the giant component of gnm(n, n) under the serial
-//     executor, so every write stage rewrites that whole component on
-//     every machine — wall time per write stage, rounds and words.
-//     `--check` requires validate() afterwards and the pinned rounds and
-//     words (kCommitRounds / kCommitWords; the protocol is
-//     deterministic, so any other count is a protocol change);
+//     executor, so every write stage's batch-end remap pass rewrites that
+//     whole component on every machine — wall time per write stage,
+//     rounds and words.  `--check` requires validate() afterwards and the
+//     pinned rounds and words (kCommitRounds / kCommitWords; the protocol
+//     is deterministic, so any other count is a protocol change);
+//   * k-way batches at n = 2^18: random churn in batches of 16 on
+//     gnm(n, n) under the serial executor, where conflicts on the giant
+//     component split a batch into several rewriting stages that share
+//     one remap pass — wall time per batch, rewriting stages and remap
+//     passes per batch.  `--check` requires validate(), exactly one
+//     remap pass per batch that rewrote a tour, and the pinned rounds
+//     and words (kBatchRounds / kBatchWords);
 //   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
 //     links: its compile time, and ns per index (in random order, as the
-//     commit pass meets them) through the map against the per-index
+//     remap pass meets them) through the map against the per-index
 //     KWaySplit / KWayJoinPlan calls.  `--check` requires both to give
 //     every index the same fragment, removed flag and final index.
 //
@@ -65,6 +72,11 @@ constexpr std::size_t kCommitN = std::size_t{1} << 18;
 constexpr std::size_t kCommitPairs = 32;
 constexpr std::uint64_t kCommitRounds = 267;
 constexpr std::uint64_t kCommitWords = 657973;
+constexpr std::size_t kBatchN = std::size_t{1} << 18;
+constexpr std::size_t kBatchUpdates = 512;
+constexpr std::size_t kBatchSize = 16;
+constexpr std::uint64_t kBatchRounds = 727;
+constexpr std::uint64_t kBatchWords = 2177550;
 constexpr std::size_t kStageMapVertices = (std::size_t{1} << 18) + 1;
 constexpr std::size_t kStageMapCuts = 8;
 constexpr int kStageMapCompiles = 200;
@@ -252,7 +264,7 @@ ReadRun run_reads(std::size_t n, std::size_t path_every, std::size_t blocks) {
 /// The commit-pass row: kCommitPairs distinct giant-component tree
 /// edges of gnm(kCommitN, kCommitN), each deleted and re-inserted as
 /// one-update batches.  A write stage is one that ran a k-way split or
-/// join, i.e. the commit pass over the whole giant component.
+/// join, i.e. a remap pass over the whole giant component.
 struct CommitRun {
   double seconds = 0;
   std::uint64_t write_stages = 0;
@@ -295,6 +307,47 @@ CommitRun run_commit_pass() {
         before.kway_splits + before.kway_joins) {
       ++out.write_stages;
     }
+  }
+  out.agg = forest.cluster().metrics().aggregate();
+  out.valid = forest.validate();
+  return out;
+}
+
+/// The k-way batch row: kBatchUpdates updates of random_stream churn on
+/// gnm(kBatchN, kBatchN), applied in batches of kBatchSize.
+struct BatchRun {
+  double seconds = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t rewriting_stages = 0;
+  std::uint64_t remap_passes = 0;
+  bool one_remap_each = true;  ///< one remap pass per rewriting batch
+  dmpc::UpdateAggregate agg;
+  bool valid = false;
+};
+
+BatchRun run_kway_batches() {
+  core::DynamicForest forest({.n = kBatchN, .m_cap = 4 * kBatchN});
+  forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
+  forest.preprocess(graph::gnm(kBatchN, kBatchN, 11));
+  graph::UpdateStream stream =
+      graph::random_stream(kBatchN, kBatchUpdates, 0.6, 12);
+  for (graph::Update& up : stream) up.w = 1;  // unweighted: insert's default
+  forest.cluster().metrics().reset();
+  BatchRun out;
+  for (std::size_t b = 0; b < stream.size(); b += kBatchSize) {
+    const std::span<const graph::Update> batch(
+        stream.data() + b, std::min(kBatchSize, stream.size() - b));
+    const dmpc::BatchScheduleStats before = forest.batch_stats();
+    out.seconds += bench::timed_seconds([&] { forest.apply_batch(batch); });
+    const dmpc::BatchScheduleStats& after = forest.batch_stats();
+    const std::uint64_t stages =
+        after.rewriting_stages - before.rewriting_stages;
+    const std::uint64_t remaps = after.remap_passes - before.remap_passes;
+    out.one_remap_each =
+        out.one_remap_each && remaps == (stages == 0 ? 0u : 1u);
+    out.rewriting_stages += stages;
+    out.remap_passes += remaps;
+    ++out.batches;
   }
   out.agg = forest.cluster().metrics().aggregate();
   out.valid = forest.validate();
@@ -585,7 +638,7 @@ int main(int argc, char** argv) {
         .flag("within_budget", exact);
   }
 
-  // --- The k-way commit pass on a 2^18-vertex giant component ----------
+  // --- One-update write stages on a 2^18-vertex giant component -------
   {
     const CommitRun r = run_commit_pass();
     const double ms_per_stage =
@@ -621,6 +674,46 @@ int main(int argc, char** argv) {
         .u64("total_rounds", r.agg.total_rounds)
         .u64("total_comm_words", r.agg.total_comm_words)
         .flag("within_budget", r.valid && pinned);
+  }
+
+  // --- K-way batches: many rewriting stages, one remap pass ------------
+  {
+    const BatchRun r = run_kway_batches();
+    const auto batches = static_cast<double>(r.batches);
+    const double ms = r.seconds * 1e3 / batches;
+    const double stages = static_cast<double>(r.rewriting_stages) / batches;
+    const double remaps = static_cast<double>(r.remap_passes) / batches;
+    const bool pinned = r.agg.total_rounds == kBatchRounds &&
+                        r.agg.total_comm_words == kBatchWords;
+    std::printf("\n=== k-way batches: random churn on gnm(n, n), n=%zu, "
+                "batch=%zu, serial ===\n",
+                kBatchN, kBatchSize);
+    std::printf("%llu batches: %.3f ms/batch, %.2f rewriting stages/batch, "
+                "%.2f remap passes/batch, %llu rounds, %llu words, valid "
+                "%s\n",
+                static_cast<unsigned long long>(r.batches), ms, stages,
+                remaps, static_cast<unsigned long long>(r.agg.total_rounds),
+                static_cast<unsigned long long>(r.agg.total_comm_words),
+                r.valid ? "yes" : "NO");
+    if (!r.valid || !pinned || !r.one_remap_each) {
+      std::fprintf(stderr, "K-WAY BATCH VIOLATION: %s\n",
+                   !r.valid          ? "validate() failed"
+                   : !r.one_remap_each ? "a batch ran other than one remap "
+                                         "pass"
+                                       : "rounds/words differ from the "
+                                         "pinned counts");
+      ok = false;
+    }
+    json.row("kway_batch_n262144")
+        .u64("cores", cores)
+        .u64("batches", r.batches)
+        .num("wall_seconds", r.seconds)
+        .num("ms_per_batch", ms)
+        .num("rewriting_stages_per_batch", stages)
+        .num("remap_passes_per_batch", remaps)
+        .u64("total_rounds", r.agg.total_rounds)
+        .u64("total_comm_words", r.agg.total_comm_words)
+        .flag("within_budget", r.valid && pinned && r.one_remap_each);
   }
 
   // --- The compiled stage map against the per-index algebra -----------

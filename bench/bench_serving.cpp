@@ -16,7 +16,8 @@
 //
 // Two extra phases back the robustness contract (docs/ROBUSTNESS.md):
 //   * an update-only journal-overhead measurement — the same batched
-//     stream applied with atomic_updates on and off — whose
+//     stream applied in lockstep to a forest with atomic_updates on and
+//     one with it off, timed in thread CPU time — whose
 //     journal_overhead_pct lands in the main JSON row for
 //     bench_trend.py's <5% absolute gate;
 //   * with --faults <seed>, a fault-injected serving phase: a seeded
@@ -134,11 +135,18 @@ struct JournalOverhead {
 };
 
 /// Fault-free cost of the undo journal, measured where it actually
-/// runs: an update-only batched stream applied twice, with the journal
-/// armed and disarmed.  The mixed serving stream would dilute the
-/// effect under 95% reads, so this measures the update path alone.
-/// Best-of-two per mode damps scheduler noise; the trend gate
-/// additionally noise-floors tiny measurements.
+/// runs: an update-only batched stream applied to two forests in
+/// lockstep, one with the journal armed and one without.  The mixed
+/// serving stream would dilute the effect under 95% reads, so this
+/// measures the update path alone.  Each batch goes to both forests,
+/// alternating which goes first, and is timed in the calling thread's
+/// CPU time (the forests run on the serial executor): a host that slows
+/// down or speeds up weighs on both modes within a few milliseconds.
+/// Whole alternating runs timed by wall clock spread from -14% to +14%
+/// on unchanged code, wider than the 5% gate; the lockstep pair reads
+/// within about one point, and two journal-off forests read within half
+/// a point of each other.  The trend gate additionally noise-floors tiny
+/// measurements.
 JournalOverhead measure_journal_overhead(std::size_t n) {
   const graph::UpdateStream stream =
       graph::interleaved_delete_stream(n, 120'000, 32, 4, 41);
@@ -151,24 +159,22 @@ JournalOverhead measure_journal_overhead(std::size_t n) {
   }
   if (batches.back().empty()) batches.pop_back();
 
-  const auto one_run = [&](bool atomic) {
-    core::DynamicForest forest(
-        {.n = n, .m_cap = std::size_t{1} << 16, .atomic_updates = atomic});
-    forest.preprocess(graph::EdgeList{});
-    return bench::timed_seconds([&] {
-      for (const auto& batch : batches) {
-        forest.apply_batch(std::span<const graph::Update>(batch));
-      }
-    });
-  };
-  // ABBA order (off, on, on, off), each mode's best run: a host that
-  // drifts faster or slower over the measurement weighs on both modes
-  // alike instead of faking a journal cost or gain.
+  core::DynamicForest on(
+      {.n = n, .m_cap = std::size_t{1} << 16, .atomic_updates = true});
+  core::DynamicForest off(
+      {.n = n, .m_cap = std::size_t{1} << 16, .atomic_updates = false});
+  on.preprocess(graph::EdgeList{});
+  off.preprocess(graph::EdgeList{});
   JournalOverhead o;
-  o.off_seconds = one_run(false);
-  o.on_seconds = one_run(true);
-  o.on_seconds = std::min(o.on_seconds, one_run(true));
-  o.off_seconds = std::min(o.off_seconds, one_run(false));
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::span<const graph::Update> batch(batches[b]);
+    const auto apply = [&](bool atomic) {
+      (atomic ? o.on_seconds : o.off_seconds) += bench::thread_cpu_seconds(
+          [&] { (atomic ? on : off).apply_batch(batch); });
+    };
+    apply(b % 2 == 0);
+    apply(b % 2 != 0);
+  }
   o.pct = o.off_seconds > 0.0
               ? (o.on_seconds / o.off_seconds - 1.0) * 100.0
               : 0.0;

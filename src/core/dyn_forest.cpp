@@ -190,7 +190,8 @@ class ProbeSet {
 // path, slots in shard order and each slot's probes in id order.  Each
 // block of slots first keeps, without a branch, the tree slots whose
 // component passes the filter; only those look up their probes, compute
-// their child interval once and test it against each probe.
+// their child interval once and test it against each probe.  `es` is the
+// raw EdgeShard, or a PendingSlots view of one mid-batch.
 template <typename Shard, typename Fn>
 void for_each_path_slot(const Shard& es, const ProbeSet& probes,
                         const Fn& fn) {
@@ -217,6 +218,73 @@ void for_each_path_slot(const Shard& es, const ProbeSet& probes,
     }
   }
 }
+
+// A shard as the batch's pending stages left it, read through the same
+// columns as the raw shard, for for_each_path_slot: comp and the four
+// index columns resolve their slot through the pending log (`Log`,
+// DynamicForest::PendingLog; the tree column is always current).  The
+// shard pass reads comp for every slot and the indexes only for the few
+// it keeps, so comp takes one lookup (the u-side entry), the indexes a
+// whole-record resolution, and a one-slot cache serves each slot's
+// repeated reads.
+template <class Shard, class Log>
+class PendingSlots {
+ public:
+  using Rec = decltype(std::declval<const Shard&>().get(0));
+
+  template <Word Rec::*Field>
+  struct Column {
+    const PendingSlots& view;
+    Word operator[](std::size_t s) const { return view.get(s).*Field; }
+  };
+  struct CompColumn {
+    const PendingSlots& view;
+    Word operator[](std::size_t s) const { return view.label(s); }
+  };
+
+  PendingSlots(const Shard& es, const Log& log)
+      : tree(es.tree), es_(es), log_(log), cursor_(log) {}
+  PendingSlots(const PendingSlots&) = delete;
+  PendingSlots& operator=(const PendingSlots&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return es_.size(); }
+  [[nodiscard]] const Rec& get(std::size_t s) const {
+    if (s != rec_slot_) {
+      rec_slot_ = s;
+      rec_ = log_.current(es_, s, composed(s));
+    }
+    return rec_;
+  }
+
+  const std::vector<std::uint8_t>& tree;
+  const CompColumn comp{*this};
+  const Column<&Rec::iu1> iu1{*this};
+  const Column<&Rec::iu2> iu2{*this};
+  const Column<&Rec::iv1> iv1{*this};
+  const Column<&Rec::iv2> iv2{*this};
+
+ private:
+  const etour::ComposedMap* composed(std::size_t s) const {
+    return es_.ver[s] == 0 ? cursor_.find(es_.comp[s]) : nullptr;
+  }
+  Word label(std::size_t s) const {
+    if (s != label_slot_) {
+      label_slot_ = s;
+      label_ = log_.resolve(es_.ver[s], {es_.comp[s], es_.iu1[s]}, es_.u[s],
+                            composed(s))
+                   .comp;
+    }
+    return label_;
+  }
+
+  const Shard& es_;
+  const Log& log_;
+  mutable typename Log::Cursor cursor_;
+  mutable std::size_t rec_slot_ = static_cast<std::size_t>(-1);
+  mutable Rec rec_;
+  mutable std::size_t label_slot_ = static_cast<std::size_t>(-1);
+  mutable Word label_ = 0;
+};
 
 // std::lower_bound over a sorted range without data-dependent branches:
 // the loop runs ceil(log2(len)) times for any key and each step is a
@@ -305,6 +373,7 @@ void DynamicForest::journal_commit() {
 }
 
 void DynamicForest::journal_rollback() {
+  pending_.clear();
   if (!journal_active_) return;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     MachineState& ms = machines_[m];
@@ -332,6 +401,7 @@ void DynamicForest::journal_rollback() {
           ms.edges.iv1[s] = it->iv1;
           ms.edges.iv2[s] = it->iv2;
           ms.edges.tree[s] = it->tree;
+          ms.edges.ver[s] = 0;
           break;
       }
     }
@@ -356,6 +426,165 @@ void DynamicForest::journal_rollback() {
   cluster_->drop_round_state();
   cluster_->metrics().abort_update();
   journal_active_ = false;
+}
+
+// ---------------------------------------------------------------------------
+// The batch's pending log
+// ---------------------------------------------------------------------------
+
+void DynamicForest::PendingLog::append(PendingStage stage) {
+  stages.push_back(std::move(stage));
+  const auto t = static_cast<std::uint32_t>(stages.size());
+  const std::span<const etour::StageRewrite> rewrites(stages.back().rewrites);
+  for (auto& entry : composed) entry.second.then(t, rewrites);
+  // A starting component this stage rewrites first still holds its
+  // starting coordinates: its composition starts here.
+  std::vector<std::pair<Word, etour::ComposedMap>> opened;
+  for (const etour::StageRewrite& rw : rewrites) {
+    if (rw.comp >= first_new_label || composed_of(rw.comp) != nullptr) {
+      continue;
+    }
+    opened.emplace_back(rw.comp, etour::ComposedMap(rw.map.elen(), rw.comp));
+    opened.back().second.then(t, rewrites);
+  }
+  if (opened.empty()) return;
+  for (auto& entry : opened) composed.push_back(std::move(entry));
+  std::sort(composed.begin(), composed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+const etour::ComposedMap* DynamicForest::PendingLog::composed_of(
+    Word comp) const {
+  const auto* it = branchless_lower_bound(
+      composed.data(), composed.size(), comp,
+      [](const auto& entry, Word c) { return entry.first < c; });
+  return it == composed.data() + composed.size() || it->first != comp
+             ? nullptr
+             : &it->second;
+}
+
+DynamicForest::Appearance DynamicForest::PendingLog::resolve(
+    std::uint32_t version, Appearance a, VertexId vert,
+    const etour::ComposedMap* cm) const {
+  assert(version <= stages.size());
+  std::size_t t = version;
+  if (version == 0) {
+    if (cm == nullptr) return a;
+    const etour::ComposedMap::Piece& p = cm->piece(a.idx);
+    if (p.removed_at == 0) return {p.label, a.idx + p.delta};
+    // Removed by stage t: the cut fix names the owner's appearance after
+    // stage t, which the later stages move on.
+    t = p.removed_at;
+    a = stages[t - 1].cut_fix.at({p.label, vert});
+  }
+  for (; t < stages.size(); ++t) {
+    const etour::StageRewrite* rw =
+        etour::find_rewrite(stages[t].rewrites, a.comp);
+    if (rw == nullptr) continue;
+    const etour::StageMap::Piece& p = rw->map.piece(a.idx);
+    a = p.removed ? stages[t].cut_fix.at({a.comp, vert})
+                  : Appearance{rw->labels[p.frag], a.idx + p.delta};
+  }
+  return a;
+}
+
+DynamicForest::EdgeRec DynamicForest::PendingLog::current(
+    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm) const {
+  EdgeRec r = es.get(s);
+  const std::uint32_t version = es.ver[s];
+  if (version == 0 && cm == nullptr) return r;
+  const Appearance u1 = resolve(version, {r.comp, r.iu1}, r.u, cm);
+  if (r.tree) {
+    // A live tree edge lost no entry, and each traversal's two entries,
+    // (iu1, iv1) and (iu2, iv2), move together.
+    const Appearance u2 = resolve(version, {r.comp, r.iu2}, r.u, cm);
+    r.iv1 += u1.idx - r.iu1;
+    r.iv2 += u2.idx - r.iu2;
+    r.iu2 = u2.idx;
+  } else {
+    r.iv1 = resolve(version, {r.comp, r.iv1}, r.v, cm).idx;
+  }
+  r.iu1 = u1.idx;
+  r.comp = u1.comp;
+  return r;
+}
+
+DynamicForest::VertexRec DynamicForest::current_vertex(VertexId v) const {
+  const VertexRec& rec = vertex(v);
+  if (pending_.empty()) return rec;
+  const Appearance a = pending_.resolve(0, {rec.comp, rec.cached_idx}, v,
+                                        pending_.composed_of(rec.comp));
+  return {a.comp, a.idx};
+}
+
+DynamicForest::EdgeRec DynamicForest::current_edge(MachineId m,
+                                                   std::size_t s) const {
+  const EdgeShard& es = machines_[m].edges;
+  if (pending_.empty()) return es.get(s);
+  return pending_.current(
+      es, s, es.ver[s] == 0 ? pending_.composed_of(es.comp[s]) : nullptr);
+}
+
+void DynamicForest::remap_pending() {
+  if (pending_.empty()) return;
+  ++batch_stats_.remap_passes;
+  dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kKWayJoin);
+  const std::size_t mu = machines_.size();
+  // A record whose indexes and label come out unchanged (the x side up
+  // to its splice anchor, a remainder before its first cut) is neither
+  // written nor journaled.
+  cluster_->for_each_machine([&](MachineId m) {
+    MachineState& ms = machines_[m];
+    EdgeShard& es = ms.edges;
+    PendingLog::Cursor cursor(pending_);
+    for (std::size_t s = 0; s < es.size(); ++s) {
+      const std::uint32_t version = es.ver[s];
+      const etour::ComposedMap* cm = nullptr;
+      if (version == 0) {
+        cm = cursor.find(es.comp[s]);
+        if (cm == nullptr) continue;
+        if (es.tree[s] != 0) {
+          // The common record: an unwritten tree edge, whose two
+          // traversals each move by their piece's delta.
+          const etour::ComposedMap::Piece& p1 = cm->piece(es.iu1[s]);
+          const etour::ComposedMap::Piece& p2 = cm->piece(es.iu2[s]);
+          assert(p1.removed_at == 0 && p2.removed_at == 0);
+          if ((p1.delta | p2.delta) == 0 && p1.label == es.comp[s]) continue;
+          ms.jlog_edge_slot(s);
+          es.iu1[s] += p1.delta;
+          es.iv1[s] += p1.delta;
+          es.iu2[s] += p2.delta;
+          es.iv2[s] += p2.delta;
+          es.comp[s] = p1.label;
+          continue;
+        }
+      }
+      const EdgeRec r = pending_.current(es, s, cm);
+      if (version == 0 && r.comp == es.comp[s] && r.iu1 == es.iu1[s] &&
+          r.iv1 == es.iv1[s]) {
+        continue;
+      }
+      ms.jlog_edge_slot(s);
+      es.comp[s] = r.comp;
+      es.iu1[s] = r.iu1;
+      es.iu2[s] = r.iu2;
+      es.iv1[s] = r.iv1;
+      es.iv2[s] = r.iv2;
+      es.ver[s] = 0;
+    }
+    for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
+      VertexRec& rec = ms.vertices[j];
+      const etour::ComposedMap* cm = cursor.find(rec.comp);
+      if (cm == nullptr) continue;
+      const Appearance a =
+          pending_.resolve(0, {rec.comp, rec.cached_idx},
+                           static_cast<VertexId>(j * mu + m), cm);
+      if (a.idx == rec.cached_idx && a.comp == rec.comp) continue;
+      ms.jlog_vertex(j);
+      rec = {a.comp, a.idx};
+    }
+  });
+  pending_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -775,8 +1004,8 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
   const bool exists = slot != EdgeShard::kNpos;
   if (up.kind == graph::UpdateKind::kInsert) {
     if (exists) return op;  // duplicate insert: kNoop
-    op.cx = vertex(op.x).comp;
-    op.cy = vertex(op.y).comp;
+    op.cx = current_vertex(op.x).comp;
+    op.cy = current_vertex(op.y).comp;
     if (op.cx != op.cy) {
       op.kind = BatchOpKind::kMerge;
       op.writes[op.num_writes++] = op.cx;
@@ -799,7 +1028,7 @@ DynamicForest::BatchOp DynamicForest::classify_op(const graph::Update& up,
     return op;
   }
   if (!exists) return op;  // absent delete: kNoop
-  op.cx = op.cy = es.comp[slot];
+  op.cx = op.cy = current_edge(op.coord, static_cast<std::size_t>(slot)).comp;
   if (es.tree[slot] != 0) {
     op.kind = BatchOpKind::kTreeDelete;
     op.writes[op.num_writes++] = op.cx;
@@ -1089,7 +1318,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   }
   std::map<VertexId, Word> vert_idx;
   for (const VertexId v : bcast_verts) {
-    const Word idx = vertex(v).cached_idx;
+    const Word idx = current_vertex(v).cached_idx;
     vert_idx[v] = idx;
     // Every machine resolves merge endpoints inside the shared join plan
     // and probes cycle-rule paths, so the cached appearance is broadcast,
@@ -1097,7 +1326,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     bcast(vertex_machine(v), kQueryReply, {v, idx});
   }
   for (const auto& [v, targets] : ntins_targets) {
-    const Word idx = vertex(v).cached_idx;
+    const Word idx = current_vertex(v).cached_idx;
     vert_idx[v] = idx;
     if (bcast_verts.count(v) != 0) continue;  // already broadcast
     for (const MachineId t : targets) {
@@ -1128,9 +1357,10 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   std::vector<CutInfo> cuts;  // deletions in batch order, then swaps
   for (const std::size_t i : dels) {
     const BatchOp& op = ops[i];
-    const EdgeShard& des = machines_[op.coord].edges;
-    const CutInfo ci =
-        make_cut(i, des.get(static_cast<std::size_t>(des.find(op.ekey))));
+    const CutInfo ci = make_cut(
+        i, current_edge(op.coord, static_cast<std::size_t>(
+                                      machines_[op.coord].edges.find(
+                                          op.ekey))));
     cuts.push_back(ci);
     bcast(op.coord, kCutBcast,
           {ci.comp, ci.new_comp, ci.parent, ci.child, ci.f_c, ci.l_c});
@@ -1142,7 +1372,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   }
   finish();
   // Non-tree records commit at their coordinators with both endpoint
-  // appearances cached.
+  // appearances cached, as of the pending stages so far.
   const auto store_nontree = [&](const BatchOp& op) {
     const EdgeKey key(op.x, op.y);
     EdgeRec rec;
@@ -1153,7 +1383,9 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     rec.w = op.w;
     rec.iu1 = vert_idx.at(rec.u);
     rec.iv1 = vert_idx.at(rec.v);
-    machines_[op.coord].create_edge(op.ekey, rec, cluster_->memory(op.coord));
+    machines_[op.coord].create_edge(
+        op.ekey, rec, cluster_->memory(op.coord),
+        static_cast<std::uint32_t>(pending_.stages.size()));
   };
   for (const std::size_t i : nti) store_nontree(ops[i]);
 
@@ -1174,22 +1406,29 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         machines_.size(), std::vector<std::optional<EdgeRec>>(pms.size()));
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
-      std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
-      for_each_path_slot(es, probe_set, [&](std::size_t k, std::size_t i) {
-        if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
-          best[k] = static_cast<std::ptrdiff_t>(i);
+      const auto propose = [&](const auto& view) {
+        std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
+        for_each_path_slot(view, probe_set, [&](std::size_t k, std::size_t i) {
+          if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
+            best[k] = static_cast<std::ptrdiff_t>(i);
+          }
+        });
+        for (std::size_t k = 0; k < pms.size(); ++k) {
+          const BatchOp& op = ops[pms[k]];
+          if (best[k] == EdgeShard::kNpos) continue;
+          pmc[m][k] = view.get(static_cast<std::size_t>(best[k]));
+          if (m == op.coord) continue;
+          const CutInfo c = make_cut(pms[k], *pmc[m][k]);
+          cluster_->send(m, op.coord, kProposal,
+                         {static_cast<Word>(op.pos),
+                          static_cast<Word>(pmc[m][k]->w), c.parent, c.child,
+                          c.f_c, c.l_c});
         }
-      });
-      for (std::size_t k = 0; k < pms.size(); ++k) {
-        const BatchOp& op = ops[pms[k]];
-        if (best[k] == EdgeShard::kNpos) continue;
-        pmc[m][k] = es.get(static_cast<std::size_t>(best[k]));
-        if (m == op.coord) continue;
-        const CutInfo c = make_cut(pms[k], *pmc[m][k]);
-        cluster_->send(m, op.coord, kProposal,
-                       {static_cast<Word>(op.pos),
-                        static_cast<Word>(pmc[m][k]->w), c.parent, c.child,
-                        c.f_c, c.l_c});
+      };
+      if (pending_.empty()) {
+        propose(es);
+      } else {
+        propose(PendingSlots(es, pending_));
       }
     });
     finish();
@@ -1218,6 +1457,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       if (swap_of.emplace(op.cx, k).second) {
         cuts.push_back(ci);
         cuts.back().demote = true;
+        ++batch_stats_.swaps_committed;
       }
     }
     if (!swap_of.empty()) finish();
@@ -1277,23 +1517,21 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   std::vector<Frag> frags;
   // The stage's rewritten components, ascending: each one's split (null
   // for a merge component, which joins as one whole-tour fragment), the
-  // universe index of its fragment 0, and its stage map — the split alone
-  // until the join plan is finished, then the compiled split + join with
-  // each fragment's final label.
+  // universe index of its fragment 0, and its split alone as a stage map
+  // (the cascade's scan reads it; the pending log gets the compiled split
+  // + join once the join plan is finished).
   struct Rewritten {
     Word comp = 0;
     const SplitComp* split = nullptr;
     std::size_t base = 0;
     etour::StageMap map;
-    std::vector<Word> labels;
   };
   std::vector<Rewritten> rewritten;
   for (const auto& [comp, sc] : splits) {
     const etour::KWaySplit& sp = *sc.split;
     rewritten.push_back({comp, &sc, frags.size(),
                          etour::StageMap(etour::elength(comp_size.at(comp)),
-                                         &sp),
-                         {}});
+                                         &sp)});
     std::vector<Word> label_of(sp.fragments(), comp);
     for (std::size_t j = 0; j < sc.cut_ids.size(); ++j) {
       label_of[sp.fragment_of_cut(j)] = cuts[sc.cut_ids[j]].new_comp;
@@ -1310,7 +1548,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   for (const Word c : merge_comps) {
     const Word elen = etour::elength(comp_size.at(c));
     rewritten.push_back(
-        {c, nullptr, frags.size(), etour::StageMap(elen, nullptr), {}});
+        {c, nullptr, frags.size(), etour::StageMap(elen, nullptr)});
     frags.push_back({c, elen});
   }
   std::sort(rewritten.begin(), rewritten.end(),
@@ -1379,7 +1617,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     // pair best (w,u,v) crossing candidates, sent to hashed collectors
     // (two-hop fold keeps any one receiver under the comm cap).  Each
     // machine collects flat and sorts + folds once, so it sends in key
-    // order.
+    // order.  A record the pending stages moved is read as they left it;
+    // with nothing pending the shard is read as stored.
     using AppKey = std::pair<Word, VertexId>;
     using PairKey = std::tuple<Word, Word, Word>;
     std::map<AppKey, Word> best_app;
@@ -1387,47 +1626,68 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
     std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
+    const bool pending = !pending_.empty();
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
       auto& lapp = mapp[m];
       auto& lbest = mbest[m];
       RewrittenCursor cursor{rewritten};
+      PendingLog::Cursor pcursor(pending_);
       for (std::size_t s = 0; s < es.size(); ++s) {
-        const Rewritten* rw = cursor.find(es.comp[s]);
+        // The record's current component takes one lookup (its u-side
+        // entry); the whole record is resolved only if the scan uses it.
+        const std::uint32_t version = pending ? es.ver[s] : 0;
+        const etour::ComposedMap* cm =
+            pending && version == 0 ? pcursor.find(es.comp[s]) : nullptr;
+        const bool stored = version == 0 && cm == nullptr;
+        const Word comp =
+            stored ? es.comp[s]
+                   : pending_
+                         .resolve(version, {es.comp[s], es.iu1[s]}, es.u[s],
+                                  cm)
+                         .comp;
+        const Rewritten* rw = cursor.find(comp);
         if (rw == nullptr || rw->split == nullptr) continue;
         const etour::StageMap& sm = rw->map;
+        const auto record = [&] {
+          return stored ? es.get(s) : pending_.current(es, s, cm);
+        };
         if (es.tree[s] != 0) {
           const std::vector<VertexId>& cv = rw->split->cut_verts;
+          const auto is_cut = [&](VertexId vert) {
+            return *branchless_lower_bound(cv.data(), cv.size(), vert,
+                                           std::less<>()) == vert;
+          };
+          const bool cut_u = is_cut(es.u[s]);
+          const bool cut_v = is_cut(es.v[s]);
+          if (!cut_u && !cut_v) continue;
+          const EdgeRec r = record();
           const auto touch = [&](VertexId vert, Word i1, Word i2) {
-            if (*branchless_lower_bound(cv.data(), cv.size(), vert,
-                                        std::less<>()) != vert) {
-              return;
-            }
             for (const Word entry : {i1, i2}) {
               if (sm.piece(entry).removed) continue;
-              lapp.push_back({{es.comp[s], vert}, entry});
+              lapp.push_back({{comp, vert}, entry});
             }
           };
-          touch(es.u[s], es.iu1[s], es.iu2[s]);
-          touch(es.v[s], es.iv1[s], es.iv2[s]);
+          if (cut_u) touch(r.u, r.iu1, r.iu2);
+          if (cut_v) touch(r.v, r.iv1, r.iv2);
         } else {
           // Cached appearances locate the fragment even when the entry
           // itself was removed (a removed entry sits positionally inside
           // its owner vertex's fragment); only the index VALUE needs the
           // owner-side fix, resolved after the Kruskal.
-          const Word fu = sm.piece(es.iu1[s]).frag;
-          const Word fv = sm.piece(es.iv1[s]).frag;
+          const EdgeRec r = record();
+          const Word fu = sm.piece(r.iu1).frag;
+          const Word fv = sm.piece(r.iv1).frag;
           if (fu == fv) continue;
           Cand c;
-          c.w = es.w[s];
-          c.u = es.u[s];
-          c.v = es.v[s];
+          c.w = r.w;
+          c.u = r.u;
+          c.v = r.v;
           c.fu = fu;
           c.fv = fv;
-          c.iu = es.iu1[s];
-          c.iv = es.iv1[s];
-          lbest.push_back({{es.comp[s], std::min(fu, fv), std::max(fu, fv)},
-                           c});
+          c.iu = r.iu1;
+          c.iv = r.iv1;
+          lbest.push_back({{comp, std::min(fu, fv), std::max(fu, fv)}, c});
         }
       }
       // Per key: the minimum appearance; the (w, u, v)-least candidate.
@@ -1636,24 +1896,30 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   }
   finish();
 
-  // ---- Behind the commit barrier: every machine transforms its shard
-  // and vertex records through the compiled stage maps. ------------------
-  for (Rewritten& rw : rewritten) {
+  // ---- Behind the commit barrier: the stage's compiled maps join the
+  // pending log, which later stages read records through and the
+  // batch-end remap pass writes into them.  Only the records the stage
+  // demotes, promotes, erases or creates are written now, stamped with
+  // the log's new length. ------------------------------------------------
+  PendingStage logged;
+  for (const Rewritten& rw : rewritten) {
     const etour::KWaySplit* sp =
         rw.split != nullptr ? &*rw.split->split : nullptr;
-    rw.map = etour::StageMap(etour::elength(comp_size.at(rw.comp)), sp, plan,
-                             rw.base);
     const std::size_t fragments = sp != nullptr ? sp->fragments() : 1;
-    rw.labels.assign(final_label.begin() + static_cast<std::ptrdiff_t>(rw.base),
-                     final_label.begin() +
-                         static_cast<std::ptrdiff_t>(rw.base + fragments));
+    logged.rewrites.push_back(
+        {rw.comp,
+         etour::StageMap(etour::elength(comp_size.at(rw.comp)), sp, plan,
+                         rw.base),
+         std::vector<Word>(
+             final_label.begin() + static_cast<std::ptrdiff_t>(rw.base),
+             final_label.begin() +
+                 static_cast<std::ptrdiff_t>(rw.base + fragments))});
   }
-  // Each cut vertex's final (index, label), for records whose cached
+  // Each cut vertex's final appearance, for records whose cached
   // appearance was a removed entry.  The broadcast carries only the
   // fragment-original index: every machine derives the fragment from the
   // shared split, where the parent's removed entry f_c - 1 and the
   // child's f_c sit positionally inside their owners' fragments.
-  std::map<std::pair<Word, VertexId>, std::pair<Word, Word>> cut_fix;
   for (const CutInfo& ci : cuts) {
     const etour::KWaySplit& sp = *splits.at(ci.comp).split;
     const std::size_t base = base_of(ci.comp);
@@ -1661,121 +1927,48 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
          {std::pair{ci.parent, ci.f_c - 1}, std::pair{ci.child, ci.f_c}}) {
       const auto key = std::make_pair(ci.comp, vert);
       const std::size_t frag = base + sp.fragment_of(probe);
-      cut_fix[key] = {plan.resolve(frag, fixes.at(key)), final_label[frag]};
+      logged.cut_fix[key] = {final_label[frag],
+                             plan.resolve(frag, fixes.at(key))};
     }
   }
-  // The few records the pass treats specially, per edge machine: a cut
-  // edge (erased below, or demoted by a swap) or a promoted link, all
-  // still in their shards.  Each machine walks its own in slot order
-  // beside the pass.
-  struct SpecialSlot {
-    std::size_t slot = 0;
-    const CutInfo* cut = nullptr;  ///< else the link below
-    const LinkRec* link = nullptr;
+  pending_.append(std::move(logged));
+  ++batch_stats_.rewriting_stages;
+  const auto version = static_cast<std::uint32_t>(pending_.stages.size());
+  const auto& cut_fix = pending_.stages.back().cut_fix;
+  // The edge's shard and slot, its pre-image journaled for a write.
+  const auto slot_of = [&](VertexId u, VertexId v) {
+    MachineState& ms = machines_[edge_machine(u, v)];
+    const std::ptrdiff_t found = ms.edges.find(edge_key(u, v));
+    assert(found != EdgeShard::kNpos);
+    const auto slot = static_cast<std::size_t>(found);
+    ms.jlog_edge_slot(slot);
+    return std::pair<EdgeShard&, std::size_t>(ms.edges, slot);
   };
-  std::vector<std::vector<SpecialSlot>> specials(mu);
-  const auto add_special = [&](VertexId u, VertexId v, const CutInfo* cut,
-                        const LinkRec* link) {
-    const MachineId m = edge_machine(u, v);
-    const std::ptrdiff_t slot = machines_[m].edges.find(edge_key(u, v));
-    assert(slot != EdgeShard::kNpos);
-    specials[m].push_back({static_cast<std::size_t>(slot), cut, link});
-  };
-  for (const CutInfo& ci : cuts) add_special(ci.parent, ci.child, &ci, nullptr);
-  for (const LinkRec& lr : links) add_special(lr.c.u, lr.c.v, nullptr, &lr);
-  for (std::vector<SpecialSlot>& mine : specials) {
-    std::sort(mine.begin(), mine.end(),
-              [](const SpecialSlot& a, const SpecialSlot& b) {
-                return a.slot < b.slot;
-              });
+  for (const CutInfo& ci : cuts) {
+    if (!ci.demote) continue;
+    // A swap's displaced edge stays as a non-tree record; its four
+    // entries were all removed, so its endpoints take the cut fixes.
+    const auto [es, s] = slot_of(ci.parent, ci.child);
+    const Appearance au = cut_fix.at({ci.comp, es.u[s]});
+    es.tree[s] = 0;
+    es.comp[s] = au.comp;
+    es.iu1[s] = au.idx;
+    es.iv1[s] = cut_fix.at({ci.comp, es.v[s]}).idx;
+    es.iu2[s] = es.iv2[s] = etour::kNoIndex;
+    es.ver[s] = version;
   }
-  // A record whose indexes and label come out unchanged (the x side up to
-  // its splice anchor, a remainder before its first cut) is neither
-  // written nor journaled: a later stage of the batch that does change it
-  // journals its still-pre-batch image then.
-  cluster_->for_each_machine([&](MachineId m) {
-    MachineState& ms = machines_[m];
-    EdgeShard& es = ms.edges;
-    const std::vector<SpecialSlot>& mine = specials[m];
-    std::size_t next = 0;
-    RewrittenCursor cursor{rewritten};
-    for (std::size_t s = 0; s < es.size(); ++s) {
-      const SpecialSlot* special = nullptr;
-      if (next < mine.size() && mine[next].slot == s) {
-        special = &mine[next++];
-      }
-      const Rewritten* rw = cursor.find(es.comp[s]);
-      if (rw == nullptr) continue;
-      const etour::StageMap& sm = rw->map;
-      const Word comp = es.comp[s];
-      if (special != nullptr) {
-        const CutInfo* cut = special->cut;
-        if (cut != nullptr && !cut->demote) continue;  // erased below
-        ms.jlog_edge_slot(s);
-        if (cut != nullptr) {
-          // A swap's displaced edge stays as a non-tree record; its four
-          // entries were all removed, and the cut-vertex fixes below
-          // resolve its cached endpoints like any other stale copy.
-          es.tree[s] = 0;
-          es.iu2[s] = es.iv2[s] = etour::kNoIndex;
-        } else {
-          // Promoted replacement: the join plan owns its 4 new entries.
-          const etour::MergeNewIndexes ni =
-              plan.edge_indexes(special->link->link_id);
-          es.tree[s] = 1;
-          es.iu1[s] = ni.x_enter;
-          es.iu2[s] = ni.x_exit;
-          es.iv1[s] = ni.y_enter;
-          es.iv2[s] = ni.y_exit;
-          es.comp[s] = rw->labels[special->link->c.fu];
-          continue;
-        }
-      }
-      if (es.tree[s] != 0) {
-        // A surviving tree edge's 4 entries all live in one fragment, and
-        // each traversal's two entries, (iu1, iv1) and (iu2, iv2), share
-        // a piece.
-        const etour::StageMap::Piece& p1 = sm.piece(es.iu1[s]);
-        const Word d2 = sm.piece(es.iu2[s]).delta;
-        const Word label = rw->labels[p1.frag];
-        if ((p1.delta | d2) == 0 && label == comp) continue;
-        ms.jlog_edge_slot(s);
-        es.iu1[s] += p1.delta;
-        es.iv1[s] += p1.delta;
-        es.iu2[s] += d2;
-        es.iv2[s] += d2;
-        es.comp[s] = label;
-        continue;
-      }
-      const auto endpoint = [&](VertexId vert, Word raw) {
-        const etour::StageMap::Piece& p = sm.piece(raw);
-        if (p.removed) return cut_fix.at(std::make_pair(comp, vert));
-        return std::make_pair(raw + p.delta, rw->labels[p.frag]);
-      };
-      const auto [iu, label] = endpoint(es.u[s], es.iu1[s]);
-      const Word iv = endpoint(es.v[s], es.iv1[s]).first;
-      if (iu == es.iu1[s] && iv == es.iv1[s] && label == comp) continue;
-      ms.jlog_edge_slot(s);
-      es.iu1[s] = iu;
-      es.iv1[s] = iv;
-      es.comp[s] = label;
-    }
-    for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
-      VertexRec& rec = ms.vertices[j];
-      const Rewritten* rw = cursor.find(rec.comp);
-      if (rw == nullptr) continue;
-      const etour::StageMap::Piece& p = rw->map.piece(rec.cached_idx);
-      const auto [idx, label] =
-          p.removed ? cut_fix.at(std::make_pair(
-                          rec.comp, static_cast<VertexId>(j * mu + m)))
-                    : std::make_pair(rec.cached_idx + p.delta,
-                                     rw->labels[p.frag]);
-      if (idx == rec.cached_idx && label == rec.comp) continue;
-      ms.jlog_vertex(j);
-      rec.cached_idx = idx;
-      rec.comp = label;
-    }
-  });
+  for (const LinkRec& lr : links) {
+    // Promoted replacement: the join plan owns its 4 new entries.
+    const auto [es, s] = slot_of(lr.c.u, lr.c.v);
+    const etour::MergeNewIndexes ni = plan.edge_indexes(lr.link_id);
+    es.tree[s] = 1;
+    es.comp[s] = final_label[base_of(lr.comp) + lr.c.fu];
+    es.iu1[s] = ni.x_enter;
+    es.iu2[s] = ni.x_exit;
+    es.iv1[s] = ni.y_enter;
+    es.iv2[s] = ni.y_exit;
+    es.ver[s] = version;
+  }
   // Deleted cut records vanish, merge edges become tree records at their
   // coordinators, and the directory applies the staged writes.
   for (const CutInfo& ci : cuts) {
@@ -1789,7 +1982,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     const Word label = final_label[base_of(op.cx)];
     machines_[op.coord].create_edge(
         op.ekey, make_tree_record(op.x, op.y, op.w, label, ni),
-        cluster_->memory(op.coord));
+        cluster_->memory(op.coord), version);
   }
   for (const auto& [label, size] : dir_writes) {
     machines_[dir_machine(label)].jlog_dir(label);
@@ -1825,6 +2018,8 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
   cluster_->begin_update();
   journal_begin();
   ++batch_stats_.batches;
+  pending_.clear();
+  pending_.first_new_label = next_comp_id_;
   // Net-op compression (unweighted only): the observable state —
   // components, sizes, record set, forest weight — is path-independent
   // for unweighted updates, so an insert/delete chain on one edge key
@@ -1901,6 +2096,7 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
     }
     pending.swap(rest);
   }
+  remap_pending();
   journal_commit();
   cluster_->end_update();
 } catch (...) {

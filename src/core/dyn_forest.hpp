@@ -30,7 +30,10 @@
 // link as one k-way join per final tree.  MST cycle-rule inserts ride
 // the same stage: their path-max searches share two extra rounds, and a
 // committing swap becomes one more (demoting) cut of the k-way split.
-// See apply_batch below.
+// A stage does not rewrite the records of the components it transforms:
+// it appends its compiled stage maps to the batch's pending log, later
+// stages read records through that log, and one remap pass at the end of
+// the batch writes every moved record once.  See apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -86,13 +89,14 @@ struct DynForestConfig {
   /// vertex, and directory entry they rewrite, appended as they mutate)
   /// and ANY mid-protocol throw — comm/memory cap trips,
   /// injected faults — rolls the forest, the round buffer, and the
-  /// metrics stream back to the pre-update state before rethrowing.
-  /// Nothing is copied eagerly and a record is copied at most once per
-  /// batch, however many stages rewrite it, so the fault-free cost is
-  /// one epoch compare per rewritten record plus one copy of each
-  /// record the batch touches; off restores the pre-journal behavior
-  /// where a throw leaves the forest half-transformed (benches use that
-  /// to measure the overhead).
+  /// metrics stream back to the pre-update state before rethrowing, and
+  /// drops the batch's pending log.  Nothing is copied eagerly and a
+  /// record is copied at most once per batch (the batch-end remap pass
+  /// writes a moved record once, however many stages moved it), so the
+  /// fault-free cost is one epoch compare per rewritten record plus one
+  /// copy of each record the batch touches; off restores the pre-journal
+  /// behavior where a throw leaves the forest half-transformed (benches
+  /// use that to measure the overhead).
   bool atomic_updates = true;
 };
 
@@ -278,6 +282,7 @@ class DynamicForest {
       iv2.reserve(n);
       tree.reserve(n);
       mark.reserve(n);
+      ver.reserve(n);
     }
 
     [[nodiscard]] std::ptrdiff_t find(std::uint64_t key) const {
@@ -304,8 +309,11 @@ class DynamicForest {
       return r;
     }
 
-    /// Appends a record under a key the shard does not hold.
-    void append(std::uint64_t key, const EdgeRec& r) {
+    /// Appends a record under a key the shard does not hold, stamped
+    /// with the pending-log version its values are in (0: the batch's
+    /// starting coordinates).
+    void append(std::uint64_t key, const EdgeRec& r,
+                std::uint32_t version = 0) {
       [[maybe_unused]] const bool fresh =
           index_.emplace(key, static_cast<std::uint32_t>(keys_.size()))
               .second;
@@ -321,6 +329,7 @@ class DynamicForest {
       iv1.push_back(r.iv1);
       iv2.push_back(r.iv2);
       mark.push_back(0);
+      ver.push_back(version);
     }
 
     /// Swap-removes slot s: the last record moves into s.
@@ -339,10 +348,12 @@ class DynamicForest {
       iv1.pop_back();
       iv2.pop_back();
       mark.pop_back();
+      ver.pop_back();
     }
 
     /// Inverts the erase_at(s) that removed `key`'s record r: the record
-    /// it swapped into s returns to the end, and r returns to s.
+    /// it swapped into s returns to the end, and r returns to s (at
+    /// version 0: rollback restores the batch's starting state).
     void unerase(std::size_t s, std::uint64_t key, const EdgeRec& r) {
       append(key, r);
       const std::size_t last = keys_.size() - 1;
@@ -350,14 +361,22 @@ class DynamicForest {
     }
 
     // The columns, slot-indexed.  Mutators above keep them parallel;
-    // the k-way stage's commit pass writes the index, component and tree
-    // columns in place.
+    // the k-way stage writes the few records it cuts, demotes or
+    // promotes in place, and the batch-end remap pass the index and
+    // component columns of every record the batch moved.  `ver` is the
+    // number of the batch's pending stages a record's comp and index
+    // columns already include: 0 for every record between batches and
+    // for a record the batch has not written (its columns are in the
+    // batch's starting coordinates, resolved through the composed maps),
+    // t for one a stage wrote after t stages (resolved through stages
+    // t+1 on).  The tree column is always current.
     std::vector<VertexId> u, v;
     std::vector<Word> comp;
     std::vector<Weight> w;
     std::vector<Word> iu1, iu2, iv1, iv2;
     std::vector<std::uint8_t> tree;
     std::vector<std::uint64_t> mark;
+    std::vector<std::uint32_t> ver;
 
    private:
     void swap_slots(std::size_t a, std::size_t b) {
@@ -372,6 +391,7 @@ class DynamicForest {
       std::swap(iv1[a], iv1[b]);
       std::swap(iv2[a], iv2[b]);
       std::swap(mark[a], mark[b]);
+      std::swap(ver[a], ver[b]);
       index_[keys_[a]] = static_cast<std::uint32_t>(a);
       index_[keys_[b]] = static_cast<std::uint32_t>(b);
     }
@@ -445,16 +465,19 @@ class DynamicForest {
     std::uint64_t journal_epoch = 0;
     MachineJournal journal;
 
-    /// Appends the new record `r` under `key` (logged kCreated) and
-    /// charges it to `mem`, this machine's meter.
+    /// Appends the new record `r` under `key` at pending-log version
+    /// `version` (logged kCreated) and charges it to `mem`, this
+    /// machine's meter.  Rollback removes a created record whole, so its
+    /// later in-place writes need no pre-image: it starts marked.
     void create_edge(std::uint64_t key, const EdgeRec& r,
-                     dmpc::MemoryMeter& mem) {
+                     dmpc::MemoryMeter& mem, std::uint32_t version = 0) {
+      edges.append(key, r, version);
       if (journal_armed) {
-        journal.edges.push_back({key,
-                                 static_cast<std::uint32_t>(edges.size()),
-                                 MachineJournal::EdgeUndo::Kind::kCreated});
+        journal.edges.push_back(
+            {key, static_cast<std::uint32_t>(edges.size() - 1),
+             MachineJournal::EdgeUndo::Kind::kCreated});
+        edges.mark.back() = journal_epoch;
       }
-      edges.append(key, r);
       mem.charge(kEdgeRecWords);
     }
     /// Swap-removes the live record under `key` (logged kErased, whole)
@@ -503,6 +526,88 @@ class DynamicForest {
       }
     }
   };
+
+  // --- the batch's pending log --------------------------------------------
+
+  /// An appearance: tour index `idx` of component `comp`.
+  struct Appearance {
+    Word comp = 0;
+    Word idx = etour::kNoIndex;
+  };
+
+  /// What one rewriting stage did to the tours: each rewritten
+  /// component's compiled map and fragment labels (sorted by comp), and
+  /// each cut vertex's repaired appearance for records whose cached
+  /// appearance the stage removed, keyed by (rewritten comp, vertex).
+  struct PendingStage {
+    std::vector<etour::StageRewrite> rewrites;
+    std::map<std::pair<Word, VertexId>, Appearance> cut_fix;
+  };
+
+  /// The batch's pending log: the stages whose maps no edge or vertex
+  /// record has absorbed yet, plus, per component that held records when
+  /// the batch began (a label below first_new_label), their composition
+  /// (etour::ComposedMap).  Every machine derives the same log from the
+  /// stages' broadcasts; the simulation keeps one copy, read-only inside
+  /// machine tasks.  Readers resolve a record through it: a version-0
+  /// record through its starting component's composed map, a record
+  /// stamped t through stages t+1 on, and an entry a stage removed
+  /// through that stage's cut fix.  The batch-end remap pass empties it.
+  struct PendingLog {
+    Word first_new_label = 0;
+    std::vector<PendingStage> stages;
+    /// Sorted by starting component.
+    std::vector<std::pair<Word, etour::ComposedMap>> composed;
+
+    [[nodiscard]] bool empty() const { return stages.empty(); }
+    void clear() {
+      stages.clear();
+      composed.clear();
+    }
+    /// Appends one stage and composes it into every composed map,
+    /// opening one for each starting component it rewrites first.
+    void append(PendingStage stage);
+    /// The composed map of starting component comp, or null (the
+    /// batch has not moved its records).
+    [[nodiscard]] const etour::ComposedMap* composed_of(Word comp) const;
+    /// Where an appearance of `vert` that a record holds at version
+    /// `version` now is; `cm` is composed_of(a.comp) for version 0.
+    [[nodiscard]] Appearance resolve(std::uint32_t version, Appearance a,
+                                     VertexId vert,
+                                     const etour::ComposedMap* cm) const;
+    /// Edge slot s of `es` with its comp and indexes resolved; `cm` as
+    /// for resolve (null for a stamped record).
+    [[nodiscard]] EdgeRec current(const EdgeShard& es, std::size_t s,
+                                  const etour::ComposedMap* cm) const;
+
+    /// composed_of for a shard scan, which mostly asks about the
+    /// component it asked about last.
+    class Cursor {
+     public:
+      explicit Cursor(const PendingLog& log) : log_(log) {}
+      const etour::ComposedMap* find(Word comp) {
+        if (comp != last_comp_) {
+          last_comp_ = comp;
+          last_ = log_.composed_of(comp);
+        }
+        return last_;
+      }
+
+     private:
+      const PendingLog& log_;
+      Word last_comp_ = -1;
+      const etour::ComposedMap* last_ = nullptr;
+    };
+  };
+
+  /// v's record as the batch's pending stages left it.
+  [[nodiscard]] VertexRec current_vertex(VertexId v) const;
+  /// Edge slot s of machine m's shard as the pending stages left it.
+  [[nodiscard]] EdgeRec current_edge(MachineId m, std::size_t s) const;
+  /// The batch-end remap pass: one for_each_machine pass that writes
+  /// every edge and vertex record the pending stages moved, once
+  /// (journaled like any in-place write), and empties the log.
+  void remap_pending();
 
   // --- batched updates -----------------------------------------------------
 
@@ -611,7 +716,8 @@ class DynamicForest {
   /// add demoting cuts), surviving-appearance scans, the parallel
   /// replacement cascade (per-(fragment,fragment) minima folded over two
   /// hops, per-component fragment Kruskal), and one global k-way
-  /// split+join transform pass applied locally on every machine.
+  /// split+join transform, appended to the pending log (only the cut,
+  /// demoted, promoted and new records are written in place).
   /// Adaptive: 1 round for pure non-tree stages up to 8 with swaps or
   /// deletions needing reconnection.  Returns the batch positions of the
   /// cycle-rule inserts deferred behind a same-component swap.
@@ -630,9 +736,10 @@ class DynamicForest {
   void journal_commit();
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
-  /// drops the round buffer's staged messages, and aborts the
-  /// in-flight metrics update.  Every shard, vertex table and directory
-  /// returns exactly to its pre-update state, edge slot order included.
+  /// drops the pending log and the round buffer's staged messages, and
+  /// aborts the in-flight metrics update.  Every shard, vertex table and
+  /// directory returns exactly to its pre-update state, edge slot order
+  /// included.
   void journal_rollback();
 
   /// The installed round executor, reachable from const introspection
@@ -648,6 +755,7 @@ class DynamicForest {
   std::vector<MachineState> machines_;
   Word next_comp_id_;  // ingress-local state (machine 0)
   dmpc::BatchScheduleStats batch_stats_;
+  PendingLog pending_;
   // journal_begin snapshots (valid while the journals are armed).
   bool journal_active_ = false;
   Word journal_next_comp_id_ = 0;

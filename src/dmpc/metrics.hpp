@@ -130,6 +130,15 @@ struct BatchScheduleStats {
   /// chain on one edge whose net effect is a no-op (or collapses to a
   /// single effective update) skips the protocol entirely.
   std::uint64_t elided_updates = 0;
+  /// Cycle-rule swaps committed: an insert lighter than its path max
+  /// whose displaced edge a stage cut (one per component per stage).
+  std::uint64_t swaps_committed = 0;
+  /// Stages that rewrote at least one tour (a k-way split or join) and
+  /// so appended their stage maps to the batch's pending log.
+  std::uint64_t rewriting_stages = 0;
+  /// Batch-end remap passes: one per batch with a rewriting stage, however
+  /// many rewriting stages it ran.
+  std::uint64_t remap_passes = 0;
 
   bool operator==(const BatchScheduleStats&) const = default;
 };

@@ -16,7 +16,8 @@
 // functions are that algebra.  A batched stage composes k splits and
 // links per component (KWaySplit, KWayJoinPlan); StageMap compiles that
 // composition once into one flat piecewise table of O(k + links) pieces,
-// which is what the distributed commit pass reads per record.
+// and ComposedMap chains a batch's stage maps per starting component, which
+// is what the distributed batch-end remap pass reads per record.
 //
 // Figure-validated correction: for the merge, the paper writes the shift
 // of the remaining Tx indexes as "i + 4*ELength_Ty"; the arithmetic
@@ -31,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "dmpc/types.hpp"
@@ -459,6 +461,63 @@ class KWayJoinPlan {
 };
 
 // ---------------------------------------------------------------------------
+// A sorted table of pieces over the indexes [0, elen] of one tour, with an
+// O(1) lookup: a directory of about kBucketsPerPiece buckets per piece
+// over [0, elen] names each bucket's first piece, and a forward scan
+// rarely takes a step (a branch-free count over the breakpoints cost 4x
+// as much at ten pieces).  StageMap and ComposedMap below lay their
+// pieces out in one.
+// ---------------------------------------------------------------------------
+template <class P>
+class PieceTable {
+ public:
+  /// Appends the piece starting at index lo; starts ascend from 0.
+  void push(Word lo, const P& p) {
+    starts_.push_back(lo);
+    pieces_.push_back(p);
+  }
+  [[nodiscard]] bool empty() const { return pieces_.empty(); }
+  [[nodiscard]] const P& back() const { return pieces_.back(); }
+
+  /// Lays out the directory; call once, after the last push.
+  void finish(Word elen) {
+    starts_.push_back(std::numeric_limits<Word>::max());
+    const auto buckets =
+        static_cast<Word>(std::bit_ceil(kBucketsPerPiece * pieces_.size()));
+    while ((elen >> shift_) >= buckets) ++shift_;
+    first_.resize(static_cast<std::size_t>(elen >> shift_) + 1);
+    std::size_t p = 0;
+    for (std::size_t b = 0; b < first_.size(); ++b) {
+      while (starts_[p + 1] <= static_cast<Word>(b) << shift_) ++p;
+      first_[b] = static_cast<std::uint32_t>(p);
+    }
+  }
+
+  /// The number of the piece holding index i (0 <= i <= elen).
+  [[nodiscard]] std::size_t index_of(Word i) const {
+    std::size_t p = first_[std::min(static_cast<std::size_t>(i >> shift_),
+                                    first_.size() - 1)];
+    while (starts_[p + 1] <= i) ++p;
+    return p;
+  }
+  [[nodiscard]] const P& find(Word i) const { return pieces_[index_of(i)]; }
+  [[nodiscard]] const P& operator[](std::size_t p) const { return pieces_[p]; }
+  [[nodiscard]] std::size_t size() const { return pieces_.size(); }
+  /// First index of piece p; start(size()) is a max() sentinel.
+  [[nodiscard]] Word start(std::size_t p) const { return starts_[p]; }
+
+ private:
+  // Directory buckets per piece: a bucket holding a breakpoint costs its
+  // lookups a second compare, and few buckets do.
+  static constexpr std::size_t kBucketsPerPiece = 32;
+
+  std::vector<Word> starts_;  ///< first index of each piece, then max()
+  std::vector<P> pieces_;
+  int shift_ = 0;                     ///< index >> shift_ = bucket
+  std::vector<std::uint32_t> first_;  ///< bucket -> its first piece
+};
+
+// ---------------------------------------------------------------------------
 // Compiled stage map: one component's whole k-way stage (its split, if
 // any, then each fragment's join chain) as one flat table over the
 // component's OLD tour indexes.  A split and every chain step move each
@@ -476,10 +535,7 @@ class KWayJoinPlan {
 // then pushes every chain step of a fragment through that fragment's
 // pieces; a step is affine on each side of one threshold, so it splits
 // at most one piece.  That is O(k + links) pieces, built in
-// O((k + links)^2) at most.  Lookup is O(1): a directory of about
-// kBucketsPerPiece buckets per piece over [0, elen] names each bucket's
-// first piece, and a forward scan rarely takes a step (a branch-free
-// count over the breakpoints cost 4x as much at ten pieces).  Every
+// O((k + links)^2) at most, with PieceTable's O(1) lookup.  Every
 // surviving piece starts at an odd index (cuts remove whole traversals,
 // pivots are odd, splices follow even anchors and all shifts are even),
 // so the two entries 2t - 1 and 2t of a traversal always share a piece.
@@ -498,7 +554,8 @@ class StageMap {
   /// The split alone (null: one whole-tour fragment), to post-split
   /// fragment coordinates.  elen is the component's tour length.
   StageMap(Word elen, const KWaySplit* split)
-      : no_index_(split == nullptr ? 1 : split->fragments(), kNoIndex) {
+      : elen_(elen),
+        no_index_(split == nullptr ? 1 : split->fragments(), kNoIndex) {
     finish(elen, split_runs(elen, split));
   }
 
@@ -506,7 +563,7 @@ class StageMap {
   /// is this component's fragment 0, to final coordinates.
   StageMap(Word elen, const KWaySplit* split, const KWayJoinPlan& plan,
            std::size_t base)
-      : no_index_(split == nullptr ? 1 : split->fragments()) {
+      : elen_(elen), no_index_(split == nullptr ? 1 : split->fragments()) {
     for (std::size_t f = 0; f < no_index_.size(); ++f) {
       no_index_[f] = plan.resolve(base + f, kNoIndex);
     }
@@ -540,27 +597,22 @@ class StageMap {
     finish(elen, std::move(out));
   }
 
-  /// The piece holding old index i (0 <= i <= elen): the directory names
-  /// the first piece of i's bucket, and a short forward scan finishes.
-  const Piece& piece(Word i) const {
-    std::size_t p = first_[std::min(static_cast<std::size_t>(i >> shift_),
-                                    first_.size() - 1)];
-    while (starts_[p + 1] <= i) ++p;
-    return pieces_[p];
-  }
+  /// The piece holding old index i (0 <= i <= elen).
+  const Piece& piece(Word i) const { return table_.find(i); }
 
   /// Final position of kNoIndex in fragment frag.
   Word no_index(std::size_t frag) const { return no_index_[frag]; }
 
-  std::size_t pieces() const { return pieces_.size(); }
+  /// The old tour's length: the map covers [0, elen].
+  Word elen() const { return elen_; }
+  std::size_t pieces() const { return table_.size(); }
   /// First old index of piece p.
-  Word piece_start(std::size_t p) const { return starts_[p]; }
+  Word piece_start(std::size_t p) const { return table_.start(p); }
+  /// Piece p, and the number of the piece holding old index i.
+  const Piece& piece_at(std::size_t p) const { return table_[p]; }
+  std::size_t piece_index(Word i) const { return table_.index_of(i); }
 
  private:
-  // Directory buckets per piece: a bucket holding a breakpoint costs its
-  // lookups a second compare, and few buckets do.
-  static constexpr std::size_t kBucketsPerPiece = 32;
-
   struct Run {
     Word lo, hi;  ///< old-index range, inclusive
     Piece p;
@@ -597,32 +649,124 @@ class StageMap {
   // Merges neighbouring runs that map alike and lays out the table.
   void finish(Word elen, const std::vector<Run>& runs) {
     for (const Run& r : runs) {
-      if (!pieces_.empty() && !r.p.removed && !pieces_.back().removed &&
-          pieces_.back().frag == r.p.frag &&
-          pieces_.back().delta == r.p.delta) {
+      if (!table_.empty() && !r.p.removed && !table_.back().removed &&
+          table_.back().frag == r.p.frag && table_.back().delta == r.p.delta) {
         continue;
       }
-      starts_.push_back(r.lo);
-      pieces_.push_back(r.p);
+      table_.push(r.lo, r.p);
     }
-    starts_.push_back(std::numeric_limits<Word>::max());
-    const auto buckets =
-        static_cast<Word>(std::bit_ceil(kBucketsPerPiece * pieces_.size()));
-    while ((elen >> shift_) >= buckets) ++shift_;
-    first_.resize(static_cast<std::size_t>(elen >> shift_) + 1);
-    std::size_t p = 0;
-    for (std::size_t b = 0; b < first_.size(); ++b) {
-      while (starts_[p + 1] <= static_cast<Word>(b) << shift_) ++p;
-      first_[b] = static_cast<std::uint32_t>(p);
-    }
+    table_.finish(elen);
   }
 
-  std::vector<Word> starts_;   ///< first old index of each piece, sorted,
-                               ///< then a max() sentinel
-  std::vector<Piece> pieces_;
-  int shift_ = 0;                     ///< old index >> shift_ = bucket
-  std::vector<std::uint32_t> first_;  ///< bucket -> its first piece
-  std::vector<Word> no_index_;        ///< per fragment
+  Word elen_;
+  PieceTable<Piece> table_;
+  std::vector<Word> no_index_;  ///< per fragment
+};
+
+/// One component a stage rewrote, as the stage's batch log keeps it: its
+/// compiled map and the final label of each of its split's fragments.
+struct StageRewrite {
+  Word comp = 0;
+  StageMap map;
+  std::vector<Word> labels;  ///< fragment -> final label
+};
+
+/// The entry of `stage` (sorted by comp) that rewrote `comp`, or null.
+inline const StageRewrite* find_rewrite(std::span<const StageRewrite> stage,
+                                        Word comp) {
+  const auto it = std::lower_bound(
+      stage.begin(), stage.end(), comp,
+      [](const StageRewrite& r, Word c) { return r.comp < c; });
+  return it == stage.end() || it->comp != comp ? nullptr : &*it;
+}
+
+// ---------------------------------------------------------------------------
+// Composed stage maps: where one component's entries went over several
+// stages.  A batch of stages rewrites components one StageMap at a time,
+// and a fragment's label names the component a later stage rewrites
+// next, so the entries of one starting component (index space [0, elen]
+// of its tour before the first stage) follow a chain of maps.  Composing
+// them gives one more piecewise table over the starting indexes, each
+// piece {label, delta}: entry i is now entry i + delta of component
+// `label`.  A piece removed by stage t (an entry of an edge stage t cut)
+// keeps the label stage t rewrote and records t: such an entry has no
+// image, and its owner vertex's appearance comes from that stage's cut
+// fix instead.
+//
+// then() pushes every live piece whose label the stage rewrote through
+// that label's StageMap: the piece's image is one interval of the map's
+// domain, which the map's breakpoints cut into O(pieces) parts.  Each
+// stage's pieces start at odd indexes and every map keeps parity, so a
+// composed piece starts at an odd index too and the two entries of a
+// traversal still share one.  A label names one component at a time (a
+// split's remainder keeps it, a dissolved one is never handed out
+// again), so stage t's map of a label applies to every piece that
+// carries it after stage t - 1.
+// ---------------------------------------------------------------------------
+class ComposedMap {
+ public:
+  struct Piece {
+    Word delta = 0;  ///< live: the current index is old index + delta
+    Word label = 0;  ///< live: the current label; removed: the label the
+                     ///< removing stage rewrote
+    std::uint32_t removed_at = 0;  ///< 0: live; else the removing stage
+  };
+
+  /// The identity over [0, elen] under `label`.
+  ComposedMap(Word elen, Word label) : elen_(elen) {
+    table_.push(0, Piece{0, label, 0});
+    table_.finish(elen_);
+  }
+
+  /// Composes stage t (t >= 1): `stage` lists the components it rewrote,
+  /// sorted by comp.
+  void then(std::uint32_t t, std::span<const StageRewrite> stage) {
+    PieceTable<Piece> out;
+    const auto emit = [&](Word lo, const Piece& p) {
+      if (!out.empty()) {
+        const Piece& b = out.back();
+        if (b.label == p.label && b.removed_at == p.removed_at &&
+            (p.removed_at != 0 || b.delta == p.delta)) {
+          return;
+        }
+      }
+      out.push(lo, p);
+    };
+    for (std::size_t q = 0; q < table_.size(); ++q) {
+      const Piece& p = table_[q];
+      const Word lo = table_.start(q);
+      const StageRewrite* rw =
+          p.removed_at != 0 ? nullptr : find_rewrite(stage, p.label);
+      if (rw == nullptr) {
+        emit(lo, p);
+        continue;
+      }
+      // The piece's image [a, b] in the rewritten component's old tour.
+      const Word hi = std::min(table_.start(q + 1) - 1, elen_);
+      const Word a = lo + p.delta;
+      const Word b = hi + p.delta;
+      for (std::size_t s = rw->map.piece_index(a);
+           s < rw->map.pieces() && rw->map.piece_start(s) <= b; ++s) {
+        const StageMap::Piece& sp = rw->map.piece_at(s);
+        const Word from = std::max(a, rw->map.piece_start(s)) - p.delta;
+        if (sp.removed) {
+          emit(from, Piece{p.delta, p.label, t});
+        } else {
+          emit(from, Piece{p.delta + sp.delta, rw->labels[sp.frag], 0});
+        }
+      }
+    }
+    out.finish(elen_);
+    table_ = std::move(out);
+  }
+
+  /// The piece holding starting index i (0 <= i <= elen).
+  const Piece& piece(Word i) const { return table_.find(i); }
+  std::size_t pieces() const { return table_.size(); }
+
+ private:
+  Word elen_;
+  PieceTable<Piece> table_;
 };
 
 }  // namespace etour

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -539,6 +541,94 @@ TEST(BatchScheduler, InsertsBehindSameComponentSwapDefer) {
   EXPECT_EQ(stats.path_max_grouped, 3u);
   EXPECT_EQ(stats.cascade_links, 2u);
 }
+
+class PendingLogBatch : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PendingLogBatch, ManyRewritingStagesMatchOneAtATime) {
+  // One giant component (gnm(240, 480)) beside 60 isolated vertices, and
+  // one batch that alternates a giant tree-edge deletion, (weighted) a
+  // cycle-rule insert inside the giant, and a merge of the giant with an
+  // isolated vertex.  Each stage admits one update on the giant, so the
+  // batch runs many rewriting stages; every stage after the first reads
+  // the giant's records through the pending log (point reads, the
+  // cascade's scan, the path-max scan), and one remap pass writes them
+  // back at the end.  The result must equal the same updates applied one
+  // at a time.
+  const bool weighted = GetParam();
+  const std::size_t n = 300, giant = 240;
+  const graph::EdgeList base = graph::gnm(giant, 480, 23);
+  graph::WeightedEdgeList edges;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    edges.push_back({base[i].first, base[i].second,
+                     weighted ? static_cast<graph::Weight>(1 + (i * 37) % 50)
+                              : 1});
+  }
+  const core::DynForestConfig config{
+      .n = n, .m_cap = 4 * n, .weighted = weighted, .eps = 1e-9};
+  core::DynamicForest one(config);
+  core::DynamicForest batched(config);
+  one.preprocess(edges);
+  batched.preprocess(edges);
+
+  std::set<std::pair<dmpc::VertexId, dmpc::VertexId>> present;
+  for (const auto& [u, v] : base) present.insert(std::minmax(u, v));
+  const auto trees = sorted_tree_edges(batched);
+  std::vector<Update> batch;
+  std::mt19937_64 rng(5);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto [tu, tv] = trees[i * trees.size() / 6];
+    batch.push_back({UpdateKind::kDelete, tu, tv});
+    if (weighted) {
+      while (true) {
+        const auto a = static_cast<dmpc::VertexId>(rng() % giant);
+        const auto b = static_cast<dmpc::VertexId>(rng() % giant);
+        if (a == b || !present.insert(std::minmax(a, b)).second) continue;
+        batch.push_back({UpdateKind::kInsert, a, b,
+                         static_cast<graph::Weight>(1 + rng() % 20)});
+        break;
+      }
+    }
+    batch.push_back({UpdateKind::kInsert, static_cast<dmpc::VertexId>(i * 7),
+                     static_cast<dmpc::VertexId>(giant + i), 1});
+  }
+  // A non-tree deletion rides along.
+  for (const auto& [u, v] : base) {
+    const auto key = std::minmax(u, v);
+    if (!std::binary_search(trees.begin(), trees.end(),
+                            std::pair<dmpc::VertexId, dmpc::VertexId>(key))) {
+      batch.push_back({UpdateKind::kDelete, u, v});
+      break;
+    }
+  }
+
+  for (const Update& up : batch) {
+    if (up.kind == UpdateKind::kInsert) {
+      one.insert(up.u, up.v, up.w);
+    } else {
+      one.erase(up.u, up.v);
+    }
+  }
+  const dmpc::BatchScheduleStats before = batched.batch_stats();
+  batched.apply_batch(batch);
+  const dmpc::BatchScheduleStats& after = batched.batch_stats();
+  EXPECT_GE(after.rewriting_stages - before.rewriting_stages, 4u);
+  EXPECT_EQ(after.remap_passes - before.remap_passes, 1u);
+  if (weighted) {
+    EXPECT_GT(after.swaps_committed, before.swaps_committed);
+  }
+
+  EXPECT_EQ(sorted_tree_edges(batched), sorted_tree_edges(one));
+  EXPECT_EQ(batched.component_snapshot(), one.component_snapshot());
+  EXPECT_EQ(batched.forest_weight(), one.forest_weight());
+  std::string why;
+  EXPECT_TRUE(batched.validate(&why)) << why;
+  EXPECT_TRUE(one.validate(&why)) << why;
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, PendingLogBatch, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Weighted" : "Unweighted";
+                         });
 
 TEST(ApplyBatch, HandlesNoopsAndNontreeOps) {
   const std::size_t n = 16;

@@ -8,7 +8,9 @@
 #include <array>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <tuple>
 #include <set>
 #include <vector>
 
@@ -438,6 +440,190 @@ TEST_P(StageMapTest, CompiledMapEqualsPerIndexAlgebra) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StageMapTest,
                          ::testing::Values(1, 7, 42, 1234, 98765));
+
+// Up to max_cuts distinct random tree-edge cuts of a random tree on n >= 2
+// vertices, as child intervals of its tour.
+std::vector<etour::KWaySplit::Cut> random_cuts(std::mt19937_64& rng,
+                                               std::size_t n,
+                                               std::size_t max_cuts) {
+  std::vector<std::vector<VertexId>> adj(n);
+  for (std::size_t v = 1; v < n; ++v) {
+    const std::size_t p = rng() % 2 == 0 ? v - 1 : rng() % v;
+    adj[p].push_back(static_cast<VertexId>(v));
+    adj[v].push_back(static_cast<VertexId>(p));
+  }
+  std::vector<etour::KWaySplit::Cut> cuts;
+  for (const auto& [key, idx] :
+       etour::indexes_from_tour(etour::build_tour(adj, 0))) {
+    const bool u_child = std::min(idx.u1, idx.u2) > std::min(idx.v1, idx.v2);
+    cuts.push_back(u_child ? etour::KWaySplit::Cut{std::min(idx.u1, idx.u2),
+                                                   std::max(idx.u1, idx.u2)}
+                           : etour::KWaySplit::Cut{std::min(idx.v1, idx.v2),
+                                                   std::max(idx.v1, idx.v2)});
+  }
+  std::shuffle(cuts.begin(), cuts.end(), rng);
+  cuts.resize(1 + rng() % std::min(cuts.size(), max_cuts));
+  return cuts;
+}
+
+class ComposedMapTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ComposedMapTest, ComposedMapEqualsStageByStage) {
+  // Random batches of 2 to 6 stages over a few starting components.  Each
+  // stage splits one current component (random cuts, leaf cuts leaving
+  // singleton fragments included) and joins its fragments with up to two
+  // other whole components through random links, labelled as the forest
+  // labels them: fragment 0 keeps the component's label, the other
+  // fragments take fresh ones, and a final tree takes its representative
+  // fragment's label.  Every starting index pushed through the stages one
+  // map at a time must land where its component's composed map puts it,
+  // or be removed by the same stage under the same label; an entry a
+  // stage removed then continues from that stage's cut fix (here one per
+  // removing stage and label) through the later stages alike.
+  std::mt19937_64 rng(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    std::map<Word, Word> elen_of;  // current label -> tour length
+    const Word starting = 2 + static_cast<Word>(rng() % 3);
+    for (Word c = 0; c < starting; ++c) {
+      elen_of[c] = etour::elength(1 + static_cast<Word>(rng() % 14));
+    }
+    std::vector<etour::ComposedMap> composed;
+    std::vector<Word> start_elen;
+    for (Word c = 0; c < starting; ++c) {
+      composed.emplace_back(elen_of[c], c);
+      start_elen.push_back(elen_of[c]);
+    }
+    Word next_label = 100;
+    std::vector<std::vector<etour::StageRewrite>> stages;
+    // Per stage: label -> the cut fix its removed entries fall back to.
+    std::vector<std::map<Word, std::pair<Word, Word>>> fixes;
+    const int num_stages = 2 + static_cast<int>(rng() % 5);
+    for (int t = 1; t <= num_stages; ++t) {
+      std::vector<Word> labels;
+      for (const auto& [label, elen] : elen_of) labels.push_back(label);
+      std::shuffle(labels.begin(), labels.end(), rng);
+      labels.resize(1 + rng() % std::min<std::size_t>(labels.size(), 3));
+      // labels[0] splits (unless it is a singleton); the rest merge whole.
+      std::optional<etour::KWaySplit> split;
+      if (elen_of[labels[0]] > 0) {
+        split.emplace(elen_of[labels[0]],
+                      random_cuts(rng,
+                                  static_cast<std::size_t>(
+                                      etour::tree_size(elen_of[labels[0]])),
+                                  6));
+      }
+      std::vector<Word> elens;
+      std::vector<Word> pre_label;
+      std::vector<std::size_t> base(labels.size());
+      for (std::size_t j = 0; j < labels.size(); ++j) {
+        base[j] = elens.size();
+        if (j == 0 && split.has_value()) {
+          for (std::size_t f = 0; f < split->fragments(); ++f) {
+            elens.push_back(split->fragment_elength(f));
+            pre_label.push_back(f == 0 ? labels[0] : next_label++);
+          }
+        } else {
+          elens.push_back(elen_of[labels[j]]);
+          pre_label.push_back(labels[j]);
+        }
+      }
+      etour::KWayJoinPlan plan(elens);
+      const std::size_t links = rng() % elens.size();
+      for (int tries = 0; tries < 200 && plan.num_links() < links; ++tries) {
+        const std::size_t a = rng() % elens.size();
+        const std::size_t b = rng() % elens.size();
+        if (plan.same_tree(a, b)) continue;
+        const auto appearance = [&](std::size_t f) {
+          return elens[f] == 0 ? etour::kNoIndex
+                               : static_cast<Word>(1 + rng() % elens[f]);
+        };
+        const Word ia = appearance(a);
+        plan.link(a, ia, b, appearance(b));
+      }
+      std::vector<etour::StageRewrite> rewrites;
+      for (std::size_t j = 0; j < labels.size(); ++j) {
+        const etour::KWaySplit* sp =
+            j == 0 && split.has_value() ? &*split : nullptr;
+        const std::size_t frags = sp != nullptr ? sp->fragments() : 1;
+        std::vector<Word> final_labels;
+        for (std::size_t f = 0; f < frags; ++f) {
+          final_labels.push_back(pre_label[plan.tree_of(base[j] + f)]);
+        }
+        rewrites.push_back({labels[j],
+                            etour::StageMap(elen_of[labels[j]], sp, plan,
+                                            base[j]),
+                            final_labels});
+      }
+      std::sort(rewrites.begin(), rewrites.end(),
+                [](const auto& a, const auto& b) { return a.comp < b.comp; });
+      for (const Word label : labels) elen_of.erase(label);
+      for (std::size_t f = 0; f < elens.size(); ++f) {
+        if (plan.tree_of(f) == f) elen_of[pre_label[f]] = plan.tree_elength(f);
+      }
+      // The cut fix: any appearance in a tree the split component's
+      // fragments ended in.
+      std::map<Word, std::pair<Word, Word>> fix;
+      const Word to = pre_label[plan.tree_of(base[0])];
+      fix[labels[0]] = {to, elen_of[to] == 0
+                                ? etour::kNoIndex
+                                : static_cast<Word>(1 + rng() % elen_of[to])};
+      fixes.push_back(fix);
+      stages.push_back(std::move(rewrites));
+      for (etour::ComposedMap& cm : composed) {
+        cm.then(static_cast<std::uint32_t>(t), stages.back());
+      }
+    }
+
+    // Pushes (label, idx) through stages from + 1 .. num_stages, one map
+    // at a time; stops at a removal (returning its stage) unless
+    // `follow_fixes`, which continues from the removing stage's fix.
+    struct Walk {
+      Word label, idx;
+      std::uint32_t removed_at = 0;
+    };
+    const auto walk = [&](Word label, Word idx, std::size_t from,
+                          bool follow_fixes) {
+      for (std::size_t t = from; t < stages.size(); ++t) {
+        const etour::StageRewrite* rw =
+            etour::find_rewrite(stages[t], label);
+        if (rw == nullptr) continue;
+        const etour::StageMap::Piece& p = rw->map.piece(idx);
+        if (!p.removed) {
+          idx += p.delta;
+          label = rw->labels[p.frag];
+          continue;
+        }
+        if (!follow_fixes) {
+          return Walk{label, idx, static_cast<std::uint32_t>(t + 1)};
+        }
+        std::tie(label, idx) = fixes[t].at(label);
+      }
+      return Walk{label, idx, 0};
+    };
+    for (Word c = 0; c < starting; ++c) {
+      const etour::ComposedMap& cm = composed[static_cast<std::size_t>(c)];
+      for (Word i = 0; i <= start_elen[static_cast<std::size_t>(c)]; ++i) {
+        const Walk ref = walk(c, i, 0, false);
+        const etour::ComposedMap::Piece& p = cm.piece(i);
+        ASSERT_EQ(p.removed_at, ref.removed_at)
+            << "seed " << GetParam() << " round " << round << " i " << i;
+        ASSERT_EQ(p.label, ref.label) << "i " << i;
+        if (p.removed_at == 0) {
+          ASSERT_EQ(i + p.delta, ref.idx) << "i " << i;
+          continue;
+        }
+        const auto [fl, fi] = fixes[p.removed_at - 1].at(p.label);
+        const Walk via_fix = walk(fl, fi, p.removed_at, true);
+        const Walk whole = walk(c, i, 0, true);
+        ASSERT_EQ(via_fix.label, whole.label) << "i " << i;
+        ASSERT_EQ(via_fix.idx, whole.idx) << "i " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ComposedMapTest,
+                         ::testing::Values(3, 17, 256, 4099, 65537));
 
 class RandomTreeTransformTest
     : public ::testing::TestWithParam<std::uint64_t> {};
