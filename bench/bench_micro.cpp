@@ -22,21 +22,22 @@
 //     protocol's count (2 connectivity-only, 5 with a path query);
 //   * the k-way commit pass at n = 2^18: single-update tree deletes and
 //     re-inserts on the giant component of gnm(n, n) under the serial
-//     executor, so every write stage's batch-end remap pass rewrites that
-//     whole component on every machine — wall time per write stage,
+//     executor, so every write stage moves that whole component on every
+//     machine (through the pending log) — wall time per write stage,
 //     rounds and words.  `--check` requires validate() afterwards and the
 //     pinned rounds and words (kCommitRounds / kCommitWords; the protocol
 //     is deterministic, so any other count is a protocol change);
 //   * k-way batches at n = 2^18: random churn in batches of 16 on
 //     gnm(n, n) under the serial executor, where conflicts on the giant
-//     component split a batch into several rewriting stages that share
-//     one remap pass — wall time per batch, rewriting stages and remap
-//     passes per batch.  `--check` requires validate(), exactly one
-//     remap pass per batch that rewrote a tour, and the pinned rounds
+//     component split a batch into several rewriting stages, whose maps
+//     stay in the pending log across batches until a compaction — wall
+//     time per batch, rewriting stages and compactions per batch.
+//     `--check` requires validate(), the pending log within its bound
+//     after every batch, at least one compaction, and the pinned rounds
 //     and words (kBatchRounds / kBatchWords);
 //   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
-//     links: its compile time, and ns per index (in random order, as the
-//     remap pass meets them) through the map against the per-index
+//     links: its compile time, and ns per index (in random order, as a
+//     shard scan meets them) through the map against the per-index
 //     KWaySplit / KWayJoinPlan calls.  `--check` requires both to give
 //     every index the same fragment, removed flag and final index.
 //
@@ -264,7 +265,7 @@ ReadRun run_reads(std::size_t n, std::size_t path_every, std::size_t blocks) {
 /// The commit-pass row: kCommitPairs distinct giant-component tree
 /// edges of gnm(kCommitN, kCommitN), each deleted and re-inserted as
 /// one-update batches.  A write stage is one that ran a k-way split or
-/// join, i.e. a remap pass over the whole giant component.
+/// join of the whole giant component.
 struct CommitRun {
   double seconds = 0;
   std::uint64_t write_stages = 0;
@@ -319,8 +320,10 @@ struct BatchRun {
   double seconds = 0;
   std::uint64_t batches = 0;
   std::uint64_t rewriting_stages = 0;
-  std::uint64_t remap_passes = 0;
-  bool one_remap_each = true;  ///< one remap pass per rewriting batch
+  std::uint64_t compactions = 0;
+  std::uint64_t log_words_peak = 0;
+  std::size_t log_bound = 0;
+  bool log_within_bound = true;  ///< after every batch
   dmpc::UpdateAggregate agg;
   bool valid = false;
 };
@@ -340,15 +343,14 @@ BatchRun run_kway_batches() {
     const dmpc::BatchScheduleStats before = forest.batch_stats();
     out.seconds += bench::timed_seconds([&] { forest.apply_batch(batch); });
     const dmpc::BatchScheduleStats& after = forest.batch_stats();
-    const std::uint64_t stages =
-        after.rewriting_stages - before.rewriting_stages;
-    const std::uint64_t remaps = after.remap_passes - before.remap_passes;
-    out.one_remap_each =
-        out.one_remap_each && remaps == (stages == 0 ? 0u : 1u);
-    out.rewriting_stages += stages;
-    out.remap_passes += remaps;
+    out.rewriting_stages += after.rewriting_stages - before.rewriting_stages;
+    out.compactions += after.compactions - before.compactions;
+    out.log_within_bound = out.log_within_bound &&
+                           after.log_words_peak <= forest.pending_log_bound();
     ++out.batches;
   }
+  out.log_words_peak = forest.batch_stats().log_words_peak;
+  out.log_bound = forest.pending_log_bound();
   out.agg = forest.cluster().metrics().aggregate();
   out.valid = forest.validate();
   return out;
@@ -676,32 +678,35 @@ int main(int argc, char** argv) {
         .flag("within_budget", r.valid && pinned);
   }
 
-  // --- K-way batches: many rewriting stages, one remap pass ------------
+  // --- K-way batches: rewriting stages pending across batches ---------
   {
     const BatchRun r = run_kway_batches();
     const auto batches = static_cast<double>(r.batches);
     const double ms = r.seconds * 1e3 / batches;
     const double stages = static_cast<double>(r.rewriting_stages) / batches;
-    const double remaps = static_cast<double>(r.remap_passes) / batches;
+    const double compactions = static_cast<double>(r.compactions) / batches;
     const bool pinned = r.agg.total_rounds == kBatchRounds &&
                         r.agg.total_comm_words == kBatchWords;
+    const bool log_ok = r.log_within_bound && r.compactions >= 1;
     std::printf("\n=== k-way batches: random churn on gnm(n, n), n=%zu, "
                 "batch=%zu, serial ===\n",
                 kBatchN, kBatchSize);
     std::printf("%llu batches: %.3f ms/batch, %.2f rewriting stages/batch, "
-                "%.2f remap passes/batch, %llu rounds, %llu words, valid "
-                "%s\n",
+                "%.3f compactions/batch, log peak %llu of %zu words, %llu "
+                "rounds, %llu words, valid %s\n",
                 static_cast<unsigned long long>(r.batches), ms, stages,
-                remaps, static_cast<unsigned long long>(r.agg.total_rounds),
+                compactions, static_cast<unsigned long long>(r.log_words_peak),
+                r.log_bound,
+                static_cast<unsigned long long>(r.agg.total_rounds),
                 static_cast<unsigned long long>(r.agg.total_comm_words),
                 r.valid ? "yes" : "NO");
-    if (!r.valid || !pinned || !r.one_remap_each) {
+    if (!r.valid || !pinned || !log_ok) {
       std::fprintf(stderr, "K-WAY BATCH VIOLATION: %s\n",
-                   !r.valid          ? "validate() failed"
-                   : !r.one_remap_each ? "a batch ran other than one remap "
-                                         "pass"
-                                       : "rounds/words differ from the "
-                                         "pinned counts");
+                   !r.valid ? "validate() failed"
+                   : !r.log_within_bound
+                       ? "the pending log passed its bound after a batch"
+                   : !log_ok ? "the pending log never compacted"
+                             : "rounds/words differ from the pinned counts");
       ok = false;
     }
     json.row("kway_batch_n262144")
@@ -710,10 +715,12 @@ int main(int argc, char** argv) {
         .num("wall_seconds", r.seconds)
         .num("ms_per_batch", ms)
         .num("rewriting_stages_per_batch", stages)
-        .num("remap_passes_per_batch", remaps)
+        .num("compactions_per_batch", compactions)
+        .u64("log_words_peak", r.log_words_peak)
+        .u64("log_bound_words", r.log_bound)
         .u64("total_rounds", r.agg.total_rounds)
         .u64("total_comm_words", r.agg.total_comm_words)
-        .flag("within_budget", r.valid && pinned && r.one_remap_each);
+        .flag("within_budget", r.valid && pinned && log_ok);
   }
 
   // --- The compiled stage map against the per-index algebra -----------

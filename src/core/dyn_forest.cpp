@@ -104,9 +104,10 @@ struct PathProbe {
 // One batch's probes, sorted by (comp, id), with two O(1) tables over
 // the probed components: a bitmap filter with no false negatives, and an
 // exact open-addressing index from each component to its run of probes.
-// Every machine derives the same set from the probe broadcast it
-// receives; the simulation builds it once and shares it read-only
-// across the machine tasks.
+// With records pending in the log, a second filter passes the labels the
+// shard stores for them (map_back).  Every machine derives the same set
+// from the probe broadcast it receives; the simulation builds it once and
+// shares it read-only across the machine tasks.
 class ProbeSet {
  public:
   explicit ProbeSet(std::vector<PathProbe> probes)
@@ -131,8 +132,7 @@ class ProbeSet {
       const Word comp = probes_[b].comp;
       std::size_t e = b;
       while (e < probes_.size() && probes_[e].comp == comp) ++e;
-      const std::size_t f = hash(comp, filter_shift_);
-      filter_[f / 64] |= std::uint64_t{1} << (f % 64);
+      set(filter_, comp);
       std::size_t h = hash(comp, index_shift_);
       while (keys_[h] != kEmpty) h = (h + 1) & (keys_.size() - 1);
       keys_[h] = comp;
@@ -144,10 +144,27 @@ class ProbeSet {
   [[nodiscard]] bool empty() const { return probes_.empty(); }
 
   // False only if `comp` is not probed; one bit test, no branch.
-  [[nodiscard]] bool may_hold(Word comp) const {
-    const std::size_t f = hash(comp, filter_shift_);
-    return ((filter_[f / 64] >> (f % 64)) & 1) != 0;
+  [[nodiscard]] bool may_hold(Word comp) const { return test(filter_, comp); }
+
+  // The probe filter mapped back to the labels records at base store: a
+  // probed label itself (a component the log has not moved), and each
+  // base component whose composed map carries a probed label.  `log` is
+  // DynamicForest::PendingLog.
+  template <class Log>
+  void map_back(const Log& log) {
+    stored_ = filter_;
+    for (const auto& [base, cm] : log.composed) {
+      for (const Word label : cm->labels()) {
+        if (!of(label).empty()) {
+          set(stored_, base);
+          break;
+        }
+      }
+    }
   }
+  // False only if no record at base storing `comp` can lie in a probed
+  // component (after map_back).
+  [[nodiscard]] bool may_store(Word comp) const { return test(stored_, comp); }
 
   // The probes of component `comp`, empty unless it is probed.
   [[nodiscard]] std::span<const PathProbe> of(Word comp) const {
@@ -176,114 +193,22 @@ class ProbeSet {
     return static_cast<std::size_t>(
         (static_cast<std::uint64_t>(comp) * 0x9e3779b97f4a7c15ULL) >> shift);
   }
+  void set(std::vector<std::uint64_t>& bits, Word comp) const {
+    const std::size_t f = hash(comp, filter_shift_);
+    bits[f / 64] |= std::uint64_t{1} << (f % 64);
+  }
+  bool test(const std::vector<std::uint64_t>& bits, Word comp) const {
+    const std::size_t f = hash(comp, filter_shift_);
+    return ((bits[f / 64] >> (f % 64)) & 1) != 0;
+  }
 
   std::vector<PathProbe> probes_;
   unsigned filter_shift_ = 0;
   std::vector<std::uint64_t> filter_;
+  std::vector<std::uint64_t> stored_;
   unsigned index_shift_ = 0;
   std::vector<Word> keys_;
   std::vector<std::pair<std::size_t, std::size_t>> runs_;
-};
-
-// One pass over the shard for a whole batch of probes: calls fn(id, slot)
-// for every probe and every tree record of the probe's component on its
-// path, slots in shard order and each slot's probes in id order.  Each
-// block of slots first keeps, without a branch, the tree slots whose
-// component passes the filter; only those look up their probes, compute
-// their child interval once and test it against each probe.  `es` is the
-// raw EdgeShard, or a PendingSlots view of one mid-batch.
-template <typename Shard, typename Fn>
-void for_each_path_slot(const Shard& es, const ProbeSet& probes,
-                        const Fn& fn) {
-  if (probes.empty()) return;
-  constexpr std::size_t kBlock = 256;
-  std::array<std::size_t, kBlock> kept;
-  for (std::size_t base = 0; base < es.size(); base += kBlock) {
-    const std::size_t end = std::min(es.size(), base + kBlock);
-    std::size_t count = 0;
-    for (std::size_t i = base; i < end; ++i) {
-      kept[count] = i;
-      count += static_cast<std::size_t>(es.tree[i] != 0) &
-               static_cast<std::size_t>(probes.may_hold(es.comp[i]));
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = kept[k];
-      const std::span<const PathProbe> run = probes.of(es.comp[i]);
-      if (run.empty()) continue;
-      const ChildInterval c =
-          child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
-      for (const PathProbe& p : run) {
-        if (c.on_path(p.ix, p.iy)) fn(p.id, i);
-      }
-    }
-  }
-}
-
-// A shard as the batch's pending stages left it, read through the same
-// columns as the raw shard, for for_each_path_slot: comp and the four
-// index columns resolve their slot through the pending log (`Log`,
-// DynamicForest::PendingLog; the tree column is always current).  The
-// shard pass reads comp for every slot and the indexes only for the few
-// it keeps, so comp takes one lookup (the u-side entry), the indexes a
-// whole-record resolution, and a one-slot cache serves each slot's
-// repeated reads.
-template <class Shard, class Log>
-class PendingSlots {
- public:
-  using Rec = decltype(std::declval<const Shard&>().get(0));
-
-  template <Word Rec::*Field>
-  struct Column {
-    const PendingSlots& view;
-    Word operator[](std::size_t s) const { return view.get(s).*Field; }
-  };
-  struct CompColumn {
-    const PendingSlots& view;
-    Word operator[](std::size_t s) const { return view.label(s); }
-  };
-
-  PendingSlots(const Shard& es, const Log& log)
-      : tree(es.tree), es_(es), log_(log), cursor_(log) {}
-  PendingSlots(const PendingSlots&) = delete;
-  PendingSlots& operator=(const PendingSlots&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return es_.size(); }
-  [[nodiscard]] const Rec& get(std::size_t s) const {
-    if (s != rec_slot_) {
-      rec_slot_ = s;
-      rec_ = log_.current(es_, s, composed(s));
-    }
-    return rec_;
-  }
-
-  const std::vector<std::uint8_t>& tree;
-  const CompColumn comp{*this};
-  const Column<&Rec::iu1> iu1{*this};
-  const Column<&Rec::iu2> iu2{*this};
-  const Column<&Rec::iv1> iv1{*this};
-  const Column<&Rec::iv2> iv2{*this};
-
- private:
-  const etour::ComposedMap* composed(std::size_t s) const {
-    return es_.ver[s] == 0 ? cursor_.find(es_.comp[s]) : nullptr;
-  }
-  Word label(std::size_t s) const {
-    if (s != label_slot_) {
-      label_slot_ = s;
-      label_ = log_.resolve(es_.ver[s], {es_.comp[s], es_.iu1[s]}, es_.u[s],
-                            composed(s))
-                   .comp;
-    }
-    return label_;
-  }
-
-  const Shard& es_;
-  const Log& log_;
-  mutable typename Log::Cursor cursor_;
-  mutable std::size_t rec_slot_ = static_cast<std::size_t>(-1);
-  mutable Rec rec_;
-  mutable std::size_t label_slot_ = static_cast<std::size_t>(-1);
-  mutable Word label_ = 0;
 };
 
 // std::lower_bound over a sorted range without data-dependent branches:
@@ -300,6 +225,65 @@ const T* branchless_lower_bound(const T* first, std::size_t len,
     len -= half;
   }
   return first + static_cast<std::size_t>(less(*first, key));
+}
+
+// One pass over the shard for a whole batch of probes: calls fn(id, slot)
+// for every probe and every tree record of the probe's component on its
+// path, slots in shard order and each slot's probes in id order.  Each
+// block of slots first keeps, without a branch, the tree slots whose
+// component passes the filter; only those look up their probes, compute
+// their child interval once and test it against each probe.  With
+// records pending in `log` (DynamicForest::PendingLog; null: every record
+// reads as stored), the filter tests the label a record at base stores
+// against the probes mapped back (ProbeSet::map_back) and keeps every
+// record off base; a kept record is resolved through the log, its
+// component with one lookup and its indexes only if that is probed.
+template <class Shard, class Log, class Fn>
+void for_each_path_slot(const Shard& es, const Log* log,
+                        const ProbeSet& probes, const Fn& fn) {
+  if (probes.empty()) return;
+  constexpr std::size_t kBlock = 256;
+  std::array<std::size_t, kBlock> kept;
+  std::optional<typename Log::Cursor> cursor;
+  if (log != nullptr) cursor.emplace(*log);
+  for (std::size_t base = 0; base < es.size(); base += kBlock) {
+    const std::size_t end = std::min(es.size(), base + kBlock);
+    std::size_t count = 0;
+    if (log == nullptr) {
+      for (std::size_t i = base; i < end; ++i) {
+        kept[count] = i;
+        count += static_cast<std::size_t>(es.tree[i] != 0) &
+                 static_cast<std::size_t>(probes.may_hold(es.comp[i]));
+      }
+    } else {
+      for (std::size_t i = base; i < end; ++i) {
+        kept[count] = i;
+        count += static_cast<std::size_t>(es.tree[i] != 0) &
+                 (static_cast<std::size_t>(!log->at_base(es.ver[i])) |
+                  static_cast<std::size_t>(probes.may_store(es.comp[i])));
+      }
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = kept[k];
+      ChildInterval c;
+      std::span<const PathProbe> run;
+      if (log == nullptr) {
+        run = probes.of(es.comp[i]);
+        if (run.empty()) continue;
+        c = child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
+      } else {
+        const auto* cm = cursor->of(es, i);
+        const auto u1 = log->first_entry(es, i, cm);
+        run = probes.of(u1.comp);
+        if (run.empty()) continue;
+        const auto r = log->current(es, i, cm, u1);
+        c = child_interval(r.iu1, r.iu2, r.iv1, r.iv2);
+      }
+      for (const PathProbe& p : run) {
+        if (c.on_path(p.ix, p.iy)) fn(p.id, i);
+      }
+    }
+  }
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -319,11 +303,13 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
   const dmpc::WordCount S = static_cast<dmpc::WordCount>(
       kMemorySlack * std::sqrt(N) + 256.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
+  log_bound_ = static_cast<std::size_t>(S) / kLogShare;
+  pending_.reset(0, next_comp_id_);
   machines_.resize(mu);
   for (std::size_t m = 0; m < mu; ++m) {
     const std::size_t count = m < config_.n ? (config_.n - m + mu - 1) / mu : 0;
     machines_[m].vertices.resize(count);
-    machines_[m].vertex_marks.assign(count, 0);
+    machines_[m].vertex_ver.assign(count, 0);
   }
   // Vertex records: comp(v) = v, no tour index yet.
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
@@ -363,6 +349,7 @@ void DynamicForest::journal_begin() {
   }
   journal_next_comp_id_ = next_comp_id_;
   journal_batch_stats_ = batch_stats_;
+  journal_pending_ = pending_;
   journal_active_ = true;
 }
 
@@ -373,7 +360,6 @@ void DynamicForest::journal_commit() {
 }
 
 void DynamicForest::journal_rollback() {
-  pending_.clear();
   if (!journal_active_) return;
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     MachineState& ms = machines_[m];
@@ -382,7 +368,7 @@ void DynamicForest::journal_rollback() {
     for (auto it = ms.journal.edges.rbegin(); it != ms.journal.edges.rend();
          ++it) {
       const std::size_t s = it->slot;
-      switch (it->kind) {
+      switch (it->what()) {
         case Kind::kCreated:
           assert(s + 1 == ms.edges.size());
           ms.edges.erase_at(s);
@@ -392,7 +378,8 @@ void DynamicForest::journal_rollback() {
               s, it->key,
               {static_cast<VertexId>(it->key / config_.n),
                static_cast<VertexId>(it->key % config_.n), it->comp,
-               it->tree != 0, it->w, it->iu1, it->iu2, it->iv1, it->iv2});
+               it->tree != 0, it->w, it->iu1, it->iu2, it->iv1, it->iv2},
+              it->ver);
           break;
         case Kind::kRewritten:
           ms.edges.comp[s] = it->comp;
@@ -400,14 +387,10 @@ void DynamicForest::journal_rollback() {
           ms.edges.iu2[s] = it->iu2;
           ms.edges.iv1[s] = it->iv1;
           ms.edges.iv2[s] = it->iv2;
-          ms.edges.tree[s] = it->tree;
-          ms.edges.ver[s] = 0;
+          ms.edges.tree[s] = static_cast<std::uint8_t>(it->tree);
+          ms.edges.ver[s] = it->ver;
           break;
       }
-    }
-    for (auto it = ms.journal.vertices.rbegin();
-         it != ms.journal.vertices.rend(); ++it) {
-      ms.vertices[it->slot] = it->rec;
     }
     for (auto it = ms.journal.dirs.rbegin(); it != ms.journal.dirs.rend();
          ++it) {
@@ -423,168 +406,248 @@ void DynamicForest::journal_rollback() {
   }
   next_comp_id_ = journal_next_comp_id_;
   batch_stats_ = journal_batch_stats_;
+  // The restored records name only stages and tracked appearances the
+  // snapshot holds.
+  pending_ = std::move(journal_pending_);
   cluster_->drop_round_state();
   cluster_->metrics().abort_update();
   journal_active_ = false;
 }
 
 // ---------------------------------------------------------------------------
-// The batch's pending log
+// The pending log
 // ---------------------------------------------------------------------------
 
-void DynamicForest::PendingLog::append(PendingStage stage) {
-  stages.push_back(std::move(stage));
-  const auto t = static_cast<std::uint32_t>(stages.size());
-  const std::span<const etour::StageRewrite> rewrites(stages.back().rewrites);
-  for (auto& entry : composed) entry.second.then(t, rewrites);
-  // A starting component this stage rewrites first still holds its
-  // starting coordinates: its composition starts here.
-  std::vector<std::pair<Word, etour::ComposedMap>> opened;
+void DynamicForest::PendingLog::reset(std::uint32_t gen, Word first_new) {
+  generation = gen;
+  first_new_label = first_new;
+  stages = 0;
+  composed.clear();
+  index_.clear();
+  index_shift_ = 64;
+  tracked.clear();
+  fixes.clear();
+  fix_begin.clear();
+}
+
+std::size_t DynamicForest::PendingLog::words() const {
+  std::size_t pieces = 0;
+  for (const auto& entry : composed) pieces += entry.second->pieces();
+  return 4 * pieces + 3 * (tracked.size() + fixes.size());
+}
+
+void DynamicForest::PendingLog::append(const PendingStage& stage) {
+  const std::uint32_t t = ++stages;
+  const std::span<const etour::StageRewrite> rewrites(stage.rewrites);
+  for (auto& entry : composed) {
+    if (!entry.second->touched_by(rewrites)) continue;
+    auto next = std::make_shared<etour::ComposedMap>(*entry.second);
+    next->then(t, rewrites);
+    index(entry.first, next.get());
+    entry.second = std::move(next);
+  }
+  // A base component this stage rewrites first still holds its base
+  // coordinates: its composition starts here.
   for (const etour::StageRewrite& rw : rewrites) {
     if (rw.comp >= first_new_label || composed_of(rw.comp) != nullptr) {
       continue;
     }
-    opened.emplace_back(rw.comp, etour::ComposedMap(rw.map.elen(), rw.comp));
-    opened.back().second.then(t, rewrites);
+    auto cm = std::make_shared<etour::ComposedMap>(rw.map.elen(), rw.comp);
+    cm->then(t, rewrites);
+    open(rw.comp, std::move(cm));
   }
-  if (opened.empty()) return;
-  for (auto& entry : opened) composed.push_back(std::move(entry));
-  std::sort(composed.begin(), composed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Every tracked appearance moves through the stage; one whose entry
+  // the stage removed takes its owner's cut fix.  Then the stage's own
+  // fixes, already current, are tracked.
+  for (Tracked& e : tracked) {
+    const etour::StageRewrite* rw = etour::find_rewrite(rewrites, e.at.comp);
+    if (rw == nullptr) continue;
+    const etour::StageMap::Piece& p = rw->map.piece(e.at.idx);
+    e.at = p.removed ? stage.cut_fix.at({e.at.comp, e.vert})
+                     : Appearance{rw->labels[p.frag], e.at.idx + p.delta};
+  }
+  fix_begin.push_back(static_cast<std::uint32_t>(fixes.size()));
+  for (const auto& [key, at] : stage.cut_fix) {
+    fixes.push_back(
+        {key.first, key.second, static_cast<std::uint32_t>(tracked.size())});
+    tracked.push_back({at, key.second});
+  }
 }
 
-const etour::ComposedMap* DynamicForest::PendingLog::composed_of(
-    Word comp) const {
-  const auto* it = branchless_lower_bound(
-      composed.data(), composed.size(), comp,
-      [](const auto& entry, Word c) { return entry.first < c; });
-  return it == composed.data() + composed.size() || it->first != comp
-             ? nullptr
-             : &it->second;
+std::uint32_t DynamicForest::PendingLog::track(Appearance a1, VertexId v1,
+                                               Appearance a2, VertexId v2) {
+  const auto id = static_cast<std::uint32_t>(tracked.size());
+  assert(id + 1 < kTracked);
+  tracked.push_back({a1, v1});
+  tracked.push_back({a2, v2});
+  return kTracked | id;
+}
+
+void DynamicForest::PendingLog::open(
+    Word comp, std::shared_ptr<const etour::ComposedMap> cm) {
+  composed.emplace_back(comp, std::move(cm));
+  if (2 * composed.size() > index_.size()) {
+    // Double the index (from 16 slots) and re-insert every map.
+    index_shift_ = index_.empty() ? 60 : index_shift_ - 1;
+    index_.assign(std::size_t{1} << (64 - index_shift_), Slot{});
+    for (const auto& [c, map] : composed) index(c, map.get());
+  } else {
+    index(comp, composed.back().second.get());
+  }
+}
+
+void DynamicForest::PendingLog::index(Word comp,
+                                      const etour::ComposedMap* cm) {
+  std::size_t h = slot_of(comp);
+  while (index_[h].map != nullptr && index_[h].comp != comp) {
+    h = (h + 1) & (index_.size() - 1);
+  }
+  index_[h] = {comp, cm};
+}
+
+DynamicForest::Appearance DynamicForest::PendingLog::fixed(
+    std::uint32_t t, Word comp, VertexId vert) const {
+  assert(t >= 1 && t <= fix_begin.size());
+  const FixRef* first = fixes.data() + fix_begin[t - 1];
+  const FixRef* last =
+      fixes.data() + (t < fix_begin.size() ? fix_begin[t] : fixes.size());
+  const FixRef* it =
+      std::lower_bound(first, last, std::pair{comp, vert},
+                       [](const FixRef& f, const std::pair<Word, VertexId>& k) {
+                         return std::pair{f.comp, f.vert} < k;
+                       });
+  assert(it != last && it->comp == comp && it->vert == vert);
+  return tracked[it->id].at;
 }
 
 DynamicForest::Appearance DynamicForest::PendingLog::resolve(
-    std::uint32_t version, Appearance a, VertexId vert,
-    const etour::ComposedMap* cm) const {
-  assert(version <= stages.size());
-  std::size_t t = version;
-  if (version == 0) {
-    if (cm == nullptr) return a;
-    const etour::ComposedMap::Piece& p = cm->piece(a.idx);
-    if (p.removed_at == 0) return {p.label, a.idx + p.delta};
-    // Removed by stage t: the cut fix names the owner's appearance after
-    // stage t, which the later stages move on.
-    t = p.removed_at;
-    a = stages[t - 1].cut_fix.at({p.label, vert});
-  }
-  for (; t < stages.size(); ++t) {
-    const etour::StageRewrite* rw =
-        etour::find_rewrite(stages[t].rewrites, a.comp);
-    if (rw == nullptr) continue;
-    const etour::StageMap::Piece& p = rw->map.piece(a.idx);
-    a = p.removed ? stages[t].cut_fix.at({a.comp, vert})
-                  : Appearance{rw->labels[p.frag], a.idx + p.delta};
-  }
-  return a;
+    Appearance a, VertexId vert, const etour::ComposedMap* cm) const {
+  if (cm == nullptr) return a;
+  const etour::ComposedMap::Piece& p = cm->piece(a.idx);
+  if (p.removed_at == 0) return {p.label, a.idx + p.delta};
+  // Removed by stage t: the fix that stage tracked for the owner.
+  return fixed(p.removed_at, p.label, vert);
+}
+
+DynamicForest::Appearance DynamicForest::PendingLog::first_entry(
+    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm) const {
+  const std::uint32_t version = es.ver[s];
+  if ((version & kTracked) != 0) return tracked[version & ~kTracked].at;
+  return resolve({es.comp[s], es.iu1[s]}, es.u[s], cm);
 }
 
 DynamicForest::EdgeRec DynamicForest::PendingLog::current(
-    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm) const {
+    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm,
+    Appearance u1) const {
   EdgeRec r = es.get(s);
   const std::uint32_t version = es.ver[s];
-  if (version == 0 && cm == nullptr) return r;
-  const Appearance u1 = resolve(version, {r.comp, r.iu1}, r.u, cm);
+  // The second entry: a tree edge's second u traversal, a non-tree
+  // record's cached v appearance.
+  Appearance second;
+  if ((version & kTracked) != 0) {
+    second = tracked[(version & ~kTracked) + 1].at;
+  } else if (cm == nullptr) {
+    return r;
+  } else {
+    second = r.tree ? resolve({r.comp, r.iu2}, r.u, cm)
+                    : resolve({r.comp, r.iv1}, r.v, cm);
+  }
   if (r.tree) {
     // A live tree edge lost no entry, and each traversal's two entries,
     // (iu1, iv1) and (iu2, iv2), move together.
-    const Appearance u2 = resolve(version, {r.comp, r.iu2}, r.u, cm);
     r.iv1 += u1.idx - r.iu1;
-    r.iv2 += u2.idx - r.iu2;
-    r.iu2 = u2.idx;
+    r.iv2 += second.idx - r.iu2;
+    r.iu2 = second.idx;
   } else {
-    r.iv1 = resolve(version, {r.comp, r.iv1}, r.v, cm).idx;
+    r.iv1 = second.idx;
   }
   r.iu1 = u1.idx;
   r.comp = u1.comp;
   return r;
 }
 
-DynamicForest::VertexRec DynamicForest::current_vertex(VertexId v) const {
-  const VertexRec& rec = vertex(v);
-  if (pending_.empty()) return rec;
-  const Appearance a = pending_.resolve(0, {rec.comp, rec.cached_idx}, v,
-                                        pending_.composed_of(rec.comp));
-  return {a.comp, a.idx};
-}
-
 DynamicForest::EdgeRec DynamicForest::current_edge(MachineId m,
                                                    std::size_t s) const {
   const EdgeShard& es = machines_[m].edges;
   if (pending_.empty()) return es.get(s);
-  return pending_.current(
-      es, s, es.ver[s] == 0 ? pending_.composed_of(es.comp[s]) : nullptr);
+  PendingLog::Cursor cursor(pending_);
+  const etour::ComposedMap* cm = cursor.of(es, s);
+  return pending_.current(es, s, cm, pending_.first_entry(es, s, cm));
 }
 
-void DynamicForest::remap_pending() {
-  if (pending_.empty()) return;
-  ++batch_stats_.remap_passes;
-  dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kKWayJoin);
+std::uint32_t DynamicForest::written_version(Appearance a1, VertexId v1,
+                                             Appearance a2, VertexId v2) {
+  return pending_.empty() ? pending_.generation
+                          : pending_.track(a1, v1, a2, v2);
+}
+
+void DynamicForest::compact_log() {
+  ++batch_stats_.compactions;
+  dmpc::PhaseScope phase(cluster_->tracer(), dmpc::TracePhase::kCompact);
   const std::size_t mu = machines_.size();
-  // A record whose indexes and label come out unchanged (the x side up
-  // to its splice anchor, a remainder before its first cut) is neither
-  // written nor journaled.
+  const std::uint32_t target = pending_.generation + 1;
+  compaction_interrupted_ = true;
+  // A record the log leaves unchanged (the x side up to its splice
+  // anchor, a remainder before its first cut) keeps its version: its
+  // base coordinates hold at the target too.
   cluster_->for_each_machine([&](MachineId m) {
     MachineState& ms = machines_[m];
     EdgeShard& es = ms.edges;
     PendingLog::Cursor cursor(pending_);
     for (std::size_t s = 0; s < es.size(); ++s) {
       const std::uint32_t version = es.ver[s];
+      if (version == target) continue;  // written before a fault
       const etour::ComposedMap* cm = nullptr;
-      if (version == 0) {
+      if (pending_.at_base(version)) {
         cm = cursor.find(es.comp[s]);
         if (cm == nullptr) continue;
         if (es.tree[s] != 0) {
-          // The common record: an unwritten tree edge, whose two
-          // traversals each move by their piece's delta.
+          // The common record: a tree edge at base, whose two traversals
+          // each move by their piece's delta.
           const etour::ComposedMap::Piece& p1 = cm->piece(es.iu1[s]);
           const etour::ComposedMap::Piece& p2 = cm->piece(es.iu2[s]);
           assert(p1.removed_at == 0 && p2.removed_at == 0);
           if ((p1.delta | p2.delta) == 0 && p1.label == es.comp[s]) continue;
-          ms.jlog_edge_slot(s);
           es.iu1[s] += p1.delta;
           es.iv1[s] += p1.delta;
           es.iu2[s] += p2.delta;
           es.iv2[s] += p2.delta;
           es.comp[s] = p1.label;
+          es.ver[s] = target;
           continue;
         }
       }
-      const EdgeRec r = pending_.current(es, s, cm);
-      if (version == 0 && r.comp == es.comp[s] && r.iu1 == es.iu1[s] &&
-          r.iv1 == es.iv1[s]) {
-        continue;
-      }
-      ms.jlog_edge_slot(s);
+      const EdgeRec r =
+          pending_.current(es, s, cm, pending_.first_entry(es, s, cm));
       es.comp[s] = r.comp;
       es.iu1[s] = r.iu1;
       es.iu2[s] = r.iu2;
       es.iv1[s] = r.iv1;
       es.iv2[s] = r.iv2;
-      es.ver[s] = 0;
+      es.ver[s] = target;
     }
     for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
+      if (!pending_.at_base(ms.vertex_ver[j])) continue;
       VertexRec& rec = ms.vertices[j];
       const etour::ComposedMap* cm = cursor.find(rec.comp);
       if (cm == nullptr) continue;
       const Appearance a =
-          pending_.resolve(0, {rec.comp, rec.cached_idx},
+          pending_.resolve({rec.comp, rec.cached_idx},
                            static_cast<VertexId>(j * mu + m), cm);
       if (a.idx == rec.cached_idx && a.comp == rec.comp) continue;
-      ms.jlog_vertex(j);
       rec = {a.comp, a.idx};
+      ms.vertex_ver[j] = target;
     }
   });
-  pending_.clear();
+  // Every machine is done: drop the compacted prefix.
+  pending_.reset(target, next_comp_id_);
+  compaction_interrupted_ = false;
+  if (journal_active_) {
+    // A completed compaction survives a rollback of the rest of the
+    // batch: the rolled-back records are restored to values it wrote.
+    journal_pending_ = pending_;
+    journal_batch_stats_.compactions = batch_stats_.compactions;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,6 +662,8 @@ void DynamicForest::preprocess(const graph::EdgeList& edges) {
 }
 
 void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
+  // The records below are written in current coordinates, at base.
+  if (!pending_.empty()) compact_log();
   // Reject a malformed edge list before any state changes: an
   // out-of-range endpoint has no vertex record, a self-loop has no place
   // in a forest, and a repeated edge would overwrite its first copy's
@@ -734,7 +799,7 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
         rec.iv1 = first_idx[static_cast<std::size_t>(key.v)];
       }
       machines_[m].create_edge(edge_key(key.u, key.v), rec,
-                               cluster_->memory(m));
+                               cluster_->memory(m), pending_.generation);
     }
   });
 
@@ -897,24 +962,27 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
 
   // Round 2: home machines reply the component ids to the ingress and
   // send each path endpoint's component and cached tour index to its
-  // coordinators.
+  // coordinators, each read through the pending log.  The simulation
+  // reads a reply back by resolving the vertex again: its record and map
+  // lines are still in cache, which beats storing the replies.
   cluster_->for_each_machine([&](MachineId m) {
     for (std::size_t a = lookup_off[m]; a < lookup_off[m + 1]; ++a) {
       const VertexId vtx = lookups[a].vtx;
-      cluster_->send(m, 0, kQueryReply, {vtx, vertex(vtx).comp});
+      cluster_->send(m, 0, kQueryReply, {vtx, current_vertex(vtx).comp});
     }
     for (std::size_t a = endpoint_off[m]; a < endpoint_off[m + 1]; ++a) {
       const Endpoint& e = endpoints[a];
-      const VertexRec& rec = vertex(e.vtx);
+      const VertexRec rec = current_vertex(e.vtx);
       cluster_->send(m, e.coord, kQueryEndpointReply,
                      {e.vtx, rec.comp, rec.cached_idx});
     }
   });
   cluster_->finish_round();
+  if (!pending_.empty()) ++batch_stats_.reads_through_log;
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const ReadQuery& q = qs[i];
     if (q.u == q.v || q.kind == QueryKind::kPathWeight) continue;
-    out[i].connected = vertex(q.u).comp == vertex(q.v).comp;
+    out[i].connected = current_vertex(q.u).comp == current_vertex(q.v).comp;
   }
   if (paths.empty()) {
     cluster_->end_query_batch(qs.size());
@@ -927,8 +995,8 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   std::vector<PathProbe> probes;
   for (std::size_t k = 0; k < paths.size(); ++k) {
     const ReadQuery& q = qs[paths[k]];
-    const VertexRec& rx = vertex(q.u);
-    const VertexRec& ry = vertex(q.v);
+    const VertexRec rx = current_vertex(q.u);
+    const VertexRec ry = current_vertex(q.v);
     if (rx.comp != ry.comp) continue;
     out[paths[k]].connected = true;
     probes.push_back({rx.comp, rx.cached_idx, ry.cached_idx, k});
@@ -949,13 +1017,15 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // Round 4: every machine sums its tree edges on every probed path in
   // one pass over its shard and sends the nonzero sums to the
   // coordinators.
-  const ProbeSet probe_set(std::move(probes));
+  ProbeSet probe_set(std::move(probes));
+  const PendingLog* log = pending_.empty() ? nullptr : &pending_;
+  if (log != nullptr) probe_set.map_back(*log);
   const std::size_t num_paths = paths.size();
   std::vector<Weight> sums(mu * num_paths, 0);  // machine-major
   cluster_->for_each_machine([&](MachineId m) {
     const EdgeShard& es = machines_[m].edges;
     Weight* local = sums.data() + m * num_paths;
-    for_each_path_slot(es, probe_set, [&](std::size_t k, std::size_t i) {
+    for_each_path_slot(es, log, probe_set, [&](std::size_t k, std::size_t i) {
       local[k] += es.w[i];
     });
     for (std::size_t k = 0; k < num_paths; ++k) {
@@ -1385,7 +1455,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     rec.iv1 = vert_idx.at(rec.v);
     machines_[op.coord].create_edge(
         op.ekey, rec, cluster_->memory(op.coord),
-        static_cast<std::uint32_t>(pending_.stages.size()));
+        written_version({rec.comp, rec.iu1}, rec.u, {rec.comp, rec.iv1},
+                        rec.v));
   };
   for (const std::size_t i : nti) store_nontree(ops[i]);
 
@@ -1401,34 +1472,29 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       const BatchOp& op = ops[pms[k]];
       probes.push_back({op.cx, vert_idx.at(op.x), vert_idx.at(op.y), k});
     }
-    const ProbeSet probe_set(std::move(probes));
+    ProbeSet probe_set(std::move(probes));
+    const PendingLog* log = pending_.empty() ? nullptr : &pending_;
+    if (log != nullptr) probe_set.map_back(*log);
     std::vector<std::vector<std::optional<EdgeRec>>> pmc(
         machines_.size(), std::vector<std::optional<EdgeRec>>(pms.size()));
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
-      const auto propose = [&](const auto& view) {
-        std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
-        for_each_path_slot(view, probe_set, [&](std::size_t k, std::size_t i) {
-          if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
-            best[k] = static_cast<std::ptrdiff_t>(i);
-          }
-        });
-        for (std::size_t k = 0; k < pms.size(); ++k) {
-          const BatchOp& op = ops[pms[k]];
-          if (best[k] == EdgeShard::kNpos) continue;
-          pmc[m][k] = view.get(static_cast<std::size_t>(best[k]));
-          if (m == op.coord) continue;
-          const CutInfo c = make_cut(pms[k], *pmc[m][k]);
-          cluster_->send(m, op.coord, kProposal,
-                         {static_cast<Word>(op.pos),
-                          static_cast<Word>(pmc[m][k]->w), c.parent, c.child,
-                          c.f_c, c.l_c});
+      std::vector<std::ptrdiff_t> best(pms.size(), EdgeShard::kNpos);
+      for_each_path_slot(es, log, probe_set, [&](std::size_t k, std::size_t i) {
+        if (best[k] == EdgeShard::kNpos || es.w[i] > es.w[best[k]]) {
+          best[k] = static_cast<std::ptrdiff_t>(i);
         }
-      };
-      if (pending_.empty()) {
-        propose(es);
-      } else {
-        propose(PendingSlots(es, pending_));
+      });
+      for (std::size_t k = 0; k < pms.size(); ++k) {
+        const BatchOp& op = ops[pms[k]];
+        if (best[k] == EdgeShard::kNpos) continue;
+        pmc[m][k] = current_edge(m, static_cast<std::size_t>(best[k]));
+        if (m == op.coord) continue;
+        const CutInfo c = make_cut(pms[k], *pmc[m][k]);
+        cluster_->send(m, op.coord, kProposal,
+                       {static_cast<Word>(op.pos),
+                        static_cast<Word>(pmc[m][k]->w), c.parent, c.child,
+                        c.f_c, c.l_c});
       }
     });
     finish();
@@ -1617,8 +1683,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     // pair best (w,u,v) crossing candidates, sent to hashed collectors
     // (two-hop fold keeps any one receiver under the comm cap).  Each
     // machine collects flat and sorts + folds once, so it sends in key
-    // order.  A record the pending stages moved is read as they left it;
-    // with nothing pending the shard is read as stored.
+    // order.  A record the pending log moved is read as it left it; with
+    // nothing pending the shard is read as stored.
     using AppKey = std::pair<Word, VertexId>;
     using PairKey = std::tuple<Word, Word, Word>;
     std::map<AppKey, Word> best_app;
@@ -1635,22 +1701,17 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       PendingLog::Cursor pcursor(pending_);
       for (std::size_t s = 0; s < es.size(); ++s) {
         // The record's current component takes one lookup (its u-side
-        // entry); the whole record is resolved only if the scan uses it.
-        const std::uint32_t version = pending ? es.ver[s] : 0;
-        const etour::ComposedMap* cm =
-            pending && version == 0 ? pcursor.find(es.comp[s]) : nullptr;
-        const bool stored = version == 0 && cm == nullptr;
-        const Word comp =
-            stored ? es.comp[s]
-                   : pending_
-                         .resolve(version, {es.comp[s], es.iu1[s]}, es.u[s],
-                                  cm)
-                         .comp;
-        const Rewritten* rw = cursor.find(comp);
+        // entry); the whole record is resolved only if the scan uses it,
+        // reusing that entry.
+        const etour::ComposedMap* cm = pending ? pcursor.of(es, s) : nullptr;
+        const Appearance u1 = pending ? pending_.first_entry(es, s, cm)
+                                      : Appearance{es.comp[s], es.iu1[s]};
+        const Rewritten* rw = cursor.find(u1.comp);
         if (rw == nullptr || rw->split == nullptr) continue;
+        const Word comp = u1.comp;
         const etour::StageMap& sm = rw->map;
         const auto record = [&] {
-          return stored ? es.get(s) : pending_.current(es, s, cm);
+          return pending ? pending_.current(es, s, cm, u1) : es.get(s);
         };
         if (es.tree[s] != 0) {
           const std::vector<VertexId>& cv = rw->split->cut_verts;
@@ -1897,10 +1958,10 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   finish();
 
   // ---- Behind the commit barrier: the stage's compiled maps join the
-  // pending log, which later stages read records through and the
-  // batch-end remap pass writes into them.  Only the records the stage
-  // demotes, promotes, erases or creates are written now, stamped with
-  // the log's new length. ------------------------------------------------
+  // pending log, which every later read resolves records through until a
+  // compaction writes them.  Only the records the stage demotes,
+  // promotes, erases or creates are written now, each with its two
+  // entries tracked by the log. ------------------------------------------
   PendingStage logged;
   for (const Rewritten& rw : rewritten) {
     const etour::KWaySplit* sp =
@@ -1931,10 +1992,9 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
                              plan.resolve(frag, fixes.at(key))};
     }
   }
-  pending_.append(std::move(logged));
+  pending_.append(logged);
   ++batch_stats_.rewriting_stages;
-  const auto version = static_cast<std::uint32_t>(pending_.stages.size());
-  const auto& cut_fix = pending_.stages.back().cut_fix;
+  const auto& cut_fix = logged.cut_fix;
   // The edge's shard and slot, its pre-image journaled for a write.
   const auto slot_of = [&](VertexId u, VertexId v) {
     MachineState& ms = machines_[edge_machine(u, v)];
@@ -1950,24 +2010,27 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     // entries were all removed, so its endpoints take the cut fixes.
     const auto [es, s] = slot_of(ci.parent, ci.child);
     const Appearance au = cut_fix.at({ci.comp, es.u[s]});
+    const Appearance av = cut_fix.at({ci.comp, es.v[s]});
     es.tree[s] = 0;
     es.comp[s] = au.comp;
     es.iu1[s] = au.idx;
-    es.iv1[s] = cut_fix.at({ci.comp, es.v[s]}).idx;
+    es.iv1[s] = av.idx;
     es.iu2[s] = es.iv2[s] = etour::kNoIndex;
-    es.ver[s] = version;
+    es.ver[s] = written_version(au, es.u[s], av, es.v[s]);
   }
   for (const LinkRec& lr : links) {
     // Promoted replacement: the join plan owns its 4 new entries.
     const auto [es, s] = slot_of(lr.c.u, lr.c.v);
     const etour::MergeNewIndexes ni = plan.edge_indexes(lr.link_id);
+    const Word label = final_label[base_of(lr.comp) + lr.c.fu];
     es.tree[s] = 1;
-    es.comp[s] = final_label[base_of(lr.comp) + lr.c.fu];
+    es.comp[s] = label;
     es.iu1[s] = ni.x_enter;
     es.iu2[s] = ni.x_exit;
     es.iv1[s] = ni.y_enter;
     es.iv2[s] = ni.y_exit;
-    es.ver[s] = version;
+    es.ver[s] = written_version({label, ni.x_enter}, es.u[s],
+                                {label, ni.x_exit}, es.u[s]);
   }
   // Deleted cut records vanish, merge edges become tree records at their
   // coordinators, and the directory applies the staged writes.
@@ -1979,10 +2042,12 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   for (const MergeApp& ma : mapply) {
     const BatchOp& op = ops[ma.op];
     const etour::MergeNewIndexes ni = plan.edge_indexes(ma.link_id);
-    const Word label = final_label[base_of(op.cx)];
+    const EdgeRec rec =
+        make_tree_record(op.x, op.y, op.w, final_label[base_of(op.cx)], ni);
     machines_[op.coord].create_edge(
-        op.ekey, make_tree_record(op.x, op.y, op.w, label, ni),
-        cluster_->memory(op.coord), version);
+        op.ekey, rec, cluster_->memory(op.coord),
+        written_version({rec.comp, rec.iu1}, rec.u, {rec.comp, rec.iu2},
+                        rec.u));
   }
   for (const auto& [label, size] : dir_writes) {
     machines_[dir_machine(label)].jlog_dir(label);
@@ -2017,9 +2082,14 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
   }
   cluster_->begin_update();
   journal_begin();
+  // Compact before any stage when the batch could carry the log past
+  // its bound, or when a fault cut the last compaction short.
+  if (compaction_interrupted_ ||
+      (!pending_.empty() &&
+       pending_.words() + kLogWordsPerUpdate * batch.size() > log_bound_)) {
+    compact_log();
+  }
   ++batch_stats_.batches;
-  pending_.clear();
-  pending_.first_new_label = next_comp_id_;
   // Net-op compression (unweighted only): the observable state —
   // components, sizes, record set, forest weight — is path-independent
   // for unweighted updates, so an insert/delete chain on one edge key
@@ -2096,7 +2166,8 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
     }
     pending.swap(rest);
   }
-  remap_pending();
+  batch_stats_.log_words_peak =
+      std::max<std::uint64_t>(batch_stats_.log_words_peak, pending_.words());
   journal_commit();
   cluster_->end_update();
 } catch (...) {
@@ -2124,8 +2195,9 @@ std::vector<VertexId> DynamicForest::component_snapshot() const {
   std::vector<Word> raw(config_.n);
   const std::size_t mu = machines_.size();
   exec().run(mu, [&](std::size_t m) {
-    const std::vector<VertexRec>& vs = machines_[m].vertices;
-    for (std::size_t j = 0; j < vs.size(); ++j) raw[j * mu + m] = vs[j].comp;
+    for (std::size_t j = 0; j < machines_[m].vertices.size(); ++j) {
+      raw[j * mu + m] = current_vertex(static_cast<VertexId>(j * mu + m)).comp;
+    }
   });
   // Canonicalize to the smallest member vertex id.
   std::map<Word, VertexId> smallest;
@@ -2189,9 +2261,8 @@ bool DynamicForest::validate(std::string* why) const {
   std::vector<MachinePart> parts(machines_.size());
   exec().run(machines_.size(), [&](std::size_t m) {
     MachinePart& pt = parts[m];
-    const EdgeShard& es = machines_[m].edges;
-    for (std::size_t i = 0; i < es.size(); ++i) {
-      const EdgeRec rec = es.get(i);
+    for (std::size_t i = 0; i < machines_[m].edges.size(); ++i) {
+      const EdgeRec rec = current_edge(static_cast<MachineId>(m), i);
       if (rec.tree) {
         pt.tree.emplace_back(
             rec.comp,
@@ -2213,11 +2284,11 @@ bool DynamicForest::validate(std::string* why) const {
     }
     nontree.insert(nontree.end(), parts[m].nontree.begin(),
                    parts[m].nontree.end());
-    const std::vector<VertexRec>& vs = machines_[m].vertices;
-    for (std::size_t j = 0; j < vs.size(); ++j) {
+    for (std::size_t j = 0; j < machines_[m].vertices.size(); ++j) {
       const auto v = static_cast<VertexId>(j * machines_.size() + m);
-      vrecs[static_cast<std::size_t>(v)] = vs[j];
-      comp_members[vs[j].comp].insert(v);
+      const VertexRec rec = current_vertex(v);
+      vrecs[static_cast<std::size_t>(v)] = rec;
+      comp_members[rec.comp].insert(v);
     }
     for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
   }

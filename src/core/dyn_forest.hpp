@@ -31,9 +31,11 @@
 // the same stage: their path-max searches share two extra rounds, and a
 // committing swap becomes one more (demoting) cut of the k-way split.
 // A stage does not rewrite the records of the components it transforms:
-// it appends its compiled stage maps to the batch's pending log, later
-// stages read records through that log, and one remap pass at the end of
-// the batch writes every moved record once.  See apply_batch below.
+// it appends its compiled stage maps to the pending log, which is kept
+// across batches, and every reader resolves records through it.  A
+// compaction writes every moved record once, but only when the log would
+// outgrow a fixed share of S (every machine holds a copy).  See
+// apply_batch below.
 //
 // Per-machine round work (shard scans, local transform application) is
 // submitted through Cluster::for_each_machine and so runs in parallel
@@ -85,18 +87,20 @@ struct DynForestConfig {
   double eps = 0.1;          ///< MST approximation slack (bucketing)
   /// Strong exception guarantee for updates: insert/erase/apply_batch
   /// keep a per-machine undo journal (the inverse of every edge-record
-  /// append and erase, and the first pre-image per batch of every record,
-  /// vertex, and directory entry they rewrite, appended as they mutate)
+  /// append and erase, and the first pre-image per batch of every record
+  /// and directory entry they rewrite, appended as they mutate)
   /// and ANY mid-protocol throw — comm/memory cap trips,
   /// injected faults — rolls the forest, the round buffer, and the
   /// metrics stream back to the pre-update state before rethrowing, and
-  /// drops the batch's pending log.  Nothing is copied eagerly and a
-  /// record is copied at most once per batch (the batch-end remap pass
-  /// writes a moved record once, however many stages moved it), so the
-  /// fault-free cost is one epoch compare per rewritten record plus one
-  /// copy of each record the batch touches; off restores the pre-journal
-  /// behavior where a throw leaves the forest half-transformed (benches
-  /// use that to measure the overhead).
+  /// truncates the pending log back to its state at the batch's start.
+  /// Nothing is copied eagerly and a record is copied at most once per
+  /// batch; only the records a stage cuts, demotes, promotes or creates
+  /// are written, and a compaction, which changes how records are stored
+  /// but not what they mean, logs nothing.  So the fault-free cost is one
+  /// epoch compare per written record, one copy of each, and one copy of
+  /// the pending log per batch; off restores the pre-journal behavior
+  /// where a throw leaves the forest half-transformed (benches use that
+  /// to measure the overhead).
   bool atomic_updates = true;
 };
 
@@ -176,6 +180,11 @@ class DynamicForest {
   [[nodiscard]] const dmpc::BatchScheduleStats& batch_stats() const {
     return batch_stats_;
   }
+
+  /// The pending log's size bound in words: a fixed share of the
+  /// per-machine memory S, since every machine holds a copy of the log.
+  /// BatchScheduleStats::log_words_peak stays at or below it.
+  [[nodiscard]] std::size_t pending_log_bound() const { return log_bound_; }
 
   /// Connectivity query: a one-element answer_queries batch (2 rounds
   /// through the ingress, accounted as a query batch, not an update).
@@ -309,11 +318,9 @@ class DynamicForest {
       return r;
     }
 
-    /// Appends a record under a key the shard does not hold, stamped
-    /// with the pending-log version its values are in (0: the batch's
-    /// starting coordinates).
-    void append(std::uint64_t key, const EdgeRec& r,
-                std::uint32_t version = 0) {
+    /// Appends a record under a key the shard does not hold, with the
+    /// pending-log version its values are in (see `ver` below).
+    void append(std::uint64_t key, const EdgeRec& r, std::uint32_t version) {
       [[maybe_unused]] const bool fresh =
           index_.emplace(key, static_cast<std::uint32_t>(keys_.size()))
               .second;
@@ -351,25 +358,28 @@ class DynamicForest {
       ver.pop_back();
     }
 
-    /// Inverts the erase_at(s) that removed `key`'s record r: the record
-    /// it swapped into s returns to the end, and r returns to s (at
-    /// version 0: rollback restores the batch's starting state).
-    void unerase(std::size_t s, std::uint64_t key, const EdgeRec& r) {
-      append(key, r);
+    /// Inverts the erase_at(s) that removed `key`'s record r, which was
+    /// at `version`: the record it swapped into s returns to the end, and
+    /// r returns to s.
+    void unerase(std::size_t s, std::uint64_t key, const EdgeRec& r,
+                 std::uint32_t version) {
+      append(key, r, version);
       const std::size_t last = keys_.size() - 1;
       if (s != last) swap_slots(s, last);
     }
 
     // The columns, slot-indexed.  Mutators above keep them parallel;
     // the k-way stage writes the few records it cuts, demotes or
-    // promotes in place, and the batch-end remap pass the index and
-    // component columns of every record the batch moved.  `ver` is the
-    // number of the batch's pending stages a record's comp and index
-    // columns already include: 0 for every record between batches and
-    // for a record the batch has not written (its columns are in the
-    // batch's starting coordinates, resolved through the composed maps),
-    // t for one a stage wrote after t stages (resolved through stages
-    // t+1 on).  The tree column is always current.
+    // promotes in place, and a compaction the index and component
+    // columns of every record the pending log moved.  `ver` says which
+    // log position a record's comp and index columns are in: a
+    // generation number g <= PendingLog::generation for a record in the
+    // log's base coordinates (resolved through the composed maps),
+    // generation + 1 for one an interrupted compaction already brought
+    // to the log's end (read as stored), and PendingLog::kTracked | id
+    // for one a stage wrote mid-log (its two entries are the log's
+    // tracked appearances id and id + 1).  The tree column is always
+    // current.
     std::vector<VertexId> u, v;
     std::vector<Word> comp;
     std::vector<Weight> w;
@@ -408,43 +418,44 @@ class DynamicForest {
   /// In-place column writes log one `kRewritten` pre-image per record
   /// per batch: journal_begin bumps the machine's epoch, and a record
   /// whose mark already holds it is skipped (the epoch is 64-bit, so it
-  /// never wraps); only the earliest pre-image is ever needed.  Vertex
-  /// records are logged the same way; directory entries before every
-  /// write.  Arenas keep their capacity across batches, so in steady
-  /// state arming and logging never allocate.
+  /// never wraps); only the earliest pre-image is ever needed.  Directory
+  /// entries are logged before every write.  Vertex records need no log:
+  /// only a compaction writes them, and it changes how they are stored,
+  /// not what they mean (see compact_log).  Arenas keep their capacity
+  /// across batches, so in steady state arming and logging never
+  /// allocate.
   struct MachineJournal {
     /// One edge-shard mutation's inverse.  kRewritten: the columns the
     /// in-place passes write (never u, v or w) as they were at `slot`.
     /// kCreated: an append at `slot` (the last), undone by removing it.
     /// kErased: erase_at(`slot`) of the whole record (u and v follow
-    /// from the key), undone by EdgeShard::unerase.
+    /// from the key), undone by EdgeShard::unerase.  The slot, kind and
+    /// tree flag share one word so the entry stays one cache line.
     struct EdgeUndo {
       enum class Kind : std::uint8_t { kRewritten, kCreated, kErased };
+      static constexpr std::uint32_t kMaxSlot = (std::uint32_t{1} << 29) - 1;
       std::uint64_t key = 0;
-      std::uint32_t slot = 0;
-      Kind kind = Kind::kRewritten;
-      std::uint8_t tree = 0;
+      std::uint32_t slot : 29 = 0;
+      std::uint32_t kind : 2 = 0;  ///< a Kind
+      std::uint32_t tree : 1 = 0;
+      std::uint32_t ver = 0;
       Word comp = -1;
       Word iu1 = 0, iu2 = 0, iv1 = 0, iv2 = 0;
       Weight w = 0;  ///< kErased only
+
+      [[nodiscard]] Kind what() const { return static_cast<Kind>(kind); }
     };
     static_assert(sizeof(EdgeUndo) <= 64);
-    struct VertexEntry {
-      std::size_t slot = 0;  ///< index into MachineState::vertices
-      VertexRec rec;
-    };
     struct DirEntry {
       Word comp = -1;
       bool existed = false;
       Word size = 0;
     };
     std::vector<EdgeUndo> edges;
-    std::vector<VertexEntry> vertices;
     std::vector<DirEntry> dirs;
 
     void clear() {
       edges.clear();
-      vertices.clear();
       dirs.clear();
     }
   };
@@ -452,10 +463,11 @@ class DynamicForest {
   struct MachineState {
     EdgeShard edges;
     // Vertex records, dense: vertex v lives on machine v % mu at slot
-    // v / mu.  vertex_marks[slot] is the slot's journal epoch, as
-    // EdgeShard::mark is for edge records.
+    // v / mu.  vertex_ver[slot] is the slot's pending-log version, as
+    // EdgeShard::ver is for edge records (only compactions write vertex
+    // records, so it is never a tracked pair).
     std::vector<VertexRec> vertices;
-    std::vector<std::uint64_t> vertex_marks;
+    std::vector<std::uint32_t> vertex_ver;
     std::unordered_map<Word, Word> comp_sizes;  // directory shard
     // Undo journal (see MachineJournal).  Written only by this machine's
     // round task or by the orchestrator between barriers — exactly the
@@ -470,12 +482,12 @@ class DynamicForest {
     /// machine's meter.  Rollback removes a created record whole, so its
     /// later in-place writes need no pre-image: it starts marked.
     void create_edge(std::uint64_t key, const EdgeRec& r,
-                     dmpc::MemoryMeter& mem, std::uint32_t version = 0) {
+                     dmpc::MemoryMeter& mem, std::uint32_t version) {
       edges.append(key, r, version);
       if (journal_armed) {
-        journal.edges.push_back(
-            {key, static_cast<std::uint32_t>(edges.size() - 1),
-             MachineJournal::EdgeUndo::Kind::kCreated});
+        journal.edges.push_back({.key = key,
+                                 .slot = undo_slot(edges.size() - 1),
+                                 .kind = kind_bits(Kind::kCreated)});
         edges.mark.back() = journal_epoch;
       }
       mem.charge(kEdgeRecWords);
@@ -487,11 +499,8 @@ class DynamicForest {
       assert(found != EdgeShard::kNpos);
       const auto s = static_cast<std::size_t>(found);
       if (journal_armed) {
-        journal.edges.push_back(
-            {key, static_cast<std::uint32_t>(s),
-             MachineJournal::EdgeUndo::Kind::kErased, edges.tree[s],
-             edges.comp[s], edges.iu1[s], edges.iu2[s], edges.iv1[s],
-             edges.iv2[s], edges.w[s]});
+        journal.edges.push_back(pre_image(key, s, Kind::kErased));
+        journal.edges.back().w = edges.w[s];
       }
       edges.erase_at(s);
       mem.release(kEdgeRecWords);
@@ -502,19 +511,35 @@ class DynamicForest {
     void jlog_edge_slot(std::size_t s) {
       if (!journal_armed || edges.mark[s] == journal_epoch) return;
       edges.mark[s] = journal_epoch;
-      journal.edges.push_back({edges.key_at(s), static_cast<std::uint32_t>(s),
-                               MachineJournal::EdgeUndo::Kind::kRewritten,
-                               edges.tree[s], edges.comp[s], edges.iu1[s],
-                               edges.iu2[s], edges.iv1[s], edges.iv2[s]});
+      journal.edges.push_back(pre_image(edges.key_at(s), s, Kind::kRewritten));
     }
-    /// Logs vertex slot `slot`'s pre-image before a record write, once
-    /// per batch.  Vertex records exist for the lifetime of the forest,
-    /// so there is no created-by-the-mutation case.
-    void jlog_vertex(std::size_t slot) {
-      if (!journal_armed || vertex_marks[slot] == journal_epoch) return;
-      vertex_marks[slot] = journal_epoch;
-      journal.vertices.push_back({slot, vertices[slot]});
+
+   private:
+    using Kind = MachineJournal::EdgeUndo::Kind;
+    static std::uint32_t kind_bits(Kind k) {
+      return static_cast<std::uint32_t>(k);
     }
+    static std::uint32_t undo_slot(std::size_t s) {
+      assert(s <= MachineJournal::EdgeUndo::kMaxSlot);
+      return static_cast<std::uint32_t>(s);
+    }
+    /// Slot s's columns (all but w) as an undo entry of kind k.
+    [[nodiscard]] MachineJournal::EdgeUndo pre_image(std::uint64_t key,
+                                                     std::size_t s,
+                                                     Kind k) const {
+      return {.key = key,
+              .slot = undo_slot(s),
+              .kind = kind_bits(k),
+              .tree = edges.tree[s],
+              .ver = edges.ver[s],
+              .comp = edges.comp[s],
+              .iu1 = edges.iu1[s],
+              .iu2 = edges.iu2[s],
+              .iv1 = edges.iv1[s],
+              .iv2 = edges.iv2[s]};
+    }
+
+   public:
     /// Logs directory entry `comp`'s pre-image before a write or erase.
     void jlog_dir(Word comp) {
       if (!journal_armed) return;
@@ -527,7 +552,7 @@ class DynamicForest {
     }
   };
 
-  // --- the batch's pending log --------------------------------------------
+  // --- the pending log -----------------------------------------------------
 
   /// An appearance: tour index `idx` of component `comp`.
   struct Appearance {
@@ -537,48 +562,108 @@ class DynamicForest {
 
   /// What one rewriting stage did to the tours: each rewritten
   /// component's compiled map and fragment labels (sorted by comp), and
-  /// each cut vertex's repaired appearance for records whose cached
-  /// appearance the stage removed, keyed by (rewritten comp, vertex).
+  /// each cut vertex's repaired appearance after the stage, for records
+  /// whose cached appearance the stage removed, keyed by (rewritten comp,
+  /// vertex).
   struct PendingStage {
     std::vector<etour::StageRewrite> rewrites;
     std::map<std::pair<Word, VertexId>, Appearance> cut_fix;
   };
 
-  /// The batch's pending log: the stages whose maps no edge or vertex
-  /// record has absorbed yet, plus, per component that held records when
-  /// the batch began (a label below first_new_label), their composition
-  /// (etour::ComposedMap).  Every machine derives the same log from the
-  /// stages' broadcasts; the simulation keeps one copy, read-only inside
-  /// machine tasks.  Readers resolve a record through it: a version-0
-  /// record through its starting component's composed map, a record
-  /// stamped t through stages t+1 on, and an entry a stage removed
-  /// through that stage's cut fix.  The batch-end remap pass empties it.
+  /// The pending log: what every stage since the last compaction did to
+  /// the tours, kept across batches.  Every machine derives the same log
+  /// from the stages' broadcasts; the simulation keeps one copy, read-only
+  /// inside machine tasks.  It holds
+  ///   * per component that held records at the last compaction (a label
+  ///     below first_new_label), the composition of the stages since
+  ///     (etour::ComposedMap): a record in those base coordinates takes
+  ///     one lookup;
+  ///   * the tracked appearances: appearances the log keeps current.  A
+  ///     record a stage writes mid-log points at two of them, and each
+  ///     stage's cut fixes become new ones, so an entry a stage removed
+  ///     takes one more lookup.  Appending a stage moves every tracked
+  ///     appearance through it (or, where it removed the entry, to its
+  ///     own cut fix for the owner), so no read walks stages.
+  /// A compaction (compact_log) writes every record forward and empties
+  /// it; rollback truncates it back to a copy taken at the batch's start.
   struct PendingLog {
-    Word first_new_label = 0;
-    std::vector<PendingStage> stages;
-    /// Sorted by starting component.
-    std::vector<std::pair<Word, etour::ComposedMap>> composed;
+    /// A record `ver` with this bit set names a tracked pair (the rest
+    /// of the word is the first appearance's id).
+    static constexpr std::uint32_t kTracked = std::uint32_t{1} << 31;
 
-    [[nodiscard]] bool empty() const { return stages.empty(); }
-    void clear() {
-      stages.clear();
-      composed.clear();
+    /// An appearance of `vert` the log keeps current.
+    struct Tracked {
+      Appearance at;
+      VertexId vert = 0;
+    };
+    /// A stage's cut fix for (comp, vert): tracked appearance `id`.
+    struct FixRef {
+      Word comp = 0;
+      VertexId vert = 0;
+      std::uint32_t id = 0;
+    };
+
+    /// Records at a version <= generation hold base coordinates.
+    std::uint32_t generation = 0;
+    Word first_new_label = 0;
+    /// Stages appended since the last compaction.
+    std::uint32_t stages = 0;
+    /// Per base component, in the order the log opened them (found
+    /// through an O(1) index).  Shared, so the rollback copy of the log
+    /// costs no piece copies: appending a stage replaces the maps it
+    /// touches.
+    std::vector<std::pair<Word, std::shared_ptr<const etour::ComposedMap>>>
+        composed;
+    std::vector<Tracked> tracked;
+    /// Every stage's cut fixes, stage by stage, each stage's sorted by
+    /// (comp, vert); stage t's begin at fix_begin[t - 1].
+    std::vector<FixRef> fixes;
+    std::vector<std::uint32_t> fix_begin;
+
+    [[nodiscard]] bool empty() const { return stages == 0; }
+    /// Whether a record at `version` holds base coordinates.
+    [[nodiscard]] bool at_base(std::uint32_t version) const {
+      return version <= generation;
     }
-    /// Appends one stage and composes it into every composed map,
-    /// opening one for each starting component it rewrites first.
-    void append(PendingStage stage);
-    /// The composed map of starting component comp, or null (the
-    /// batch has not moved its records).
-    [[nodiscard]] const etour::ComposedMap* composed_of(Word comp) const;
-    /// Where an appearance of `vert` that a record holds at version
-    /// `version` now is; `cm` is composed_of(a.comp) for version 0.
-    [[nodiscard]] Appearance resolve(std::uint32_t version, Appearance a,
-                                     VertexId vert,
+    /// Empties the log after a compaction brought every record to
+    /// generation `gen`; labels from `first_new` on are handed out later.
+    void reset(std::uint32_t gen, Word first_new);
+    /// The log's size: 4 words per composed piece, 3 per tracked
+    /// appearance and per cut fix.
+    [[nodiscard]] std::size_t words() const;
+    /// Appends one stage: composes it into every composed map it
+    /// touches, opening one for each base component it rewrites first,
+    /// moves the tracked appearances through it, and tracks its cut
+    /// fixes.
+    void append(const PendingStage& stage);
+    /// Tracks a record's two entries (a tree record: u's two traversals;
+    /// a non-tree record: u's and v's cached appearances) and returns
+    /// the record's version.
+    std::uint32_t track(Appearance a1, VertexId v1, Appearance a2,
+                        VertexId v2);
+    /// The composed map of base component comp, or null (the log has
+    /// not moved its records).
+    [[nodiscard]] const etour::ComposedMap* composed_of(Word comp) const {
+      if (index_.empty()) return nullptr;
+      for (std::size_t h = slot_of(comp);; h = (h + 1) & (index_.size() - 1)) {
+        const Slot& slot = index_[h];
+        if (slot.map == nullptr || slot.comp == comp) return slot.map;
+      }
+    }
+    /// Where the base-coordinate appearance `a` of `vert` now is; `cm`
+    /// is composed_of(a.comp).
+    [[nodiscard]] Appearance resolve(Appearance a, VertexId vert,
                                      const etour::ComposedMap* cm) const;
-    /// Edge slot s of `es` with its comp and indexes resolved; `cm` as
-    /// for resolve (null for a stamped record).
+
+    /// Edge slot s's first entry (comp, iu1) as it now is; `cm` is
+    /// composed_of(es.comp[s]) for a record at base, else null.
+    [[nodiscard]] Appearance first_entry(const EdgeShard& es, std::size_t s,
+                                         const etour::ComposedMap* cm) const;
+    /// Edge slot s of `es` with its comp and indexes resolved, given its
+    /// first entry `u1` (first_entry) and `cm` as there.
     [[nodiscard]] EdgeRec current(const EdgeShard& es, std::size_t s,
-                                  const etour::ComposedMap* cm) const;
+                                  const etour::ComposedMap* cm,
+                                  Appearance u1) const;
 
     /// composed_of for a shard scan, which mostly asks about the
     /// component it asked about last.
@@ -592,22 +677,73 @@ class DynamicForest {
         }
         return last_;
       }
+      /// find(es.comp[s]) for a record at base; null otherwise.
+      const etour::ComposedMap* of(const EdgeShard& es, std::size_t s) {
+        return log_.at_base(es.ver[s]) ? find(es.comp[s]) : nullptr;
+      }
 
      private:
       const PendingLog& log_;
       Word last_comp_ = -1;
       const etour::ComposedMap* last_ = nullptr;
     };
+
+   private:
+    /// Stage t's cut fix for (comp, vert).
+    [[nodiscard]] Appearance fixed(std::uint32_t t, Word comp,
+                                   VertexId vert) const;
+    /// Opens base component comp's composed map, `cm`.
+    void open(Word comp, std::shared_ptr<const etour::ComposedMap> cm);
+    /// Records that base component comp's map is now `cm`.
+    void index(Word comp, const etour::ComposedMap* cm);
+    [[nodiscard]] std::size_t slot_of(Word comp) const {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(comp) * 0x9e3779b97f4a7c15ULL) >>
+          index_shift_);
+    }
+
+    /// Open addressing from a base component to its composed map (null:
+    /// an empty slot), at most half full.
+    struct Slot {
+      Word comp = 0;
+      const etour::ComposedMap* map = nullptr;
+    };
+    std::vector<Slot> index_;
+    unsigned index_shift_ = 64;
   };
 
-  /// v's record as the batch's pending stages left it.
-  [[nodiscard]] VertexRec current_vertex(VertexId v) const;
-  /// Edge slot s of machine m's shard as the pending stages left it.
+  /// v's record as the pending log leaves it (inline: a query batch
+  /// reads scattered vertices, most of them in components the log has
+  /// not moved).
+  [[nodiscard]] VertexRec current_vertex(VertexId v) const {
+    const std::size_t j = vertex_slot(v);
+    const MachineState& ms = machines_[vertex_machine(v)];
+    const VertexRec& rec = ms.vertices[j];
+    if (pending_.empty()) return rec;
+    // Only an interrupted compaction leaves records off base.
+    if (compaction_interrupted_ && !pending_.at_base(ms.vertex_ver[j])) {
+      return rec;
+    }
+    const etour::ComposedMap* cm = pending_.composed_of(rec.comp);
+    if (cm == nullptr) return rec;
+    const Appearance a = pending_.resolve({rec.comp, rec.cached_idx}, v, cm);
+    return {a.comp, a.idx};
+  }
+  /// Edge slot s of machine m's shard as the pending log leaves it.
   [[nodiscard]] EdgeRec current_edge(MachineId m, std::size_t s) const;
-  /// The batch-end remap pass: one for_each_machine pass that writes
-  /// every edge and vertex record the pending stages moved, once
-  /// (journaled like any in-place write), and empties the log.
-  void remap_pending();
+  /// The version a record a stage writes now takes: its values are
+  /// current, so base coordinates while the log is empty, else a tracked
+  /// pair of its two entries (a1 owned by v1, a2 by v2).
+  [[nodiscard]] std::uint32_t written_version(Appearance a1, VertexId v1,
+                                              Appearance a2, VertexId v2);
+  /// Compaction: one for_each_machine pass that writes every edge and
+  /// vertex record the pending log moved to its current values, at
+  /// generation + 1, then empties the log.  It logs no undo entry: it
+  /// changes how records are stored, not what they mean, and each
+  /// record's step is idempotent (a record already at generation + 1 is
+  /// skipped), so a fault partway leaves a consistent mix that the next
+  /// batch's compaction finishes.
+  void compact_log();
 
   // --- batched updates -----------------------------------------------------
 
@@ -727,19 +863,22 @@ class DynamicForest {
 
   /// Arms every machine's undo journal, bumps its epoch (so every record
   /// is unlogged for this batch), and snapshots the ingress-local
-  /// scalars (next_comp_id_, batch_stats_) plus each memory meter's
-  /// usage.  No machine state is copied — pre-images accrue lazily as
-  /// the protocol mutates (create_edge, erase_edge and jlog_* above).
+  /// scalars (next_comp_id_, batch_stats_), the pending log, and each
+  /// memory meter's usage.  No machine state is copied — pre-images
+  /// accrue lazily as the protocol mutates (create_edge, erase_edge and
+  /// jlog_* above).
   void journal_begin();
   /// Disarms the journals after a successful update (the logs are kept
   /// as arenas for the next one).
   void journal_commit();
   /// Rolls everything back after a mid-protocol throw: replays every
   /// machine's journal in reverse, restores the meters and scalars,
-  /// drops the pending log and the round buffer's staged messages, and
-  /// aborts the in-flight metrics update.  Every shard, vertex table and
-  /// directory returns exactly to its pre-update state, edge slot order
-  /// included.
+  /// truncates the pending log back to its snapshot, drops the round
+  /// buffer's staged messages, and aborts the in-flight metrics update.
+  /// Every shard, vertex table and directory returns exactly to its
+  /// pre-update state, edge slot order included, as read through the
+  /// log (a compaction the batch completed stays: the snapshot is taken
+  /// again after it).
   void journal_rollback();
 
   /// The installed round executor, reachable from const introspection
@@ -756,11 +895,22 @@ class DynamicForest {
   Word next_comp_id_;  // ingress-local state (machine 0)
   dmpc::BatchScheduleStats batch_stats_;
   PendingLog pending_;
+  std::size_t log_bound_ = 0;  // words; see pending_log_bound()
+  // A compaction threw partway: the next batch finishes it before any
+  // stage.  Not part of the journal's snapshot, so rollback keeps it.
+  bool compaction_interrupted_ = false;
   // journal_begin snapshots (valid while the journals are armed).
   bool journal_active_ = false;
   Word journal_next_comp_id_ = 0;
   dmpc::BatchScheduleStats journal_batch_stats_;
+  PendingLog journal_pending_;
   std::vector<dmpc::WordCount> journal_mem_used_;
+
+  /// The pending log may take 1/kLogShare of S.
+  static constexpr std::size_t kLogShare = 16;
+  /// An upper bound on what one update adds to the log, in words: a
+  /// batch compacts first unless its updates fit under the bound.
+  static constexpr std::size_t kLogWordsPerUpdate = 64;
 
   static constexpr Word kEdgeRecWords = 12;
   static constexpr Word kVertexRecWords = 3;

@@ -134,11 +134,19 @@ struct BatchScheduleStats {
   /// whose displaced edge a stage cut (one per component per stage).
   std::uint64_t swaps_committed = 0;
   /// Stages that rewrote at least one tour (a k-way split or join) and
-  /// so appended their stage maps to the batch's pending log.
+  /// so appended their stage maps to the pending log.
   std::uint64_t rewriting_stages = 0;
-  /// Batch-end remap passes: one per batch with a rewriting stage, however
-  /// many rewriting stages it ran.
-  std::uint64_t remap_passes = 0;
+  /// Pending-log compactions: passes that wrote every record the log
+  /// moved and emptied it, each run at the start of a batch that could
+  /// otherwise carry the log past its bound (or that finishes one a
+  /// fault cut short).
+  std::uint64_t compactions = 0;
+  /// The largest pending-log size, in words, at the end of any batch
+  /// (DynamicForest::pending_log_bound() bounds it).
+  std::uint64_t log_words_peak = 0;
+  /// Query chunks answered while the pending log held stages, so every
+  /// read resolved its records through it.
+  std::uint64_t reads_through_log = 0;
 
   bool operator==(const BatchScheduleStats&) const = default;
 };

@@ -56,6 +56,7 @@ const char* trace_phase_name(TracePhase phase) {
     case TracePhase::kPipeline: return "pipeline";
     case TracePhase::kRecovery: return "recovery";
     case TracePhase::kEpoch: return "epoch";
+    case TracePhase::kCompact: return "compact";
     case TracePhase::kPhaseCount: break;
   }
   return "unattributed";

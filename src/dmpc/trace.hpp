@@ -66,6 +66,7 @@ enum class TracePhase : std::uint8_t {
   kPipeline,
   kRecovery,         ///< driver fault-recovery (retry/bisect)
   kEpoch,            ///< one serving-layer epoch (broker pump)
+  kCompact,          ///< pending-log compaction (no rounds)
   kPhaseCount,       ///< sentinel, not a phase
   /// The pre-rename spelling of kGroupCommit, kept for bench/e2e.
   kWaveCommit = kGroupCommit,

@@ -16,8 +16,9 @@
 // functions are that algebra.  A batched stage composes k splits and
 // links per component (KWaySplit, KWayJoinPlan); StageMap compiles that
 // composition once into one flat piecewise table of O(k + links) pieces,
-// and ComposedMap chains a batch's stage maps per starting component, which
-// is what the distributed batch-end remap pass reads per record.
+// and ComposedMap chains the pending log's stage maps per starting
+// component, which is what every distributed read of a record resolves
+// through until a compaction writes it.
 //
 // Figure-validated correction: for the merge, the paper writes the shift
 // of the remaining Tx indexes as "i + 4*ELength_Ty"; the arithmetic
@@ -465,30 +466,29 @@ class KWayJoinPlan {
 // O(1) lookup: a directory of about kBucketsPerPiece buckets per piece
 // over [0, elen] names each bucket's first piece, and a forward scan
 // rarely takes a step (a branch-free count over the breakpoints cost 4x
-// as much at ten pieces).  StageMap and ComposedMap below lay their
-// pieces out in one.
+// as much at ten pieces).  A bucket holding a breakpoint costs its
+// lookups a second compare; more buckets mean fewer such buckets but a
+// larger directory.  StageMap and ComposedMap below lay their pieces out
+// in one.
 // ---------------------------------------------------------------------------
-template <class P>
+template <class P, std::size_t kBucketsPerPiece = 32>
 class PieceTable {
  public:
   /// Appends the piece starting at index lo; starts ascend from 0.
-  void push(Word lo, const P& p) {
-    starts_.push_back(lo);
-    pieces_.push_back(p);
-  }
-  [[nodiscard]] bool empty() const { return pieces_.empty(); }
-  [[nodiscard]] const P& back() const { return pieces_.back(); }
+  void push(Word lo, const P& p) { entries_.push_back({lo, p}); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] const P& back() const { return entries_.back().piece; }
 
   /// Lays out the directory; call once, after the last push.
   void finish(Word elen) {
-    starts_.push_back(std::numeric_limits<Word>::max());
-    const auto buckets =
-        static_cast<Word>(std::bit_ceil(kBucketsPerPiece * pieces_.size()));
+    size_ = entries_.size();
+    entries_.push_back({std::numeric_limits<Word>::max(), P{}});
+    const auto buckets = static_cast<Word>(std::bit_ceil(kBucketsPerPiece * size_));
     while ((elen >> shift_) >= buckets) ++shift_;
     first_.resize(static_cast<std::size_t>(elen >> shift_) + 1);
     std::size_t p = 0;
     for (std::size_t b = 0; b < first_.size(); ++b) {
-      while (starts_[p + 1] <= static_cast<Word>(b) << shift_) ++p;
+      while (entries_[p + 1].start <= static_cast<Word>(b) << shift_) ++p;
       first_[b] = static_cast<std::uint32_t>(p);
     }
   }
@@ -497,22 +497,28 @@ class PieceTable {
   [[nodiscard]] std::size_t index_of(Word i) const {
     std::size_t p = first_[std::min(static_cast<std::size_t>(i >> shift_),
                                     first_.size() - 1)];
-    while (starts_[p + 1] <= i) ++p;
+    while (entries_[p + 1].start <= i) ++p;
     return p;
   }
-  [[nodiscard]] const P& find(Word i) const { return pieces_[index_of(i)]; }
-  [[nodiscard]] const P& operator[](std::size_t p) const { return pieces_[p]; }
-  [[nodiscard]] std::size_t size() const { return pieces_.size(); }
+  [[nodiscard]] const P& find(Word i) const {
+    return entries_[index_of(i)].piece;
+  }
+  [[nodiscard]] const P& operator[](std::size_t p) const {
+    return entries_[p].piece;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
   /// First index of piece p; start(size()) is a max() sentinel.
-  [[nodiscard]] Word start(std::size_t p) const { return starts_[p]; }
+  [[nodiscard]] Word start(std::size_t p) const { return entries_[p].start; }
 
  private:
-  // Directory buckets per piece: a bucket holding a breakpoint costs its
-  // lookups a second compare, and few buckets do.
-  static constexpr std::size_t kBucketsPerPiece = 32;
-
-  std::vector<Word> starts_;  ///< first index of each piece, then max()
-  std::vector<P> pieces_;
+  // A piece beside its first index, so a lookup's compares and its piece
+  // share cache lines.
+  struct Entry {
+    Word start = 0;
+    P piece;
+  };
+  std::vector<Entry> entries_;  ///< then a max() sentinel after finish()
+  std::size_t size_ = 0;
   int shift_ = 0;                     ///< index >> shift_ = bucket
   std::vector<std::uint32_t> first_;  ///< bucket -> its first piece
 };
@@ -682,13 +688,13 @@ inline const StageRewrite* find_rewrite(std::span<const StageRewrite> stage,
 
 // ---------------------------------------------------------------------------
 // Composed stage maps: where one component's entries went over several
-// stages.  A batch of stages rewrites components one StageMap at a time,
-// and a fragment's label names the component a later stage rewrites
-// next, so the entries of one starting component (index space [0, elen]
-// of its tour before the first stage) follow a chain of maps.  Composing
-// them gives one more piecewise table over the starting indexes, each
-// piece {label, delta}: entry i is now entry i + delta of component
-// `label`.  A piece removed by stage t (an entry of an edge stage t cut)
+// stages.  The pending log's stages rewrite components one StageMap at a
+// time, and a fragment's label names the component a later stage
+// rewrites next, so the entries of one starting component (index space
+// [0, elen] of its tour before the first stage) follow a chain of maps.
+// Composing them gives one more piecewise table over the starting
+// indexes, each piece {label, delta}: entry i is now entry i + delta of
+// component `label`.  A piece removed by stage t (an entry of an edge stage t cut)
 // keeps the label stage t rewrote and records t: such an entry has no
 // image, and its owner vertex's appearance comes from that stage's cut
 // fix instead.
@@ -701,9 +707,16 @@ inline const StageRewrite* find_rewrite(std::span<const StageRewrite> stage,
 // traversal still share one.  A label names one component at a time (a
 // split's remainder keeps it, a dissolved one is never handed out
 // again), so stage t's map of a label applies to every piece that
-// carries it after stage t - 1.
+// carries it after stage t - 1.  A map keeps the sorted set of labels
+// its live pieces carry, so a stage that rewrites none of them costs it
+// one merge-walk of two short lists instead of a rebuild.
 // ---------------------------------------------------------------------------
 class ComposedMap {
+  // A composed map outlives many stages and grows with them; random
+  // lookups (reads of scattered vertices) keep its directory in cache
+  // at this density.
+  static constexpr std::size_t kBucketsPerPiece = 4;
+
  public:
   struct Piece {
     Word delta = 0;  ///< live: the current index is old index + delta
@@ -713,16 +726,35 @@ class ComposedMap {
   };
 
   /// The identity over [0, elen] under `label`.
-  ComposedMap(Word elen, Word label) : elen_(elen) {
+  ComposedMap(Word elen, Word label) : elen_(elen), labels_{label} {
     table_.push(0, Piece{0, label, 0});
     table_.finish(elen_);
+  }
+
+  /// Whether stage `stage` (sorted by comp) rewrites a label some live
+  /// piece carries.
+  [[nodiscard]] bool touched_by(std::span<const StageRewrite> stage) const {
+    auto l = labels_.begin();
+    auto r = stage.begin();
+    while (l != labels_.end() && r != stage.end()) {
+      if (*l == r->comp) return true;
+      if (*l < r->comp) {
+        ++l;
+      } else {
+        ++r;
+      }
+    }
+    return false;
   }
 
   /// Composes stage t (t >= 1): `stage` lists the components it rewrote,
   /// sorted by comp.
   void then(std::uint32_t t, std::span<const StageRewrite> stage) {
-    PieceTable<Piece> out;
+    if (!touched_by(stage)) return;
+    PieceTable<Piece, kBucketsPerPiece> out;
+    labels_.clear();
     const auto emit = [&](Word lo, const Piece& p) {
+      if (p.removed_at == 0) labels_.push_back(p.label);
       if (!out.empty()) {
         const Piece& b = out.back();
         if (b.label == p.label && b.removed_at == p.removed_at &&
@@ -758,15 +790,20 @@ class ComposedMap {
     }
     out.finish(elen_);
     table_ = std::move(out);
+    std::sort(labels_.begin(), labels_.end());
+    labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
   }
 
   /// The piece holding starting index i (0 <= i <= elen).
   const Piece& piece(Word i) const { return table_.find(i); }
   std::size_t pieces() const { return table_.size(); }
+  /// The labels the live pieces carry, sorted.
+  std::span<const Word> labels() const { return labels_; }
 
  private:
   Word elen_;
-  PieceTable<Piece> table_;
+  PieceTable<Piece, kBucketsPerPiece> table_;
+  std::vector<Word> labels_;
 };
 
 }  // namespace etour

@@ -99,13 +99,24 @@ std::vector<std::vector<Update>> make_batches(
 // fed the same batches stands (slot order and counters included).
 // `stats`, when given, receives the forest's final scheduling counters
 // (rolled-back attempts leave no trace in them); `initial` is the graph
-// the forest is preprocessed with.
+// the forest is preprocessed with; `counts`, when given, what the faults
+// hit (SweepCounts).
+struct SweepCounts {
+  /// Batches whose sweep faulted a compaction's dispatch: a task sweep
+  /// of a batch that compacts (its compaction is the first dispatch).
+  std::size_t compaction_faults = 0;
+  /// Aborts of batches that began with earlier batches' stages still in
+  /// the pending log, which the rollback must keep.
+  std::size_t pending_log_aborts = 0;
+};
+
 void sweep_every_injection_point(const DynForestConfig& config,
                                  bool thread_pool,
                                  const graph::UpdateStream& stream,
                                  std::size_t batch_size,
                                  dmpc::BatchScheduleStats* stats = nullptr,
-                                 const graph::EdgeList& initial = {}) {
+                                 const graph::EdgeList& initial = {},
+                                 SweepCounts* counts = nullptr) {
   DynamicForest forest(config);
   forest.preprocess(initial);
   DynamicForest twin(config);
@@ -125,6 +136,9 @@ void sweep_every_injection_point(const DynForestConfig& config,
   ASSERT_GE(batches.size(), 4u) << "stream too short to exercise the sweep";
   graph::DynamicGraph shadow(config.n);
   for (const auto& [u, v] : initial) shadow.insert_edge(u, v);
+  // Rewriting stages in the twin's pending log (it equals the forest's
+  // at every batch start).
+  std::uint64_t pending_stages = 0;
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const std::span<const Update> batch(batches[b]);
     const bool sweep_tasks = (b % 2) == 1;
@@ -154,10 +168,22 @@ void sweep_every_injection_point(const DynForestConfig& config,
         ASSERT_TRUE(forest.validate(&why))
             << "invalid state after point " << at << " of batch " << b << ": "
             << why;
+        if (counts != nullptr && pending_stages > 0) {
+          ++counts->pending_log_aborts;
+        }
       }
       if (testing::Test::HasFatalFailure()) return;
     }
+    const dmpc::BatchScheduleStats twin_before = twin.batch_stats();
     twin.apply_batch(batch);
+    const dmpc::BatchScheduleStats& twin_after = twin.batch_stats();
+    const bool compacted = twin_after.compactions > twin_before.compactions;
+    const std::uint64_t staged =
+        twin_after.rewriting_stages - twin_before.rewriting_stages;
+    pending_stages = compacted ? staged : pending_stages + staged;
+    if (counts != nullptr && compacted && sweep_tasks) {
+      ++counts->compaction_faults;
+    }
     ASSERT_EQ(capture(forest), capture(twin))
         << "divergence from the fault-free twin after batch " << b;
     ASSERT_EQ(forest.batch_stats(), twin.batch_stats())
@@ -234,10 +260,11 @@ TEST(FaultSweep, BatchDynamicMixedComponents) {
 
 // Churn on one giant component: most records of gnm(256, 256) share a
 // label, so a batch's rewriting stages log their stage maps over them
-// and read them back through the pending log, and the batch-end remap
-// pass skips the records the composed maps leave unchanged (neither
-// written nor journaled).  A fault at any point must drop the pending
-// log and restore every record a stage or the remap pass wrote.
+// and read them back through the pending log, and each batch's
+// compaction (this S is small, so every 16-update batch compacts first)
+// skips the records the composed maps leave unchanged.  A fault at any
+// point must truncate the pending log and restore every record a stage
+// wrote.
 TEST(FaultSweep, BatchDynamicGiantComponent) {
   const DynForestConfig config{.n = 256, .m_cap = 1024};
   const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
@@ -247,6 +274,48 @@ TEST(FaultSweep, BatchDynamicGiantComponent) {
   EXPECT_GT(stats.kway_splits, 0u);
   EXPECT_GT(stats.kway_joins, 0u);
   sweep_every_injection_point(config, true, stream, 16, nullptr, initial);
+}
+
+// Small batches on one giant component: the pending log stays within its
+// bound across a few batches (m_cap sets N and so S, and the log may
+// take S/16), so each compaction moves several batches' stages over the
+// whole giant.  A compaction writes no undo entries: a fault in
+// its dispatch leaves some machines' records brought forward and others
+// not, which must read exactly as before, and the retry must finish the
+// compaction so that the forest and its counters equal the fault-free
+// twin's.
+TEST(FaultSweep, CompactionDispatchFaultsRollBack) {
+  const DynForestConfig config{.n = 256, .m_cap = 16384};
+  const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
+  const auto stream = graph::random_stream(config.n, 240, 0.5, 9);
+  for (const bool pool : {false, true}) {
+    dmpc::BatchScheduleStats stats;
+    SweepCounts counts;
+    sweep_every_injection_point(config, pool, stream, 3, &stats, initial,
+                                &counts);
+    EXPECT_GT(stats.compactions, 1u);
+    EXPECT_GT(counts.compaction_faults, 0u)
+        << "no swept batch faulted a compaction";
+  }
+}
+
+// Churn over many small components in batches of two, with S large
+// enough (m_cap) that most batches start with earlier batches' stages
+// still pending, and a fault anywhere
+// in a batch must truncate the log back to exactly those stages (the
+// records they moved read through it unchanged, and the next commit
+// equals the twin's).
+TEST(FaultSweep, RollbackKeepsEarlierBatchesPendingStages) {
+  const DynForestConfig config{.n = 64, .m_cap = 16384};
+  const auto stream = graph::random_stream(config.n, 200, 0.55, 8);
+  for (const bool pool : {false, true}) {
+    dmpc::BatchScheduleStats stats;
+    SweepCounts counts;
+    sweep_every_injection_point(config, pool, stream, 2, &stats, {}, &counts);
+    EXPECT_GT(stats.rewriting_stages, stats.compactions);
+    EXPECT_GT(counts.pending_log_aborts, 0u)
+        << "no abort hit a batch that began with stages pending";
+  }
 }
 
 // Single-update insert/erase (batches of one) journal and roll back too.

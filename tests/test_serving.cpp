@@ -334,6 +334,132 @@ void run_path_weight_differential(bool thread_pool) {
   EXPECT_TRUE(forest.validate(&why)) << why;
 }
 
+// Reads through a non-empty pending log.  Small batches on a giant
+// component keep earlier batches' stages pending (a compaction runs only
+// when a batch could carry the log past its bound), so every read after
+// a batch resolves records through the log: connectivity and path-weight
+// queries, the component snapshot, the tree edges, the forest weight and
+// validate() must all match the oracles and a forest fed the same updates
+// one at a time.
+class ReadsThroughLog : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReadsThroughLog, MatchOraclesAndOneAtATime) {
+  const bool weighted = GetParam();
+  const std::size_t n = 320, giant = 256;
+  const graph::EdgeList base = graph::gnm(giant, 2 * giant, 31);
+  graph::WeightedEdgeList edges;
+  std::map<graph::EdgeKey, graph::Weight> weight;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const graph::Weight w =
+        weighted ? static_cast<graph::Weight>(1 + (i * 37) % 50) : 1;
+    edges.push_back({base[i].first, base[i].second, w});
+    weight[graph::EdgeKey(base[i].first, base[i].second)] = w;
+  }
+  // A roomy m_cap (N, and so S) lets the log outlive several batches.
+  const core::DynForestConfig config{
+      .n = n, .m_cap = 16384, .weighted = weighted, .eps = 1e-9};
+  DynamicForest batched(config);
+  DynamicForest one(config);
+  batched.preprocess(edges);
+  one.preprocess(edges);
+  graph::DynamicGraph shadow(n);
+  for (const auto& [u, v] : base) shadow.insert_edge(u, v);
+
+  graph::UpdateStream stream =
+      graph::random_stream(n, 240, 0.6, 41, weighted, 50);
+  if (!weighted) {
+    for (Update& up : stream) up.w = 1;
+  }
+  std::mt19937_64 rng(7);
+  const auto vertex = [&] { return static_cast<dmpc::VertexId>(rng() % n); };
+  std::size_t logged_reads = 0;
+  for (std::size_t b = 0; b < stream.size(); b += 3) {
+    const std::span<const Update> batch(
+        stream.data() + b, std::min<std::size_t>(3, stream.size() - b));
+    batched.apply_batch(batch);
+    for (const Update& up : batch) {
+      if (up.kind == UpdateKind::kInsert) {
+        one.insert(up.u, up.v, up.w);
+        if (graph::apply_update(shadow, up)) {
+          weight[graph::EdgeKey(up.u, up.v)] = up.w;
+        }
+      } else {
+        one.erase(up.u, up.v);
+        if (graph::apply_update(shadow, up)) {
+          weight.erase(graph::EdgeKey(up.u, up.v));
+        }
+      }
+    }
+
+    std::vector<ReadQuery> queries;
+    for (std::size_t i = 0; i < 24; ++i) {
+      queries.push_back({QueryKind::kConnected, vertex(), vertex()});
+      queries.push_back({QueryKind::kPathWeight, vertex(), vertex()});
+    }
+    const std::uint64_t reads_before = batched.batch_stats().reads_through_log;
+    const std::vector<ReadAnswer> answers = batched.answer_queries(queries);
+    const bool through_log =
+        batched.batch_stats().reads_through_log > reads_before;
+    logged_reads += through_log ? 1 : 0;
+    const std::vector<ReadAnswer> expected = one.answer_queries(queries);
+
+    // The tree-path sums in the maintained forest, by BFS.
+    std::vector<std::vector<std::pair<dmpc::VertexId, graph::Weight>>> adj(n);
+    for (const auto& [u, v] : batched.tree_edges()) {
+      const graph::Weight w = weight.at(graph::EdgeKey(u, v));
+      adj[static_cast<std::size_t>(u)].push_back({v, w});
+      adj[static_cast<std::size_t>(v)].push_back({u, w});
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const ReadQuery& q = queries[i];
+      SCOPED_TRACE("batch " + std::to_string(b / 3) + " query " +
+                   std::to_string(q.u) + " .. " + std::to_string(q.v) +
+                   (through_log ? " through the log" : ""));
+      EXPECT_EQ(answers[i].connected, oracle::same_component(shadow, q.u, q.v));
+      EXPECT_EQ(answers[i].connected, expected[i].connected);
+      EXPECT_EQ(answers[i].path_weight, expected[i].path_weight);
+      if (q.kind != QueryKind::kPathWeight) continue;
+      std::vector<graph::Weight> dist(n, -1);
+      std::deque<dmpc::VertexId> frontier{q.u};
+      dist[static_cast<std::size_t>(q.u)] = 0;
+      while (!frontier.empty()) {
+        const dmpc::VertexId x = frontier.front();
+        frontier.pop_front();
+        for (const auto& [y, w] : adj[static_cast<std::size_t>(x)]) {
+          if (dist[static_cast<std::size_t>(y)] >= 0) continue;
+          dist[static_cast<std::size_t>(y)] =
+              dist[static_cast<std::size_t>(x)] + w;
+          frontier.push_back(y);
+        }
+      }
+      EXPECT_EQ(answers[i].path_weight,
+                std::max<graph::Weight>(dist[static_cast<std::size_t>(q.v)], 0));
+    }
+
+    EXPECT_EQ(batched.component_snapshot(), one.component_snapshot());
+    EXPECT_TRUE(oracle::same_partition(batched.component_snapshot(),
+                                       oracle::connected_components(shadow)));
+    auto trees = batched.tree_edges();
+    auto one_trees = one.tree_edges();
+    std::sort(trees.begin(), trees.end());
+    std::sort(one_trees.begin(), one_trees.end());
+    EXPECT_EQ(trees, one_trees);
+    EXPECT_EQ(batched.forest_weight(), one.forest_weight());
+    std::string why;
+    EXPECT_TRUE(batched.validate(&why)) << "batch " << b / 3 << ": " << why;
+    if (testing::Test::HasFailure()) return;
+  }
+  // Most reads went through a non-empty log, and compactions did run.
+  EXPECT_GT(logged_reads, stream.size() / 3 / 2);
+  EXPECT_GT(batched.batch_stats().compactions, 0u);
+  EXPECT_LE(batched.batch_stats().log_words_peak, batched.pending_log_bound());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ReadsThroughLog, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Weighted" : "Unweighted";
+                         });
+
 TEST(AnswerQueries, PathWeightsTrackUpdatesSerialExecutor) {
   run_path_weight_differential(/*thread_pool=*/false);
 }
