@@ -3,6 +3,12 @@
 // paper reports no wall-clock numbers); this guards the simulator's own
 // performance:
 //
+//   * the forest's whole-state passes at n = 2^18: preprocess of
+//     gnm(n, n) and one validate() of the result under the serial
+//     executor — wall time of each, and the growth of the process's
+//     peak RSS (ru_maxrss) across validate().  It runs first, so the
+//     peak it starts from is preprocess's.  `--check` requires the
+//     verdict true and the pinned tree-record count (kPassesTreeEdges);
 //   * executor round-dispatch overhead: one round of `count` near-empty
 //     machine tasks under SerialExecutor vs ThreadPoolExecutor — the
 //     wake/join cost every DynamicForest round pays;
@@ -45,6 +51,8 @@
 // including the detected core count: the gate skips wall-clock
 // comparisons between runs whose core counts differ (a runner-hardware
 // change is not a regression).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -63,6 +71,8 @@
 
 namespace {
 
+constexpr std::size_t kPassesN = std::size_t{1} << 18;
+constexpr std::uint64_t kPassesTreeEdges = 219798;
 constexpr std::size_t kForestN = std::size_t{1} << 17;
 constexpr std::size_t kForestUpdates = 512;
 constexpr std::size_t kForestBatch = 16;
@@ -259,6 +269,37 @@ ReadRun run_reads(std::size_t n, std::size_t path_every, std::size_t blocks) {
     for (const auto& batch : batches) forest.answer_queries(batch);
   });
   out.agg = forest.cluster().metrics().query_aggregate();
+  return out;
+}
+
+/// The whole-state passes row: preprocess of gnm(kPassesN, kPassesN)
+/// and one validate() of the result.
+struct PassesRun {
+  double preprocess_seconds = 0;
+  double validate_seconds = 0;
+  double validate_rss_growth_mb = 0;  // ru_maxrss growth across validate()
+  std::uint64_t tree_edges = 0;
+  bool valid = false;
+};
+
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
+PassesRun run_passes() {
+  const graph::EdgeList edges = graph::gnm(kPassesN, kPassesN, 11);
+  core::DynamicForest forest({.n = kPassesN, .m_cap = 2 * kPassesN});
+  forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
+  PassesRun out;
+  out.preprocess_seconds =
+      bench::timed_seconds([&] { forest.preprocess(edges); });
+  const double before = peak_rss_mb();
+  out.validate_seconds =
+      bench::timed_seconds([&] { out.valid = forest.validate(); });
+  out.validate_rss_growth_mb = peak_rss_mb() - before;
+  out.tree_edges = forest.tree_edges().size();
   return out;
 }
 
@@ -468,6 +509,40 @@ int main(int argc, char** argv) {
   bench::JsonReport json("micro");
   bool ok = true;
 
+  // Size the wide pool to the machine instead of a hardcoded 8: CI
+  // runners and dev boxes differ, and the trend gate compares wall-clock
+  // only between runs with the same core count (emitted below).
+  const unsigned detected = std::thread::hardware_concurrency();
+  const unsigned cores = detected == 0 ? 8 : detected;
+
+  // --- Whole-state passes: preprocess and validate() at n = 2^18 -------
+  {
+    const PassesRun r = run_passes();
+    const bool pinned = r.tree_edges == kPassesTreeEdges;
+    std::printf("\n=== whole-state passes: gnm(n, n), n=%zu, serial ===\n",
+                kPassesN);
+    std::printf("preprocess %.3f s, validate %.3f s, peak RSS +%.1f MiB "
+                "across validate, %llu tree records, valid %s\n",
+                r.preprocess_seconds, r.validate_seconds,
+                r.validate_rss_growth_mb,
+                static_cast<unsigned long long>(r.tree_edges),
+                r.valid ? "yes" : "NO");
+    if (!r.valid || !pinned) {
+      std::fprintf(stderr, "WHOLE-STATE PASS VIOLATION: %s\n",
+                   r.valid ? "tree-record count differs from the pinned one"
+                           : "validate() failed");
+      ok = false;
+    }
+    json.row("preprocess_validate_n262144")
+        .u64("cores", cores)
+        .num("wall_seconds", r.preprocess_seconds + r.validate_seconds)
+        .num("preprocess_s", r.preprocess_seconds)
+        .num("validate_s", r.validate_seconds)
+        .num("validate_rss_growth_mb", r.validate_rss_growth_mb)
+        .u64("tree_records", r.tree_edges)
+        .flag("within_budget", r.valid && pinned);
+  }
+
   // --- Executor round dispatch ------------------------------------------
   std::printf("\n=== executor round dispatch (ns/round) ===\n");
   std::printf("%-10s %14s %14s\n", "count", "serial", "pool(4)");
@@ -496,12 +571,6 @@ int main(int argc, char** argv) {
       graph::bridge_adversary_stream(kForestN,
                                      (kForestN - 1) + kForestUpdates + 1, 0,
                                      1, /*weighted=*/true, 1000));
-
-  // Size the wide pool to the machine instead of a hardcoded 8: CI
-  // runners and dev boxes differ, and the trend gate compares wall-clock
-  // only between runs with the same core count (emitted below).
-  const unsigned detected = std::thread::hardware_concurrency();
-  const unsigned cores = detected == 0 ? 8 : detected;
 
   const ForestRun serial = run_forest(
       std::make_shared<dmpc::SerialExecutor>(), stream);

@@ -267,7 +267,7 @@ void for_each_path_slot(const Shard& es, const Log* log,
       const std::size_t i = kept[k];
       ChildInterval c;
       std::span<const PathProbe> run;
-      if (log == nullptr) {
+      if (log == nullptr) {  // load-bearing (see "The pending log")
         run = probes.of(es.comp[i]);
         if (run.empty()) continue;
         c = child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
@@ -417,6 +417,17 @@ void DynamicForest::journal_rollback() {
 // ---------------------------------------------------------------------------
 // The pending log
 // ---------------------------------------------------------------------------
+//
+// The empty-log fast paths are load-bearing, not leftovers.  Every read
+// that resolves records through the log first asks whether the log is
+// empty and, if so, reads the records as stored: the `log == nullptr`
+// branches of for_each_path_slot, `pending_.empty()` in current_edge,
+// `pending ?` in the cascade's round A, and the two ProbeSet::map_back
+// sites (the path-max and query-batch probes).  A build with these
+// deleted (current_vertex's own guard kept) lost all six alternating 8 s
+// e2e `serve` pairs (seeds 11-16) on a shared 4-core container: ops_per_s
+// fell from 518-560k to 427-482k and query_p50_us rose from 406-446 to
+// 484-551.  Remove one only with a measurement.
 
 void DynamicForest::PendingLog::reset(std::uint32_t gen, Word first_new) {
   generation = gen;
@@ -569,7 +580,7 @@ DynamicForest::EdgeRec DynamicForest::PendingLog::current(
 DynamicForest::EdgeRec DynamicForest::current_edge(MachineId m,
                                                    std::size_t s) const {
   const EdgeShard& es = machines_[m].edges;
-  if (pending_.empty()) return es.get(s);
+  if (pending_.empty()) return es.get(s);  // load-bearing (see above)
   PendingLog::Cursor cursor(pending_);
   const etour::ComposedMap* cm = cursor.of(es, s);
   return pending_.current(es, s, cm, pending_.first_entry(es, s, cm));
@@ -711,16 +722,16 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
     }
   }
 
-  // Build one E-tour per non-singleton component, rooted at the smallest
-  // vertex, and record every vertex's component id and first appearance.
-  // The per-root builds are independent, so they run on the installed
-  // executor; every tree edge and vertex belongs to exactly one root, so
-  // the parallel writes are disjoint and the root-order merge below is
-  // deterministic whichever executor ran them.
+  // Build one E-tour per non-singleton component, rooted at its DSU
+  // representative, and record every vertex's component id and first
+  // appearance, and every tree edge's indexes under its child endpoint
+  // (the one a tour enters second).  The per-root builds are independent,
+  // so they run on the installed executor; every tree edge and vertex
+  // belongs to exactly one root, so the parallel writes are disjoint and
+  // whichever executor ran them leaves the same arrays.
   std::vector<Word> comp_of(config_.n);
   std::vector<Word> first_idx(config_.n, etour::kNoIndex);
-  std::map<EdgeKey, etour::EdgeIndexes> tree_idx;
-  std::map<Word, Word> comp_size;
+  std::vector<etour::EdgeIndexes> parent_edge_idx(config_.n);
   for (VertexId v = 0; v < static_cast<VertexId>(config_.n); ++v) {
     const std::size_t root = dsu.find(static_cast<std::size_t>(v));
     comp_of[static_cast<std::size_t>(v)] = static_cast<Word>(root);
@@ -729,28 +740,20 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
   for (VertexId root = 0; root < static_cast<VertexId>(config_.n); ++root) {
     if (comp_of[static_cast<std::size_t>(root)] == root) roots.push_back(root);
   }
-  struct RootBuild {
-    std::vector<std::pair<EdgeKey, etour::EdgeIndexes>> tree_idx;
-    Word size = 1;
-  };
-  std::vector<RootBuild> built(roots.size());
+  std::vector<Word> comp_size(roots.size(), 1);
   exec().run(roots.size(), [&](std::size_t r) {
     const auto tour = etour::build_tour(tree_adj, roots[r]);
     if (tour.empty()) return;  // singleton, size stays 1
-    RootBuild& rb = built[r];
+    comp_size[r] = etour::tree_size(static_cast<Word>(tour.size()));
+    for (std::size_t i = 0; i < tour.size(); ++i) {
+      Word& fi = first_idx[static_cast<std::size_t>(tour[i])];
+      if (fi == etour::kNoIndex) fi = static_cast<Word>(i + 1);
+    }
     for (const auto& [key, idx] : etour::indexes_from_tour(tour)) {
-      rb.tree_idx.emplace_back(key, idx);
+      const VertexId child = idx.u1 < idx.v1 ? key.v : key.u;
+      parent_edge_idx[static_cast<std::size_t>(child)] = idx;
     }
-    std::set<VertexId> members(tour.begin(), tour.end());
-    for (const auto& [w, fi] : etour::first_indexes_of_tour(tour)) {
-      first_idx[static_cast<std::size_t>(w)] = fi;
-    }
-    rb.size = static_cast<Word>(members.size());
   });
-  for (std::size_t r = 0; r < roots.size(); ++r) {
-    for (const auto& [key, idx] : built[r].tree_idx) tree_idx[key] = idx;
-    comp_size[roots[r]] = built[r].size;
-  }
 
   // Distribute the records (memory-charged), replacing the initial
   // singleton directory.
@@ -765,12 +768,12 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
       cluster_->memory(dir_machine(v)).release(kDirRecWords);
     }
   }
-  for (const auto& [comp, size] : comp_size) {
-    machines_[dir_machine(comp)].comp_sizes[comp] = size;
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    machines_[dir_machine(roots[r])].comp_sizes[roots[r]] = comp_size[r];
   }
   // Each machine installs its own bucket of edge records (pure reads of
-  // comp_of / tree_idx / first_idx, writes only to its own shard and
-  // memory meter), so the distribution parallelizes; per-machine
+  // comp_of / first_idx / parent_edge_idx, writes only to its own shard
+  // and memory meter), so the distribution parallelizes; per-machine
   // insertion order is input order either way.
   std::vector<std::vector<std::size_t>> edges_by_machine(machines_.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -789,7 +792,11 @@ void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
       rec.tree = is_tree[i];
       rec.w = e.w;
       if (rec.tree) {
-        const etour::EdgeIndexes& idx = tree_idx.at(key);
+        // Its child endpoint is the one the tour enters later.
+        const auto u = static_cast<std::size_t>(key.u);
+        const auto v = static_cast<std::size_t>(key.v);
+        const etour::EdgeIndexes& idx =
+            parent_edge_idx[first_idx[u] < first_idx[v] ? v : u];
         rec.iu1 = idx.u1;
         rec.iu2 = idx.u2;
         rec.iv1 = idx.v1;
@@ -1018,6 +1025,7 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // one pass over its shard and sends the nonzero sums to the
   // coordinators.
   ProbeSet probe_set(std::move(probes));
+  // Load-bearing empty-log fast path (see "The pending log").
   const PendingLog* log = pending_.empty() ? nullptr : &pending_;
   if (log != nullptr) probe_set.map_back(*log);
   const std::size_t num_paths = paths.size();
@@ -1473,6 +1481,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       probes.push_back({op.cx, vert_idx.at(op.x), vert_idx.at(op.y), k});
     }
     ProbeSet probe_set(std::move(probes));
+    // Load-bearing empty-log fast path (see "The pending log").
     const PendingLog* log = pending_.empty() ? nullptr : &pending_;
     if (log != nullptr) probe_set.map_back(*log);
     std::vector<std::vector<std::optional<EdgeRec>>> pmc(
@@ -1692,6 +1701,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
     std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
+    // Load-bearing empty-log fast path (see "The pending log").
     const bool pending = !pending_.empty();
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;
@@ -2191,23 +2201,27 @@ void DynamicForest::erase(VertexId x, VertexId y) {
 
 std::vector<VertexId> DynamicForest::component_snapshot() const {
   // Vertices are partitioned across machines, so the per-machine fills
-  // write disjoint elements of `raw` and run on the installed executor.
-  std::vector<Word> raw(config_.n);
+  // write disjoint elements of `members` and run on the installed
+  // executor.
+  std::vector<std::pair<Word, VertexId>> members(config_.n);
   const std::size_t mu = machines_.size();
   exec().run(mu, [&](std::size_t m) {
     for (std::size_t j = 0; j < machines_[m].vertices.size(); ++j) {
-      raw[j * mu + m] = current_vertex(static_cast<VertexId>(j * mu + m)).comp;
+      const auto v = static_cast<VertexId>(j * mu + m);
+      members[static_cast<std::size_t>(v)] = {current_vertex(v).comp, v};
     }
   });
-  // Canonicalize to the smallest member vertex id.
-  std::map<Word, VertexId> smallest;
-  for (std::size_t v = 0; v < raw.size(); ++v) {
-    auto [it, inserted] =
-        smallest.emplace(raw[v], static_cast<VertexId>(v));
-    if (!inserted) it->second = std::min(it->second, static_cast<VertexId>(v));
-  }
+  // Canonicalize to the smallest member vertex id: sorted by (comp, v),
+  // each component's run starts at it.
+  std::sort(members.begin(), members.end());
   std::vector<VertexId> out(config_.n);
-  for (std::size_t v = 0; v < raw.size(); ++v) out[v] = smallest[raw[v]];
+  VertexId smallest = 0;
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    if (j == 0 || members[j].first != members[j - 1].first) {
+      smallest = members[j].second;
+    }
+    out[static_cast<std::size_t>(members[j].second)] = smallest;
+  }
   return out;
 }
 
@@ -2249,144 +2263,164 @@ bool DynamicForest::validate(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
-  // Phase 1 (pooled, per machine): each machine flattens its shard into
-  // plain vectors.  The serial machine-order merge below rebuilds the
-  // same global maps whichever executor ran the collection, so the
-  // verdict — and the failure message — is byte-identical under
-  // SerialExecutor and ThreadPoolExecutor.
-  struct MachinePart {
-    std::vector<std::pair<Word, std::pair<EdgeKey, etour::EdgeIndexes>>> tree;
-    std::vector<EdgeRec> nontree;
+  const std::size_t mu = machines_.size();
+  // Phase 1 (pooled, per machine): every vertex's current record and
+  // component, and every tree record's current component, key and
+  // indexes.
+  struct TreeRec {
+    Word comp;
+    EdgeKey key;
+    etour::EdgeIndexes idx;
   };
-  std::vector<MachinePart> parts(machines_.size());
-  exec().run(machines_.size(), [&](std::size_t m) {
-    MachinePart& pt = parts[m];
-    for (std::size_t i = 0; i < machines_[m].edges.size(); ++i) {
+  std::vector<VertexRec> vrecs(config_.n);
+  std::vector<std::pair<Word, VertexId>> members(config_.n);  // (comp, v)
+  std::vector<std::vector<TreeRec>> parts(mu);
+  exec().run(mu, [&](std::size_t m) {
+    const MachineState& ms = machines_[m];
+    for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
+      const std::size_t v = j * mu + m;
+      vrecs[v] = current_vertex(static_cast<VertexId>(v));
+      members[v] = {vrecs[v].comp, static_cast<VertexId>(v)};
+    }
+    for (std::size_t i = 0; i < ms.edges.size(); ++i) {
+      if (ms.edges.tree[i] == 0) continue;
       const EdgeRec rec = current_edge(static_cast<MachineId>(m), i);
-      if (rec.tree) {
-        pt.tree.emplace_back(
-            rec.comp,
-            std::pair{EdgeKey(rec.u, rec.v),
-                      etour::EdgeIndexes{rec.iu1, rec.iu2, rec.iv1, rec.iv2}});
-      } else {
-        pt.nontree.push_back(rec);
-      }
+      parts[m].push_back({rec.comp, EdgeKey(rec.u, rec.v),
+                          {rec.iu1, rec.iu2, rec.iv1, rec.iv2}});
     }
   });
-  std::map<Word, std::map<EdgeKey, etour::EdgeIndexes>> comp_edges;
-  std::map<Word, std::set<VertexId>> comp_members;
-  std::vector<VertexRec> vrecs(config_.n);
-  std::map<Word, Word> dir;
-  std::vector<EdgeRec> nontree;
-  for (std::size_t m = 0; m < machines_.size(); ++m) {
-    for (const auto& [comp, edge] : parts[m].tree) {
-      comp_edges[comp][edge.first] = edge.second;
-    }
-    nontree.insert(nontree.end(), parts[m].nontree.begin(),
-                   parts[m].nontree.end());
-    for (std::size_t j = 0; j < machines_[m].vertices.size(); ++j) {
-      const auto v = static_cast<VertexId>(j * machines_.size() + m);
-      const VertexRec rec = current_vertex(v);
-      vrecs[static_cast<std::size_t>(v)] = rec;
-      comp_members[rec.comp].insert(v);
-    }
-    for (const auto& [c, s] : machines_[m].comp_sizes) dir[c] = s;
+  // Merged in machine-then-slot order and sorted by (comp, key); a
+  // repeated (comp, key) keeps its last record.
+  std::vector<TreeRec> tree;
+  for (const std::vector<TreeRec>& p : parts) {
+    tree.insert(tree.end(), p.begin(), p.end());
   }
+  parts.clear();
+  auto key_less = [](const TreeRec& a, const TreeRec& b) {
+    return std::tie(a.comp, a.key) < std::tie(b.comp, b.key);
+  };
+  std::stable_sort(tree.begin(), tree.end(), key_less);
+  auto same_key = [](const TreeRec& a, const TreeRec& b) {
+    return std::tie(a.comp, a.key) == std::tie(b.comp, b.key);
+  };
+  tree.erase(tree.begin(),
+             std::unique(tree.rbegin(), tree.rend(), same_key).base());
 
-  // Phase 2 (pooled, per component): the full-tour walks are independent
-  // pure reads of the merged maps.  Failures surface in component order —
-  // the order the serial walk would have hit them.
-  std::vector<const std::pair<const Word, std::set<VertexId>>*> comps;
-  comps.reserve(comp_members.size());
-  for (const auto& entry : comp_members) comps.push_back(&entry);
+  // The components: sorted by (comp, v), the vertices form one run per
+  // component in component order, each with a tour slice of its
+  // E-length in one flat array (kNoVertex: no entry yet).
+  std::sort(members.begin(), members.end());
+  struct Comp {
+    Word id = 0;
+    std::size_t begin = 0, end = 0;  // its run of `members`
+    Word elen = 0;
+    std::size_t tour = 0;  // its slice's offset in `tours`
+  };
+  std::vector<Comp> comps;
+  std::size_t tours_len = 0;
+  for (std::size_t b = 0, e = 0; b < members.size(); b = e) {
+    while (e < members.size() && members[e].first == members[b].first) ++e;
+    const Word elen = etour::elength(static_cast<Word>(e - b));
+    comps.push_back({members[b].first, b, e, elen, tours_len});
+    tours_len += static_cast<std::size_t>(elen);
+  }
+  std::vector<VertexId> tours(tours_len, dmpc::kNoVertex);
+
+  // Phase 2 (pooled, per component): each fills and walks its own slice.
+  // Failures surface in component order.
   std::vector<std::optional<std::string>> comp_err(comps.size());
-  std::vector<std::map<VertexId, std::set<Word>>> comp_apps(comps.size());
   exec().run(comps.size(), [&](std::size_t c) {
-    const Word comp = comps[c]->first;
-    const std::set<VertexId>& members = comps[c]->second;
+    const Comp& cc = comps[c];
     auto err = [&](std::string msg) { comp_err[c] = std::move(msg); };
-    const auto dit = dir.find(comp);
+    const auto& dir = machines_[dir_machine(cc.id)].comp_sizes;
+    const auto dit = dir.find(cc.id);
     if (dit == dir.end()) return err("missing directory entry");
-    if (dit->second != static_cast<Word>(members.size())) {
+    if (dit->second != static_cast<Word>(cc.end - cc.begin)) {
       return err("directory size mismatch for component " +
-                 std::to_string(comp));
+                 std::to_string(cc.id));
     }
-    const Word elen = etour::elength(static_cast<Word>(members.size()));
-    std::map<Word, VertexId> tour;
-    const auto eit = comp_edges.find(comp);
-    if (members.size() == 1) {
-      if (eit != comp_edges.end()) return err("singleton with tree edges");
-      const VertexRec& vr = vrecs[static_cast<std::size_t>(*members.begin())];
-      if (vr.cached_idx != etour::kNoIndex) {
+    const auto [first, last] = std::equal_range(
+        tree.begin(), tree.end(), TreeRec{cc.id, EdgeKey(0, 0), {}},
+        [](const TreeRec& a, const TreeRec& b) { return a.comp < b.comp; });
+    if (cc.end - cc.begin == 1) {
+      if (first != last) return err("singleton with tree edges");
+      const VertexId v = members[cc.begin].second;
+      if (vrecs[static_cast<std::size_t>(v)].cached_idx != etour::kNoIndex) {
         return err("singleton with a cached tour index");
       }
       return;
     }
-    if (eit == comp_edges.end()) return err("component without tree edges");
-    std::map<VertexId, std::set<Word>>& appearances = comp_apps[c];
-    for (const auto& [key, idx] : eit->second) {
-      for (auto [w, i] : {std::pair{key.u, idx.u1}, std::pair{key.u, idx.u2},
-                          std::pair{key.v, idx.v1}, std::pair{key.v, idx.v2}}) {
+    if (first == last) return err("component without tree edges");
+    const Word elen = cc.elen;
+    VertexId* seq = tours.data() + cc.tour;
+    for (auto it = first; it != last; ++it) {
+      for (auto [w, i] : {std::pair{it->key.u, it->idx.u1},
+                          std::pair{it->key.u, it->idx.u2},
+                          std::pair{it->key.v, it->idx.v1},
+                          std::pair{it->key.v, it->idx.v2}}) {
         if (i < 1 || i > elen) return err("tour index out of range");
-        if (!tour.emplace(i, w).second) return err("duplicate tour index");
-        appearances[w].insert(i);
+        if (seq[i - 1] != dmpc::kNoVertex) return err("duplicate tour index");
+        seq[i - 1] = w;
       }
     }
-    if (static_cast<Word>(tour.size()) != elen) {
-      return err("tour incomplete for component " + std::to_string(comp));
+    if (4 * (last - first) != elen) {
+      return err("tour incomplete for component " + std::to_string(cc.id));
     }
     // Closed-walk property.
-    std::vector<VertexId> seq;
-    seq.reserve(static_cast<std::size_t>(elen));
-    for (const auto& [i, w] : tour) seq.push_back(w);
-    if (seq.front() != seq.back()) return err("tour not closed");
-    for (std::size_t k = 1; 2 * k < seq.size(); ++k) {
+    if (seq[0] != seq[elen - 1]) return err("tour not closed");
+    for (Word k = 1; 2 * k < elen; ++k) {
       if (seq[2 * k - 1] != seq[2 * k]) return err("tour walk broken");
     }
-    for (std::size_t k = 0; 2 * k + 1 < seq.size(); ++k) {
-      const EdgeKey kk(seq[2 * k], seq[2 * k + 1]);
-      if (eit->second.count(kk) == 0) {
+    for (Word k = 0; 2 * k + 1 < elen; ++k) {
+      const TreeRec walked{cc.id, EdgeKey(seq[2 * k], seq[2 * k + 1]), {}};
+      if (!std::binary_search(first, last, walked, key_less)) {
         return err("tour traverses a non-tree edge");
       }
     }
-    // Every member vertex appears, and cached indexes are genuine
-    // appearances.
-    for (VertexId v : members) {
-      const auto ait = appearances.find(v);
-      if (ait == appearances.end()) {
+    // Every member's cached index is a genuine appearance; one that is
+    // not either is missing from the tour or has a stale index.
+    for (std::size_t j = cc.begin; j < cc.end; ++j) {
+      const VertexId v = members[j].second;
+      const Word ci = vrecs[static_cast<std::size_t>(v)].cached_idx;
+      if (ci >= 1 && ci <= elen && seq[ci - 1] == v) continue;
+      if (std::find(seq, seq + elen, v) == seq + elen) {
         return err("vertex " + std::to_string(v) + " missing from tour");
       }
-      const VertexRec& vr = vrecs[static_cast<std::size_t>(v)];
-      if (ait->second.count(vr.cached_idx) == 0) {
-        return err("stale cached index for vertex " + std::to_string(v));
-      }
+      return err("stale cached index for vertex " + std::to_string(v));
     }
   });
-  std::map<VertexId, std::set<Word>> global_appearances;
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    if (comp_err[c].has_value()) return fail(*comp_err[c]);
-    // Vertices belong to exactly one component, so the merge is disjoint.
-    global_appearances.merge(comp_apps[c]);
+  for (const std::optional<std::string>& e : comp_err) {
+    if (e.has_value()) return fail(*e);
   }
 
-  // Phase 3 (pooled, per non-tree record): component consistency and
-  // cached-appearance checks (a stale cached index would silently corrupt
-  // a future split's crossing detection, so this is the load-bearing
-  // invariant).  First failure in machine-then-slot order, as before.
-  std::vector<std::optional<std::string>> nt_err(nontree.size());
-  exec().run(nontree.size(), [&](std::size_t i) {
-    const EdgeRec& rec = nontree[i];
-    if (vrecs[static_cast<std::size_t>(rec.u)].comp != rec.comp ||
-        vrecs[static_cast<std::size_t>(rec.v)].comp != rec.comp) {
-      nt_err[i] = "non-tree record with inconsistent component";
-      return;
-    }
-    const auto au = global_appearances.find(rec.u);
-    const auto av = global_appearances.find(rec.v);
-    if (au == global_appearances.end() || au->second.count(rec.iu1) == 0 ||
-        av == global_appearances.end() || av->second.count(rec.iv1) == 0) {
-      nt_err[i] = "stale cached index on non-tree edge (" +
-                  std::to_string(rec.u) + "," + std::to_string(rec.v) + ")";
+  // Phase 3 (pooled, per machine): non-tree records' component
+  // consistency and cached appearances (a stale cached index would
+  // silently corrupt a future split's crossing detection, so this is the
+  // load-bearing invariant).  First failure in machine-then-slot order.
+  auto appears = [&](VertexId v, Word idx) {
+    const Word comp = vrecs[static_cast<std::size_t>(v)].comp;
+    const Comp& cc = *std::lower_bound(
+        comps.begin(), comps.end(), comp,
+        [](const Comp& a, Word id) { return a.id < id; });
+    return idx >= 1 && idx <= cc.elen &&
+           tours[cc.tour + static_cast<std::size_t>(idx) - 1] == v;
+  };
+  std::vector<std::optional<std::string>> nt_err(mu);
+  exec().run(mu, [&](std::size_t m) {
+    const EdgeShard& es = machines_[m].edges;
+    for (std::size_t i = 0; i < es.size(); ++i) {
+      if (es.tree[i] != 0) continue;
+      const EdgeRec rec = current_edge(static_cast<MachineId>(m), i);
+      if (vrecs[static_cast<std::size_t>(rec.u)].comp != rec.comp ||
+          vrecs[static_cast<std::size_t>(rec.v)].comp != rec.comp) {
+        nt_err[m] = "non-tree record with inconsistent component";
+        return;
+      }
+      if (!appears(rec.u, rec.iu1) || !appears(rec.v, rec.iv1)) {
+        nt_err[m] = "stale cached index on non-tree edge (" +
+                    std::to_string(rec.u) + "," + std::to_string(rec.v) + ")";
+        return;
+      }
     }
   });
   for (const std::optional<std::string>& e : nt_err) {

@@ -238,6 +238,9 @@ class DynamicForest {
   [[nodiscard]] bool validate(std::string* why = nullptr) const;
 
  private:
+  // The validate() rejection tests corrupt records through this.
+  friend struct DynamicForestTestAccess;
+
   /// S = kMemorySlack * sqrt(N) + 256 words per machine.
   static constexpr double kMemorySlack = 32;
 

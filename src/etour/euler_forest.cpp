@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "etour/tour_builder.hpp"
+
 namespace etour {
 namespace {
 
@@ -401,41 +403,9 @@ void EulerForest::add_tree_from_tour(const std::vector<VertexId>& tour_seq) {
                                   " is not a singleton");
     }
   }
-  // Walk consistency: the entry closing one traversal starts the next.
-  for (std::size_t k = 1; 2 * k < len; ++k) {
-    if (tour_seq[2 * k - 1] != tour_seq[2 * k]) {
-      throw std::invalid_argument("tour is not a closed walk");
-    }
-  }
-  // Collect each edge's four indexes.
-  std::map<EdgeKey, std::vector<std::pair<VertexId, Word>>> entries;
-  for (std::size_t k = 0; 2 * k + 1 < len; ++k) {
-    const VertexId a = tour_seq[2 * k];
-    const VertexId b = tour_seq[2 * k + 1];
-    if (a == b) throw std::invalid_argument("self-loop traversal in tour");
-    const EdgeKey key(a, b);
-    entries[key].push_back({a, static_cast<Word>(2 * k + 1)});
-    entries[key].push_back({b, static_cast<Word>(2 * k + 2)});
-  }
+  // The walk, and each edge's four indexes.
   const Word root_comp = comp_[static_cast<std::size_t>(tour_seq.front())];
-  for (const auto& [key, list] : entries) {
-    if (list.size() != 4) {
-      throw std::invalid_argument("edge traversed " +
-                                  std::to_string(list.size() / 2) +
-                                  " times (expected 2)");
-    }
-    EdgeIndexes idx;
-    int u_seen = 0, v_seen = 0;
-    for (const auto& [w, i] : list) {
-      if (w == key.u) {
-        (u_seen++ == 0 ? idx.u1 : idx.u2) = i;
-      } else {
-        (v_seen++ == 0 ? idx.v1 : idx.v2) = i;
-      }
-    }
-    if (u_seen != 2 || v_seen != 2) {
-      throw std::invalid_argument("unbalanced edge traversals");
-    }
+  for (const auto& [key, idx] : indexes_from_tour(tour_seq)) {
     edges_[key] = idx;
     tree_adj_[static_cast<std::size_t>(key.u)].push_back(key.v);
     tree_adj_[static_cast<std::size_t>(key.v)].push_back(key.u);

@@ -1,5 +1,6 @@
 #include "etour/tour_builder.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace etour {
@@ -41,7 +42,7 @@ std::vector<VertexId> build_tour(
   return seq;
 }
 
-std::map<EdgeKey, EdgeIndexes> indexes_from_tour(
+std::vector<std::pair<EdgeKey, EdgeIndexes>> indexes_from_tour(
     const std::vector<VertexId>& tour_seq) {
   const std::size_t len = tour_seq.size();
   if (len % 4 != 0) {
@@ -56,42 +57,37 @@ std::map<EdgeKey, EdgeIndexes> indexes_from_tour(
       throw std::invalid_argument("tour is not a closed walk");
     }
   }
-  std::map<EdgeKey, std::vector<std::pair<VertexId, Word>>> entries;
+  // Traversal k covers entries 2k+1 and 2k+2.  Sorted by (edge, k), each
+  // edge's traversals sit together in tour order.
+  std::vector<std::pair<EdgeKey, std::size_t>> traversals;
+  traversals.reserve(len / 2);
   for (std::size_t k = 0; 2 * k + 1 < len; ++k) {
     const VertexId a = tour_seq[2 * k];
     const VertexId b = tour_seq[2 * k + 1];
     if (a == b) throw std::invalid_argument("self-loop traversal in tour");
-    const EdgeKey key(a, b);
-    entries[key].push_back({a, static_cast<Word>(2 * k + 1)});
-    entries[key].push_back({b, static_cast<Word>(2 * k + 2)});
+    traversals.emplace_back(EdgeKey(a, b), k);
   }
-  std::map<EdgeKey, EdgeIndexes> out;
-  for (const auto& [key, list] : entries) {
-    if (list.size() != 4) {
+  std::sort(traversals.begin(), traversals.end());
+  std::vector<std::pair<EdgeKey, EdgeIndexes>> out;
+  out.reserve(traversals.size() / 2);
+  for (std::size_t t = 0; t < traversals.size(); t += 2) {
+    const EdgeKey key = traversals[t].first;
+    if (t + 1 == traversals.size() || traversals[t + 1].first != key ||
+        (t + 2 < traversals.size() && traversals[t + 2].first == key)) {
       throw std::invalid_argument("edge not traversed exactly twice");
     }
-    EdgeIndexes idx;
-    int u_seen = 0, v_seen = 0;
-    for (const auto& [w, i] : list) {
-      if (w == key.u) {
-        (u_seen++ == 0 ? idx.u1 : idx.u2) = i;
-      } else {
-        (v_seen++ == 0 ? idx.v1 : idx.v2) = i;
-      }
-    }
-    if (u_seen != 2 || v_seen != 2) {
+    // A tree's edge is walked once each way, so an endpoint that leads
+    // one traversal trails the other.
+    const std::size_t k1 = traversals[t].second;
+    const std::size_t k2 = traversals[t + 1].second;
+    if (tour_seq[2 * k1] == tour_seq[2 * k2]) {
       throw std::invalid_argument("unbalanced edge traversals");
     }
-    out[key] = idx;
-  }
-  return out;
-}
-
-std::map<VertexId, Word> first_indexes_of_tour(
-    const std::vector<VertexId>& tour_seq) {
-  std::map<VertexId, Word> out;
-  for (std::size_t i = 0; i < tour_seq.size(); ++i) {
-    out.emplace(tour_seq[i], static_cast<Word>(i + 1));  // keeps the first
+    const auto i1 = static_cast<Word>(2 * k1 + 1);
+    const auto i2 = static_cast<Word>(2 * k2 + 1);
+    out.emplace_back(key, tour_seq[2 * k1] == key.u
+                              ? EdgeIndexes{i1, i2 + 1, i1 + 1, i2}
+                              : EdgeIndexes{i1 + 1, i2, i1, i2 + 1});
   }
   return out;
 }

@@ -2,7 +2,7 @@
 // sequences into per-edge index quadruples.
 #pragma once
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "etour/euler_forest.hpp"
@@ -16,13 +16,9 @@ std::vector<VertexId> build_tour(
     const std::vector<std::vector<VertexId>>& tree_adj, VertexId root);
 
 /// Parses a tour sequence into the per-edge index quadruples that both the
-/// reference EulerForest and the distributed algorithm store.  Throws on a
-/// malformed tour.
-std::map<EdgeKey, EdgeIndexes> indexes_from_tour(
-    const std::vector<VertexId>& tour_seq);
-
-/// First appearance of every vertex in a tour sequence (1-based indexes).
-std::map<VertexId, Word> first_indexes_of_tour(
+/// reference EulerForest and the distributed algorithm store, sorted by
+/// edge key.  Throws on a malformed tour.
+std::vector<std::pair<EdgeKey, EdgeIndexes>> indexes_from_tour(
     const std::vector<VertexId>& tour_seq);
 
 }  // namespace etour

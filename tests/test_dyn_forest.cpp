@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/dyn_forest.hpp"
@@ -19,6 +24,67 @@
 #include "graph/update_stream.hpp"
 #include "oracle/oracles.hpp"
 #include "test_util.hpp"
+
+namespace core {
+
+// Test-only access to a forest's stored records (the friend declared in
+// dyn_forest.hpp), so the validate() rejection suite can corrupt one
+// invariant at a time.  The suite edits only records the pending log has
+// not moved, so a stored value is the value validate() reads; each
+// accessor checks that.
+struct DynamicForestTestAccess {
+  using EdgeRec = DynamicForest::EdgeRec;
+  using VertexRec = DynamicForest::VertexRec;
+
+  static EdgeRec edge(const DynamicForest& f, VertexId u, VertexId v) {
+    const MachineId m = f.edge_machine(u, v);
+    const auto s = static_cast<std::size_t>(
+        f.machines_[m].edges.find(f.edge_key(u, v)));
+    const EdgeRec stored = f.machines_[m].edges.get(s);
+    const EdgeRec current = f.current_edge(m, s);
+    EXPECT_TRUE(stored.comp == current.comp && stored.iu1 == current.iu1 &&
+                stored.iu2 == current.iu2 && stored.iv1 == current.iv1 &&
+                stored.iv2 == current.iv2)
+        << "edge (" << u << "," << v << ") was moved by the pending log";
+    return stored;
+  }
+  // Overwrites the record stored under edge (u, v)'s key.
+  static void set_edge(DynamicForest& f, VertexId u, VertexId v,
+                       const EdgeRec& r) {
+    const MachineId m = f.edge_machine(u, v);
+    DynamicForest::EdgeShard& es = f.machines_[m].edges;
+    const auto s = static_cast<std::size_t>(es.find(f.edge_key(u, v)));
+    es.u[s] = r.u;
+    es.v[s] = r.v;
+    es.comp[s] = r.comp;
+    es.tree[s] = r.tree ? 1 : 0;
+    es.iu1[s] = r.iu1;
+    es.iu2[s] = r.iu2;
+    es.iv1[s] = r.iv1;
+    es.iv2[s] = r.iv2;
+  }
+  static VertexRec& vertex(DynamicForest& f, VertexId v) {
+    VertexRec& stored =
+        f.machines_[f.vertex_machine(v)].vertices[f.vertex_slot(v)];
+    const VertexRec current = f.current_vertex(v);
+    EXPECT_TRUE(stored.comp == current.comp &&
+                stored.cached_idx == current.cached_idx)
+        << "vertex " << v << " was moved by the pending log";
+    return stored;
+  }
+  // v's current component (the pending log may have moved it).
+  static Word comp(const DynamicForest& f, VertexId v) {
+    return f.current_vertex(v).comp;
+  }
+  // The directory shard that holds component comp's size.
+  static std::unordered_map<Word, Word>& directory(DynamicForest& f,
+                                                   Word comp) {
+    return f.machines_[f.dir_machine(comp)].comp_sizes;
+  }
+  static bool log_empty(const DynamicForest& f) { return f.pending_.empty(); }
+};
+
+}  // namespace core
 
 namespace {
 
@@ -271,5 +337,185 @@ TEST(DynMstApprox, BucketedPreprocessingWithinOnePlusEps) {
   EXPECT_LE(static_cast<double>(approx),
             (1.0 + eps) * static_cast<double>(exact) + 1e-9);
 }
+
+// --- validate() rejects each broken invariant --------------------------
+
+// A singleton 0, a path A = 1-2-3-4, a path B = 5-6-7-8 (rooted at 5, so
+// its tour is 5 6 6 7 7 8 8 7 7 6 6 5) with the non-tree chord (5,7), an
+// edge C = 9-10 rooted at 9, and singletons 11..15.  With `pending`, a
+// batch then splits A at (2,3) and joins both halves to singletons, which
+// leaves the pending log non-empty.  B, C and the singletons keep their
+// base records either way.
+std::unique_ptr<DynamicForest> rejection_forest(bool pending) {
+  auto forest =
+      std::make_unique<DynamicForest>(DynForestConfig{.n = 16, .m_cap = 32});
+  forest->preprocess(graph::EdgeList{
+      {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}, {7, 8}, {5, 7}, {9, 10}});
+  if (pending) {
+    const std::vector<Update> batch = {{UpdateKind::kDelete, 2, 3},
+                                       {UpdateKind::kInsert, 4, 11},
+                                       {UpdateKind::kInsert, 1, 12}};
+    forest->apply_batch(std::span<const Update>(batch));
+  }
+  return forest;
+}
+
+using Access = core::DynamicForestTestAccess;
+
+// One corruption: breaks one invariant of a rejection_forest and returns
+// the reason validate() must give.
+struct Corruption {
+  const char* name;
+  std::function<std::string(DynamicForest&)> apply;
+};
+
+// B's tour has 4(|B| - 1) = 12 entries.
+constexpr dmpc::Word kTourB = 12;
+const std::array<std::pair<VertexId, VertexId>, 3> kTreeB = {
+    {{5, 6}, {6, 7}, {7, 8}}};
+
+std::vector<Corruption> corruptions() {
+  return {
+      {"directory entry missing",
+       [](DynamicForest& f) {
+         const dmpc::Word c = Access::comp(f, 4);
+         Access::directory(f, c).erase(c);
+         return std::string("missing directory entry");
+       }},
+      {"directory size wrong",
+       [](DynamicForest& f) {
+         const dmpc::Word c = Access::comp(f, 4);
+         ++Access::directory(f, c).at(c);
+         return "directory size mismatch for component " + std::to_string(c);
+       }},
+      {"singleton with tree edges",
+       [](DynamicForest& f) {
+         // Singleton 0's id is the smallest, so its check runs first.
+         auto r = Access::edge(f, 9, 10);
+         r.comp = Access::comp(f, 0);
+         Access::set_edge(f, 9, 10, r);
+         return std::string("singleton with tree edges");
+       }},
+      {"singleton with a cached index",
+       [](DynamicForest& f) {
+         Access::vertex(f, 15).cached_idx = 1;
+         return std::string("singleton with a cached tour index");
+       }},
+      {"component without tree edges",
+       [](DynamicForest& f) {
+         auto r = Access::edge(f, 9, 10);
+         r.comp = dmpc::Word{1} << 40;  // names no component
+         Access::set_edge(f, 9, 10, r);
+         return std::string("component without tree edges");
+       }},
+      {"index out of range",
+       [](DynamicForest& f) {
+         auto r = Access::edge(f, 6, 7);
+         r.iu1 = kTourB + 1;
+         Access::set_edge(f, 6, 7, r);
+         return std::string("tour index out of range");
+       }},
+      {"index duplicated",
+       [](DynamicForest& f) {
+         auto r = Access::edge(f, 6, 7);
+         r.iu2 = r.iu1;
+         Access::set_edge(f, 6, 7, r);
+         return std::string("duplicate tour index");
+       }},
+      {"tour incomplete",
+       [](DynamicForest& f) {
+         auto r = Access::edge(f, 7, 8);
+         r.tree = false;
+         Access::set_edge(f, 7, 8, r);
+         return "tour incomplete for component " +
+                std::to_string(Access::comp(f, 5));
+       }},
+      {"tour not closed",
+       [](DynamicForest& f) {
+         // Reverse the last traversal: the tour now ends off the root.
+         for (auto [u, v] : kTreeB) {
+           auto r = Access::edge(f, u, v);
+           if (r.iu1 == kTourB || r.iv1 == kTourB) std::swap(r.iu1, r.iv1);
+           if (r.iu2 == kTourB || r.iv2 == kTourB) std::swap(r.iu2, r.iv2);
+           Access::set_edge(f, u, v, r);
+         }
+         return std::string("tour not closed");
+       }},
+      {"tour broken",
+       [](DynamicForest& f) {
+         // Reverse (6,7)'s first traversal, which neither starts nor ends
+         // the tour: it no longer continues from where the walk stands.
+         auto r = Access::edge(f, 6, 7);
+         EXPECT_GT(std::min(r.iu1, r.iv1), 1);
+         EXPECT_LT(std::max(r.iu1, r.iv1), kTourB);
+         std::swap(r.iu1, r.iv1);
+         Access::set_edge(f, 6, 7, r);
+         return std::string("tour walk broken");
+       }},
+      {"vertex missing",
+       [](DynamicForest& f) {
+         // Relabel C's root 9 as 10: the walk stays closed along the
+         // record's own (now self-loop) key, but 9 no longer appears.
+         auto r = Access::edge(f, 9, 10);
+         EXPECT_EQ(std::min(r.iu1, r.iu2), 1);
+         r.u = 10;
+         Access::set_edge(f, 9, 10, r);
+         return std::string("vertex 9 missing from tour");
+       }},
+      {"vertex cached index stale",
+       [](DynamicForest& f) {
+         // An appearance of 8's neighbour 7.
+         Access::vertex(f, 8).cached_idx = Access::edge(f, 7, 8).iu1;
+         return std::string("stale cached index for vertex 8");
+       }},
+      {"non-tree record in the wrong component",
+       [](DynamicForest& f) {
+         auto r = Access::edge(f, 5, 7);
+         EXPECT_FALSE(r.tree);
+         r.comp = Access::comp(f, 0);
+         Access::set_edge(f, 5, 7, r);
+         return std::string("non-tree record with inconsistent component");
+       }},
+      {"non-tree cached index stale",
+       [](DynamicForest& f) {
+         // 5's cached appearance now points at one of 7's.
+         auto r = Access::edge(f, 5, 7);
+         r.iu1 = r.iv1;
+         Access::set_edge(f, 5, 7, r);
+         return std::string("stale cached index on non-tree edge (5,7)");
+       }},
+  };
+}
+
+class ValidateRejectsTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ValidateRejectsTest, EachBrokenInvariantWithItsReason) {
+  const bool pending = GetParam();
+  {
+    const auto forest = rejection_forest(pending);
+    ASSERT_EQ(Access::log_empty(*forest), !pending);
+    std::string why;
+    ASSERT_TRUE(forest->validate(&why)) << why;
+  }
+  for (const Corruption& c : corruptions()) {
+    const auto forest = rejection_forest(pending);
+    const std::string want = c.apply(*forest);
+    std::string why;
+    EXPECT_FALSE(forest->validate(&why)) << c.name;
+    EXPECT_EQ(why, want) << c.name;
+    // Every pass runs pooled too (cutoff 0: no inline rounds), with the
+    // same verdict and reason.
+    forest->cluster().set_executor(
+        std::make_shared<dmpc::ThreadPoolExecutor>(2, 0));
+    std::string pooled_why;
+    EXPECT_FALSE(forest->validate(&pooled_why)) << c.name;
+    EXPECT_EQ(pooled_why, want) << c.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(States, ValidateRejectsTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PendingLog" : "Preprocessed";
+                         });
 
 }  // namespace

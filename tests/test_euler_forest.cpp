@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "etour/euler_forest.hpp"
 #include "etour/tour_builder.hpp"
@@ -129,6 +132,29 @@ TEST(TourBuilder, SingletonTourIsEmpty) {
 TEST(TourBuilder, RejectsBrokenWalk) {
   EXPECT_THROW(etour::indexes_from_tour({0, 1, 2, 0}),
                std::invalid_argument);
+}
+
+// Every malformed-tour throw, with its reason.
+TEST(TourBuilder, RejectsEachMalformedTour) {
+  const std::vector<std::pair<std::vector<VertexId>, std::string>> cases = {
+      {{0, 1, 1}, "tour length must be a multiple of 4"},
+      {{0, 1, 1, 2}, "tour must start and end at the root"},
+      {{0, 1, 2, 0}, "tour is not a closed walk"},
+      {{0, 1, 1, 1, 1, 1, 1, 0}, "self-loop traversal in tour"},
+      // (0,1) is walked four times.
+      {{0, 1, 1, 0, 0, 1, 1, 0}, "edge not traversed exactly twice"},
+      // Twice around the triangle 0-1-2: each edge walked twice, but both
+      // times the same way, as no tree's tour walks one.
+      {{0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 0}, "unbalanced edge traversals"},
+  };
+  for (const auto& [tour, reason] : cases) {
+    try {
+      (void)etour::indexes_from_tour(tour);
+      ADD_FAILURE() << "accepted; want: " << reason;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), reason);
+    }
+  }
 }
 
 class EulerForestRandomTest : public ::testing::TestWithParam<std::uint64_t> {
