@@ -267,7 +267,8 @@ void for_each_path_slot(const Shard& es, const Log* log,
       const std::size_t i = kept[k];
       ChildInterval c;
       std::span<const PathProbe> run;
-      if (log == nullptr) {  // load-bearing (see "The pending log")
+      // Load-bearing (see "Reads through the pending log").
+      if (log == nullptr) {
         run = probes.of(es.comp[i]);
         if (run.empty()) continue;
         c = child_interval(es.iu1[i], es.iu2[i], es.iv1[i], es.iv2[i]);
@@ -415,7 +416,7 @@ void DynamicForest::journal_rollback() {
 }
 
 // ---------------------------------------------------------------------------
-// The pending log
+// Reads through the pending log (the log itself: core/pending_log.hpp)
 // ---------------------------------------------------------------------------
 //
 // The empty-log fast paths are load-bearing, not leftovers.  Every read
@@ -429,156 +430,7 @@ void DynamicForest::journal_rollback() {
 // fell from 518-560k to 427-482k and query_p50_us rose from 406-446 to
 // 484-551.  Remove one only with a measurement.
 
-void DynamicForest::PendingLog::reset(std::uint32_t gen, Word first_new) {
-  generation = gen;
-  first_new_label = first_new;
-  stages = 0;
-  composed.clear();
-  index_.clear();
-  index_shift_ = 64;
-  tracked.clear();
-  fixes.clear();
-  fix_begin.clear();
-}
-
-std::size_t DynamicForest::PendingLog::words() const {
-  std::size_t pieces = 0;
-  for (const auto& entry : composed) pieces += entry.second->pieces();
-  return 4 * pieces + 3 * (tracked.size() + fixes.size());
-}
-
-void DynamicForest::PendingLog::append(const PendingStage& stage) {
-  const std::uint32_t t = ++stages;
-  const std::span<const etour::StageRewrite> rewrites(stage.rewrites);
-  for (auto& entry : composed) {
-    if (!entry.second->touched_by(rewrites)) continue;
-    auto next = std::make_shared<etour::ComposedMap>(*entry.second);
-    next->then(t, rewrites);
-    index(entry.first, next.get());
-    entry.second = std::move(next);
-  }
-  // A base component this stage rewrites first still holds its base
-  // coordinates: its composition starts here.
-  for (const etour::StageRewrite& rw : rewrites) {
-    if (rw.comp >= first_new_label || composed_of(rw.comp) != nullptr) {
-      continue;
-    }
-    auto cm = std::make_shared<etour::ComposedMap>(rw.map.elen(), rw.comp);
-    cm->then(t, rewrites);
-    open(rw.comp, std::move(cm));
-  }
-  // Every tracked appearance moves through the stage; one whose entry
-  // the stage removed takes its owner's cut fix.  Then the stage's own
-  // fixes, already current, are tracked.
-  for (Tracked& e : tracked) {
-    const etour::StageRewrite* rw = etour::find_rewrite(rewrites, e.at.comp);
-    if (rw == nullptr) continue;
-    const etour::StageMap::Piece& p = rw->map.piece(e.at.idx);
-    e.at = p.removed ? stage.cut_fix.at({e.at.comp, e.vert})
-                     : Appearance{rw->labels[p.frag], e.at.idx + p.delta};
-  }
-  fix_begin.push_back(static_cast<std::uint32_t>(fixes.size()));
-  for (const auto& [key, at] : stage.cut_fix) {
-    fixes.push_back(
-        {key.first, key.second, static_cast<std::uint32_t>(tracked.size())});
-    tracked.push_back({at, key.second});
-  }
-}
-
-std::uint32_t DynamicForest::PendingLog::track(Appearance a1, VertexId v1,
-                                               Appearance a2, VertexId v2) {
-  const auto id = static_cast<std::uint32_t>(tracked.size());
-  assert(id + 1 < kTracked);
-  tracked.push_back({a1, v1});
-  tracked.push_back({a2, v2});
-  return kTracked | id;
-}
-
-void DynamicForest::PendingLog::open(
-    Word comp, std::shared_ptr<const etour::ComposedMap> cm) {
-  composed.emplace_back(comp, std::move(cm));
-  if (2 * composed.size() > index_.size()) {
-    // Double the index (from 16 slots) and re-insert every map.
-    index_shift_ = index_.empty() ? 60 : index_shift_ - 1;
-    index_.assign(std::size_t{1} << (64 - index_shift_), Slot{});
-    for (const auto& [c, map] : composed) index(c, map.get());
-  } else {
-    index(comp, composed.back().second.get());
-  }
-}
-
-void DynamicForest::PendingLog::index(Word comp,
-                                      const etour::ComposedMap* cm) {
-  std::size_t h = slot_of(comp);
-  while (index_[h].map != nullptr && index_[h].comp != comp) {
-    h = (h + 1) & (index_.size() - 1);
-  }
-  index_[h] = {comp, cm};
-}
-
-DynamicForest::Appearance DynamicForest::PendingLog::fixed(
-    std::uint32_t t, Word comp, VertexId vert) const {
-  assert(t >= 1 && t <= fix_begin.size());
-  const FixRef* first = fixes.data() + fix_begin[t - 1];
-  const FixRef* last =
-      fixes.data() + (t < fix_begin.size() ? fix_begin[t] : fixes.size());
-  const FixRef* it =
-      std::lower_bound(first, last, std::pair{comp, vert},
-                       [](const FixRef& f, const std::pair<Word, VertexId>& k) {
-                         return std::pair{f.comp, f.vert} < k;
-                       });
-  assert(it != last && it->comp == comp && it->vert == vert);
-  return tracked[it->id].at;
-}
-
-DynamicForest::Appearance DynamicForest::PendingLog::resolve(
-    Appearance a, VertexId vert, const etour::ComposedMap* cm) const {
-  if (cm == nullptr) return a;
-  const etour::ComposedMap::Piece& p = cm->piece(a.idx);
-  if (p.removed_at == 0) return {p.label, a.idx + p.delta};
-  // Removed by stage t: the fix that stage tracked for the owner.
-  return fixed(p.removed_at, p.label, vert);
-}
-
-DynamicForest::Appearance DynamicForest::PendingLog::first_entry(
-    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm) const {
-  const std::uint32_t version = es.ver[s];
-  if ((version & kTracked) != 0) return tracked[version & ~kTracked].at;
-  return resolve({es.comp[s], es.iu1[s]}, es.u[s], cm);
-}
-
-DynamicForest::EdgeRec DynamicForest::PendingLog::current(
-    const EdgeShard& es, std::size_t s, const etour::ComposedMap* cm,
-    Appearance u1) const {
-  EdgeRec r = es.get(s);
-  const std::uint32_t version = es.ver[s];
-  // The second entry: a tree edge's second u traversal, a non-tree
-  // record's cached v appearance.
-  Appearance second;
-  if ((version & kTracked) != 0) {
-    second = tracked[(version & ~kTracked) + 1].at;
-  } else if (cm == nullptr) {
-    return r;
-  } else {
-    second = r.tree ? resolve({r.comp, r.iu2}, r.u, cm)
-                    : resolve({r.comp, r.iv1}, r.v, cm);
-  }
-  if (r.tree) {
-    // A live tree edge lost no entry, and each traversal's two entries,
-    // (iu1, iv1) and (iu2, iv2), move together.
-    r.iv1 += u1.idx - r.iu1;
-    r.iv2 += second.idx - r.iu2;
-    r.iu2 = second.idx;
-  } else {
-    r.iv1 = second.idx;
-  }
-  r.iu1 = u1.idx;
-  r.comp = u1.comp;
-  return r;
-}
-
-DynamicForest::EdgeRec DynamicForest::current_edge(MachineId m,
-                                                   std::size_t s) const {
+EdgeRec DynamicForest::current_edge(MachineId m, std::size_t s) const {
   const EdgeShard& es = machines_[m].edges;
   if (pending_.empty()) return es.get(s);  // load-bearing (see above)
   PendingLog::Cursor cursor(pending_);
@@ -1025,7 +877,7 @@ void DynamicForest::answer_query_chunk(std::span<const ReadQuery> qs,
   // one pass over its shard and sends the nonzero sums to the
   // coordinators.
   ProbeSet probe_set(std::move(probes));
-  // Load-bearing empty-log fast path (see "The pending log").
+  // Load-bearing empty-log fast path (see "Reads through the pending log").
   const PendingLog* log = pending_.empty() ? nullptr : &pending_;
   if (log != nullptr) probe_set.map_back(*log);
   const std::size_t num_paths = paths.size();
@@ -1257,7 +1109,7 @@ DynamicForest::StagePlan DynamicForest::plan_stage(
   return stage;
 }
 
-DynamicForest::EdgeRec DynamicForest::make_tree_record(
+EdgeRec DynamicForest::make_tree_record(
     VertexId x, VertexId y, Weight w, Word comp,
     const etour::MergeNewIndexes& ni) {
   const EdgeKey key(x, y);
@@ -1481,7 +1333,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       probes.push_back({op.cx, vert_idx.at(op.x), vert_idx.at(op.y), k});
     }
     ProbeSet probe_set(std::move(probes));
-    // Load-bearing empty-log fast path (see "The pending log").
+    // Load-bearing empty-log fast path (see "Reads through the pending log").
     const PendingLog* log = pending_.empty() ? nullptr : &pending_;
     if (log != nullptr) probe_set.map_back(*log);
     std::vector<std::vector<std::optional<EdgeRec>>> pmc(
@@ -1701,7 +1553,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
     std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
-    // Load-bearing empty-log fast path (see "The pending log").
+    // Load-bearing empty-log fast path (see "Reads through the pending log").
     const bool pending = !pending_.empty();
     cluster_->for_each_machine([&](MachineId m) {
       const EdgeShard& es = machines_[m].edges;

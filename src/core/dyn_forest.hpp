@@ -67,6 +67,8 @@
 #include <vector>
 
 #include "dmpc/cluster.hpp"
+#include "core/edge_shard.hpp"
+#include "core/pending_log.hpp"
 #include "etour/transforms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -244,173 +246,9 @@ class DynamicForest {
   /// S = kMemorySlack * sqrt(N) + 256 words per machine.
   static constexpr double kMemorySlack = 32;
 
-  struct EdgeRec {
-    VertexId u = dmpc::kNoVertex;  // canonical u < v
-    VertexId v = dmpc::kNoVertex;
-    Word comp = -1;
-    bool tree = false;
-    Weight w = 1;
-    // Tree edges: the 4 tour indexes the edge owns (two per endpoint).
-    // Non-tree edges: iu1 / iv1 cache one tour index per endpoint.
-    Word iu1 = 0, iu2 = 0, iv1 = 0, iv2 = 0;
-  };
-
   struct VertexRec {
     Word comp = -1;
     Word cached_idx = etour::kNoIndex;
-  };
-
-  /// Structure-of-arrays storage for one machine's edge records.  The
-  /// replacement-search and tree-path scans walk the whole shard testing a
-  /// couple of fields per record; dense per-field columns let those scans
-  /// touch only the bytes they read (and vectorize) instead of striding
-  /// over hash-map nodes.  Slots are dense [0, size()): append adds the
-  /// last slot and erase_at swap-removes, so slot order follows the
-  /// shard's mutation sequence — identical across executors, and restored
-  /// slot for slot by a rollback (unerase inverts erase_at exactly).
-  /// Besides the record fields, the `mark` column holds the journal epoch
-  /// that last logged the slot's pre-image (0: never); it belongs to the
-  /// record, so append starts a new record at 0 and the slot swaps carry
-  /// it along.
-  class EdgeShard {
-   public:
-    static constexpr std::ptrdiff_t kNpos = -1;
-
-    [[nodiscard]] std::size_t size() const { return keys_.size(); }
-
-    /// Pre-size the key index and every field column (preprocess knows
-    /// the machine's record count up front, so the first post-preprocess
-    /// batch doesn't pay rehash/regrow mid-round).
-    void reserve(std::size_t n) {
-      index_.reserve(n);
-      keys_.reserve(n);
-      u.reserve(n);
-      v.reserve(n);
-      comp.reserve(n);
-      w.reserve(n);
-      iu1.reserve(n);
-      iu2.reserve(n);
-      iv1.reserve(n);
-      iv2.reserve(n);
-      tree.reserve(n);
-      mark.reserve(n);
-      ver.reserve(n);
-    }
-
-    [[nodiscard]] std::ptrdiff_t find(std::uint64_t key) const {
-      const auto it = index_.find(key);
-      return it == index_.end() ? kNpos
-                                : static_cast<std::ptrdiff_t>(it->second);
-    }
-    [[nodiscard]] bool contains(std::uint64_t key) const {
-      return index_.find(key) != index_.end();
-    }
-    [[nodiscard]] std::uint64_t key_at(std::size_t s) const { return keys_[s]; }
-
-    [[nodiscard]] EdgeRec get(std::size_t s) const {
-      EdgeRec r;
-      r.u = u[s];
-      r.v = v[s];
-      r.comp = comp[s];
-      r.tree = tree[s] != 0;
-      r.w = w[s];
-      r.iu1 = iu1[s];
-      r.iu2 = iu2[s];
-      r.iv1 = iv1[s];
-      r.iv2 = iv2[s];
-      return r;
-    }
-
-    /// Appends a record under a key the shard does not hold, with the
-    /// pending-log version its values are in (see `ver` below).
-    void append(std::uint64_t key, const EdgeRec& r, std::uint32_t version) {
-      [[maybe_unused]] const bool fresh =
-          index_.emplace(key, static_cast<std::uint32_t>(keys_.size()))
-              .second;
-      assert(fresh);
-      keys_.push_back(key);
-      u.push_back(r.u);
-      v.push_back(r.v);
-      comp.push_back(r.comp);
-      tree.push_back(r.tree ? 1 : 0);
-      w.push_back(r.w);
-      iu1.push_back(r.iu1);
-      iu2.push_back(r.iu2);
-      iv1.push_back(r.iv1);
-      iv2.push_back(r.iv2);
-      mark.push_back(0);
-      ver.push_back(version);
-    }
-
-    /// Swap-removes slot s: the last record moves into s.
-    void erase_at(std::size_t s) {
-      const std::size_t last = keys_.size() - 1;
-      if (s != last) swap_slots(s, last);
-      index_.erase(keys_[last]);
-      keys_.pop_back();
-      u.pop_back();
-      v.pop_back();
-      comp.pop_back();
-      tree.pop_back();
-      w.pop_back();
-      iu1.pop_back();
-      iu2.pop_back();
-      iv1.pop_back();
-      iv2.pop_back();
-      mark.pop_back();
-      ver.pop_back();
-    }
-
-    /// Inverts the erase_at(s) that removed `key`'s record r, which was
-    /// at `version`: the record it swapped into s returns to the end, and
-    /// r returns to s.
-    void unerase(std::size_t s, std::uint64_t key, const EdgeRec& r,
-                 std::uint32_t version) {
-      append(key, r, version);
-      const std::size_t last = keys_.size() - 1;
-      if (s != last) swap_slots(s, last);
-    }
-
-    // The columns, slot-indexed.  Mutators above keep them parallel;
-    // the k-way stage writes the few records it cuts, demotes or
-    // promotes in place, and a compaction the index and component
-    // columns of every record the pending log moved.  `ver` says which
-    // log position a record's comp and index columns are in: a
-    // generation number g <= PendingLog::generation for a record in the
-    // log's base coordinates (resolved through the composed maps),
-    // generation + 1 for one an interrupted compaction already brought
-    // to the log's end (read as stored), and PendingLog::kTracked | id
-    // for one a stage wrote mid-log (its two entries are the log's
-    // tracked appearances id and id + 1).  The tree column is always
-    // current.
-    std::vector<VertexId> u, v;
-    std::vector<Word> comp;
-    std::vector<Weight> w;
-    std::vector<Word> iu1, iu2, iv1, iv2;
-    std::vector<std::uint8_t> tree;
-    std::vector<std::uint64_t> mark;
-    std::vector<std::uint32_t> ver;
-
-   private:
-    void swap_slots(std::size_t a, std::size_t b) {
-      std::swap(keys_[a], keys_[b]);
-      std::swap(u[a], u[b]);
-      std::swap(v[a], v[b]);
-      std::swap(comp[a], comp[b]);
-      std::swap(tree[a], tree[b]);
-      std::swap(w[a], w[b]);
-      std::swap(iu1[a], iu1[b]);
-      std::swap(iu2[a], iu2[b]);
-      std::swap(iv1[a], iv1[b]);
-      std::swap(iv2[a], iv2[b]);
-      std::swap(mark[a], mark[b]);
-      std::swap(ver[a], ver[b]);
-      index_[keys_[a]] = static_cast<std::uint32_t>(a);
-      index_[keys_[b]] = static_cast<std::uint32_t>(b);
-    }
-
-    std::vector<std::uint64_t> keys_;
-    std::unordered_map<std::uint64_t, std::uint32_t> index_;
   };
 
   /// One machine's undo journal, replayed in REVERSE on rollback.  Its
@@ -553,166 +391,6 @@ class DynamicForest {
         journal.dirs.push_back({comp, true, it->second});
       }
     }
-  };
-
-  // --- the pending log -----------------------------------------------------
-
-  /// An appearance: tour index `idx` of component `comp`.
-  struct Appearance {
-    Word comp = 0;
-    Word idx = etour::kNoIndex;
-  };
-
-  /// What one rewriting stage did to the tours: each rewritten
-  /// component's compiled map and fragment labels (sorted by comp), and
-  /// each cut vertex's repaired appearance after the stage, for records
-  /// whose cached appearance the stage removed, keyed by (rewritten comp,
-  /// vertex).
-  struct PendingStage {
-    std::vector<etour::StageRewrite> rewrites;
-    std::map<std::pair<Word, VertexId>, Appearance> cut_fix;
-  };
-
-  /// The pending log: what every stage since the last compaction did to
-  /// the tours, kept across batches.  Every machine derives the same log
-  /// from the stages' broadcasts; the simulation keeps one copy, read-only
-  /// inside machine tasks.  It holds
-  ///   * per component that held records at the last compaction (a label
-  ///     below first_new_label), the composition of the stages since
-  ///     (etour::ComposedMap): a record in those base coordinates takes
-  ///     one lookup;
-  ///   * the tracked appearances: appearances the log keeps current.  A
-  ///     record a stage writes mid-log points at two of them, and each
-  ///     stage's cut fixes become new ones, so an entry a stage removed
-  ///     takes one more lookup.  Appending a stage moves every tracked
-  ///     appearance through it (or, where it removed the entry, to its
-  ///     own cut fix for the owner), so no read walks stages.
-  /// A compaction (compact_log) writes every record forward and empties
-  /// it; rollback truncates it back to a copy taken at the batch's start.
-  struct PendingLog {
-    /// A record `ver` with this bit set names a tracked pair (the rest
-    /// of the word is the first appearance's id).
-    static constexpr std::uint32_t kTracked = std::uint32_t{1} << 31;
-
-    /// An appearance of `vert` the log keeps current.
-    struct Tracked {
-      Appearance at;
-      VertexId vert = 0;
-    };
-    /// A stage's cut fix for (comp, vert): tracked appearance `id`.
-    struct FixRef {
-      Word comp = 0;
-      VertexId vert = 0;
-      std::uint32_t id = 0;
-    };
-
-    /// Records at a version <= generation hold base coordinates.
-    std::uint32_t generation = 0;
-    Word first_new_label = 0;
-    /// Stages appended since the last compaction.
-    std::uint32_t stages = 0;
-    /// Per base component, in the order the log opened them (found
-    /// through an O(1) index).  Shared, so the rollback copy of the log
-    /// costs no piece copies: appending a stage replaces the maps it
-    /// touches.
-    std::vector<std::pair<Word, std::shared_ptr<const etour::ComposedMap>>>
-        composed;
-    std::vector<Tracked> tracked;
-    /// Every stage's cut fixes, stage by stage, each stage's sorted by
-    /// (comp, vert); stage t's begin at fix_begin[t - 1].
-    std::vector<FixRef> fixes;
-    std::vector<std::uint32_t> fix_begin;
-
-    [[nodiscard]] bool empty() const { return stages == 0; }
-    /// Whether a record at `version` holds base coordinates.
-    [[nodiscard]] bool at_base(std::uint32_t version) const {
-      return version <= generation;
-    }
-    /// Empties the log after a compaction brought every record to
-    /// generation `gen`; labels from `first_new` on are handed out later.
-    void reset(std::uint32_t gen, Word first_new);
-    /// The log's size: 4 words per composed piece, 3 per tracked
-    /// appearance and per cut fix.
-    [[nodiscard]] std::size_t words() const;
-    /// Appends one stage: composes it into every composed map it
-    /// touches, opening one for each base component it rewrites first,
-    /// moves the tracked appearances through it, and tracks its cut
-    /// fixes.
-    void append(const PendingStage& stage);
-    /// Tracks a record's two entries (a tree record: u's two traversals;
-    /// a non-tree record: u's and v's cached appearances) and returns
-    /// the record's version.
-    std::uint32_t track(Appearance a1, VertexId v1, Appearance a2,
-                        VertexId v2);
-    /// The composed map of base component comp, or null (the log has
-    /// not moved its records).
-    [[nodiscard]] const etour::ComposedMap* composed_of(Word comp) const {
-      if (index_.empty()) return nullptr;
-      for (std::size_t h = slot_of(comp);; h = (h + 1) & (index_.size() - 1)) {
-        const Slot& slot = index_[h];
-        if (slot.map == nullptr || slot.comp == comp) return slot.map;
-      }
-    }
-    /// Where the base-coordinate appearance `a` of `vert` now is; `cm`
-    /// is composed_of(a.comp).
-    [[nodiscard]] Appearance resolve(Appearance a, VertexId vert,
-                                     const etour::ComposedMap* cm) const;
-
-    /// Edge slot s's first entry (comp, iu1) as it now is; `cm` is
-    /// composed_of(es.comp[s]) for a record at base, else null.
-    [[nodiscard]] Appearance first_entry(const EdgeShard& es, std::size_t s,
-                                         const etour::ComposedMap* cm) const;
-    /// Edge slot s of `es` with its comp and indexes resolved, given its
-    /// first entry `u1` (first_entry) and `cm` as there.
-    [[nodiscard]] EdgeRec current(const EdgeShard& es, std::size_t s,
-                                  const etour::ComposedMap* cm,
-                                  Appearance u1) const;
-
-    /// composed_of for a shard scan, which mostly asks about the
-    /// component it asked about last.
-    class Cursor {
-     public:
-      explicit Cursor(const PendingLog& log) : log_(log) {}
-      const etour::ComposedMap* find(Word comp) {
-        if (comp != last_comp_) {
-          last_comp_ = comp;
-          last_ = log_.composed_of(comp);
-        }
-        return last_;
-      }
-      /// find(es.comp[s]) for a record at base; null otherwise.
-      const etour::ComposedMap* of(const EdgeShard& es, std::size_t s) {
-        return log_.at_base(es.ver[s]) ? find(es.comp[s]) : nullptr;
-      }
-
-     private:
-      const PendingLog& log_;
-      Word last_comp_ = -1;
-      const etour::ComposedMap* last_ = nullptr;
-    };
-
-   private:
-    /// Stage t's cut fix for (comp, vert).
-    [[nodiscard]] Appearance fixed(std::uint32_t t, Word comp,
-                                   VertexId vert) const;
-    /// Opens base component comp's composed map, `cm`.
-    void open(Word comp, std::shared_ptr<const etour::ComposedMap> cm);
-    /// Records that base component comp's map is now `cm`.
-    void index(Word comp, const etour::ComposedMap* cm);
-    [[nodiscard]] std::size_t slot_of(Word comp) const {
-      return static_cast<std::size_t>(
-          (static_cast<std::uint64_t>(comp) * 0x9e3779b97f4a7c15ULL) >>
-          index_shift_);
-    }
-
-    /// Open addressing from a base component to its composed map (null:
-    /// an empty slot), at most half full.
-    struct Slot {
-      Word comp = 0;
-      const etour::ComposedMap* map = nullptr;
-    };
-    std::vector<Slot> index_;
-    unsigned index_shift_ = 64;
   };
 
   /// v's record as the pending log leaves it (inline: a query batch

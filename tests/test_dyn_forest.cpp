@@ -33,7 +33,7 @@ namespace core {
 // not moved, so a stored value is the value validate() reads; each
 // accessor checks that.
 struct DynamicForestTestAccess {
-  using EdgeRec = DynamicForest::EdgeRec;
+  using EdgeRec = core::EdgeRec;
   using VertexRec = DynamicForest::VertexRec;
 
   static EdgeRec edge(const DynamicForest& f, VertexId u, VertexId v) {
@@ -52,7 +52,7 @@ struct DynamicForestTestAccess {
   static void set_edge(DynamicForest& f, VertexId u, VertexId v,
                        const EdgeRec& r) {
     const MachineId m = f.edge_machine(u, v);
-    DynamicForest::EdgeShard& es = f.machines_[m].edges;
+    EdgeShard& es = f.machines_[m].edges;
     const auto s = static_cast<std::size_t>(es.find(f.edge_key(u, v)));
     es.u[s] = r.u;
     es.v[s] = r.v;
