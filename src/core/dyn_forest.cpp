@@ -343,9 +343,13 @@ void DynamicForest::journal_begin() {
   if (!config_.atomic_updates) return;
   journal_mem_used_.resize(machines_.size());
   for (std::size_t m = 0; m < machines_.size(); ++m) {
-    machines_[m].journal.clear();
-    machines_[m].journal_armed = true;
-    ++machines_[m].journal_epoch;
+    MachineState& ms = machines_[m];
+    ms.journal.clear();
+    ms.journal_armed = true;
+    ++ms.journal_epoch;
+    ms.journal_index_built = ms.index.built();
+    ms.journal_index_side = ms.index.side_size();
+    ms.journal_cascade_scanned = ms.cascade_scanned;
     journal_mem_used_[m] = cluster_->memory(static_cast<MachineId>(m)).used();
   }
   journal_next_comp_id_ = next_comp_id_;
@@ -402,6 +406,14 @@ void DynamicForest::journal_rollback() {
       }
     }
     ms.journal_armed = false;
+    // The shard is back slot for slot, so an index from before the batch
+    // holds again once the batch's side-list slots are cut.
+    if (ms.journal_index_built) {
+      ms.index.truncate_side(ms.journal_index_side);
+    } else {
+      ms.index.drop();
+    }
+    ms.cascade_scanned = ms.journal_cascade_scanned;
     cluster_->memory(static_cast<MachineId>(m))
         .restore_used(journal_mem_used_[m]);
   }
@@ -450,6 +462,14 @@ void DynamicForest::compact_log() {
   const std::size_t mu = machines_.size();
   const std::uint32_t target = pending_.generation + 1;
   compaction_interrupted_ = true;
+  // Every base coordinate moves: the record indexes go, for good (a
+  // rollback of the rest of the batch does not bring them back).
+  for (MachineState& ms : machines_) {
+    ms.index.drop();
+    ms.cascade_scanned = 0;
+    ms.journal_index_built = false;
+    ms.journal_cascade_scanned = 0;
+  }
   // A record the log leaves unchanged (the x side up to its splice
   // anchor, a remainder before its first cut) keeps its version: its
   // base coordinates hold at the target too.
@@ -1540,12 +1560,21 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           mu);
     };
     // ---- Cascade round A: fragment-crossing scan.  Each machine folds
-    // its shard to per-(comp,vertex) appearance minima and per-fragment-
-    // pair best (w,u,v) crossing candidates, sent to hashed collectors
-    // (two-hop fold keeps any one receiver under the comm cap).  Each
-    // machine collects flat and sorts + folds once, so it sends in key
-    // order.  A record the pending log moved is read as it left it; with
-    // nothing pending the shard is read as stored.
+    // its records to per-(comp,vertex) appearance minima and per-
+    // fragment-pair best (w,u,v) crossing candidates, sent to hashed
+    // collectors (two-hop fold keeps any one receiver under the comm
+    // cap).  Each machine collects flat and sorts + folds once, so it
+    // sends in key order, whatever order it read its records in.  A
+    // record the pending log moved is read as it left it; with nothing
+    // pending the shard is read as stored.
+    //
+    // Only a cut vertex's tree records and a non-tree record with an
+    // entry outside its split's largest fragment can send anything (the
+    // smaller-side search), so a machine whose record index is built
+    // reads only the index's candidates for those: every other
+    // fragment's tour ranges mapped back to base coordinates, the cut
+    // vertices, and the side list.  Every machine derives the same query
+    // from the broadcast cuts; the simulation builds it once.
     using AppKey = std::pair<Word, VertexId>;
     using PairKey = std::tuple<Word, Word, Word>;
     std::map<AppKey, Word> best_app;
@@ -1553,15 +1582,63 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
     std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
+    const bool indexable = RecordIndex::fits(config_.n);
+    std::vector<TourRange> query_ranges;
+    std::vector<VertexId> query_verts;
+    if (indexable) {
+      std::vector<TourRange> smaller;
+      for (const Rewritten& rw : rewritten) {
+        if (rw.split == nullptr) continue;
+        const etour::KWaySplit& sp = *rw.split->split;
+        std::size_t largest = 0;  // the lowest id among the longest tours
+        for (std::size_t f = 1; f < sp.fragments(); ++f) {
+          if (sp.fragment_elength(f) > sp.fragment_elength(largest)) {
+            largest = f;
+          }
+        }
+        smaller.clear();
+        for (std::size_t p = 0; p < rw.map.pieces(); ++p) {
+          if (rw.map.piece_at(p).frag == largest) continue;
+          const Word lo = rw.map.piece_start(p);
+          const Word hi = std::min(rw.map.piece_start(p + 1) - 1,
+                                   rw.map.elen());
+          if (!smaller.empty() && smaller.back().hi + 1 == lo) {
+            smaller.back().hi = hi;
+          } else {
+            smaller.push_back({rw.comp, lo, hi});
+          }
+        }
+        const std::size_t mapped = query_ranges.size();
+        pending_.map_back(rw.comp, smaller, query_ranges);
+        if (index_audit_.on &&
+            query_ranges.size() - mapped > smaller.size()) {
+          ++index_audit_.remapped;
+        }
+        // cut_verts ends in a max() sentinel.
+        query_verts.insert(query_verts.end(), rw.split->cut_verts.begin(),
+                           rw.split->cut_verts.end() - 1);
+      }
+      std::sort(query_ranges.begin(), query_ranges.end(),
+                [](const TourRange& a, const TourRange& b) {
+                  return std::tie(a.comp, a.lo) < std::tie(b.comp, b.lo);
+                });
+      std::sort(query_verts.begin(), query_verts.end());
+    }
+    std::vector<std::uint64_t> records_read(machines_.size(), 0);
+    std::vector<std::uint8_t> index_built(machines_.size(), 0);
+    // Per machine: whether it was audited, and the slots it missed.
+    std::vector<std::uint64_t> audit(index_audit_.on ? 2 * machines_.size()
+                                                     : 0);
     // Load-bearing empty-log fast path (see "Reads through the pending log").
     const bool pending = !pending_.empty();
     cluster_->for_each_machine([&](MachineId m) {
-      const EdgeShard& es = machines_[m].edges;
+      MachineState& ms = machines_[m];
+      const EdgeShard& es = ms.edges;
       auto& lapp = mapp[m];
       auto& lbest = mbest[m];
       RewrittenCursor cursor{rewritten};
       PendingLog::Cursor pcursor(pending_);
-      for (std::size_t s = 0; s < es.size(); ++s) {
+      const auto read = [&](std::size_t s) {
         // The record's current component takes one lookup (its u-side
         // entry); the whole record is resolved only if the scan uses it,
         // reusing that entry.
@@ -1569,7 +1646,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         const Appearance u1 = pending ? pending_.first_entry(es, s, cm)
                                       : Appearance{es.comp[s], es.iu1[s]};
         const Rewritten* rw = cursor.find(u1.comp);
-        if (rw == nullptr || rw->split == nullptr) continue;
+        if (rw == nullptr || rw->split == nullptr) return;
         const Word comp = u1.comp;
         const etour::StageMap& sm = rw->map;
         const auto record = [&] {
@@ -1583,7 +1660,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           };
           const bool cut_u = is_cut(es.u[s]);
           const bool cut_v = is_cut(es.v[s]);
-          if (!cut_u && !cut_v) continue;
+          if (!cut_u && !cut_v) return;
           const EdgeRec r = record();
           const auto touch = [&](VertexId vert, Word i1, Word i2) {
             for (const Word entry : {i1, i2}) {
@@ -1601,7 +1678,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           const EdgeRec r = record();
           const Word fu = sm.piece(r.iu1).frag;
           const Word fv = sm.piece(r.iv1).frag;
-          if (fu == fv) continue;
+          if (fu == fv) return;
           Cand c;
           c.w = r.w;
           c.u = r.u;
@@ -1612,6 +1689,41 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           c.iv = r.iv1;
           lbest.push_back({{comp, std::min(fu, fv), std::max(fu, fv)}, c});
         }
+      };
+      // Ski rental: scan until the scans since the last compaction
+      // would have paid for a build.
+      if (indexable && !ms.index.built() &&
+          ms.cascade_scanned > kIndexAfterScans * es.size()) {
+        ms.index.build(es, pending_);
+        index_built[m] = 1;
+      }
+      if (ms.index.built()) {
+        std::vector<std::uint32_t> slots;
+        ms.index.collect(query_ranges, query_verts, es.size(), slots);
+        for (const std::uint32_t s : slots) read(s);
+        records_read[m] = slots.size();
+        if (index_audit_.on) {
+          // Test-only: a slot the index did not name must send nothing.
+          const std::size_t apps = lapp.size(), bests = lbest.size();
+          auto named = slots.begin();
+          for (std::size_t s = 0; s < es.size(); ++s) {
+            if (named != slots.end() && *named == s) {
+              ++named;
+              continue;
+            }
+            read(s);
+            if (lapp.size() != apps || lbest.size() != bests) {
+              ++audit[2 * m + 1];
+              lapp.resize(apps);
+              lbest.resize(bests);
+            }
+          }
+          audit[2 * m] = 1;
+        }
+      } else {
+        for (std::size_t s = 0; s < es.size(); ++s) read(s);
+        ms.cascade_scanned += es.size();
+        records_read[m] = es.size();
       }
       // Per key: the minimum appearance; the (w, u, v)-least candidate.
       std::sort(lapp.begin(), lapp.end());
@@ -1646,6 +1758,14 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       }
     });
     finish();
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      batch_stats_.cascade_records_read += records_read[m];
+      batch_stats_.record_index_builds += index_built[m];
+    }
+    for (std::size_t m = 0; m < audit.size(); m += 2) {
+      index_audit_.machines += audit[m];
+      index_audit_.misses += audit[m + 1];
+    }
     // ---- Cascade round B: collectors fold and forward the survivors to
     // each split component's owner machine.
     for (MachineId m = 0; m < mu; ++m) {
@@ -1863,7 +1983,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     const std::ptrdiff_t found = ms.edges.find(edge_key(u, v));
     assert(found != EdgeShard::kNpos);
     const auto slot = static_cast<std::size_t>(found);
-    ms.jlog_edge_slot(slot);
+    ms.write_slot(slot);
     return std::pair<EdgeShard&, std::size_t>(ms.edges, slot);
   };
   for (const CutInfo& ci : cuts) {
@@ -2118,7 +2238,9 @@ bool DynamicForest::validate(std::string* why) const {
   const std::size_t mu = machines_.size();
   // Phase 1 (pooled, per machine): every vertex's current record and
   // component, and every tree record's current component, key and
-  // indexes.
+  // indexes.  Every record's endpoints must name vertices first: the
+  // tour fill below marks an empty entry kNoVertex, and the later
+  // passes index per-vertex arrays by endpoint.
   struct TreeRec {
     Word comp;
     EdgeKey key;
@@ -2127,6 +2249,7 @@ bool DynamicForest::validate(std::string* why) const {
   std::vector<VertexRec> vrecs(config_.n);
   std::vector<std::pair<Word, VertexId>> members(config_.n);  // (comp, v)
   std::vector<std::vector<TreeRec>> parts(mu);
+  std::vector<char> bad_endpoint(mu, 0);
   exec().run(mu, [&](std::size_t m) {
     const MachineState& ms = machines_[m];
     for (std::size_t j = 0; j < ms.vertices.size(); ++j) {
@@ -2135,12 +2258,21 @@ bool DynamicForest::validate(std::string* why) const {
       members[v] = {vrecs[v].comp, static_cast<VertexId>(v)};
     }
     for (std::size_t i = 0; i < ms.edges.size(); ++i) {
+      if (!is_vertex(ms.edges.u[i]) || !is_vertex(ms.edges.v[i])) {
+        bad_endpoint[m] = 1;
+        return;
+      }
+    }
+    for (std::size_t i = 0; i < ms.edges.size(); ++i) {
       if (ms.edges.tree[i] == 0) continue;
       const EdgeRec rec = current_edge(static_cast<MachineId>(m), i);
       parts[m].push_back({rec.comp, EdgeKey(rec.u, rec.v),
                           {rec.iu1, rec.iu2, rec.iv1, rec.iv2}});
     }
   });
+  for (const char bad : bad_endpoint) {
+    if (bad != 0) return fail("edge record endpoint outside [0, n)");
+  }
   // Merged in machine-then-slot order and sorted by (comp, key); a
   // repeated (comp, key) keeps its last record.
   std::vector<TreeRec> tree;

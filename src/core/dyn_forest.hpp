@@ -317,6 +317,16 @@ class DynamicForest {
     bool journal_armed = false;
     std::uint64_t journal_epoch = 0;
     MachineJournal journal;
+    // Cascade round A's record index (see RecordIndex), built by this
+    // machine's own round-A task once the records it scanned since the
+    // last compaction (`cascade_scanned`) pass kIndexAfterScans shards.
+    // journal_begin snapshots what a rollback restores: whether it was
+    // built, its side list's length, and the scan count.
+    RecordIndex index;
+    std::uint64_t cascade_scanned = 0;
+    bool journal_index_built = false;
+    std::size_t journal_index_side = 0;
+    std::uint64_t journal_cascade_scanned = 0;
 
     /// Appends the new record `r` under `key` at pending-log version
     /// `version` (logged kCreated) and charges it to `mem`, this
@@ -325,6 +335,7 @@ class DynamicForest {
     void create_edge(std::uint64_t key, const EdgeRec& r,
                      dmpc::MemoryMeter& mem, std::uint32_t version) {
       edges.append(key, r, version);
+      index.touch(edges.size() - 1);
       if (journal_armed) {
         journal.edges.push_back({.key = key,
                                  .slot = undo_slot(edges.size() - 1),
@@ -344,12 +355,13 @@ class DynamicForest {
         journal.edges.back().w = edges.w[s];
       }
       edges.erase_at(s);
+      if (s < edges.size()) index.touch(s);  // the record moved into s
       mem.release(kEdgeRecWords);
     }
-    /// Logs a live slot's pre-image before in-place column writes (the
-    /// transform loops' path: no hash lookup on the hot path), once per
-    /// batch.
-    void jlog_edge_slot(std::size_t s) {
+    /// Readies live slot s for in-place column writes: notes the write in
+    /// the record index and logs the slot's pre-image, once per batch.
+    void write_slot(std::size_t s) {
+      index.touch(s);
       if (!journal_armed || edges.mark[s] == journal_epoch) return;
       edges.mark[s] = journal_epoch;
       journal.edges.push_back(pre_image(edges.key_at(s), s, Kind::kRewritten));
@@ -545,9 +557,9 @@ class DynamicForest {
   /// Arms every machine's undo journal, bumps its epoch (so every record
   /// is unlogged for this batch), and snapshots the ingress-local
   /// scalars (next_comp_id_, batch_stats_), the pending log, and each
-  /// memory meter's usage.  No machine state is copied — pre-images
-  /// accrue lazily as the protocol mutates (create_edge, erase_edge and
-  /// jlog_* above).
+  /// memory meter's usage, and each record index's state.  No machine
+  /// state is copied — pre-images accrue lazily as the protocol mutates
+  /// (create_edge, erase_edge, write_slot and jlog_dir above).
   void journal_begin();
   /// Disarms the journals after a successful update (the logs are kept
   /// as arenas for the next one).
@@ -559,7 +571,9 @@ class DynamicForest {
   /// Every shard, vertex table and directory returns exactly to its
   /// pre-update state, edge slot order included, as read through the
   /// log (a compaction the batch completed stays: the snapshot is taken
-  /// again after it).
+  /// again after it).  A record index built during the batch is
+  /// dropped; an older one loses the side-list slots the batch added,
+  /// which the restored shard no longer needs.
   void journal_rollback();
 
   /// The installed round executor, reachable from const introspection
@@ -577,6 +591,19 @@ class DynamicForest {
   dmpc::BatchScheduleStats batch_stats_;
   PendingLog pending_;
   std::size_t log_bound_ = 0;  // words; see pending_log_bound()
+  // Test-only (set through DynamicForestTestAccess): when on, cascade
+  // round A on a machine with a record index also reads every slot the
+  // index did not name, and counts those that would have sent something
+  // (`misses`, which must stay 0), the machines so audited, and the split
+  // components whose smaller side mapped back to more base ranges than
+  // it has tour ranges.
+  struct IndexAudit {
+    bool on = false;
+    std::uint64_t machines = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t remapped = 0;
+  };
+  IndexAudit index_audit_;
   // A compaction threw partway: the next batch finishes it before any
   // stage.  Not part of the journal's snapshot, so rollback keeps it.
   bool compaction_interrupted_ = false;
@@ -592,6 +619,13 @@ class DynamicForest {
   /// An upper bound on what one update adds to the log, in words: a
   /// batch compacts first unless its updates fit under the bound.
   static constexpr std::size_t kLogWordsPerUpdate = 64;
+  /// Cascade round A builds a machine's record index once the records it
+  /// scanned since the last compaction exceed this many shards: a build
+  /// (two sorts of about two entries per record) costs about as much as
+  /// this many scans, so the index never costs more than twice what
+  /// scanning would have (the ski-rental rule).  A batch stream that
+  /// compacts after every cascade never builds one.
+  static constexpr std::uint64_t kIndexAfterScans = 1;
 
   static constexpr Word kEdgeRecWords = 12;
   static constexpr Word kVertexRecWords = 3;

@@ -1,6 +1,7 @@
 #include "core/pending_log.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 
 namespace core {
@@ -91,65 +92,148 @@ void PendingLog::index(Word comp, const etour::ComposedMap* cm) {
   index_[h] = {comp, cm};
 }
 
-Appearance PendingLog::fixed(std::uint32_t t, Word comp,
-                              VertexId vert) const {
-  assert(t >= 1 && t <= fix_begin.size());
-  const FixRef* first = fixes.data() + fix_begin[t - 1];
-  const FixRef* last =
-      fixes.data() + (t < fix_begin.size() ? fix_begin[t] : fixes.size());
-  const FixRef* it =
-      std::lower_bound(first, last, std::pair{comp, vert},
-                       [](const FixRef& f, const std::pair<Word, VertexId>& k) {
-                         return std::pair{f.comp, f.vert} < k;
-                       });
-  assert(it != last && it->comp == comp && it->vert == vert);
-  return tracked[it->id].at;
-}
-
-Appearance PendingLog::resolve(Appearance a, VertexId vert,
-                                const etour::ComposedMap* cm) const {
-  if (cm == nullptr) return a;
-  const etour::ComposedMap::Piece& p = cm->piece(a.idx);
-  if (p.removed_at == 0) return {p.label, a.idx + p.delta};
-  // Removed by stage t: the fix that stage tracked for the owner.
-  return fixed(p.removed_at, p.label, vert);
-}
-
-Appearance PendingLog::first_entry(const EdgeShard& es, std::size_t s,
-                                    const etour::ComposedMap* cm) const {
-  const std::uint32_t version = es.ver[s];
-  if ((version & kTracked) != 0) return tracked[version & ~kTracked].at;
-  return resolve({es.comp[s], es.iu1[s]}, es.u[s], cm);
-}
-
-EdgeRec PendingLog::current(const EdgeShard& es, std::size_t s,
-                            const etour::ComposedMap* cm,
-                            Appearance u1) const {
-  EdgeRec r = es.get(s);
-  const std::uint32_t version = es.ver[s];
-  // The second entry: a tree edge's second u traversal, a non-tree
-  // record's cached v appearance.
-  Appearance second;
-  if ((version & kTracked) != 0) {
-    second = tracked[(version & ~kTracked) + 1].at;
-  } else if (cm == nullptr) {
-    return r;
-  } else {
-    second = r.tree ? resolve({r.comp, r.iu2}, r.u, cm)
-                    : resolve({r.comp, r.iv1}, r.v, cm);
+void PendingLog::map_back(Word label, std::span<const TourRange> ranges,
+                          std::vector<TourRange>& out) const {
+  if (ranges.empty()) return;
+  // The first range that ends at or after index i.
+  const auto from = [&](Word i) {
+    return std::lower_bound(
+        ranges.begin(), ranges.end(), i,
+        [](const TourRange& r, Word at) { return r.hi < at; });
+  };
+  if (label < first_new_label && composed_of(label) == nullptr) {
+    out.insert(out.end(), ranges.begin(), ranges.end());
   }
-  if (r.tree) {
-    // A live tree edge lost no entry, and each traversal's two entries,
-    // (iu1, iv1) and (iu2, iv2), move together.
-    r.iv1 += u1.idx - r.iu1;
-    r.iv2 += second.idx - r.iu2;
-    r.iu2 = second.idx;
-  } else {
-    r.iv1 = second.idx;
+  // Whether stage t fixed an owner of an entry of `comp` into `ranges`.
+  const auto fixed_into = [&](std::uint32_t t, Word comp) {
+    const FixRef* first = fixes.data() + fix_begin[t - 1];
+    const FixRef* last =
+        fixes.data() + (t < fix_begin.size() ? fix_begin[t] : fixes.size());
+    for (const FixRef* f = std::lower_bound(
+             first, last, comp,
+             [](const FixRef& r, Word c) { return r.comp < c; });
+         f != last && f->comp == comp; ++f) {
+      const Appearance at = tracked[f->id].at;
+      if (at.comp != label) continue;
+      const auto it = from(at.idx);
+      if (it != ranges.end() && it->lo <= at.idx) return true;
+    }
+    return false;
+  };
+  for (const auto& [base, cm] : composed) {
+    const std::span<const Word> labels = cm->labels();
+    const bool carries =
+        std::binary_search(labels.begin(), labels.end(), label);
+    for (std::size_t q = 0; q < cm->pieces(); ++q) {
+      const etour::ComposedMap::Piece& p = cm->piece_at(q);
+      const Word lo = cm->piece_start(q);
+      const Word hi = std::min(cm->piece_start(q + 1) - 1, cm->elen());
+      if (p.removed_at != 0) {
+        if (fixed_into(p.removed_at, p.label)) out.push_back({base, lo, hi});
+        continue;
+      }
+      if (!carries || p.label != label) continue;
+      for (auto it = from(lo + p.delta);
+           it != ranges.end() && it->lo <= hi + p.delta; ++it) {
+        out.push_back({base, std::max(lo, it->lo - p.delta),
+                       std::min(hi, it->hi - p.delta)});
+      }
+    }
   }
-  r.iu1 = u1.idx;
-  r.comp = u1.comp;
-  return r;
+}
+
+void RecordIndex::build(const EdgeShard& es, const PendingLog& log) {
+  drop();
+  // Non-tree entries under their base component, sorted, then split
+  // into one run per component.
+  std::vector<std::pair<Word, Entry>> by_comp;
+  std::size_t tree_entries = 0;
+  for (std::size_t s = 0; s < es.size(); ++s) {
+    if (es.tree[s] != 0) {
+      tree_entries += 2;
+    } else if (log.at_base(es.ver[s])) {
+      by_comp.emplace_back(es.comp[s], entry(es.iu1[s], s));
+      by_comp.emplace_back(es.comp[s], entry(es.iv1[s], s));
+    } else {
+      side_.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+  std::sort(by_comp.begin(), by_comp.end());
+  for (const auto& [comp, e] : by_comp) {
+    if (comps_.empty() || comps_.back() != comp) {
+      if (!comps_.empty()) {
+        comp_end_.push_back(static_cast<std::uint32_t>(nontree_.size()));
+      }
+      comps_.push_back(comp);
+    }
+    nontree_.push_back(e);
+  }
+  if (!comps_.empty()) {
+    comp_end_.push_back(static_cast<std::uint32_t>(nontree_.size()));
+  }
+  // Tree entries by a counting sort on their buckets: count, sum to
+  // each bucket's end, then place back to front, so that each bucket
+  // ends at its start and keeps slot order.
+  const std::size_t buckets = std::bit_ceil(
+      std::max<std::size_t>(2, tree_entries / kEntriesPerBucket));
+  bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  tree_begin_.assign(buckets + 1, 0);
+  for (std::size_t s = 0; s < es.size(); ++s) {
+    if (es.tree[s] == 0) continue;
+    ++tree_begin_[bucket(es.u[s])];
+    ++tree_begin_[bucket(es.v[s])];
+  }
+  for (std::size_t b = 1; b < buckets; ++b) {
+    tree_begin_[b] += tree_begin_[b - 1];
+  }
+  tree_begin_[buckets] = static_cast<std::uint32_t>(tree_entries);
+  tree_.resize(tree_entries);
+  for (std::size_t s = es.size(); s-- > 0;) {
+    if (es.tree[s] == 0) continue;
+    tree_[--tree_begin_[bucket(es.v[s])]] = entry(es.v[s], s);
+    tree_[--tree_begin_[bucket(es.u[s])]] = entry(es.u[s], s);
+  }
+  built_ = true;
+}
+
+void RecordIndex::drop() {
+  comps_.clear();
+  comp_end_.clear();
+  nontree_.clear();
+  tree_.clear();
+  tree_begin_.clear();
+  side_.clear();
+  built_ = false;
+}
+
+void RecordIndex::collect(std::span<const TourRange> ranges,
+                          std::span<const VertexId> verts, std::size_t size,
+                          std::vector<std::uint32_t>& out) const {
+  out.clear();
+  const auto key_of = [](Entry e) { return static_cast<Word>(e >> 32); };
+  const auto slot_of = [](Entry e) { return static_cast<std::uint32_t>(e); };
+  for (const TourRange& r : ranges) {
+    const auto c = std::lower_bound(comps_.begin(), comps_.end(), r.comp);
+    if (c == comps_.end() || *c != r.comp) continue;
+    const auto k = static_cast<std::size_t>(c - comps_.begin());
+    const Entry* last = nontree_.data() + comp_end_[k];
+    for (const Entry* e = std::lower_bound(
+             nontree_.data() + (k == 0 ? 0 : comp_end_[k - 1]), last,
+             entry(r.lo, 0));
+         e != last && key_of(*e) <= r.hi; ++e) {
+      out.push_back(slot_of(*e));
+    }
+  }
+  for (const VertexId v : verts) {
+    const std::size_t b = bucket(v);
+    for (std::size_t e = tree_begin_[b]; e < tree_begin_[b + 1]; ++e) {
+      if (key_of(tree_[e]) == v) out.push_back(slot_of(tree_[e]));
+    }
+  }
+  out.insert(out.end(), side_.begin(), side_.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  while (!out.empty() && out.back() >= size) out.pop_back();
 }
 
 }  // namespace core

@@ -147,6 +147,12 @@ struct BatchScheduleStats {
   /// Query chunks answered while the pending log held stages, so every
   /// read resolved its records through it.
   std::uint64_t reads_through_log = 0;
+  /// Edge records cascade round A read, summed over machines: a whole
+  /// shard per machine that scans, the record index's candidates per
+  /// machine that has one built (the same on every executor).
+  std::uint64_t cascade_records_read = 0;
+  /// Record indexes cascade round A built, one per machine per build.
+  std::uint64_t record_index_builds = 0;
 
   bool operator==(const BatchScheduleStats&) const = default;
 };

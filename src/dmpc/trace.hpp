@@ -136,8 +136,13 @@ class Tracer {
 
   /// Tracing is off until enabled; the off path records nothing and
   /// allocates nothing.  Toggle only between protocol sections (open
-  /// PhaseScopes capture the enabled state at construction).
-  void set_enabled(bool on) { enabled_ = on; }
+  /// PhaseScopes capture the enabled state at construction).  Enabling
+  /// moves the protocol-track boundary to now, so the time the tracer
+  /// was off is charged to no phase.
+  void set_enabled(bool on) {
+    if (on && !enabled_) last_boundary_ns_ = now_ns();
+    enabled_ = on;
+  }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   // ---- Phase annotations (driving thread only) --------------------------

@@ -797,6 +797,12 @@ class ComposedMap {
   /// The piece holding starting index i (0 <= i <= elen).
   const Piece& piece(Word i) const { return table_.find(i); }
   std::size_t pieces() const { return table_.size(); }
+  /// Piece q, and its first starting index (piece_start(pieces()) is a
+  /// max() sentinel).
+  const Piece& piece_at(std::size_t q) const { return table_[q]; }
+  Word piece_start(std::size_t q) const { return table_.start(q); }
+  /// The starting tour's length: the map covers [0, elen].
+  Word elen() const { return elen_; }
   /// The labels the live pieces carry, sorted.
   std::span<const Word> labels() const { return labels_; }
 

@@ -8,13 +8,19 @@
 //    communication within the O(sqrt N) machine-count regime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <random>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -82,6 +88,43 @@ struct DynamicForestTestAccess {
     return f.machines_[f.dir_machine(comp)].comp_sizes;
   }
   static bool log_empty(const DynamicForest& f) { return f.pending_.empty(); }
+
+  // Cascade round A's record-index audit (DynamicForest::IndexAudit).
+  static void audit_record_index(DynamicForest& f) {
+    f.index_audit_.on = true;
+  }
+  static const DynamicForest::IndexAudit& audit(const DynamicForest& f) {
+    return f.index_audit_;
+  }
+  static MachineId machine_of(const DynamicForest& f, VertexId u,
+                              VertexId v) {
+    return f.edge_machine(u, v);
+  }
+  static bool index_built(const DynamicForest& f, MachineId m) {
+    return f.machines_[m].index.built();
+  }
+  // Machine m's records in slot order, as (u, v, tree).
+  static std::vector<std::tuple<VertexId, VertexId, bool>> shard(
+      const DynamicForest& f, MachineId m) {
+    const EdgeShard& es = f.machines_[m].edges;
+    std::vector<std::tuple<VertexId, VertexId, bool>> out;
+    for (std::size_t s = 0; s < es.size(); ++s) {
+      out.emplace_back(es.u[s], es.v[s], es.tree[s] != 0);
+    }
+    return out;
+  }
+  // Whether non-tree record (u, v) is stored in base coordinates with a
+  // cached entry an earlier stage of the pending log removed.
+  static bool caches_removed_entry(const DynamicForest& f, VertexId u,
+                                   VertexId v) {
+    const MachineId m = f.edge_machine(u, v);
+    const EdgeShard& es = f.machines_[m].edges;
+    const auto s = static_cast<std::size_t>(es.find(f.edge_key(u, v)));
+    if (es.tree[s] != 0 || !f.pending_.at_base(es.ver[s])) return false;
+    const etour::ComposedMap* cm = f.pending_.composed_of(es.comp[s]);
+    return cm != nullptr && (cm->piece(es.iu1[s]).removed_at != 0 ||
+                             cm->piece(es.iv1[s]).removed_at != 0);
+  }
 };
 
 }  // namespace core
@@ -462,6 +505,16 @@ std::vector<Corruption> corruptions() {
          Access::set_edge(f, 9, 10, r);
          return std::string("vertex 9 missing from tour");
        }},
+      {"tree record endpoint out of range",
+       [](DynamicForest& f) {
+         // Vertex -1 is the tour fill's empty mark: the walk would not
+         // see the duplicate index this record also carries.
+         auto r = Access::edge(f, 6, 7);
+         r.u = dmpc::kNoVertex;
+         r.iu2 = r.iu1;
+         Access::set_edge(f, 6, 7, r);
+         return std::string("edge record endpoint outside [0, n)");
+       }},
       {"vertex cached index stale",
        [](DynamicForest& f) {
          // An appearance of 8's neighbour 7.
@@ -517,5 +570,343 @@ INSTANTIATE_TEST_SUITE_P(States, ValidateRejectsTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "PendingLog" : "Preprocessed";
                          });
+
+// ---------------------------------------------------------------------------
+// Cascade round A's record index
+// ---------------------------------------------------------------------------
+//
+// A machine builds its record index in round A once it has scanned its
+// shard twice since the last compaction, so a batch's third deletion
+// stage is the first that can read through it.  These tests switch on
+// the test-only audit: every indexed round A also reads every slot the
+// index did not name, and a slot that would have sent something counts
+// as a miss.
+
+using dmpc::MachineId;
+using Edge = std::pair<VertexId, VertexId>;
+
+// One giant component, gnm(kIdxGiant, 2 * kIdxGiant) on the low ids,
+// beside isolated vertices that merges attach.
+constexpr std::size_t kIdxN = 300;
+constexpr std::size_t kIdxGiant = 240;
+
+std::unique_ptr<DynamicForest> index_forest(bool weighted, bool pool,
+                                            std::size_t m_cap) {
+  const graph::EdgeList base = graph::gnm(kIdxGiant, 2 * kIdxGiant, 23);
+  graph::WeightedEdgeList edges;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    edges.push_back({base[i].first, base[i].second,
+                     weighted ? static_cast<graph::Weight>(1 + (i * 37) % 50)
+                              : 1});
+  }
+  auto forest = std::make_unique<DynamicForest>(DynForestConfig{
+      .n = kIdxN, .m_cap = m_cap, .weighted = weighted, .eps = 1e-9});
+  if (pool) {
+    forest->cluster().set_executor(
+        std::make_shared<dmpc::ThreadPoolExecutor>(2, 0));
+  }
+  forest->preprocess(edges);
+  Access::audit_record_index(*forest);
+  return forest;
+}
+
+// The tree path between a and b in the forest's spanning forest, as
+// canonical edges (empty if they are disconnected or equal).
+std::vector<Edge> tree_path(const DynamicForest& f, VertexId a, VertexId b) {
+  std::vector<std::vector<VertexId>> adj(f.num_vertices());
+  for (const auto& [u, v] : f.tree_edges()) {
+    adj[static_cast<std::size_t>(u)].push_back(v);
+    adj[static_cast<std::size_t>(v)].push_back(u);
+  }
+  std::vector<VertexId> parent(f.num_vertices(), dmpc::kNoVertex);
+  parent[static_cast<std::size_t>(a)] = a;
+  std::queue<VertexId> q;
+  q.push(a);
+  while (!q.empty()) {
+    const VertexId x = q.front();
+    q.pop();
+    for (const VertexId y : adj[static_cast<std::size_t>(x)]) {
+      if (parent[static_cast<std::size_t>(y)] != dmpc::kNoVertex) continue;
+      parent[static_cast<std::size_t>(y)] = x;
+      q.push(y);
+    }
+  }
+  std::vector<Edge> path;
+  if (parent[static_cast<std::size_t>(b)] == dmpc::kNoVertex) return path;
+  for (VertexId x = b; x != a; x = parent[static_cast<std::size_t>(x)]) {
+    path.push_back(std::minmax(x, parent[static_cast<std::size_t>(x)]));
+  }
+  return path;
+}
+
+// Builds batches on the giant and applies them, checking the audit, the
+// oracle and validate() after each.
+class IndexStream {
+ public:
+  IndexStream(DynamicForest& f, std::uint64_t seed) : f_(f), rng_(seed) {
+    for (const auto& [u, v] : graph::gnm(kIdxGiant, 2 * kIdxGiant, 23)) {
+      present_.insert(std::minmax(u, v));
+      shadow_.insert_edge(u, v);
+    }
+    for (VertexId v = kIdxGiant; v < static_cast<VertexId>(kIdxN); ++v) {
+      iso_.push_back(v);
+    }
+  }
+
+  // The giant's tree edges, sorted, minus `keep`.
+  std::vector<Edge> giant_tree(const std::set<Edge>& keep = {}) const {
+    std::vector<Edge> out;
+    for (const auto& [u, v] : f_.tree_edges()) {
+      const Edge e = std::minmax(u, v);
+      if (e.second < static_cast<VertexId>(kIdxGiant) && keep.count(e) == 0) {
+        out.push_back(e);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::vector<Edge> giant_nontree() const {
+    const std::vector<Edge> tree = giant_tree();
+    std::vector<Edge> out;
+    for (const Edge& e : present_) {
+      if (e.second < static_cast<VertexId>(kIdxGiant) &&
+          !std::binary_search(tree.begin(), tree.end(), e)) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  }
+  VertexId giant_vertex() {
+    return static_cast<VertexId>(rng_() % kIdxGiant);
+  }
+  // A merge of the next isolated vertex into the giant whose record
+  // does not land on machine `avoid`.
+  Update merge(MachineId avoid = dmpc::kNoMachine) {
+    const VertexId i = iso_.back();
+    iso_.pop_back();
+    while (true) {
+      const VertexId g = giant_vertex();
+      if (Access::machine_of(f_, g, i) == avoid) continue;
+      present_.insert(std::minmax(g, i));
+      return {UpdateKind::kInsert, g, i, 1};
+    }
+  }
+  // An insert of a random absent giant pair.
+  Update insert(graph::Weight w = 1) {
+    while (true) {
+      const VertexId a = giant_vertex(), b = giant_vertex();
+      if (a == b || !present_.insert(std::minmax(a, b)).second) continue;
+      return {UpdateKind::kInsert, a, b, w};
+    }
+  }
+  Update erase(const Edge& e) {
+    present_.erase(e);
+    return {UpdateKind::kDelete, e.first, e.second, 1};
+  }
+  std::size_t isolated_left() const { return iso_.size(); }
+  std::mt19937_64& rng() { return rng_; }
+
+  void apply(const std::vector<Update>& batch) {
+    f_.apply_batch(std::span<const Update>(batch));
+    for (const Update& up : batch) graph::apply_update(shadow_, up);
+    EXPECT_EQ(Access::audit(f_).misses, 0u)
+        << "round A's record index missed a record the scan sends from";
+    expect_components_match(f_, shadow_, "after an indexed batch");
+    std::string why;
+    EXPECT_TRUE(f_.validate(&why)) << why;
+  }
+
+ private:
+  DynamicForest& f_;
+  std::mt19937_64 rng_;
+  std::set<Edge> present_;
+  graph::DynamicGraph shadow_{kIdxN};
+  std::vector<VertexId> iso_;
+};
+
+// (weighted, pooled, small batches)
+class RecordIndexAudit
+    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>> {};
+
+TEST_P(RecordIndexAudit, CoversEveryRecordTheScanSendsFrom) {
+  // Many-stage batches in the style of PendingLogBatch: giant tree-edge
+  // deletions each followed by a merge (and, weighted, a cycle-rule
+  // insert), with non-tree inserts and deletes between them.  Large
+  // batches compact at the top of each batch (S is small here), so each
+  // batch builds its indexes anew; batches of three with a larger S keep
+  // the log, and the indexes, across batches.
+  const auto [weighted, pool, small] = GetParam();
+  const auto forest =
+      index_forest(weighted, pool, small ? std::size_t{1} << 16 : 4 * kIdxN);
+  IndexStream stream(*forest, weighted ? 41 : 43);
+  const std::size_t deletes = small ? 1 : 4;
+  while (stream.isolated_left() >= deletes) {
+    std::vector<Update> batch;
+    std::vector<Edge> trees = stream.giant_tree();
+    std::shuffle(trees.begin(), trees.end(), stream.rng());
+    for (std::size_t i = 0; i < deletes; ++i) {
+      batch.push_back(stream.erase(trees[i]));
+      if (weighted) {
+        batch.push_back(stream.insert(
+            static_cast<graph::Weight>(1 + stream.rng()() % 20)));
+      }
+      batch.push_back(stream.merge());
+      if (i % 2 == 0) {
+        batch.push_back(stream.insert());
+      } else {
+        const std::vector<Edge> nontree = stream.giant_nontree();
+        batch.push_back(
+            stream.erase(nontree[stream.rng()() % nontree.size()]));
+      }
+    }
+    stream.apply(batch);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(forest->batch_stats().record_index_builds, 0u);
+  EXPECT_GT(Access::audit(*forest).machines, 0u);
+  EXPECT_GT(Access::audit(*forest).remapped, 0u)
+      << "no smaller side mapped back to several base ranges";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, RecordIndexAudit,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Weighted" : "Unweighted") +
+             (std::get<1>(info.param) ? "Pooled" : "Serial") +
+             (std::get<2>(info.param) ? "SmallBatches" : "LargeBatches");
+    });
+
+// Appends two warm-up stages to `batch`, a deletion of a giant tree edge
+// outside `keep` each followed by a merge whose record avoids machine
+// `avoid`, so the batch's next deletion stage reads through the index.
+void warm_up(IndexStream& stream, const std::set<Edge>& keep,
+             std::vector<Update>& batch, MachineId avoid = dmpc::kNoMachine,
+             const DynamicForest* f = nullptr) {
+  std::vector<Edge> trees = stream.giant_tree(keep);
+  std::size_t taken = 0;
+  for (const Edge& e : trees) {
+    if (taken == 2) break;
+    if (f != nullptr && Access::machine_of(*f, e.first, e.second) == avoid) {
+      continue;
+    }
+    batch.push_back(stream.erase(e));
+    batch.push_back(stream.merge(avoid));
+    ++taken;
+  }
+}
+
+TEST(RecordIndex, FindsARecordCreatedInTheCurrentBatch) {
+  const auto forest = index_forest(false, false, 4 * kIdxN);
+  IndexStream stream(*forest, 5);
+  // A non-tree insert (a, b) after the warm-up stages, then a deletion
+  // on the tree path between a and b: the new record crosses the cut.
+  VertexId a = 0, b = 0;
+  std::vector<Edge> path;
+  while (path.size() < 3 ||
+         Access::shard(*forest, Access::machine_of(*forest, a, b)).empty()) {
+    a = stream.giant_vertex();
+    b = stream.giant_vertex();
+    path = a == b ? std::vector<Edge>{} : tree_path(*forest, a, b);
+  }
+  std::vector<Update> batch;
+  warm_up(stream, std::set<Edge>(path.begin(), path.end()), batch);
+  batch.push_back({UpdateKind::kInsert, a, b, 1});
+  batch.push_back(stream.erase(path[path.size() / 2]));
+  stream.apply(batch);
+  EXPECT_TRUE(Access::index_built(*forest, Access::machine_of(*forest, a, b)));
+  EXPECT_GT(Access::audit(*forest).machines, 0u);
+}
+
+TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
+  const auto forest = index_forest(false, false, 4 * kIdxN);
+  IndexStream stream(*forest, 7);
+  // Machine m's last record L is a giant non-tree record and another of
+  // its non-tree records X is deleted after m built its index, so L
+  // moves into X's slot; a later deletion on L's tree path must read it.
+  for (MachineId m = 0; m < forest->num_machines(); ++m) {
+    const auto shard = Access::shard(*forest, m);
+    if (shard.size() < 3) continue;
+    const auto [lu, lv, ltree] = shard.back();
+    if (ltree || lv >= static_cast<VertexId>(kIdxGiant)) continue;
+    std::optional<Edge> x;
+    for (std::size_t s = 0; s + 1 < shard.size(); ++s) {
+      if (!std::get<2>(shard[s])) {
+        x = std::minmax(std::get<0>(shard[s]), std::get<1>(shard[s]));
+      }
+    }
+    const std::vector<Edge> path = tree_path(*forest, lu, lv);
+    if (!x.has_value() || path.size() < 2) continue;
+    std::set<Edge> keep(path.begin(), path.end());
+    std::vector<Update> batch;
+    warm_up(stream, keep, batch, m, forest.get());
+    // A third scan-free stage builds m's index before X goes.
+    std::vector<Edge> more = stream.giant_tree(keep);
+    for (const Edge& e : more) {
+      if (Access::machine_of(*forest, e.first, e.second) == m) continue;
+      if (std::find_if(batch.begin(), batch.end(), [&](const Update& up) {
+            return Edge(std::minmax(up.u, up.v)) == e;
+          }) != batch.end()) {
+        continue;
+      }
+      batch.push_back(stream.erase(e));
+      batch.push_back(stream.merge(m));
+      break;
+    }
+    batch.push_back(stream.erase(*x));
+    batch.push_back(stream.erase(path.front()));
+    stream.apply(batch);
+    EXPECT_TRUE(Access::index_built(*forest, m));
+    EXPECT_GT(Access::audit(*forest).machines, 0u);
+    return;
+  }
+  FAIL() << "no machine ends its shard with a giant non-tree record";
+}
+
+TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
+  // S large enough that the log, and the machines' scan counts, outlive
+  // the first batch.
+  const auto forest = index_forest(false, false, std::size_t{1} << 16);
+  IndexStream stream(*forest, 9);
+  // Non-tree record R = (x, y) caches an appearance of x that tree edge
+  // e1, off the x..y path, owns.  Deleting e1 removes that entry, so R
+  // resolves through that stage's cut fix.  The next batch deletes an
+  // edge on the x..y path, which R crosses, in the first round A that
+  // reads through the index.
+  const std::vector<Edge> tree = stream.giant_tree();
+  for (const Edge& r : stream.giant_nontree()) {
+    const auto rec = Access::edge(*forest, r.first, r.second);
+    for (const auto& [x, y, ix] : {std::tuple{rec.u, rec.v, rec.iu1},
+                                   std::tuple{rec.v, rec.u, rec.iv1}}) {
+      const std::vector<Edge> path = tree_path(*forest, x, y);
+      if (path.size() < 2) continue;
+      for (const Edge& e1 : tree) {
+        if (e1.first != x && e1.second != x) continue;
+        const auto t = Access::edge(*forest, e1.first, e1.second);
+        const bool owns = t.u == x ? (t.iu1 == ix || t.iu2 == ix)
+                                   : (t.iv1 == ix || t.iv2 == ix);
+        if (!owns || std::find(path.begin(), path.end(), e1) != path.end()) {
+          continue;
+        }
+        std::set<Edge> keep(path.begin(), path.end());
+        keep.insert(e1);
+        const std::vector<Edge> others = stream.giant_tree(keep);
+        stream.apply({stream.erase(e1), stream.merge(),
+                      stream.erase(others.front())});
+        ASSERT_TRUE(Access::caches_removed_entry(*forest, r.first, r.second));
+        const std::uint64_t compactions = forest->batch_stats().compactions;
+        stream.apply({stream.erase(path.front())});
+        EXPECT_EQ(forest->batch_stats().compactions, compactions);
+        EXPECT_GT(forest->batch_stats().record_index_builds, 0u);
+        EXPECT_TRUE(Access::index_built(
+            *forest, Access::machine_of(*forest, r.first, r.second)));
+        EXPECT_GT(Access::audit(*forest).machines, 0u);
+        return;
+      }
+    }
+  }
+  FAIL() << "no non-tree record caches an entry of an off-path tree edge";
+}
 
 }  // namespace

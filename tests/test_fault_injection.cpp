@@ -299,6 +299,25 @@ TEST(FaultSweep, CompactionDispatchFaultsRollBack) {
   }
 }
 
+// Churn on one giant component in batches of three with S large enough
+// that the log, and each machine's count of the records cascade round A
+// scanned, outlive batches: round A builds machines' record indexes, in
+// its own dispatch, and reads through them.  A fault anywhere must drop
+// an index built in the batch and cut an older one back to the shard the
+// rollback restores, so the retry reads, counts and builds exactly as
+// the fault-free twin does (its batch_stats() are compared too).
+TEST(FaultSweep, RecordIndexBuildRollsBack) {
+  const DynForestConfig config{.n = 256, .m_cap = 16384};
+  const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
+  const auto stream = graph::random_stream(config.n, 240, 0.5, 9);
+  for (const bool pool : {false, true}) {
+    dmpc::BatchScheduleStats stats;
+    sweep_every_injection_point(config, pool, stream, 3, &stats, initial);
+    EXPECT_GT(stats.record_index_builds, 0u)
+        << "round A built no record index in the swept stream";
+  }
+}
+
 // Churn over many small components in batches of two, with S large
 // enough (m_cap) that most batches start with earlier batches' stages
 // still pending, and a fault anywhere

@@ -180,6 +180,25 @@ TEST(Tracer, WallNsPartitionsTheTimeline) {
   EXPECT_GT(attributed, 0u);
 }
 
+TEST(Tracer, DisabledGapIsChargedToNoPhase) {
+  Tracer tracer(64);
+  tracer.set_enabled(true);
+  tracer.begin_phase(TracePhase::kBatch);
+  tracer.end_phase();
+  tracer.set_enabled(false);
+  // Work the tracer does not see (set-up, an untraced read slice).
+  constexpr std::uint64_t kSpinNs = 20'000'000;
+  const std::uint64_t spin_from = tracer.now_ns();
+  while (tracer.now_ns() - spin_from < kSpinNs) {
+  }
+  tracer.set_enabled(true);
+  tracer.begin_phase(TracePhase::kBatch);
+  tracer.end_phase();
+  const PhaseTotals& unattributed =
+      tracer.phase_totals()[static_cast<std::size_t>(TracePhase::kNone)];
+  EXPECT_LT(unattributed.wall_ns, kSpinNs);
+}
+
 TEST(Tracer, PhaseScopeNextSwitchesLinearly) {
   Tracer tracer(64);
   tracer.set_enabled(true);
