@@ -33,14 +33,18 @@
 //     rounds and words.  `--check` requires validate() afterwards and the
 //     pinned rounds and words (kCommitRounds / kCommitWords; the protocol
 //     is deterministic, so any other count is a protocol change);
-//   * k-way batches at n = 2^18: random churn in batches of 16 on
-//     gnm(n, n) under the serial executor, where conflicts on the giant
-//     component split a batch into several rewriting stages, whose maps
-//     stay in the pending log across batches until a compaction — wall
-//     time per batch, rewriting stages and compactions per batch.
-//     `--check` requires validate(), the pending log within its bound
-//     after every batch, at least one compaction, and the pinned rounds
-//     and words (kBatchRounds / kBatchWords);
+//   * k-way batches at n = 2^16, 2^18 and 2^20: random churn in batches
+//     of 16 on gnm(n, n) under the serial executor, where conflicts on
+//     the giant component split a batch into several rewriting stages,
+//     whose maps stay in the pending log across batches until a
+//     compaction — wall time per batch and per update, rewriting stages
+//     and compactions per batch, and the records cascade round A read
+//     per cascade (through the record index once a machine built one).
+//     `--check` requires, per row, validate(), the pending log within
+//     its bound after every batch, a compaction where the row expects
+//     one, and the pinned rounds and words (kBatchRows); and across the
+//     rows, records read per cascade at 2^20 within
+//     kMaxRecordsPerCascadeGrowth times those at 2^16;
 //   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
 //     links: its compile time, and ns per index (in random order, as a
 //     shard scan meets them) through the map against the per-index
@@ -55,9 +59,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -83,11 +89,27 @@ constexpr std::size_t kCommitN = std::size_t{1} << 18;
 constexpr std::size_t kCommitPairs = 32;
 constexpr std::uint64_t kCommitRounds = 267;
 constexpr std::uint64_t kCommitWords = 657973;
-constexpr std::size_t kBatchN = std::size_t{1} << 18;
 constexpr std::size_t kBatchUpdates = 512;
 constexpr std::size_t kBatchSize = 16;
-constexpr std::uint64_t kBatchRounds = 727;
-constexpr std::uint64_t kBatchWords = 2177550;
+/// One k-way batch row: its size, pinned rounds and words, and whether
+/// its stream outgrows the pending log's bound (S grows with n, so the
+/// 2^20 row never compacts).
+struct BatchRow {
+  std::size_t n;
+  std::uint64_t rounds;
+  std::uint64_t words;
+  bool compacts;
+};
+constexpr BatchRow kBatchRows[] = {
+    {std::size_t{1} << 16, 705, 1099900, true},
+    {std::size_t{1} << 18, 727, 2177550, true},
+    {std::size_t{1} << 20, 765, 4584528, false},
+};
+/// Cascade round A's records read per cascade may grow at most this much
+/// from the smallest to the largest k-way batch row.
+constexpr double kMaxRecordsPerCascadeGrowth = 2.0;
+/// Each cascade is three rounds (A, B, C).
+constexpr std::uint64_t kCascadeRounds = 3;
 constexpr std::size_t kStageMapVertices = (std::size_t{1} << 18) + 1;
 constexpr std::size_t kStageMapCuts = 8;
 constexpr int kStageMapCompiles = 200;
@@ -355,13 +377,16 @@ CommitRun run_commit_pass() {
   return out;
 }
 
-/// The k-way batch row: kBatchUpdates updates of random_stream churn on
-/// gnm(kBatchN, kBatchN), applied in batches of kBatchSize.
+/// A k-way batch row: kBatchUpdates updates of random_stream churn on
+/// gnm(n, n), applied in batches of kBatchSize.
 struct BatchRun {
   double seconds = 0;
   std::uint64_t batches = 0;
   std::uint64_t rewriting_stages = 0;
   std::uint64_t compactions = 0;
+  std::uint64_t cascades = 0;
+  std::uint64_t records_read = 0;  ///< by cascade round A
+  std::uint64_t index_builds = 0;
   std::uint64_t log_words_peak = 0;
   std::size_t log_bound = 0;
   bool log_within_bound = true;  ///< after every batch
@@ -369,12 +394,11 @@ struct BatchRun {
   bool valid = false;
 };
 
-BatchRun run_kway_batches() {
-  core::DynamicForest forest({.n = kBatchN, .m_cap = 4 * kBatchN});
+BatchRun run_kway_batches(std::size_t n) {
+  core::DynamicForest forest({.n = n, .m_cap = 4 * n});
   forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
-  forest.preprocess(graph::gnm(kBatchN, kBatchN, 11));
-  graph::UpdateStream stream =
-      graph::random_stream(kBatchN, kBatchUpdates, 0.6, 12);
+  forest.preprocess(graph::gnm(n, n, 11));
+  graph::UpdateStream stream = graph::random_stream(n, kBatchUpdates, 0.6, 12);
   for (graph::Update& up : stream) up.w = 1;  // unweighted: insert's default
   forest.cluster().metrics().reset();
   BatchRun out;
@@ -391,6 +415,9 @@ BatchRun run_kway_batches() {
     ++out.batches;
   }
   out.log_words_peak = forest.batch_stats().log_words_peak;
+  out.cascades = forest.batch_stats().cascade_rounds / kCascadeRounds;
+  out.records_read = forest.batch_stats().cascade_records_read;
+  out.index_builds = forest.batch_stats().record_index_builds;
   out.log_bound = forest.pending_log_bound();
   out.agg = forest.cluster().metrics().aggregate();
   out.valid = forest.validate();
@@ -749,47 +776,80 @@ int main(int argc, char** argv) {
 
   // --- K-way batches: rewriting stages pending across batches ---------
   {
-    const BatchRun r = run_kway_batches();
-    const auto batches = static_cast<double>(r.batches);
-    const double ms = r.seconds * 1e3 / batches;
-    const double stages = static_cast<double>(r.rewriting_stages) / batches;
-    const double compactions = static_cast<double>(r.compactions) / batches;
-    const bool pinned = r.agg.total_rounds == kBatchRounds &&
-                        r.agg.total_comm_words == kBatchWords;
-    const bool log_ok = r.log_within_bound && r.compactions >= 1;
-    std::printf("\n=== k-way batches: random churn on gnm(n, n), n=%zu, "
-                "batch=%zu, serial ===\n",
-                kBatchN, kBatchSize);
-    std::printf("%llu batches: %.3f ms/batch, %.2f rewriting stages/batch, "
-                "%.3f compactions/batch, log peak %llu of %zu words, %llu "
-                "rounds, %llu words, valid %s\n",
-                static_cast<unsigned long long>(r.batches), ms, stages,
-                compactions, static_cast<unsigned long long>(r.log_words_peak),
-                r.log_bound,
-                static_cast<unsigned long long>(r.agg.total_rounds),
-                static_cast<unsigned long long>(r.agg.total_comm_words),
-                r.valid ? "yes" : "NO");
-    if (!r.valid || !pinned || !log_ok) {
-      std::fprintf(stderr, "K-WAY BATCH VIOLATION: %s\n",
-                   !r.valid ? "validate() failed"
-                   : !r.log_within_bound
-                       ? "the pending log passed its bound after a batch"
-                   : !log_ok ? "the pending log never compacted"
-                             : "rounds/words differ from the pinned counts");
+    std::vector<double> per_cascade;
+    for (const BatchRow& row : kBatchRows) {
+      const BatchRun r = run_kway_batches(row.n);
+      const auto batches = static_cast<double>(r.batches);
+      const double ms = r.seconds * 1e3 / batches;
+      const double ms_update =
+          r.seconds * 1e3 / static_cast<double>(kBatchUpdates);
+      const double stages = static_cast<double>(r.rewriting_stages) / batches;
+      const double compactions = static_cast<double>(r.compactions) / batches;
+      const double read =
+          r.cascades == 0 ? 0.0
+                          : static_cast<double>(r.records_read) /
+                                static_cast<double>(r.cascades);
+      per_cascade.push_back(read);
+      const bool pinned = r.agg.total_rounds == row.rounds &&
+                          r.agg.total_comm_words == row.words;
+      const bool log_ok =
+          r.log_within_bound && (!row.compacts || r.compactions >= 1);
+      std::printf("\n=== k-way batches: random churn on gnm(n, n), n=%zu, "
+                  "batch=%zu, serial ===\n",
+                  row.n, kBatchSize);
+      std::printf("%llu batches: %.3f ms/batch, %.4f ms/update, %.2f "
+                  "rewriting stages/batch, %.3f compactions/batch, log peak "
+                  "%llu of %zu words, %llu cascades reading %.0f records "
+                  "each, %llu index builds, %llu rounds, %llu words, valid "
+                  "%s\n",
+                  static_cast<unsigned long long>(r.batches), ms, ms_update,
+                  stages, compactions,
+                  static_cast<unsigned long long>(r.log_words_peak),
+                  r.log_bound, static_cast<unsigned long long>(r.cascades),
+                  read, static_cast<unsigned long long>(r.index_builds),
+                  static_cast<unsigned long long>(r.agg.total_rounds),
+                  static_cast<unsigned long long>(r.agg.total_comm_words),
+                  r.valid ? "yes" : "NO");
+      if (!r.valid || !pinned || !log_ok) {
+        std::fprintf(stderr, "K-WAY BATCH VIOLATION (n=%zu): %s\n", row.n,
+                     !r.valid ? "validate() failed"
+                     : !r.log_within_bound
+                         ? "the pending log passed its bound after a batch"
+                     : !log_ok ? "the pending log never compacted"
+                               : "rounds/words differ from the pinned counts");
+        ok = false;
+      }
+      json.row("kway_batch_n" + std::to_string(row.n))
+          .u64("cores", cores)
+          .u64("batches", r.batches)
+          .num("wall_seconds", r.seconds)
+          .num("ms_per_batch", ms)
+          .num("ms_per_update", ms_update)
+          .num("rewriting_stages_per_batch", stages)
+          .num("compactions_per_batch", compactions)
+          .u64("log_words_peak", r.log_words_peak)
+          .u64("log_bound_words", r.log_bound)
+          .u64("cascades", r.cascades)
+          .u64("cascade_records_read", r.records_read)
+          .num("records_read_per_cascade", read)
+          .u64("record_index_builds", r.index_builds)
+          .u64("total_rounds", r.agg.total_rounds)
+          .u64("total_comm_words", r.agg.total_comm_words)
+          .flag("within_budget", r.valid && pinned && log_ok);
+    }
+    // The smaller-side search: round A's reads per cascade stay near
+    // flat in n, where a whole-shard scan grows with it.
+    const double growth = per_cascade.back() / per_cascade.front();
+    std::printf("records read per cascade: %.2fx from n=%zu to n=%zu "
+                "(budget %.1fx)\n",
+                growth, kBatchRows[0].n, std::end(kBatchRows)[-1].n,
+                kMaxRecordsPerCascadeGrowth);
+    if (growth > kMaxRecordsPerCascadeGrowth) {
+      std::fprintf(stderr, "K-WAY BATCH VIOLATION: records read per cascade "
+                           "grew %.2fx (budget %.1fx)\n",
+                   growth, kMaxRecordsPerCascadeGrowth);
       ok = false;
     }
-    json.row("kway_batch_n262144")
-        .u64("cores", cores)
-        .u64("batches", r.batches)
-        .num("wall_seconds", r.seconds)
-        .num("ms_per_batch", ms)
-        .num("rewriting_stages_per_batch", stages)
-        .num("compactions_per_batch", compactions)
-        .u64("log_words_peak", r.log_words_peak)
-        .u64("log_bound_words", r.log_bound)
-        .u64("total_rounds", r.agg.total_rounds)
-        .u64("total_comm_words", r.agg.total_comm_words)
-        .flag("within_budget", r.valid && pinned && log_ok);
   }
 
   // --- The compiled stage map against the per-index algebra -----------

@@ -19,6 +19,11 @@ and fails when any workload regressed:
   * replacement-cascade rounds per batch (cascade_rounds / batches, the
     batch-dynamic protocol's reconnection cost) grew by more than
     --max-cascade-regress plus a small absolute slack;
+  * cascade round A's records read per cascade
+    (records_read_per_cascade from bench_micro's k-way batch rows — the
+    record index reads each split's smaller side, so this count tracks
+    the smaller-side search) grew by more than --max-records-regress;
+    it is a deterministic count, so the bound is tight;
   * serving query rounds per batch (query_rounds_per_batch from
     bench_serving — the read path is O(1) rounds by construction, so
     like rounds/update this is deterministic) grew by more than
@@ -57,6 +62,7 @@ Usage:
   bench_trend.py --baseline DIR --current DIR \
       [--max-regress 0.25] [--min-seconds 0.25] \
       [--max-rounds-regress 0.05] [--max-deferred-growth 0.25] \
+      [--max-records-regress 0.02] \
       [--max-query-rounds-regress 0.05] [--max-p99-regress 0.50] \
       [--min-p99-us 200] [--max-journal-overhead 5.0] \
       [--min-journal-seconds 0.5] [--max-trace-overhead 1.0] \
@@ -101,6 +107,10 @@ def main(argv=None):
                     help="fail when replacement-cascade rounds per batch "
                          "grow by more than this fraction plus a slack of "
                          "0.25 rounds/batch (default 0.05)")
+    ap.add_argument("--max-records-regress", type=float, default=0.02,
+                    help="fail when cascade round A's records read per "
+                         "cascade grow by more than this fraction "
+                         "(default 0.02)")
     ap.add_argument("--max-query-rounds-regress", type=float, default=0.05,
                     help="fail when serving query rounds per batch grow "
                          "by more than this fraction (default 0.05)")
@@ -224,7 +234,8 @@ def main(argv=None):
             # gate — make that loss visible, like the missing-row notice.
             for metric in ("wall_seconds", "rounds_per_update",
                            "deferred_updates",
-                           "cascade_rounds", "query_rounds_per_batch",
+                           "cascade_rounds", "records_read_per_cascade",
+                           "query_rounds_per_batch",
                            "p99_us", "journal_overhead_pct",
                            "trace_overhead_pct"):
                 if brow.get(metric) is not None and \
@@ -301,6 +312,21 @@ def main(argv=None):
                     regressions.append(
                         (name, label, "cascade rounds/batch",
                          f"{bpb:.3f} -> {cpb:.3f}"))
+
+            # Cascade round A's records read per cascade: a count, as
+            # deterministic as rounds, so growth past a tight tolerance
+            # means the smaller-side search reads more than it did.
+            bread, cread = (brow.get("records_read_per_cascade"),
+                            crow.get("records_read_per_cascade"))
+            if bread is not None and cread is not None:
+                print(f"{name}: {label}: records read per cascade "
+                      f"{bread:.0f} -> {cread:.0f}")
+                if bread > 0 and \
+                        cread > bread * (1.0 + args.max_records_regress):
+                    row_bad.append("records read/cascade")
+                    regressions.append(
+                        (name, label, "records read/cascade",
+                         f"{bread:.0f} -> {cread:.0f}"))
 
             # Serving query rounds per batch: the read path is O(1)
             # rounds by construction, so this is as deterministic as
@@ -380,7 +406,8 @@ def main(argv=None):
           f"(wall {args.max_regress:.0%}, rounds "
           f"{args.max_rounds_regress:.0%}, deferred growth "
           f"{args.max_deferred_growth:.0%}, cascade growth "
-          f"{args.max_cascade_regress:.0%}, query rounds "
+          f"{args.max_cascade_regress:.0%}, records read "
+          f"{args.max_records_regress:.0%}, query rounds "
           f"{args.max_query_rounds_regress:.0%}, p99 growth "
           f"{args.max_p99_regress:.0%}, journal overhead budget "
           f"{args.max_journal_overhead:.1f}%, trace overhead budget "

@@ -271,6 +271,24 @@ class BenchTrendTest(unittest.TestCase):
     def test_empty_current_dir_errors(self):
         self.assertEqual(self.gate(), 2)
 
+    def test_records_read_per_cascade_growth_fails(self):
+        base = make_row("kway_batch_n1048576")
+        base["records_read_per_cascade"] = 30000.0
+        cur = make_row("kway_batch_n1048576")
+        cur["records_read_per_cascade"] = 30700.0  # +2.3%
+        self.write(self.baseline, [base], bench="micro")
+        self.write(self.current, [cur], bench="micro")
+        self.assertEqual(self.gate(), 1)
+
+    def test_records_read_per_cascade_within_bound_passes(self):
+        base = make_row("kway_batch_n1048576")
+        base["records_read_per_cascade"] = 30000.0
+        cur = make_row("kway_batch_n1048576")
+        cur["records_read_per_cascade"] = 30500.0  # +1.7%
+        self.write(self.baseline, [base], bench="micro")
+        self.write(self.current, [cur], bench="micro")
+        self.assertEqual(self.gate(), 0)
+
     def test_journal_overhead_over_budget_fails(self):
         # The undo-journal atomicity tax has an absolute 5% budget.
         self.write(self.baseline,

@@ -435,8 +435,10 @@ void DynamicForest::journal_rollback() {
 // that resolves records through the log first asks whether the log is
 // empty and, if so, reads the records as stored: the `log == nullptr`
 // branches of for_each_path_slot, `pending_.empty()` in current_edge,
-// `pending ?` in the cascade's round A, and the two ProbeSet::map_back
-// sites (the path-max and query-batch probes).  A build with these
+// `pending ?` in the per-record body of the cascade's round A (which
+// runs on every slot of a scanning machine and on every record-index
+// candidate of an indexed one), and the two ProbeSet::map_back sites
+// (the path-max and query-batch probes).  A build with these
 // deleted (current_vertex's own guard kept) lost all six alternating 8 s
 // e2e `serve` pairs (seeds 11-16) on a shared 4-core container: ops_per_s
 // fell from 518-560k to 427-482k and query_p50_us rose from 406-446 to
