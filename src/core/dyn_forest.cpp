@@ -1584,10 +1584,18 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
     std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
         machines_.size());
-    const bool indexable = RecordIndex::fits(config_.n);
+    // Ski rental: a machine scans until the records it scanned since the
+    // last compaction would have paid for a build.
+    const auto reads_index = [&](const MachineState& ms) {
+      return ms.index.built() ||
+             ms.cascade_scanned > kIndexAfterScans * ms.edges.size();
+    };
+    const bool indexed =
+        RecordIndex::fits(config_.n) &&
+        std::any_of(machines_.begin(), machines_.end(), reads_index);
     std::vector<TourRange> query_ranges;
     std::vector<VertexId> query_verts;
-    if (indexable) {
+    if (indexed) {
       std::vector<TourRange> smaller;
       for (const Rewritten& rw : rewritten) {
         if (rw.split == nullptr) continue;
@@ -1692,14 +1700,11 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           lbest.push_back({{comp, std::min(fu, fv), std::max(fu, fv)}, c});
         }
       };
-      // Ski rental: scan until the scans since the last compaction
-      // would have paid for a build.
-      if (indexable && !ms.index.built() &&
-          ms.cascade_scanned > kIndexAfterScans * es.size()) {
-        ms.index.build(es, pending_);
-        index_built[m] = 1;
-      }
-      if (ms.index.built()) {
+      if (indexed && reads_index(ms)) {
+        if (!ms.index.built()) {
+          ms.index.build(es, pending_);
+          index_built[m] = 1;
+        }
         std::vector<std::uint32_t> slots;
         ms.index.collect(query_ranges, query_verts, es.size(), slots);
         for (const std::uint32_t s : slots) read(s);

@@ -621,10 +621,9 @@ class DynamicForest {
   static constexpr std::size_t kLogWordsPerUpdate = 64;
   /// Cascade round A builds a machine's record index once the records it
   /// scanned since the last compaction exceed this many shards: a build
-  /// (two sorts of about two entries per record) costs about as much as
-  /// this many scans, so the index never costs more than twice what
-  /// scanning would have (the ski-rental rule).  A batch stream that
-  /// compacts after every cascade never builds one.
+  /// measured about as much as one scan, so the index never costs more
+  /// than about twice what scanning would have (the ski-rental rule).  A
+  /// batch stream that compacts after every cascade never builds one.
   static constexpr std::uint64_t kIndexAfterScans = 1;
 
   static constexpr Word kEdgeRecWords = 12;

@@ -300,10 +300,6 @@ class RecordIndex {
   [[nodiscard]] std::size_t side_size() const { return side_.size(); }
   /// Cuts the side list back to its first `len` slots.
   void truncate_side(std::size_t len) { side_.resize(len); }
-  /// Index entries held, side list included.
-  [[nodiscard]] std::size_t entries() const {
-    return nontree_.size() + tree_.size() + side_.size();
-  }
 
   /// Sets `out` to the slots below `size` that may hold a non-tree
   /// record at base with an entry in one of `ranges` (base coordinates,
