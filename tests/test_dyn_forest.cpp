@@ -778,16 +778,18 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(info.param) ? "SmallBatches" : "LargeBatches");
     });
 
-// Appends two warm-up stages to `batch`, a deletion of a giant tree edge
-// outside `keep` each followed by a merge whose record avoids machine
-// `avoid`, so the batch's next deletion stage reads through the index.
+// Appends `stages` warm-up stages to `batch`, a deletion of a giant tree
+// edge outside `keep` each followed by a merge whose record avoids
+// machine `avoid`.  After two, the batch's next deletion stage reads
+// through the index; after three, a machine's index is built.
 void warm_up(IndexStream& stream, const std::set<Edge>& keep,
-             std::vector<Update>& batch, MachineId avoid = dmpc::kNoMachine,
+             std::vector<Update>& batch, std::size_t stages = 2,
+             MachineId avoid = dmpc::kNoMachine,
              const DynamicForest* f = nullptr) {
   std::vector<Edge> trees = stream.giant_tree(keep);
   std::size_t taken = 0;
   for (const Edge& e : trees) {
-    if (taken == 2) break;
+    if (taken == stages) break;
     if (f != nullptr && Access::machine_of(*f, e.first, e.second) == avoid) {
       continue;
     }
@@ -800,8 +802,9 @@ void warm_up(IndexStream& stream, const std::set<Edge>& keep,
 TEST(RecordIndex, FindsARecordCreatedInTheCurrentBatch) {
   const auto forest = index_forest(false, false, 4 * kIdxN);
   IndexStream stream(*forest, 5);
-  // A non-tree insert (a, b) after the warm-up stages, then a deletion
-  // on the tree path between a and b: the new record crosses the cut.
+  // A non-tree insert (a, b) after three warm-up stages, so its machine
+  // built its index before the record exists, then a deletion on the
+  // tree path between a and b: the new record crosses the cut.
   VertexId a = 0, b = 0;
   std::vector<Edge> path;
   while (path.size() < 3 ||
@@ -811,7 +814,7 @@ TEST(RecordIndex, FindsARecordCreatedInTheCurrentBatch) {
     path = a == b ? std::vector<Edge>{} : tree_path(*forest, a, b);
   }
   std::vector<Update> batch;
-  warm_up(stream, std::set<Edge>(path.begin(), path.end()), batch);
+  warm_up(stream, std::set<Edge>(path.begin(), path.end()), batch, 3);
   batch.push_back({UpdateKind::kInsert, a, b, 1});
   batch.push_back(stream.erase(path[path.size() / 2]));
   stream.apply(batch);
@@ -840,20 +843,8 @@ TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
     if (!x.has_value() || path.size() < 2) continue;
     std::set<Edge> keep(path.begin(), path.end());
     std::vector<Update> batch;
-    warm_up(stream, keep, batch, m, forest.get());
-    // A third scan-free stage builds m's index before X goes.
-    std::vector<Edge> more = stream.giant_tree(keep);
-    for (const Edge& e : more) {
-      if (Access::machine_of(*forest, e.first, e.second) == m) continue;
-      if (std::find_if(batch.begin(), batch.end(), [&](const Update& up) {
-            return Edge(std::minmax(up.u, up.v)) == e;
-          }) != batch.end()) {
-        continue;
-      }
-      batch.push_back(stream.erase(e));
-      batch.push_back(stream.merge(m));
-      break;
-    }
+    // The third stage builds m's index before X goes.
+    warm_up(stream, keep, batch, 3, m, forest.get());
     batch.push_back(stream.erase(*x));
     batch.push_back(stream.erase(path.front()));
     stream.apply(batch);
@@ -895,8 +886,34 @@ TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
         stream.apply({stream.erase(e1), stream.merge(),
                       stream.erase(others.front())});
         ASSERT_TRUE(Access::caches_removed_entry(*forest, r.first, r.second));
+        // Cut where x's side is the smaller one, so R's only entry in a
+        // queried fragment is the removed one.
+        const std::vector<Edge> now = tree_path(*forest, x, y);
+        const auto x_side = [&](const Edge& cut) {
+          std::vector<std::vector<VertexId>> adj(kIdxN);
+          for (const auto& [u, v] : forest->tree_edges()) {
+            if (Edge(std::minmax(u, v)) == cut) continue;
+            adj[static_cast<std::size_t>(u)].push_back(v);
+            adj[static_cast<std::size_t>(v)].push_back(u);
+          }
+          std::set<VertexId> seen{x};
+          std::vector<VertexId> todo{x};
+          while (!todo.empty()) {
+            const VertexId at = todo.back();
+            todo.pop_back();
+            for (const VertexId to : adj[static_cast<std::size_t>(at)]) {
+              if (seen.insert(to).second) todo.push_back(to);
+            }
+          }
+          return seen.size();
+        };
+        const std::size_t giant = x_side({-1, -1});
+        const auto e2 = std::find_if(
+            now.begin(), now.end(),
+            [&](const Edge& c) { return 2 * x_side(c) < giant; });
+        ASSERT_NE(e2, now.end()) << "x's side is never the smaller one";
         const std::uint64_t compactions = forest->batch_stats().compactions;
-        stream.apply({stream.erase(path.front())});
+        stream.apply({stream.erase(*e2)});
         EXPECT_EQ(forest->batch_stats().compactions, compactions);
         EXPECT_GT(forest->batch_stats().record_index_builds, 0u);
         EXPECT_TRUE(Access::index_built(
