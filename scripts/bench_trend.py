@@ -22,8 +22,8 @@ and fails when any workload regressed:
   * cascade round A's records read per cascade
     (records_read_per_cascade from bench_micro's k-way batch rows — the
     record index reads each split's smaller side, so this count tracks
-    the smaller-side search) grew by more than --max-records-regress;
-    it is a deterministic count, so the bound is tight;
+    the smaller-side search) grew by more than RECORDS_REGRESS (2%);
+    it is a deterministic count, so the bound is a tight constant;
   * serving query rounds per batch (query_rounds_per_batch from
     bench_serving — the read path is O(1) rounds by construction, so
     like rounds/update this is deterministic) grew by more than
@@ -62,7 +62,6 @@ Usage:
   bench_trend.py --baseline DIR --current DIR \
       [--max-regress 0.25] [--min-seconds 0.25] \
       [--max-rounds-regress 0.05] [--max-deferred-growth 0.25] \
-      [--max-records-regress 0.02] \
       [--max-query-rounds-regress 0.05] [--max-p99-regress 0.50] \
       [--min-p99-us 200] [--max-journal-overhead 5.0] \
       [--min-journal-seconds 0.5] [--max-trace-overhead 1.0] \
@@ -73,6 +72,10 @@ import argparse
 import json
 import os
 import sys
+
+# Cascade round A's records read per cascade is a deterministic count,
+# so its growth bound is a fixed tight fraction, not a tunable.
+RECORDS_REGRESS = 0.02
 
 
 def load_rows(path):
@@ -107,10 +110,6 @@ def main(argv=None):
                     help="fail when replacement-cascade rounds per batch "
                          "grow by more than this fraction plus a slack of "
                          "0.25 rounds/batch (default 0.05)")
-    ap.add_argument("--max-records-regress", type=float, default=0.02,
-                    help="fail when cascade round A's records read per "
-                         "cascade grow by more than this fraction "
-                         "(default 0.02)")
     ap.add_argument("--max-query-rounds-regress", type=float, default=0.05,
                     help="fail when serving query rounds per batch grow "
                          "by more than this fraction (default 0.05)")
@@ -322,7 +321,7 @@ def main(argv=None):
                 print(f"{name}: {label}: records read per cascade "
                       f"{bread:.0f} -> {cread:.0f}")
                 if bread > 0 and \
-                        cread > bread * (1.0 + args.max_records_regress):
+                        cread > bread * (1.0 + RECORDS_REGRESS):
                     row_bad.append("records read/cascade")
                     regressions.append(
                         (name, label, "records read/cascade",
@@ -407,7 +406,7 @@ def main(argv=None):
           f"{args.max_rounds_regress:.0%}, deferred growth "
           f"{args.max_deferred_growth:.0%}, cascade growth "
           f"{args.max_cascade_regress:.0%}, records read "
-          f"{args.max_records_regress:.0%}, query rounds "
+          f"{RECORDS_REGRESS:.0%}, query rounds "
           f"{args.max_query_rounds_regress:.0%}, p99 growth "
           f"{args.max_p99_regress:.0%}, journal overhead budget "
           f"{args.max_journal_overhead:.1f}%, trace overhead budget "

@@ -1588,7 +1588,8 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     // last compaction would have paid for a build.
     const auto reads_index = [&](const MachineState& ms) {
       return ms.index.built() ||
-             ms.cascade_scanned > kIndexAfterScans * ms.edges.size();
+             (ms.cascade_scanned != 0 &&
+              ms.cascade_scanned >= kIndexAfterScans * ms.edges.size());
     };
     const bool indexed =
         RecordIndex::fits(config_.n) &&
@@ -1634,8 +1635,10 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
                 });
       std::sort(query_verts.begin(), query_verts.end());
     }
-    std::vector<std::uint64_t> records_read(machines_.size(), 0);
-    std::vector<std::uint8_t> index_built(machines_.size(), 0);
+    // Per machine, kept only when some machine reads through an index:
+    // otherwise every machine reads its whole shard and builds nothing.
+    std::vector<std::uint64_t> records_read(indexed ? machines_.size() : 0);
+    std::vector<std::uint8_t> index_built(indexed ? machines_.size() : 0);
     // Per machine: whether it was audited, and the slots it missed.
     std::vector<std::uint64_t> audit(index_audit_.on ? 2 * machines_.size()
                                                      : 0);
@@ -1648,7 +1651,10 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       auto& lbest = mbest[m];
       RewrittenCursor cursor{rewritten};
       PendingLog::Cursor pcursor(pending_);
-      const auto read = [&](std::size_t s) {
+      // Forced inline: the loops below call it once per record, and with
+      // three callers the compiler kept it out of line, a call per record
+      // on the whole-shard scan as well.
+      const auto read = [&](std::size_t s) __attribute__((always_inline)) {
         // The record's current component takes one lookup (its u-side
         // entry); the whole record is resolved only if the scan uses it,
         // reusing that entry.
@@ -1730,7 +1736,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       } else {
         for (std::size_t s = 0; s < es.size(); ++s) read(s);
         ms.cascade_scanned += es.size();
-        records_read[m] = es.size();
+        if (indexed) records_read[m] = es.size();
       }
       // Per key: the minimum appearance; the (w, u, v)-least candidate.
       std::sort(lapp.begin(), lapp.end());
@@ -1766,8 +1772,12 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     });
     finish();
     for (std::size_t m = 0; m < machines_.size(); ++m) {
-      batch_stats_.cascade_records_read += records_read[m];
-      batch_stats_.record_index_builds += index_built[m];
+      if (indexed) {
+        batch_stats_.cascade_records_read += records_read[m];
+        batch_stats_.record_index_builds += index_built[m];
+      } else {
+        batch_stats_.cascade_records_read += machines_[m].edges.size();
+      }
     }
     for (std::size_t m = 0; m < audit.size(); m += 2) {
       index_audit_.machines += audit[m];

@@ -319,7 +319,7 @@ class DynamicForest {
     MachineJournal journal;
     // Cascade round A's record index (see RecordIndex), built by this
     // machine's own round-A task once the records it scanned since the
-    // last compaction (`cascade_scanned`) pass kIndexAfterScans shards.
+    // last compaction (`cascade_scanned`) reach kIndexAfterScans shards.
     // journal_begin snapshots what a rollback restores: whether it was
     // built, its side list's length, and the scan count.
     RecordIndex index;
@@ -620,7 +620,7 @@ class DynamicForest {
   /// batch compacts first unless its updates fit under the bound.
   static constexpr std::size_t kLogWordsPerUpdate = 64;
   /// Cascade round A builds a machine's record index once the records it
-  /// scanned since the last compaction exceed this many shards: a build
+  /// scanned since the last compaction reach this many shards: a build
   /// measured about as much as one scan, so the index never costs more
   /// than about twice what scanning would have (the ski-rental rule).  A
   /// batch stream that compacts after every cascade never builds one.

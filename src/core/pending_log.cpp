@@ -158,6 +158,8 @@ void RecordIndex::build(const EdgeShard& es, const PendingLog& log) {
       side_.push_back(static_cast<std::uint32_t>(s));
     }
   }
+  on_side_.assign(es.size(), 0);
+  for (const std::uint32_t s : side_) on_side_[s] = 1;
   std::sort(by_comp.begin(), by_comp.end());
   for (const auto& [comp, e] : by_comp) {
     if (comps_.empty() || comps_.back() != comp) {
@@ -203,6 +205,7 @@ void RecordIndex::drop() {
   tree_.clear();
   tree_begin_.clear();
   side_.clear();
+  on_side_.clear();
   built_ = false;
 }
 

@@ -269,10 +269,11 @@ inline EdgeRec PendingLog::current(const EdgeShard& es, std::size_t s,
 ///   * every tree record under both its endpoints;
 ///   * a side list of the slots whose records the index may not name
 ///     where they are: records off base at the build, and every slot
-///     written, created or swap-moved into since (touch).
+///     written, created or swap-moved into since (touch), each once.
 /// An entry is 8 bytes (a 32-bit key and slot); the tree entries' hash
-/// buckets add 4 bytes per 4 entries, and the non-tree runs 12 bytes per
-/// base component with a non-tree record on the machine.  Entries name slots,
+/// buckets add 4 bytes per 4 entries, the non-tree runs 12 bytes per
+/// base component with a non-tree record on the machine, and the side
+/// list's membership flags 1 byte per slot.  Entries name slots,
 /// so an entry of a slot rewritten since names whatever record is there
 /// now: collect() returns candidates, and a caller reads each as it is.
 /// A compaction moves every base coordinate, so it drops the index; a
@@ -293,13 +294,20 @@ class RecordIndex {
   /// Forgets every entry (keeping the arrays' capacity for a rebuild).
   void drop();
   /// Notes that slot s now holds a record written, created or moved
-  /// into it after the build.
+  /// into it after the build; the side list names each slot once.
   void touch(std::size_t s) {
-    if (built_) side_.push_back(static_cast<std::uint32_t>(s));
+    if (!built_) return;
+    if (s >= on_side_.size()) on_side_.resize(s + 1, 0);
+    if (on_side_[s] != 0) return;
+    on_side_[s] = 1;
+    side_.push_back(static_cast<std::uint32_t>(s));
   }
   [[nodiscard]] std::size_t side_size() const { return side_.size(); }
   /// Cuts the side list back to its first `len` slots.
-  void truncate_side(std::size_t len) { side_.resize(len); }
+  void truncate_side(std::size_t len) {
+    for (std::size_t i = len; i < side_.size(); ++i) on_side_[side_[i]] = 0;
+    side_.resize(len);
+  }
 
   /// Sets `out` to the slots below `size` that may hold a non-tree
   /// record at base with an entry in one of `ranges` (base coordinates,
@@ -340,6 +348,7 @@ class RecordIndex {
   std::vector<std::uint32_t> tree_begin_;
   unsigned bucket_shift_ = 63;
   std::vector<std::uint32_t> side_;
+  std::vector<std::uint8_t> on_side_;  ///< per slot: whether side_ names it
   bool built_ = false;
 };
 

@@ -576,7 +576,7 @@ INSTANTIATE_TEST_SUITE_P(States, ValidateRejectsTest, ::testing::Bool(),
 // ---------------------------------------------------------------------------
 //
 // A machine builds its record index in round A once it has scanned its
-// shard twice since the last compaction, so a batch's third deletion
+// shard once since the last compaction, so a batch's second deletion
 // stage is the first that can read through it.  These tests switch on
 // the test-only audit: every indexed round A also reads every slot the
 // index did not name, and a slot that would have sent something counts
@@ -780,8 +780,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Appends `stages` warm-up stages to `batch`, a deletion of a giant tree
 // edge outside `keep` each followed by a merge whose record avoids
-// machine `avoid`.  After two, the batch's next deletion stage reads
-// through the index; after three, a machine's index is built.
+// machine `avoid`.  A machine reads through its index from the stage
+// after one that scanned its whole shard, unless a merge grew the shard
+// in between, so by the third stage a machine has built its index
+// unless merges kept growing its shard.
 void warm_up(IndexStream& stream, const std::set<Edge>& keep,
              std::vector<Update>& batch, std::size_t stages = 2,
              MachineId avoid = dmpc::kNoMachine,
@@ -843,7 +845,7 @@ TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
     if (!x.has_value() || path.size() < 2) continue;
     std::set<Edge> keep(path.begin(), path.end());
     std::vector<Update> batch;
-    // The third stage builds m's index before X goes.
+    // m has built its index by the third stage, before X goes.
     warm_up(stream, keep, batch, 3, m, forest.get());
     batch.push_back(stream.erase(*x));
     batch.push_back(stream.erase(path.front()));
@@ -924,6 +926,33 @@ TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
     }
   }
   FAIL() << "no non-tree record caches an entry of an off-path tree edge";
+}
+
+TEST(RecordIndex, SideListNamesEachSlotOnce) {
+  // A slot written many times after the build is one side-list entry;
+  // cutting the list back (a rollback) lets its slots be noted again.
+  core::EdgeShard es;
+  for (VertexId v = 1; v <= 4; ++v) {
+    es.append(static_cast<std::uint64_t>(v),
+              {.u = 0, .v = v, .comp = 0, .iu1 = 2 * v, .iv1 = 2 * v + 1},
+              0);
+  }
+  const core::PendingLog log;
+  core::RecordIndex index;
+  index.build(es, log);
+  EXPECT_EQ(index.side_size(), 0u);
+  for (int i = 0; i < 100; ++i) index.touch(2);
+  index.touch(5);  // a slot created after the build
+  EXPECT_EQ(index.side_size(), 2u);
+  index.truncate_side(1);
+  for (int i = 0; i < 100; ++i) {
+    index.touch(5);
+    index.touch(2);
+  }
+  EXPECT_EQ(index.side_size(), 2u);
+  std::vector<std::uint32_t> slots;
+  index.collect({}, {}, 6, slots);
+  EXPECT_EQ(slots, (std::vector<std::uint32_t>{2, 5}));
 }
 
 }  // namespace
