@@ -39,12 +39,14 @@
 //     whose maps stay in the pending log across batches until a
 //     compaction — wall time per batch and per update, rewriting stages
 //     and compactions per batch, and the records cascade round A read
-//     per cascade (through the record index once a machine built one).
-//     `--check` requires, per row, validate(), the pending log within
-//     its bound after every batch, a compaction where the row expects
-//     one, and the pinned rounds and words (kBatchRows); and across the
-//     rows, records read per cascade at 2^20 within
-//     kMaxRecordsPerCascadeGrowth times those at 2^16;
+//     per cascade (through the record index once round A built it), in
+//     all and in the batches after the build's.
+//     The 2^18 row runs again on a pool of min(4, cores) threads
+//     (`kway_batch_pool_n262144`).  `--check` requires, per row,
+//     validate(), the pending log within its bound after every batch, a
+//     compaction where the row expects one, and the pinned rounds, words,
+//     record-index builds and records read (kBatchRows); and the pool
+//     row's rounds, words and records read equal to the serial row's;
 //   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
 //     links: its compile time, and ns per index (in random order, as a
 //     shard scan meets them) through the map against the per-index
@@ -91,23 +93,30 @@ constexpr std::uint64_t kCommitRounds = 267;
 constexpr std::uint64_t kCommitWords = 657973;
 constexpr std::size_t kBatchUpdates = 512;
 constexpr std::size_t kBatchSize = 16;
-/// One k-way batch row: its size, pinned rounds and words, and whether
-/// its stream outgrows the pending log's bound (S grows with n, so the
-/// 2^20 row never compacts).
+/// One k-way batch row: its size, pinned rounds, words, record-index
+/// builds and records cascade round A read (all deterministic), and
+/// whether its stream outgrows the pending log's bound (S grows with n,
+/// so the 2^20 row never compacts).  Most of a row's records read are
+/// the whole-shard scans before the index's build; the cascades after
+/// it read tens of records each.
 struct BatchRow {
   std::size_t n;
   std::uint64_t rounds;
   std::uint64_t words;
+  std::uint64_t index_builds;
+  std::uint64_t records_read;
   bool compacts;
 };
 constexpr BatchRow kBatchRows[] = {
-    {std::size_t{1} << 16, 705, 1099900, true},
-    {std::size_t{1} << 18, 727, 2177550, true},
-    {std::size_t{1} << 20, 765, 4584528, false},
+    {std::size_t{1} << 16, 705, 1099900, 1, 131515, true},
+    {std::size_t{1} << 18, 727, 2177550, 1, 263232, true},
+    {std::size_t{1} << 20, 765, 4584528, 1, 1050182, false},
 };
-/// Cascade round A's records read per cascade may grow at most this much
-/// from the smallest to the largest k-way batch row.
-constexpr double kMaxRecordsPerCascadeGrowth = 2.0;
+/// The k-way batch row repeated on a thread pool (of min(4, cores)
+/// threads): its rounds, words and records read per cascade must equal
+/// the serial row's.
+constexpr std::size_t kBatchPoolN = std::size_t{1} << 18;
+constexpr unsigned kBatchPoolThreads = 4;
 /// Each cascade is three rounds (A, B, C).
 constexpr std::uint64_t kCascadeRounds = 3;
 constexpr std::size_t kStageMapVertices = (std::size_t{1} << 18) + 1;
@@ -387,6 +396,10 @@ struct BatchRun {
   std::uint64_t cascades = 0;
   std::uint64_t records_read = 0;  ///< by cascade round A
   std::uint64_t index_builds = 0;
+  /// Cascades, and records round A read, in the batches after the one
+  /// that built the record index: round A reads through the index there.
+  std::uint64_t indexed_cascades = 0;
+  std::uint64_t indexed_records_read = 0;
   std::uint64_t log_words_peak = 0;
   std::size_t log_bound = 0;
   bool log_within_bound = true;  ///< after every batch
@@ -394,14 +407,18 @@ struct BatchRun {
   bool valid = false;
 };
 
-BatchRun run_kway_batches(std::size_t n) {
+BatchRun run_kway_batches(std::size_t n,
+                          const std::shared_ptr<dmpc::RoundExecutor>& exec) {
   core::DynamicForest forest({.n = n, .m_cap = 4 * n});
-  forest.cluster().set_executor(std::make_shared<dmpc::SerialExecutor>());
+  forest.cluster().set_executor(exec);
   forest.preprocess(graph::gnm(n, n, 11));
   graph::UpdateStream stream = graph::random_stream(n, kBatchUpdates, 0.6, 12);
   for (graph::Update& up : stream) up.w = 1;  // unweighted: insert's default
   forest.cluster().metrics().reset();
   BatchRun out;
+  // Cascades and records read up to the end of the build's batch.
+  std::uint64_t built_cascades = 0, built_read = 0;
+  bool built = false;
   for (std::size_t b = 0; b < stream.size(); b += kBatchSize) {
     const std::span<const graph::Update> batch(
         stream.data() + b, std::min(kBatchSize, stream.size() - b));
@@ -412,12 +429,19 @@ BatchRun run_kway_batches(std::size_t n) {
     out.compactions += after.compactions - before.compactions;
     out.log_within_bound = out.log_within_bound &&
                            after.log_words_peak <= forest.pending_log_bound();
+    if (!built && after.record_index_builds > 0) {
+      built = true;
+      built_cascades = after.cascade_rounds / kCascadeRounds;
+      built_read = after.cascade_records_read;
+    }
     ++out.batches;
   }
   out.log_words_peak = forest.batch_stats().log_words_peak;
   out.cascades = forest.batch_stats().cascade_rounds / kCascadeRounds;
   out.records_read = forest.batch_stats().cascade_records_read;
   out.index_builds = forest.batch_stats().record_index_builds;
+  out.indexed_cascades = built ? out.cascades - built_cascades : 0;
+  out.indexed_records_read = built ? out.records_read - built_read : 0;
   out.log_bound = forest.pending_log_bound();
   out.agg = forest.cluster().metrics().aggregate();
   out.valid = forest.validate();
@@ -776,50 +800,63 @@ int main(int argc, char** argv) {
 
   // --- K-way batches: rewriting stages pending across batches ---------
   {
-    std::vector<double> per_cascade;
-    for (const BatchRow& row : kBatchRows) {
-      const BatchRun r = run_kway_batches(row.n);
+    // Prints and records one row; `executor` names its executor, and
+    // `matches` is false when a pooled row departs from the serial one.
+    const auto report = [&](const std::string& name,
+                            const std::string& executor, const BatchRow& row,
+                            const BatchRun& r, bool matches) {
       const auto batches = static_cast<double>(r.batches);
       const double ms = r.seconds * 1e3 / batches;
       const double ms_update =
           r.seconds * 1e3 / static_cast<double>(kBatchUpdates);
       const double stages = static_cast<double>(r.rewriting_stages) / batches;
       const double compactions = static_cast<double>(r.compactions) / batches;
-      const double read =
-          r.cascades == 0 ? 0.0
-                          : static_cast<double>(r.records_read) /
-                                static_cast<double>(r.cascades);
-      per_cascade.push_back(read);
+      const auto per = [](std::uint64_t records, std::uint64_t cascades) {
+        return cascades == 0 ? 0.0
+                             : static_cast<double>(records) /
+                                   static_cast<double>(cascades);
+      };
+      const double read = per(r.records_read, r.cascades);
+      const double indexed_read =
+          per(r.indexed_records_read, r.indexed_cascades);
       const bool pinned = r.agg.total_rounds == row.rounds &&
-                          r.agg.total_comm_words == row.words;
+                          r.agg.total_comm_words == row.words &&
+                          r.index_builds == row.index_builds &&
+                          r.records_read == row.records_read;
       const bool log_ok =
           r.log_within_bound && (!row.compacts || r.compactions >= 1);
       std::printf("\n=== k-way batches: random churn on gnm(n, n), n=%zu, "
-                  "batch=%zu, serial ===\n",
-                  row.n, kBatchSize);
+                  "batch=%zu, %s ===\n",
+                  row.n, kBatchSize, executor.c_str());
       std::printf("%llu batches: %.3f ms/batch, %.4f ms/update, %.2f "
                   "rewriting stages/batch, %.3f compactions/batch, log peak "
                   "%llu of %zu words, %llu cascades reading %.0f records "
-                  "each, %llu index builds, %llu rounds, %llu words, valid "
-                  "%s\n",
+                  "each (%.0f in the %llu after the build's batch), %llu "
+                  "index builds, %llu rounds, %llu words, valid %s\n",
                   static_cast<unsigned long long>(r.batches), ms, ms_update,
                   stages, compactions,
                   static_cast<unsigned long long>(r.log_words_peak),
                   r.log_bound, static_cast<unsigned long long>(r.cascades),
-                  read, static_cast<unsigned long long>(r.index_builds),
+                  read, indexed_read,
+                  static_cast<unsigned long long>(r.indexed_cascades),
+                  static_cast<unsigned long long>(r.index_builds),
                   static_cast<unsigned long long>(r.agg.total_rounds),
                   static_cast<unsigned long long>(r.agg.total_comm_words),
                   r.valid ? "yes" : "NO");
-      if (!r.valid || !pinned || !log_ok) {
-        std::fprintf(stderr, "K-WAY BATCH VIOLATION (n=%zu): %s\n", row.n,
-                     !r.valid ? "validate() failed"
-                     : !r.log_within_bound
-                         ? "the pending log passed its bound after a batch"
-                     : !log_ok ? "the pending log never compacted"
-                               : "rounds/words differ from the pinned counts");
+      if (!r.valid || !pinned || !log_ok || !matches) {
+        std::fprintf(
+            stderr, "K-WAY BATCH VIOLATION (%s): %s\n", name.c_str(),
+            !r.valid                ? "validate() failed"
+            : !r.log_within_bound   ? "the pending log passed its bound after "
+                                      "a batch"
+            : !log_ok               ? "the pending log never compacted"
+            : !pinned               ? "rounds/words/index builds/records "
+                                      "read differ from the pinned counts"
+                                    : "rounds/words/records read differ "
+                                      "from the serial row's");
         ok = false;
       }
-      json.row("kway_batch_n" + std::to_string(row.n))
+      json.row(name)
           .u64("cores", cores)
           .u64("batches", r.batches)
           .num("wall_seconds", r.seconds)
@@ -832,23 +869,28 @@ int main(int argc, char** argv) {
           .u64("cascades", r.cascades)
           .u64("cascade_records_read", r.records_read)
           .num("records_read_per_cascade", read)
+          .num("indexed_records_read_per_cascade", indexed_read)
           .u64("record_index_builds", r.index_builds)
           .u64("total_rounds", r.agg.total_rounds)
           .u64("total_comm_words", r.agg.total_comm_words)
-          .flag("within_budget", r.valid && pinned && log_ok);
-    }
-    // The smaller-side search: round A's reads per cascade stay near
-    // flat in n, where a whole-shard scan grows with it.
-    const double growth = per_cascade.back() / per_cascade.front();
-    std::printf("records read per cascade: %.2fx from n=%zu to n=%zu "
-                "(budget %.1fx)\n",
-                growth, kBatchRows[0].n, std::end(kBatchRows)[-1].n,
-                kMaxRecordsPerCascadeGrowth);
-    if (growth > kMaxRecordsPerCascadeGrowth) {
-      std::fprintf(stderr, "K-WAY BATCH VIOLATION: records read per cascade "
-                           "grew %.2fx (budget %.1fx)\n",
-                   growth, kMaxRecordsPerCascadeGrowth);
-      ok = false;
+          .flag("within_budget", r.valid && pinned && log_ok && matches);
+    };
+    for (const BatchRow& row : kBatchRows) {
+      const BatchRun r =
+          run_kway_batches(row.n, std::make_shared<dmpc::SerialExecutor>());
+      report("kway_batch_n" + std::to_string(row.n), "serial", row, r, true);
+      if (row.n != kBatchPoolN) continue;
+      // The same stream on a pool: the executor changes only who runs
+      // each machine's task, never what round A reads or sends.
+      const unsigned threads = std::min(kBatchPoolThreads, cores);
+      const BatchRun p = run_kway_batches(
+          row.n, std::make_shared<dmpc::ThreadPoolExecutor>(threads));
+      const bool matches = p.agg.total_rounds == r.agg.total_rounds &&
+                           p.agg.total_comm_words == r.agg.total_comm_words &&
+                           p.cascades == r.cascades &&
+                           p.records_read == r.records_read;
+      report("kway_batch_pool_n" + std::to_string(row.n),
+             "pool(" + std::to_string(threads) + ")", row, p, matches);
     }
   }
 

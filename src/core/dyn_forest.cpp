@@ -305,6 +305,9 @@ DynamicForest::DynamicForest(const DynForestConfig& config)
       kMemorySlack * std::sqrt(N) + 256.0);
   cluster_ = std::make_unique<dmpc::Cluster>(mu, S);
   log_bound_ = static_cast<std::size_t>(S) / kLogShare;
+  record_index_ = RecordIndex(config_.n, mu);
+  index_fits_ = RecordIndex::fits(
+      config_.n, mu, static_cast<std::size_t>(S) / kEdgeRecWords);
   pending_.reset(0, next_comp_id_);
   machines_.resize(mu);
   for (std::size_t m = 0; m < mu; ++m) {
@@ -347,14 +350,13 @@ void DynamicForest::journal_begin() {
     ms.journal.clear();
     ms.journal_armed = true;
     ++ms.journal_epoch;
-    ms.journal_index_built = ms.index.built();
-    ms.journal_index_side = ms.index.side_size();
-    ms.journal_cascade_scanned = ms.cascade_scanned;
     journal_mem_used_[m] = cluster_->memory(static_cast<MachineId>(m)).used();
   }
   journal_next_comp_id_ = next_comp_id_;
   journal_batch_stats_ = batch_stats_;
   journal_pending_ = pending_;
+  journal_index_ = record_index_.mark();
+  journal_cascade_scans_ = cascade_scans_;
   journal_active_ = true;
 }
 
@@ -406,17 +408,13 @@ void DynamicForest::journal_rollback() {
       }
     }
     ms.journal_armed = false;
-    // The shard is back slot for slot, so an index from before the batch
-    // holds again once the batch's side-list slots are cut.
-    if (ms.journal_index_built) {
-      ms.index.truncate_side(ms.journal_index_side);
-    } else {
-      ms.index.drop();
-    }
-    ms.cascade_scanned = ms.journal_cascade_scanned;
     cluster_->memory(static_cast<MachineId>(m))
         .restore_used(journal_mem_used_[m]);
   }
+  // The shards are back slot for slot, so an index from before the batch
+  // holds again once the batch's side-list slots are cut.
+  record_index_.restore(journal_index_);
+  cascade_scans_ = journal_cascade_scans_;
   next_comp_id_ = journal_next_comp_id_;
   batch_stats_ = journal_batch_stats_;
   // The restored records name only stages and tracked appearances the
@@ -464,14 +462,6 @@ void DynamicForest::compact_log() {
   const std::size_t mu = machines_.size();
   const std::uint32_t target = pending_.generation + 1;
   compaction_interrupted_ = true;
-  // Every base coordinate moves: the record indexes go, for good (a
-  // rollback of the rest of the batch does not bring them back).
-  for (MachineState& ms : machines_) {
-    ms.index.drop();
-    ms.cascade_scanned = 0;
-    ms.journal_index_built = false;
-    ms.journal_cascade_scanned = 0;
-  }
   // A record the log leaves unchanged (the x side up to its splice
   // anchor, a remainder before its first cut) keeps its version: its
   // base coordinates hold at the target too.
@@ -524,7 +514,17 @@ void DynamicForest::compact_log() {
       ms.vertex_ver[j] = target;
     }
   });
-  // Every machine is done: drop the compacted prefix.
+  // Every machine is done.  Every base coordinate moved: a built record
+  // index moves its entries through the log before the compacted prefix
+  // is dropped (a compaction cut short above leaves it as it was, keyed
+  // to the log the rollback keeps), and an unbuilt one starts its scan
+  // count anew.
+  if (record_index_.built()) {
+    record_index_.rekey(shard_of(), pending_);
+    if (index_audit_.on) ++index_audit_.rekeys;
+  } else {
+    cascade_scans_ = 0;
+  }
   pending_.reset(target, next_comp_id_);
   compaction_interrupted_ = false;
   if (journal_active_) {
@@ -532,6 +532,8 @@ void DynamicForest::compact_log() {
     // batch: the rolled-back records are restored to values it wrote.
     journal_pending_ = pending_;
     journal_batch_stats_.compactions = batch_stats_.compactions;
+    journal_index_ = record_index_.mark();
+    journal_cascade_scans_ = cascade_scans_;
   }
 }
 
@@ -547,8 +549,11 @@ void DynamicForest::preprocess(const graph::EdgeList& edges) {
 }
 
 void DynamicForest::preprocess(const graph::WeightedEdgeList& edges) {
-  // The records below are written in current coordinates, at base.
+  // The records below are written in current coordinates, at base, and
+  // with no record index to note them in.
   if (!pending_.empty()) compact_log();
+  record_index_.drop();
+  cascade_scans_ = 0;
   // Reject a malformed edge list before any state changes: an
   // out-of-range endpoint has no vertex record, a self-loop has no place
   // in a forest, and a repeated edge would overwrite its first copy's
@@ -1253,7 +1258,7 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   // Behind round 1: a non-tree deletion only touches its own record.
   for (const std::size_t i : ntd) {
     const BatchOp& op = ops[i];
-    machines_[op.coord].erase_edge(op.ekey, cluster_->memory(op.coord));
+    erase_edge(op.coord, op.ekey);
   }
   if (dels.empty() && mrgs.empty() && nti.empty() && pms.empty()) {
     return deferred;
@@ -1335,10 +1340,9 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     rec.w = op.w;
     rec.iu1 = vert_idx.at(rec.u);
     rec.iv1 = vert_idx.at(rec.v);
-    machines_[op.coord].create_edge(
-        op.ekey, rec, cluster_->memory(op.coord),
-        written_version({rec.comp, rec.iu1}, rec.u, {rec.comp, rec.iv1},
-                        rec.v));
+    create_edge(op.coord, op.ekey, rec,
+                written_version({rec.comp, rec.iu1}, rec.u,
+                                {rec.comp, rec.iv1}, rec.v));
   };
   for (const std::size_t i : nti) store_nontree(ops[i]);
 
@@ -1572,31 +1576,29 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
     //
     // Only a cut vertex's tree records and a non-tree record with an
     // entry outside its split's largest fragment can send anything (the
-    // smaller-side search), so a machine whose record index is built
-    // reads only the index's candidates for those: every other
-    // fragment's tour ranges mapped back to base coordinates, the cut
-    // vertices, and the side list.  Every machine derives the same query
-    // from the broadcast cuts; the simulation builds it once.
+    // smaller-side search), so once the record index is built round A
+    // reads only its candidates for those: every other fragment's tour
+    // ranges mapped back to base coordinates, the cut vertices, and the
+    // side list.  Every machine derives the same query from the
+    // broadcast cuts; the simulation runs it once and hands each machine
+    // its slots, and a machine with none sends nothing, so its task
+    // returns before it reads its state.
     using AppKey = std::pair<Word, VertexId>;
     using PairKey = std::tuple<Word, Word, Word>;
     std::map<AppKey, Word> best_app;
     std::map<PairKey, Cand> best;
-    std::vector<std::vector<std::pair<AppKey, Word>>> mapp(machines_.size());
-    std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(
-        machines_.size());
-    // Ski rental: a machine scans until the records it scanned since the
-    // last compaction would have paid for a build.
-    const auto reads_index = [&](const MachineState& ms) {
-      return ms.index.built() ||
-             (ms.cascade_scanned != 0 &&
-              ms.cascade_scanned >= kIndexAfterScans * ms.edges.size());
-    };
+    // Ski rental: round A scans until the scans since the last
+    // compaction would have paid for a build.
     const bool indexed =
-        RecordIndex::fits(config_.n) &&
-        std::any_of(machines_.begin(), machines_.end(), reads_index);
+        record_index_.built() ||
+        (index_fits_ && cascade_scans_ >= kIndexAfterScans);
     std::vector<TourRange> query_ranges;
     std::vector<VertexId> query_verts;
     if (indexed) {
+      if (!record_index_.built()) {
+        record_index_.build(shard_of(), pending_);
+        ++batch_stats_.record_index_builds;
+      }
       std::vector<TourRange> smaller;
       for (const Rewritten& rw : rewritten) {
         if (rw.split == nullptr) continue;
@@ -1635,20 +1637,65 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
                 });
       std::sort(query_verts.begin(), query_verts.end());
     }
-    // Per machine, kept only when some machine reads through an index:
-    // otherwise every machine reads its whole shard and builds nothing.
-    std::vector<std::uint64_t> records_read(indexed ? machines_.size() : 0);
-    std::vector<std::uint8_t> index_built(indexed ? machines_.size() : 0);
-    // Per machine: whether it was audited, and the slots it missed.
-    std::vector<std::uint64_t> audit(index_audit_.on ? 2 * machines_.size()
-                                                     : 0);
+    // The machines that read (all of them when round A scans), ascending,
+    // and each one's slots: readers[k]'s are slots[first[k], first[k+1]).
+    // Round A's outputs are per reader, in machine order.
+    std::vector<MachineId> readers;
+    std::vector<std::uint32_t> slots;
+    std::vector<std::size_t> first;
+    std::uint64_t records_read = 0;
+    if (indexed) {
+      std::vector<std::uint64_t> candidates;
+      record_index_.collect(shard_of(), query_ranges, query_verts,
+                            candidates);
+      for (const std::uint64_t c : candidates) {
+        const auto m = static_cast<MachineId>(c >> 32);
+        const auto s = static_cast<std::uint32_t>(c);
+        if (readers.empty() || readers.back() != m) {
+          readers.push_back(m);
+          first.push_back(slots.size());
+        }
+        slots.push_back(s);
+      }
+      first.push_back(slots.size());
+      records_read = slots.size();
+    } else {
+      for (MachineId m = 0; m < mu; ++m) {
+        records_read += machines_[m].edges.size();
+      }
+      ++cascade_scans_;
+    }
+    const std::size_t outputs = indexed ? readers.size() : machines_.size();
+    std::vector<std::vector<std::pair<AppKey, Word>>> mapp(outputs);
+    std::vector<std::vector<std::pair<PairKey, Cand>>> mbest(outputs);
+    // Per machine (audit only): whether it was audited, and the slots it
+    // missed.
+    std::vector<std::uint64_t> audit(index_audit_.on && indexed
+                                         ? 2 * machines_.size()
+                                         : 0);
     // Load-bearing empty-log fast path (see "Reads through the pending log").
     const bool pending = !pending_.empty();
     cluster_->for_each_machine([&](MachineId m) {
-      MachineState& ms = machines_[m];
-      const EdgeShard& es = ms.edges;
-      auto& lapp = mapp[m];
-      auto& lbest = mbest[m];
+      // This machine's output slot and the slots it reads.
+      std::size_t out = m;
+      std::span<const std::uint32_t> named;
+      if (indexed) {
+        const auto it = std::lower_bound(readers.begin(), readers.end(), m);
+        out = static_cast<std::size_t>(it - readers.begin());
+        if (it != readers.end() && *it == m) {
+          named = std::span<const std::uint32_t>(slots).subspan(
+              first[out], first[out + 1] - first[out]);
+        } else if (!index_audit_.on) {
+          return;
+        } else {
+          out = outputs;  // audited only
+        }
+      }
+      const EdgeShard& es = machines_[m].edges;
+      std::vector<std::pair<AppKey, Word>> audit_app;
+      std::vector<std::pair<PairKey, Cand>> audit_best;
+      auto& lapp = out < outputs ? mapp[out] : audit_app;
+      auto& lbest = out < outputs ? mbest[out] : audit_best;
       RewrittenCursor cursor{rewritten};
       PendingLog::Cursor pcursor(pending_);
       // Forced inline: the loops below call it once per record, and with
@@ -1706,22 +1753,15 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
           lbest.push_back({{comp, std::min(fu, fv), std::max(fu, fv)}, c});
         }
       };
-      if (indexed && reads_index(ms)) {
-        if (!ms.index.built()) {
-          ms.index.build(es, pending_);
-          index_built[m] = 1;
-        }
-        std::vector<std::uint32_t> slots;
-        ms.index.collect(query_ranges, query_verts, es.size(), slots);
-        for (const std::uint32_t s : slots) read(s);
-        records_read[m] = slots.size();
+      if (indexed) {
+        for (const std::uint32_t s : named) read(s);
         if (index_audit_.on) {
           // Test-only: a slot the index did not name must send nothing.
           const std::size_t apps = lapp.size(), bests = lbest.size();
-          auto named = slots.begin();
+          auto next = named.begin();
           for (std::size_t s = 0; s < es.size(); ++s) {
-            if (named != slots.end() && *named == s) {
-              ++named;
+            if (next != named.end() && *next == s) {
+              ++next;
               continue;
             }
             read(s);
@@ -1735,8 +1775,6 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
         }
       } else {
         for (std::size_t s = 0; s < es.size(); ++s) read(s);
-        ms.cascade_scanned += es.size();
-        if (indexed) records_read[m] = es.size();
       }
       // Per key: the minimum appearance; the (w, u, v)-least candidate.
       std::sort(lapp.begin(), lapp.end());
@@ -1771,27 +1809,20 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
       }
     });
     finish();
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      if (indexed) {
-        batch_stats_.cascade_records_read += records_read[m];
-        batch_stats_.record_index_builds += index_built[m];
-      } else {
-        batch_stats_.cascade_records_read += machines_[m].edges.size();
-      }
-    }
+    batch_stats_.cascade_records_read += records_read;
     for (std::size_t m = 0; m < audit.size(); m += 2) {
       index_audit_.machines += audit[m];
       index_audit_.misses += audit[m + 1];
     }
     // ---- Cascade round B: collectors fold and forward the survivors to
     // each split component's owner machine.
-    for (MachineId m = 0; m < mu; ++m) {
-      for (const auto& [k, entry] : mapp[m]) {
-        const auto [it, fresh] = best_app.try_emplace(k, entry);
+    for (std::size_t k = 0; k < outputs; ++k) {
+      for (const auto& [key, entry] : mapp[k]) {
+        const auto [it, fresh] = best_app.try_emplace(key, entry);
         if (!fresh && entry < it->second) it->second = entry;
       }
-      for (const auto& [k, c] : mbest[m]) {
-        const auto [it, fresh] = best.try_emplace(k, c);
+      for (const auto& [key, c] : mbest[k]) {
+        const auto [it, fresh] = best.try_emplace(key, c);
         if (!fresh && std::tie(c.w, c.u, c.v) <
                           std::tie(it->second.w, it->second.u,
                                    it->second.v)) {
@@ -1996,10 +2027,12 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   const auto& cut_fix = logged.cut_fix;
   // The edge's shard and slot, its pre-image journaled for a write.
   const auto slot_of = [&](VertexId u, VertexId v) {
-    MachineState& ms = machines_[edge_machine(u, v)];
+    const MachineId m = edge_machine(u, v);
+    MachineState& ms = machines_[m];
     const std::ptrdiff_t found = ms.edges.find(edge_key(u, v));
     assert(found != EdgeShard::kNpos);
     const auto slot = static_cast<std::size_t>(found);
+    record_index_.touch(m, slot, ms.edges);
     ms.write_slot(slot);
     return std::pair<EdgeShard&, std::size_t>(ms.edges, slot);
   };
@@ -2036,17 +2069,16 @@ std::vector<std::size_t> DynamicForest::run_stage_kway(
   for (const CutInfo& ci : cuts) {
     if (ci.demote) continue;
     const BatchOp& op = ops[ci.op];
-    machines_[op.coord].erase_edge(op.ekey, cluster_->memory(op.coord));
+    erase_edge(op.coord, op.ekey);
   }
   for (const MergeApp& ma : mapply) {
     const BatchOp& op = ops[ma.op];
     const etour::MergeNewIndexes ni = plan.edge_indexes(ma.link_id);
     const EdgeRec rec =
         make_tree_record(op.x, op.y, op.w, final_label[base_of(op.cx)], ni);
-    machines_[op.coord].create_edge(
-        op.ekey, rec, cluster_->memory(op.coord),
-        written_version({rec.comp, rec.iu1}, rec.u, {rec.comp, rec.iu2},
-                        rec.u));
+    create_edge(op.coord, op.ekey, rec,
+                written_version({rec.comp, rec.iu1}, rec.u,
+                                {rec.comp, rec.iu2}, rec.u));
   }
   for (const auto& [label, size] : dir_writes) {
     machines_[dir_machine(label)].jlog_dir(label);

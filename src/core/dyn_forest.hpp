@@ -69,6 +69,7 @@
 #include "dmpc/cluster.hpp"
 #include "core/edge_shard.hpp"
 #include "core/pending_log.hpp"
+#include "core/record_index.hpp"
 #include "etour/transforms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -317,16 +318,6 @@ class DynamicForest {
     bool journal_armed = false;
     std::uint64_t journal_epoch = 0;
     MachineJournal journal;
-    // Cascade round A's record index (see RecordIndex), built by this
-    // machine's own round-A task once the records it scanned since the
-    // last compaction (`cascade_scanned`) reach kIndexAfterScans shards.
-    // journal_begin snapshots what a rollback restores: whether it was
-    // built, its side list's length, and the scan count.
-    RecordIndex index;
-    std::uint64_t cascade_scanned = 0;
-    bool journal_index_built = false;
-    std::size_t journal_index_side = 0;
-    std::uint64_t journal_cascade_scanned = 0;
 
     /// Appends the new record `r` under `key` at pending-log version
     /// `version` (logged kCreated) and charges it to `mem`, this
@@ -335,7 +326,6 @@ class DynamicForest {
     void create_edge(std::uint64_t key, const EdgeRec& r,
                      dmpc::MemoryMeter& mem, std::uint32_t version) {
       edges.append(key, r, version);
-      index.touch(edges.size() - 1);
       if (journal_armed) {
         journal.edges.push_back({.key = key,
                                  .slot = undo_slot(edges.size() - 1),
@@ -344,24 +334,19 @@ class DynamicForest {
       }
       mem.charge(kEdgeRecWords);
     }
-    /// Swap-removes the live record under `key` (logged kErased, whole)
+    /// Swap-removes the live record at slot s (logged kErased, whole)
     /// and releases it from `mem`, this machine's meter.
-    void erase_edge(std::uint64_t key, dmpc::MemoryMeter& mem) {
-      const std::ptrdiff_t found = edges.find(key);
-      assert(found != EdgeShard::kNpos);
-      const auto s = static_cast<std::size_t>(found);
+    void erase_edge(std::size_t s, dmpc::MemoryMeter& mem) {
       if (journal_armed) {
-        journal.edges.push_back(pre_image(key, s, Kind::kErased));
+        journal.edges.push_back(pre_image(edges.key_at(s), s, Kind::kErased));
         journal.edges.back().w = edges.w[s];
       }
       edges.erase_at(s);
-      if (s < edges.size()) index.touch(s);  // the record moved into s
       mem.release(kEdgeRecWords);
     }
-    /// Readies live slot s for in-place column writes: notes the write in
-    /// the record index and logs the slot's pre-image, once per batch.
+    /// Readies live slot s for in-place column writes: logs the slot's
+    /// pre-image, once per batch.
     void write_slot(std::size_t s) {
-      index.touch(s);
       if (!journal_armed || edges.mark[s] == journal_epoch) return;
       edges.mark[s] = journal_epoch;
       journal.edges.push_back(pre_image(edges.key_at(s), s, Kind::kRewritten));
@@ -421,6 +406,30 @@ class DynamicForest {
     if (cm == nullptr) return rec;
     const Appearance a = pending_.resolve({rec.comp, rec.cached_idx}, v, cm);
     return {a.comp, a.idx};
+  }
+  /// Machine m's create_edge and erase_edge (of the record under `key`),
+  /// noted in the record index: a created slot, and the erased slot and
+  /// the last one, whose record moves into it.
+  void create_edge(MachineId m, std::uint64_t key, const EdgeRec& r,
+                   std::uint32_t version) {
+    MachineState& ms = machines_[m];
+    ms.create_edge(key, r, cluster_->memory(m), version);
+    record_index_.touch_new(m, ms.edges.size() - 1);
+  }
+  void erase_edge(MachineId m, std::uint64_t key) {
+    MachineState& ms = machines_[m];
+    const std::ptrdiff_t found = ms.edges.find(key);
+    assert(found != EdgeShard::kNpos);
+    const auto s = static_cast<std::size_t>(found);
+    record_index_.touch(m, s, ms.edges);
+    record_index_.touch(m, ms.edges.size() - 1, ms.edges);
+    ms.erase_edge(s, cluster_->memory(m));
+  }
+  /// The shard of machine m, for the record index.
+  [[nodiscard]] RecordIndex::ShardOf shard_of() const {
+    return [this](std::size_t m) -> const EdgeShard& {
+      return machines_[m].edges;
+    };
   }
   /// Edge slot s of machine m's shard as the pending log leaves it.
   [[nodiscard]] EdgeRec current_edge(MachineId m, std::size_t s) const;
@@ -557,7 +566,7 @@ class DynamicForest {
   /// Arms every machine's undo journal, bumps its epoch (so every record
   /// is unlogged for this batch), and snapshots the ingress-local
   /// scalars (next_comp_id_, batch_stats_), the pending log, and each
-  /// memory meter's usage, and each record index's state.  No machine
+  /// memory meter's usage, and the record index's state.  No machine
   /// state is copied — pre-images accrue lazily as the protocol mutates
   /// (create_edge, erase_edge, write_slot and jlog_dir above).
   void journal_begin();
@@ -591,17 +600,26 @@ class DynamicForest {
   dmpc::BatchScheduleStats batch_stats_;
   PendingLog pending_;
   std::size_t log_bound_ = 0;  // words; see pending_log_bound()
-  // Test-only (set through DynamicForestTestAccess): when on, cascade
-  // round A on a machine with a record index also reads every slot the
+  // Cascade round A's record index (see RecordIndex), built by round A
+  // once it has scanned every shard kIndexAfterScans times since the
+  // last compaction (`cascade_scans_`), and kept from then on.
+  // index_fits_: whether the forest fits its keys.
+  RecordIndex record_index_;
+  bool index_fits_ = false;
+  std::uint32_t cascade_scans_ = 0;
+  // Test-only (set through DynamicForestTestAccess): when on, every
+  // machine in an indexed cascade round A also reads every slot the
   // index did not name, and counts those that would have sent something
-  // (`misses`, which must stay 0), the machines so audited, and the split
-  // components whose smaller side mapped back to more base ranges than
-  // it has tour ranges.
+  // (`misses`, which must stay 0); it counts the machines so audited,
+  // the split components whose smaller side mapped back to more base
+  // ranges than it has tour ranges, and the compactions that re-keyed a
+  // built index.
   struct IndexAudit {
     bool on = false;
     std::uint64_t machines = 0;
     std::uint64_t misses = 0;
     std::uint64_t remapped = 0;
+    std::uint64_t rekeys = 0;
   };
   IndexAudit index_audit_;
   // A compaction threw partway: the next batch finishes it before any
@@ -613,18 +631,20 @@ class DynamicForest {
   dmpc::BatchScheduleStats journal_batch_stats_;
   PendingLog journal_pending_;
   std::vector<dmpc::WordCount> journal_mem_used_;
+  RecordIndex::Mark journal_index_;
+  std::uint32_t journal_cascade_scans_ = 0;
 
   /// The pending log may take 1/kLogShare of S.
   static constexpr std::size_t kLogShare = 16;
   /// An upper bound on what one update adds to the log, in words: a
   /// batch compacts first unless its updates fit under the bound.
   static constexpr std::size_t kLogWordsPerUpdate = 64;
-  /// Cascade round A builds a machine's record index once the records it
-  /// scanned since the last compaction reach this many shards: a build
-  /// measured about as much as one scan, so the index never costs more
-  /// than about twice what scanning would have (the ski-rental rule).  A
-  /// batch stream that compacts after every cascade never builds one.
-  static constexpr std::uint64_t kIndexAfterScans = 1;
+  /// Cascade round A builds the record index once it has scanned every
+  /// shard this many times since the last compaction (the ski-rental
+  /// rule: scan until the scans would have paid for a build).  A batch
+  /// stream that compacts after every cascade never builds one; once
+  /// built, the index outlives compactions.
+  static constexpr std::uint32_t kIndexAfterScans = 1;
 
   static constexpr Word kEdgeRecWords = 12;
   static constexpr Word kVertexRecWords = 3;

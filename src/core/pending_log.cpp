@@ -1,7 +1,6 @@
 #include "core/pending_log.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 namespace core {
@@ -140,103 +139,6 @@ void PendingLog::map_back(Word label, std::span<const TourRange> ranges,
       }
     }
   }
-}
-
-void RecordIndex::build(const EdgeShard& es, const PendingLog& log) {
-  drop();
-  // Non-tree entries under their base component, sorted, then split
-  // into one run per component.
-  std::vector<std::pair<Word, Entry>> by_comp;
-  std::size_t tree_entries = 0;
-  for (std::size_t s = 0; s < es.size(); ++s) {
-    if (es.tree[s] != 0) {
-      tree_entries += 2;
-    } else if (log.at_base(es.ver[s])) {
-      by_comp.emplace_back(es.comp[s], entry(es.iu1[s], s));
-      by_comp.emplace_back(es.comp[s], entry(es.iv1[s], s));
-    } else {
-      side_.push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-  on_side_.assign(es.size(), 0);
-  for (const std::uint32_t s : side_) on_side_[s] = 1;
-  std::sort(by_comp.begin(), by_comp.end());
-  for (const auto& [comp, e] : by_comp) {
-    if (comps_.empty() || comps_.back() != comp) {
-      if (!comps_.empty()) {
-        comp_end_.push_back(static_cast<std::uint32_t>(nontree_.size()));
-      }
-      comps_.push_back(comp);
-    }
-    nontree_.push_back(e);
-  }
-  if (!comps_.empty()) {
-    comp_end_.push_back(static_cast<std::uint32_t>(nontree_.size()));
-  }
-  // Tree entries by a counting sort on their buckets: count, sum to
-  // each bucket's end, then place back to front, so that each bucket
-  // ends at its start and keeps slot order.
-  const std::size_t buckets = std::bit_ceil(
-      std::max<std::size_t>(2, tree_entries / kEntriesPerBucket));
-  bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
-  tree_begin_.assign(buckets + 1, 0);
-  for (std::size_t s = 0; s < es.size(); ++s) {
-    if (es.tree[s] == 0) continue;
-    ++tree_begin_[bucket(es.u[s])];
-    ++tree_begin_[bucket(es.v[s])];
-  }
-  for (std::size_t b = 1; b < buckets; ++b) {
-    tree_begin_[b] += tree_begin_[b - 1];
-  }
-  tree_begin_[buckets] = static_cast<std::uint32_t>(tree_entries);
-  tree_.resize(tree_entries);
-  for (std::size_t s = es.size(); s-- > 0;) {
-    if (es.tree[s] == 0) continue;
-    tree_[--tree_begin_[bucket(es.v[s])]] = entry(es.v[s], s);
-    tree_[--tree_begin_[bucket(es.u[s])]] = entry(es.u[s], s);
-  }
-  built_ = true;
-}
-
-void RecordIndex::drop() {
-  comps_.clear();
-  comp_end_.clear();
-  nontree_.clear();
-  tree_.clear();
-  tree_begin_.clear();
-  side_.clear();
-  on_side_.clear();
-  built_ = false;
-}
-
-void RecordIndex::collect(std::span<const TourRange> ranges,
-                          std::span<const VertexId> verts, std::size_t size,
-                          std::vector<std::uint32_t>& out) const {
-  out.clear();
-  const auto key_of = [](Entry e) { return static_cast<Word>(e >> 32); };
-  const auto slot_of = [](Entry e) { return static_cast<std::uint32_t>(e); };
-  for (const TourRange& r : ranges) {
-    const auto c = std::lower_bound(comps_.begin(), comps_.end(), r.comp);
-    if (c == comps_.end() || *c != r.comp) continue;
-    const auto k = static_cast<std::size_t>(c - comps_.begin());
-    const Entry* last = nontree_.data() + comp_end_[k];
-    for (const Entry* e = std::lower_bound(
-             nontree_.data() + (k == 0 ? 0 : comp_end_[k - 1]), last,
-             entry(r.lo, 0));
-         e != last && key_of(*e) <= r.hi; ++e) {
-      out.push_back(slot_of(*e));
-    }
-  }
-  for (const VertexId v : verts) {
-    const std::size_t b = bucket(v);
-    for (std::size_t e = tree_begin_[b]; e < tree_begin_[b + 1]; ++e) {
-      if (key_of(tree_[e]) == v) out.push_back(slot_of(tree_[e]));
-    }
-  }
-  out.insert(out.end(), side_.begin(), side_.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  while (!out.empty() && out.back() >= size) out.pop_back();
 }
 
 }  // namespace core

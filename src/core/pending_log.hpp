@@ -260,96 +260,4 @@ inline EdgeRec PendingLog::current(const EdgeShard& es, std::size_t s,
   return r;
 }
 
-/// One machine's edge records indexed by where they sit in the pending
-/// log's base coordinates, which do not change between compactions, so
-/// cascade round A can read the records a split's smaller fragments may
-/// hold instead of the whole shard.  It holds
-///   * every non-tree record at base under (base comp, base index) of
-///     both its cached appearances, iu1 and iv1;
-///   * every tree record under both its endpoints;
-///   * a side list of the slots whose records the index may not name
-///     where they are: records off base at the build, and every slot
-///     written, created or swap-moved into since (touch), each once.
-/// An entry is 8 bytes (a 32-bit key and slot); the tree entries' hash
-/// buckets add 4 bytes per 4 entries, the non-tree runs 12 bytes per
-/// base component with a non-tree record on the machine, and the side
-/// list's membership flags 1 byte per slot.  Entries name slots,
-/// so an entry of a slot rewritten since names whatever record is there
-/// now: collect() returns candidates, and a caller reads each as it is.
-/// A compaction moves every base coordinate, so it drops the index; a
-/// rollback restores the shard slot for slot, so it drops an index
-/// built during the batch and cuts an older one's side list back.
-class RecordIndex {
- public:
-  /// Whether every tour index and vertex of an n-vertex forest fits an
-  /// entry's 32-bit key.
-  [[nodiscard]] static bool fits(std::size_t n) {
-    return n < (std::size_t{1} << 30);
-  }
-
-  [[nodiscard]] bool built() const { return built_; }
-  /// Indexes every record of `es`, whose base coordinates are `log`'s,
-  /// with an empty side list.
-  void build(const EdgeShard& es, const PendingLog& log);
-  /// Forgets every entry (keeping the arrays' capacity for a rebuild).
-  void drop();
-  /// Notes that slot s now holds a record written, created or moved
-  /// into it after the build; the side list names each slot once.
-  void touch(std::size_t s) {
-    if (!built_) return;
-    if (s >= on_side_.size()) on_side_.resize(s + 1, 0);
-    if (on_side_[s] != 0) return;
-    on_side_[s] = 1;
-    side_.push_back(static_cast<std::uint32_t>(s));
-  }
-  [[nodiscard]] std::size_t side_size() const { return side_.size(); }
-  /// Cuts the side list back to its first `len` slots.
-  void truncate_side(std::size_t len) {
-    for (std::size_t i = len; i < side_.size(); ++i) on_side_[side_[i]] = 0;
-    side_.resize(len);
-  }
-
-  /// Sets `out` to the slots below `size` that may hold a non-tree
-  /// record at base with an entry in one of `ranges` (base coordinates,
-  /// sorted by comp), a tree record with an endpoint in `verts`, or a
-  /// side-list record: ascending, each once.
-  void collect(std::span<const TourRange> ranges,
-               std::span<const VertexId> verts, std::size_t size,
-               std::vector<std::uint32_t>& out) const;
-
- private:
-  /// Tree entries per hash bucket, on average.
-  static constexpr std::size_t kEntriesPerBucket = 4;
-
-  /// An entry: its key (a base tour index, or a vertex) in the high 32
-  /// bits and its slot in the low 32, so entries sort as integers.
-  using Entry = std::uint64_t;
-  static Entry entry(Word key, std::size_t slot) {
-    return (static_cast<Entry>(key) << 32) | static_cast<Entry>(slot);
-  }
-
-  /// The hash bucket of tree entries keyed `v`.
-  [[nodiscard]] std::size_t bucket(VertexId v) const {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL) >>
-        bucket_shift_);
-  }
-
-  /// The base components of the non-tree entries, ascending, and the end
-  /// of each one's run of nontree_.
-  std::vector<Word> comps_;
-  std::vector<std::uint32_t> comp_end_;
-  std::vector<Entry> nontree_;  ///< by (base comp, base index, slot)
-  /// Tree entries grouped by the hash bucket of their endpoint, in slot
-  /// order within a bucket (a counting sort: a comparison sort of the
-  /// endpoints cost a build several whole-shard scans); bucket b's run
-  /// is [tree_begin_[b], tree_begin_[b + 1]), about four entries.
-  std::vector<Entry> tree_;
-  std::vector<std::uint32_t> tree_begin_;
-  unsigned bucket_shift_ = 63;
-  std::vector<std::uint32_t> side_;
-  std::vector<std::uint8_t> on_side_;  ///< per slot: whether side_ names it
-  bool built_ = false;
-};
-
 }  // namespace core

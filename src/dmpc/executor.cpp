@@ -27,19 +27,23 @@ ThreadPoolExecutor::~ThreadPoolExecutor() {
 }
 
 void ThreadPoolExecutor::drain(const std::function<void(std::size_t)>& work,
-                               std::size_t count) {
+                               std::size_t count, std::size_t grain) {
   while (true) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) return;
-    try {
-      work(i);
-    } catch (...) {
-      // Lowest task index wins, matching SerialExecutor's index-order
-      // sweep: which thread throws first is timing, which task does not.
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!error_ || i < error_index_) {
-        error_ = std::current_exception();
-        error_index_ = i;
+    const std::size_t begin =
+        next_.fetch_add(grain, std::memory_order_relaxed);
+    if (begin >= count) return;
+    const std::size_t end = std::min(count, begin + grain);
+    for (std::size_t i = begin; i < end; ++i) {
+      try {
+        work(i);
+      } catch (...) {
+        // Lowest task index wins, matching SerialExecutor's index-order
+        // sweep: which thread throws first is timing, which task does not.
+        std::lock_guard<std::mutex> lk(mu_);
+        if (!error_ || i < error_index_) {
+          error_ = std::current_exception();
+          error_index_ = i;
+        }
       }
     }
   }
@@ -50,6 +54,7 @@ void ThreadPoolExecutor::worker_loop() {
   while (true) {
     const std::function<void(std::size_t)>* work = nullptr;
     std::size_t count = 0;
+    std::size_t grain = 1;
     {
       std::unique_lock<std::mutex> lk(mu_);
       // Join a generation only while it still has wake tickets: a round
@@ -63,8 +68,9 @@ void ThreadPoolExecutor::worker_loop() {
       --joiners_;
       work = work_;
       count = count_;
+      grain = grain_;
     }
-    drain(*work, count);
+    drain(*work, count, grain);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--pending_ == 0) cv_done_.notify_one();
@@ -92,10 +98,12 @@ void ThreadPoolExecutor::run(std::size_t count,
   }
   // The calling thread drains too, so count - 1 helpers saturate a round.
   const std::size_t helpers = std::min(workers_.size(), count - 1);
+  const std::size_t grain = claim_grain(count, helpers + 1);
   {
     std::lock_guard<std::mutex> lk(mu_);
     work_ = &work;
     count_ = count;
+    grain_ = grain;
     next_.store(0, std::memory_order_relaxed);
     joiners_ = helpers;
     pending_ = helpers;
@@ -108,7 +116,7 @@ void ThreadPoolExecutor::run(std::size_t count,
   // workers wake, find no ticket, and re-sleep without touching the
   // claim counter or the barrier.
   cv_work_.notify_all();
-  drain(work, count);
+  drain(work, count, grain);
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return pending_ == 0; });
   work_ = nullptr;

@@ -22,6 +22,7 @@
 // as the messages that carry them, exactly as in the model.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -76,7 +77,7 @@ class SerialExecutor final : public RoundExecutor {
 /// shared by several clusters (harness::Driver does this) as long as
 /// their rounds never run concurrently: run() itself is not reentrant.
 ///
-/// Two provisions keep the per-round dispatch cost proportional to the
+/// Three provisions keep the per-round dispatch cost proportional to the
 /// work actually available instead of the pool size:
 ///   * rounds with at most `serial_cutoff` tasks run inline on the
 ///     calling thread — at sqrt(N) machines the per-task work is tiny
@@ -86,7 +87,11 @@ class SerialExecutor final : public RoundExecutor {
 ///     generation (wake tickets via `joiners_`) rather than the whole
 ///     pool, so a round with 24 tasks on an 8-thread pool no longer
 ///     stampedes workers into the claim counter and the join barrier —
-///     unticketed workers re-sleep immediately.
+///     unticketed workers re-sleep immediately;
+///   * a participant claims claim_grain() indexes per fetch-add, not one,
+///     so a round of many trivial tasks (a cascade round A in which most
+///     machines hold no candidate) does not pay one contended atomic per
+///     task.  Each index still runs in its own try/catch.
 /// Results are identical across all paths: tasks stage per-sender and
 /// the barrier settles in sender order regardless of who ran what.
 class ThreadPoolExecutor final : public RoundExecutor {
@@ -114,11 +119,26 @@ class ThreadPoolExecutor final : public RoundExecutor {
   [[nodiscard]] std::size_t num_threads() const { return workers_.size(); }
   [[nodiscard]] std::size_t serial_cutoff() const { return serial_cutoff_; }
 
+  /// The indexes one claim takes when `participants` threads (the
+  /// calling thread included) drain `count` tasks: about
+  /// kClaimsPerParticipant claims each, so the last claims still balance
+  /// the load, and at least one index.
+  [[nodiscard]] static std::size_t claim_grain(std::size_t count,
+                                               std::size_t participants) {
+    return std::max<std::size_t>(
+        1, count / (kClaimsPerParticipant * std::max<std::size_t>(
+                                                 1, participants)));
+  }
+
  private:
+  static constexpr std::size_t kClaimsPerParticipant = 8;
+
   void worker_loop();
-  /// Claims task indexes off the shared counter until they run out,
-  /// recording the first exception instead of unwinding across threads.
-  void drain(const std::function<void(std::size_t)>& work, std::size_t count);
+  /// Claims chunks of `grain` task indexes off the shared counter until
+  /// they run out, recording the lowest index's exception instead of
+  /// unwinding across threads.
+  void drain(const std::function<void(std::size_t)>& work, std::size_t count,
+             std::size_t grain);
 
   std::vector<std::thread> workers_;
   std::size_t serial_cutoff_;
@@ -127,6 +147,7 @@ class ThreadPoolExecutor final : public RoundExecutor {
   std::condition_variable cv_done_;
   const std::function<void(std::size_t)>* work_ = nullptr;  // current batch
   std::size_t count_ = 0;
+  std::size_t grain_ = 1;
   std::uint64_t generation_ = 0;  // bumped per run() to wake the workers
   std::size_t joiners_ = 0;       // wake tickets left for this generation
   std::size_t pending_ = 0;       // ticketed workers still inside it

@@ -28,106 +28,10 @@
 #include "core/dyn_forest.hpp"
 #include "graph/generators.hpp"
 #include "graph/update_stream.hpp"
+#include "forest_access.hpp"
 #include "oracle/oracles.hpp"
 #include "test_util.hpp"
 
-namespace core {
-
-// Test-only access to a forest's stored records (the friend declared in
-// dyn_forest.hpp), so the validate() rejection suite can corrupt one
-// invariant at a time.  The suite edits only records the pending log has
-// not moved, so a stored value is the value validate() reads; each
-// accessor checks that.
-struct DynamicForestTestAccess {
-  using EdgeRec = core::EdgeRec;
-  using VertexRec = DynamicForest::VertexRec;
-
-  static EdgeRec edge(const DynamicForest& f, VertexId u, VertexId v) {
-    const MachineId m = f.edge_machine(u, v);
-    const auto s = static_cast<std::size_t>(
-        f.machines_[m].edges.find(f.edge_key(u, v)));
-    const EdgeRec stored = f.machines_[m].edges.get(s);
-    const EdgeRec current = f.current_edge(m, s);
-    EXPECT_TRUE(stored.comp == current.comp && stored.iu1 == current.iu1 &&
-                stored.iu2 == current.iu2 && stored.iv1 == current.iv1 &&
-                stored.iv2 == current.iv2)
-        << "edge (" << u << "," << v << ") was moved by the pending log";
-    return stored;
-  }
-  // Overwrites the record stored under edge (u, v)'s key.
-  static void set_edge(DynamicForest& f, VertexId u, VertexId v,
-                       const EdgeRec& r) {
-    const MachineId m = f.edge_machine(u, v);
-    EdgeShard& es = f.machines_[m].edges;
-    const auto s = static_cast<std::size_t>(es.find(f.edge_key(u, v)));
-    es.u[s] = r.u;
-    es.v[s] = r.v;
-    es.comp[s] = r.comp;
-    es.tree[s] = r.tree ? 1 : 0;
-    es.iu1[s] = r.iu1;
-    es.iu2[s] = r.iu2;
-    es.iv1[s] = r.iv1;
-    es.iv2[s] = r.iv2;
-  }
-  static VertexRec& vertex(DynamicForest& f, VertexId v) {
-    VertexRec& stored =
-        f.machines_[f.vertex_machine(v)].vertices[f.vertex_slot(v)];
-    const VertexRec current = f.current_vertex(v);
-    EXPECT_TRUE(stored.comp == current.comp &&
-                stored.cached_idx == current.cached_idx)
-        << "vertex " << v << " was moved by the pending log";
-    return stored;
-  }
-  // v's current component (the pending log may have moved it).
-  static Word comp(const DynamicForest& f, VertexId v) {
-    return f.current_vertex(v).comp;
-  }
-  // The directory shard that holds component comp's size.
-  static std::unordered_map<Word, Word>& directory(DynamicForest& f,
-                                                   Word comp) {
-    return f.machines_[f.dir_machine(comp)].comp_sizes;
-  }
-  static bool log_empty(const DynamicForest& f) { return f.pending_.empty(); }
-
-  // Cascade round A's record-index audit (DynamicForest::IndexAudit).
-  static void audit_record_index(DynamicForest& f) {
-    f.index_audit_.on = true;
-  }
-  static const DynamicForest::IndexAudit& audit(const DynamicForest& f) {
-    return f.index_audit_;
-  }
-  static MachineId machine_of(const DynamicForest& f, VertexId u,
-                              VertexId v) {
-    return f.edge_machine(u, v);
-  }
-  static bool index_built(const DynamicForest& f, MachineId m) {
-    return f.machines_[m].index.built();
-  }
-  // Machine m's records in slot order, as (u, v, tree).
-  static std::vector<std::tuple<VertexId, VertexId, bool>> shard(
-      const DynamicForest& f, MachineId m) {
-    const EdgeShard& es = f.machines_[m].edges;
-    std::vector<std::tuple<VertexId, VertexId, bool>> out;
-    for (std::size_t s = 0; s < es.size(); ++s) {
-      out.emplace_back(es.u[s], es.v[s], es.tree[s] != 0);
-    }
-    return out;
-  }
-  // Whether non-tree record (u, v) is stored in base coordinates with a
-  // cached entry an earlier stage of the pending log removed.
-  static bool caches_removed_entry(const DynamicForest& f, VertexId u,
-                                   VertexId v) {
-    const MachineId m = f.edge_machine(u, v);
-    const EdgeShard& es = f.machines_[m].edges;
-    const auto s = static_cast<std::size_t>(es.find(f.edge_key(u, v)));
-    if (es.tree[s] != 0 || !f.pending_.at_base(es.ver[s])) return false;
-    const etour::ComposedMap* cm = f.pending_.composed_of(es.comp[s]);
-    return cm != nullptr && (cm->piece(es.iu1[s]).removed_at != 0 ||
-                             cm->piece(es.iv1[s]).removed_at != 0);
-  }
-};
-
-}  // namespace core
 
 namespace {
 
@@ -575,12 +479,14 @@ INSTANTIATE_TEST_SUITE_P(States, ValidateRejectsTest, ::testing::Bool(),
 // Cascade round A's record index
 // ---------------------------------------------------------------------------
 //
-// A machine builds its record index in round A once it has scanned its
+// Round A builds the cluster's record index once it has scanned every
 // shard once since the last compaction, so a batch's second deletion
-// stage is the first that can read through it.  These tests switch on
-// the test-only audit: every indexed round A also reads every slot the
-// index did not name, and a slot that would have sent something counts
-// as a miss.
+// stage is the first that can read through it, and the index outlives
+// every compaction after.  These tests switch on the test-only audit:
+// every machine in an indexed round A also reads every slot the index
+// did not name, and a slot that would have sent something counts as a
+// miss.  After every batch, the index must also name every record off
+// its side list where it is, and nothing else (RecordIndex::audit).
 
 using dmpc::MachineId;
 using Edge = std::pair<VertexId, VertexId>;
@@ -711,6 +617,11 @@ class IndexStream {
     for (const Update& up : batch) graph::apply_update(shadow_, up);
     EXPECT_EQ(Access::audit(f_).misses, 0u)
         << "round A's record index missed a record the scan sends from";
+    const core::RecordIndex::Coverage coverage = Access::index_coverage(f_);
+    EXPECT_EQ(coverage.missing, 0u)
+        << "the record index lacks an entry of a record off its side list";
+    EXPECT_EQ(coverage.stale, 0u)
+        << "the record index names a record off its side list wrongly";
     expect_components_match(f_, shadow_, "after an indexed batch");
     std::string why;
     EXPECT_TRUE(f_.validate(&why)) << why;
@@ -732,9 +643,9 @@ TEST_P(RecordIndexAudit, CoversEveryRecordTheScanSendsFrom) {
   // Many-stage batches in the style of PendingLogBatch: giant tree-edge
   // deletions each followed by a merge (and, weighted, a cycle-rule
   // insert), with non-tree inserts and deletes between them.  Large
-  // batches compact at the top of each batch (S is small here), so each
-  // batch builds its indexes anew; batches of three with a larger S keep
-  // the log, and the indexes, across batches.
+  // batches compact at the top of each batch (S is small here), so after
+  // the first build every batch re-keys the index; batches of three with
+  // a larger S keep the log across batches.
   const auto [weighted, pool, small] = GetParam();
   const auto forest =
       index_forest(weighted, pool, small ? std::size_t{1} << 16 : 4 * kIdxN);
@@ -762,10 +673,15 @@ TEST_P(RecordIndexAudit, CoversEveryRecordTheScanSendsFrom) {
     stream.apply(batch);
     if (HasFailure()) return;
   }
-  EXPECT_GT(forest->batch_stats().record_index_builds, 0u);
+  EXPECT_EQ(forest->batch_stats().record_index_builds, 1u)
+      << "the record index did not outlive the stream's compactions";
   EXPECT_GT(Access::audit(*forest).machines, 0u);
   EXPECT_GT(Access::audit(*forest).remapped, 0u)
       << "no smaller side mapped back to several base ranges";
+  if (!small) {
+    EXPECT_GT(Access::audit(*forest).rekeys, 0u)
+        << "no compaction re-keyed the built index";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -780,10 +696,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Appends `stages` warm-up stages to `batch`, a deletion of a giant tree
 // edge outside `keep` each followed by a merge whose record avoids
-// machine `avoid`.  A machine reads through its index from the stage
-// after one that scanned its whole shard, unless a merge grew the shard
-// in between, so by the third stage a machine has built its index
-// unless merges kept growing its shard.
+// machine `avoid`.  Round A builds the index at the stage after one
+// that scanned every shard, so by the second stage the index is built.
 void warm_up(IndexStream& stream, const std::set<Edge>& keep,
              std::vector<Update>& batch, std::size_t stages = 2,
              MachineId avoid = dmpc::kNoMachine,
@@ -804,9 +718,9 @@ void warm_up(IndexStream& stream, const std::set<Edge>& keep,
 TEST(RecordIndex, FindsARecordCreatedInTheCurrentBatch) {
   const auto forest = index_forest(false, false, 4 * kIdxN);
   IndexStream stream(*forest, 5);
-  // A non-tree insert (a, b) after three warm-up stages, so its machine
-  // built its index before the record exists, then a deletion on the
-  // tree path between a and b: the new record crosses the cut.
+  // A non-tree insert (a, b) after three warm-up stages, so the index
+  // was built before the record exists, then a deletion on the tree path
+  // between a and b: the new record crosses the cut.
   VertexId a = 0, b = 0;
   std::vector<Edge> path;
   while (path.size() < 3 ||
@@ -820,7 +734,7 @@ TEST(RecordIndex, FindsARecordCreatedInTheCurrentBatch) {
   batch.push_back({UpdateKind::kInsert, a, b, 1});
   batch.push_back(stream.erase(path[path.size() / 2]));
   stream.apply(batch);
-  EXPECT_TRUE(Access::index_built(*forest, Access::machine_of(*forest, a, b)));
+  EXPECT_TRUE(Access::index_built(*forest));
   EXPECT_GT(Access::audit(*forest).machines, 0u);
 }
 
@@ -828,7 +742,7 @@ TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
   const auto forest = index_forest(false, false, 4 * kIdxN);
   IndexStream stream(*forest, 7);
   // Machine m's last record L is a giant non-tree record and another of
-  // its non-tree records X is deleted after m built its index, so L
+  // its non-tree records X is deleted after the index was built, so L
   // moves into X's slot; a later deletion on L's tree path must read it.
   for (MachineId m = 0; m < forest->num_machines(); ++m) {
     const auto shard = Access::shard(*forest, m);
@@ -845,12 +759,12 @@ TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
     if (!x.has_value() || path.size() < 2) continue;
     std::set<Edge> keep(path.begin(), path.end());
     std::vector<Update> batch;
-    // m has built its index by the third stage, before X goes.
+    // The index is built by the third stage, before X goes.
     warm_up(stream, keep, batch, 3, m, forest.get());
     batch.push_back(stream.erase(*x));
     batch.push_back(stream.erase(path.front()));
     stream.apply(batch);
-    EXPECT_TRUE(Access::index_built(*forest, m));
+    EXPECT_TRUE(Access::index_built(*forest));
     EXPECT_GT(Access::audit(*forest).machines, 0u);
     return;
   }
@@ -858,8 +772,8 @@ TEST(RecordIndex, FindsARecordSwapMovedAfterTheBuild) {
 }
 
 TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
-  // S large enough that the log, and the machines' scan counts, outlive
-  // the first batch.
+  // S large enough that the log, and round A's scan count, outlive the
+  // first batch.
   const auto forest = index_forest(false, false, std::size_t{1} << 16);
   IndexStream stream(*forest, 9);
   // Non-tree record R = (x, y) caches an appearance of x that tree edge
@@ -918,8 +832,7 @@ TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
         stream.apply({stream.erase(*e2)});
         EXPECT_EQ(forest->batch_stats().compactions, compactions);
         EXPECT_GT(forest->batch_stats().record_index_builds, 0u);
-        EXPECT_TRUE(Access::index_built(
-            *forest, Access::machine_of(*forest, r.first, r.second)));
+        EXPECT_TRUE(Access::index_built(*forest));
         EXPECT_GT(Access::audit(*forest).machines, 0u);
         return;
       }
@@ -931,28 +844,61 @@ TEST(RecordIndex, FindsARecordWhoseCachedEntryAnEarlierStageRemoved) {
 TEST(RecordIndex, SideListNamesEachSlotOnce) {
   // A slot written many times after the build is one side-list entry;
   // cutting the list back (a rollback) lets its slots be noted again.
-  core::EdgeShard es;
-  for (VertexId v = 1; v <= 4; ++v) {
-    es.append(static_cast<std::uint64_t>(v),
-              {.u = 0, .v = v, .comp = 0, .iu1 = 2 * v, .iv1 = 2 * v + 1},
-              0);
+  // Two machines: machine 1 holds tree record (0, 1) and non-tree
+  // records (0, v) for v = 2..4.
+  std::vector<core::EdgeShard> shards(2);
+  shards[1].append(1, {.u = 0, .v = 1, .comp = 0, .tree = true}, 0);
+  for (VertexId v = 2; v <= 4; ++v) {
+    shards[1].append(static_cast<std::uint64_t>(v),
+                     {.u = 0, .v = v, .comp = 0, .iu1 = 2 * v, .iv1 = 2 * v + 1},
+                     0);
   }
   const core::PendingLog log;
-  core::RecordIndex index;
-  index.build(es, log);
+  const core::RecordIndex::ShardOf shard =
+      [&](std::size_t m) -> const core::EdgeShard& { return shards[m]; };
+  core::RecordIndex index(5, 2);
+  index.build(shard, log);
   EXPECT_EQ(index.side_size(), 0u);
-  for (int i = 0; i < 100; ++i) index.touch(2);
-  index.touch(5);  // a slot created after the build
+  const auto before = index.mark();
+  // Tree record (2, 3) created after the build, in slot 4.
+  shards[1].append(5, {.u = 2, .v = 3, .comp = 0, .tree = true}, 0);
+  for (int i = 0; i < 100; ++i) index.touch(1, 2, shards[1]);
+  index.touch_new(1, 4);
   EXPECT_EQ(index.side_size(), 2u);
-  index.truncate_side(1);
+  index.restore({true, 1});
   for (int i = 0; i < 100; ++i) {
-    index.touch(5);
-    index.touch(2);
+    index.touch_new(1, 4);
+    index.touch(1, 2, shards[1]);
   }
-  EXPECT_EQ(index.side_size(), 2u);
-  std::vector<std::uint32_t> slots;
-  index.collect({}, {}, 6, slots);
-  EXPECT_EQ(slots, (std::vector<std::uint32_t>{2, 5}));
+  index.touch_new(1, 6);  // a slot created and erased since: past the end
+  EXPECT_EQ(index.side_size(), 3u);
+  // Slots as (machine << 32 | slot).  The side list's non-tree record
+  // is always a candidate, its tree record only under vertex 2 or 3, and
+  // its vanished slot never; tree record (0, 1) is listed under vertex
+  // 1, and non-tree record (0, 4)'s v entry at index 9.
+  const auto at = [](std::uint64_t m, std::uint64_t s) { return m << 32 | s; };
+  const auto verts = [](const VertexId& v) {
+    return std::span<const VertexId>(&v, 1);
+  };
+  std::vector<std::uint64_t> slots;
+  index.collect(shard, {}, {}, slots);
+  EXPECT_EQ(slots, (std::vector<std::uint64_t>{at(1, 2)}));
+  index.collect(shard, {}, verts(1), slots);
+  EXPECT_EQ(slots, (std::vector<std::uint64_t>{at(1, 0), at(1, 2)}));
+  index.collect(shard, {}, verts(3), slots);
+  EXPECT_EQ(slots, (std::vector<std::uint64_t>{at(1, 2), at(1, 4)}));
+  const core::TourRange nine{0, 9, 9};
+  index.collect(shard, std::span<const core::TourRange>(&nine, 1), {}, slots);
+  EXPECT_EQ(slots, (std::vector<std::uint64_t>{at(1, 2), at(1, 3)}));
+  // Rolled back to the build (the shard too), the index audits clean;
+  // dropped, it names nothing.
+  shards[1].erase_at(4);
+  index.restore(before);
+  EXPECT_EQ(index.side_size(), 0u);
+  EXPECT_EQ(index.audit(shard, log).missing, 0u);
+  EXPECT_EQ(index.audit(shard, log).stale, 0u);
+  index.restore({});
+  EXPECT_FALSE(index.built());
 }
 
 }  // namespace

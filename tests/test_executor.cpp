@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,6 +126,71 @@ TEST(ThreadPoolExecutor, PropagatesTaskExceptionsAtTheBarrier) {
   std::atomic<int> total{0};
   pool.run(32, [&](std::size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 32);
+}
+
+// Participants claim chunks of claim_grain() indexes.  The task counts
+// around one grain and a 1,145-machine round (a 2^18-vertex forest's
+// cluster) must still run every index exactly once.
+TEST(ThreadPoolExecutor, ChunkedClaimsRunEveryIndexOnce) {
+  ThreadPoolExecutor pool(3, /*serial_cutoff=*/0);
+  const std::size_t grain = ThreadPoolExecutor::claim_grain(1145, 4);
+  ASSERT_GT(grain, 2u) << "1,145 tasks on 4 threads must claim in chunks";
+  for (const std::size_t count :
+       {std::size_t{1}, grain - 1, grain, grain + 1, std::size_t{1145}}) {
+    std::vector<std::atomic<int>> hits(count);
+    pool.run(count, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " of " << count;
+    }
+  }
+}
+
+// One chunk runs on one thread, in index order.
+TEST(ThreadPoolExecutor, ChunkedClaimsKeepEachChunkOnOneThread) {
+  ThreadPoolExecutor pool(3, /*serial_cutoff=*/0);
+  constexpr std::size_t kCount = 1145;
+  const std::size_t grain = ThreadPoolExecutor::claim_grain(kCount, 4);
+  std::vector<std::thread::id> ran(kCount);
+  std::vector<std::size_t> order(kCount);
+  std::atomic<std::size_t> tick{0};
+  pool.run(kCount, [&](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+    order[i] = tick.fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 1; i < kCount; ++i) {
+    if (i % grain == 0) continue;  // a chunk starts here
+    EXPECT_EQ(ran[i], ran[i - 1]) << "index " << i << " left its chunk";
+    EXPECT_GT(order[i], order[i - 1]) << "index " << i << " ran early";
+  }
+}
+
+// Tasks in several chunks throw: the lowest index's exception wins,
+// whichever thread reached its chunk first, and every index still ran.
+TEST(ThreadPoolExecutor, ChunkedClaimsRethrowTheLowestIndex) {
+  ThreadPoolExecutor pool(3, /*serial_cutoff=*/0);
+  constexpr std::size_t kCount = 1145;
+  const std::size_t grain = ThreadPoolExecutor::claim_grain(kCount, 4);
+  const std::vector<std::size_t> throwing = {7 * grain + 1, 2 * grain + 3,
+                                             5 * grain, kCount - 1};
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> ran{0};
+    try {
+      pool.run(kCount, [&](std::size_t i) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        if (std::find(throwing.begin(), throwing.end(), i) !=
+            throwing.end()) {
+          throw std::runtime_error(std::to_string(i));
+        }
+      });
+      FAIL() << "no exception in round " << round;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::to_string(2 * grain + 3))
+          << "round " << round;
+    }
+    EXPECT_EQ(ran.load(), kCount) << "round " << round;
+  }
 }
 
 TEST(Cluster, ConcurrentStagingMergesInSenderOrder) {

@@ -35,6 +35,7 @@
 #include "dmpc/fault.hpp"
 #include "dmpc/memory.hpp"
 #include "dmpc/metrics.hpp"
+#include "forest_access.hpp"
 #include "graph/graph.hpp"
 #include "graph/update_stream.hpp"
 #include "harness/driver.hpp"
@@ -52,6 +53,7 @@ using dmpc::FaultKind;
 using graph::Update;
 using graph::UpdateKind;
 using graph::VertexId;
+using Access = core::DynamicForestTestAccess;
 
 // Everything observable about a forest.  tree_edges() lists records in
 // shard-slot order, so equal states also have equal slot order.
@@ -108,7 +110,20 @@ struct SweepCounts {
   /// Aborts of batches that began with earlier batches' stages still in
   /// the pending log, which the rollback must keep.
   std::size_t pending_log_aborts = 0;
+  /// Compactions that re-keyed a built record index, and those among
+  /// them whose dispatch a task sweep faulted first.
+  std::size_t index_rekeys = 0;
+  std::size_t index_rekey_faults = 0;
 };
+
+// The record index is complete (every record off its side list named
+// where it is, and nothing else) or dropped, whose audit reads zero.
+void expect_index_complete_or_dropped(const DynamicForest& forest,
+                                      const std::string& where) {
+  const core::RecordIndex::Coverage c = Access::index_coverage(forest);
+  EXPECT_EQ(c.missing, 0u) << "record index incomplete " << where;
+  EXPECT_EQ(c.stale, 0u) << "record index names stale entries " << where;
+}
 
 void sweep_every_injection_point(const DynForestConfig& config,
                                  bool thread_pool,
@@ -168,6 +183,9 @@ void sweep_every_injection_point(const DynForestConfig& config,
         ASSERT_TRUE(forest.validate(&why))
             << "invalid state after point " << at << " of batch " << b << ": "
             << why;
+        expect_index_complete_or_dropped(
+            forest, "after point " + std::to_string(at) + " of batch " +
+                        std::to_string(b));
         if (counts != nullptr && pending_stages > 0) {
           ++counts->pending_log_aborts;
         }
@@ -175,6 +193,7 @@ void sweep_every_injection_point(const DynForestConfig& config,
       if (testing::Test::HasFatalFailure()) return;
     }
     const dmpc::BatchScheduleStats twin_before = twin.batch_stats();
+    const bool indexed = Access::index_built(twin);
     twin.apply_batch(batch);
     const dmpc::BatchScheduleStats& twin_after = twin.batch_stats();
     const bool compacted = twin_after.compactions > twin_before.compactions;
@@ -184,10 +203,19 @@ void sweep_every_injection_point(const DynForestConfig& config,
     if (counts != nullptr && compacted && sweep_tasks) {
       ++counts->compaction_faults;
     }
+    if (counts != nullptr && compacted && indexed) {
+      ++counts->index_rekeys;
+      if (sweep_tasks) ++counts->index_rekey_faults;
+    }
     ASSERT_EQ(capture(forest), capture(twin))
         << "divergence from the fault-free twin after batch " << b;
     ASSERT_EQ(forest.batch_stats(), twin.batch_stats())
         << "counter divergence from the fault-free twin after batch " << b;
+    ASSERT_EQ(Access::index_built(forest), Access::index_built(twin))
+        << "record index divergence from the fault-free twin after batch "
+        << b;
+    expect_index_complete_or_dropped(forest,
+                                     "after batch " + std::to_string(b));
     for (const Update& up : batches[b]) graph::apply_update(shadow, up);
     ASSERT_EQ(forest.component_snapshot(),
               oracle::connected_components(shadow))
@@ -300,12 +328,12 @@ TEST(FaultSweep, CompactionDispatchFaultsRollBack) {
 }
 
 // Churn on one giant component in batches of three with S large enough
-// that the log, and each machine's count of the records cascade round A
-// scanned, outlive batches: round A builds machines' record indexes, in
-// its own dispatch, and reads through them.  A fault anywhere must drop
-// an index built in the batch and cut an older one back to the shard the
-// rollback restores, so the retry reads, counts and builds exactly as
-// the fault-free twin does (its batch_stats() are compared too).
+// that the log, and round A's count of the records it scanned, outlive
+// batches: round A builds the record index and reads through it.  A
+// fault anywhere must drop an index built in the batch and cut an older
+// one back to the shards the rollback restores, so the retry reads,
+// counts and builds exactly as the fault-free twin does (its
+// batch_stats() are compared too).
 TEST(FaultSweep, RecordIndexBuildRollsBack) {
   const DynForestConfig config{.n = 256, .m_cap = 16384};
   const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
@@ -315,6 +343,29 @@ TEST(FaultSweep, RecordIndexBuildRollsBack) {
     sweep_every_injection_point(config, pool, stream, 3, &stats, initial);
     EXPECT_GT(stats.record_index_builds, 0u)
         << "round A built no record index in the swept stream";
+  }
+}
+
+// The same churn, past the build: every later compaction re-keys the
+// built index instead of dropping it.  A fault in a compaction's
+// dispatch leaves some machines' records brought forward and the index
+// keyed to the log the rollback keeps; the sweep checks after every
+// abort and every commit that the index is complete or dropped, and that
+// the retry re-keys it as the fault-free twin does.
+TEST(FaultSweep, CompactionRekeysRecordIndex) {
+  const DynForestConfig config{.n = 256, .m_cap = 16384};
+  const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
+  const auto stream = graph::random_stream(config.n, 240, 0.5, 9);
+  for (const bool pool : {false, true}) {
+    dmpc::BatchScheduleStats stats;
+    SweepCounts counts;
+    sweep_every_injection_point(config, pool, stream, 3, &stats, initial,
+                                &counts);
+    EXPECT_EQ(stats.record_index_builds, 1u)
+        << "the record index did not outlive the stream's compactions";
+    EXPECT_GT(counts.index_rekeys, 1u);
+    EXPECT_GT(counts.index_rekey_faults, 0u)
+        << "no swept batch faulted a compaction of a built index";
   }
 }
 
