@@ -45,8 +45,10 @@
 //     (`kway_batch_pool_n262144`).  `--check` requires, per row,
 //     validate(), the pending log within its bound after every batch, a
 //     compaction where the row expects one, and the pinned rounds, words,
-//     record-index builds and records read (kBatchRows); and the pool
-//     row's rounds, words and records read equal to the serial row's;
+//     record-index builds and records read (kBatchRows); the pool row's
+//     rounds, words and records read equal to the serial row's; and
+//     across the rows, records read per cascade after the build's batch
+//     at 2^20 within kMaxRecordsPerCascadeGrowth times those at 2^16;
 //   * the compiled stage map on a 2^20-entry tour with 8 cuts and 8
 //     links: its compile time, and ns per index (in random order, as a
 //     shard scan meets them) through the map against the per-index
@@ -98,7 +100,7 @@ constexpr std::size_t kBatchSize = 16;
 /// whether its stream outgrows the pending log's bound (S grows with n,
 /// so the 2^20 row never compacts).  Most of a row's records read are
 /// the whole-shard scans before the index's build; the cascades after
-/// it read tens of records each.
+/// it read about seven records each.
 struct BatchRow {
   std::size_t n;
   std::uint64_t rounds;
@@ -108,10 +110,18 @@ struct BatchRow {
   bool compacts;
 };
 constexpr BatchRow kBatchRows[] = {
-    {std::size_t{1} << 16, 705, 1099900, 1, 131515, true},
-    {std::size_t{1} << 18, 727, 2177550, 1, 263232, true},
-    {std::size_t{1} << 20, 765, 4584528, 1, 1050182, false},
+    {std::size_t{1} << 16, 705, 1099900, 1, 131462, true},
+    {std::size_t{1} << 18, 727, 2177550, 1, 262536, true},
+    {std::size_t{1} << 20, 765, 4584528, 1, 1049001, false},
 };
+/// Cascade round A's records read per cascade after the build's batch
+/// may grow at most this much from the smallest to the largest k-way
+/// batch row.  A cascade then reads its splits' smaller sides, which
+/// this stream's random cuts keep small at every n, and the record
+/// index's side list, which a fold keeps within RecordIndex::kFoldAt
+/// slots of what the last fold could not enter, so the figure stays
+/// flat in n.
+constexpr double kMaxRecordsPerCascadeGrowth = 2.0;
 /// The k-way batch row repeated on a thread pool (of min(4, cores)
 /// threads): its rounds, words and records read per cascade must equal
 /// the serial row's.
@@ -802,6 +812,7 @@ int main(int argc, char** argv) {
   {
     // Prints and records one row; `executor` names its executor, and
     // `matches` is false when a pooled row departs from the serial one.
+    // Returns the row's records read per cascade after the build's batch.
     const auto report = [&](const std::string& name,
                             const std::string& executor, const BatchRow& row,
                             const BatchRun& r, bool matches) {
@@ -874,11 +885,14 @@ int main(int argc, char** argv) {
           .u64("total_rounds", r.agg.total_rounds)
           .u64("total_comm_words", r.agg.total_comm_words)
           .flag("within_budget", r.valid && pinned && log_ok && matches);
+      return indexed_read;
     };
+    std::vector<double> per_cascade;
     for (const BatchRow& row : kBatchRows) {
       const BatchRun r =
           run_kway_batches(row.n, std::make_shared<dmpc::SerialExecutor>());
-      report("kway_batch_n" + std::to_string(row.n), "serial", row, r, true);
+      per_cascade.push_back(report("kway_batch_n" + std::to_string(row.n),
+                                   "serial", row, r, true));
       if (row.n != kBatchPoolN) continue;
       // The same stream on a pool: the executor changes only who runs
       // each machine's task, never what round A reads or sends.
@@ -891,6 +905,20 @@ int main(int argc, char** argv) {
                            p.records_read == r.records_read;
       report("kway_batch_pool_n" + std::to_string(row.n),
              "pool(" + std::to_string(threads) + ")", row, p, matches);
+    }
+    // The smaller-side search through the record index: reads per
+    // cascade stay near flat in n, where a whole-shard scan grows with it.
+    const double growth = per_cascade.back() / per_cascade.front();
+    std::printf("records read per cascade after the build's batch: %.2fx "
+                "from n=%zu to n=%zu (budget %.1fx)\n",
+                growth, kBatchRows[0].n, std::end(kBatchRows)[-1].n,
+                kMaxRecordsPerCascadeGrowth);
+    if (!(growth <= kMaxRecordsPerCascadeGrowth)) {
+      std::fprintf(stderr, "K-WAY BATCH VIOLATION: records read per cascade "
+                           "after the build's batch grew %.2fx (budget "
+                           "%.1fx)\n",
+                   growth, kMaxRecordsPerCascadeGrowth);
+      ok = false;
     }
   }
 

@@ -2119,6 +2119,12 @@ void DynamicForest::apply_batch(std::span<const graph::Update> batch) try {
       (!pending_.empty() &&
        pending_.words() + kLogWordsPerUpdate * batch.size() > log_bound_)) {
     compact_log();
+  } else if (record_index_.fold_due()) {
+    // Between compactions the side list folds in here, before any
+    // stage: a rollback of the batch keeps the fold, as it keeps a
+    // compaction.
+    record_index_.fold(shard_of(), pending_);
+    if (journal_active_) journal_index_ = record_index_.mark();
   }
   ++batch_stats_.batches;
   // Net-op compression (unweighted only): the observable state —

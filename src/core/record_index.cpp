@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -123,8 +124,11 @@ void RecordIndex::drop() {
   nontree_.clear();
   head_.clear();
   next_.clear();
+  recent_.clear();
+  folded_.clear();
   for (const Side& e : side_) on_side_[e.id] = 0;
   side_.clear();
+  unfolded_ = 0;
   built_ = false;
 }
 
@@ -137,6 +141,7 @@ void RecordIndex::restore(Mark mark) {
     on_side_[side_[i].id] = 0;
   }
   side_.resize(mark.side);
+  unfolded_ = std::min(unfolded_, side_.size());
 }
 
 void RecordIndex::note(std::size_t m, std::size_t s, const EdgeShard* es) {
@@ -145,9 +150,21 @@ void RecordIndex::note(std::size_t m, std::size_t s, const EdgeShard* es) {
   if (on_side_[slot_id] != 0) return;
   on_side_[slot_id] = 1;
   Side e{slot_id};
-  if (es != nullptr && es->tree[s] != 0) {
+  if (es == nullptr) {
+    // A slot created since: the index holds nothing for it.
+  } else if (es->tree[s] != 0) {
     e.u = static_cast<std::uint32_t>(es->u[s]);
     e.v = static_cast<std::uint32_t>(es->v[s]);
+  } else if (const auto f = folded_.find(slot_id); f != folded_.end()) {
+    e.keyed = true;
+    std::tie(e.k1, e.k2) = f->second;
+  } else {
+    // Entered at base by the build, a rekey or a fold, and not written
+    // since.
+    assert((es->ver[s] & PendingLog::kTracked) == 0);
+    e.keyed = true;
+    e.k1 = {es->comp[s], es->iu1[s]};
+    e.k2 = {es->comp[s], es->iv1[s]};
   }
   side_.push_back(e);
 }
@@ -193,7 +210,15 @@ void RecordIndex::collect(const ShardOf& shard,
              nontree_.data() + (k == 0 ? 0 : comp_end_[k - 1]), last,
              entry(r.lo, 0));
          e != last && key_of(*e) <= r.hi; ++e) {
-      push(half_of(*e) / 2);
+      if (!dead(*e)) push(half_of(*e) / 2);
+    }
+  }
+  for (const TourRange& r : ranges) {
+    for (auto e = std::lower_bound(recent_.begin(), recent_.end(),
+                                   std::pair{r.comp, entry(r.lo, 0)});
+         e != recent_.end() && e->first == r.comp && key_of(e->second) <= r.hi;
+         ++e) {
+      push(half_of(e->second) / 2);
     }
   }
   for (const VertexId v : verts) {
@@ -226,13 +251,7 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
     return std::pair<const EdgeShard&, std::size_t>(
         shard(slot_id % machines_), slot_id / machines_);
   };
-  // The side list's tree entries leave their lists before its records
-  // are entered again.
-  for (const Side& e : side_) {
-    if (e.u == kNil) continue;
-    unlink(e.u, 2 * e.id);
-    unlink(e.v, 2 * e.id + 1);
-  }
+  unlink_side();
   // Non-tree entries off the side list, run by run: an entry in a live
   // piece moves with the piece, in order, so each piece's entries are one
   // sorted segment.  An entry the log removed resolves through a cut fix,
@@ -261,7 +280,7 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
         continue;
       }
       const std::uint32_t half = half_of(nontree_[i]);
-      if (!on_side(half / 2)) {
+      if (half != kDead && !on_side(half / 2)) {
         const auto [es, s] = record(half / 2);
         loose_.emplace_back(
             es.comp[s], entry((half & 1) != 0 ? es.iv1[s] : es.iu1[s], half));
@@ -269,6 +288,7 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
       ++i;
     }
   }
+  rekey_overlay(shard, log);
   // The side list's records, each as the compaction left it.
   for (const Side& e : side_) {
     const auto [es, s] = record(e.id);
@@ -282,6 +302,159 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
       loose_.emplace_back(es.comp[s], entry(es.iv1[s], h + 1));
     }
   }
+  merge_entries();
+  recent_.clear();
+  folded_.clear();
+  for (const Side& e : side_) on_side_[e.id] = 0;
+  side_.clear();
+  unfolded_ = 0;
+}
+
+void RecordIndex::rekey_overlay(const ShardOf& shard, const PendingLog& log) {
+  // As the runs' entries: a live piece's move, or a removed entry's
+  // record as the compaction wrote it.
+  for (const auto& [comp, e] : recent_) {
+    const std::uint32_t half = half_of(e);
+    if (on_side(half / 2)) continue;
+    const etour::ComposedMap* cm = log.composed_of(comp);
+    if (cm == nullptr) {
+      loose_.emplace_back(comp, e);
+      continue;
+    }
+    const etour::ComposedMap::Piece& p = cm->piece(key_of(e));
+    if (p.removed_at == 0) {
+      loose_.emplace_back(p.label, e + (static_cast<Entry>(p.delta) << 32));
+      continue;
+    }
+    const EdgeShard& es = shard(half / 2 % machines_);
+    const std::size_t s = half / 2 / machines_;
+    loose_.emplace_back(
+        es.comp[s], entry((half & 1) != 0 ? es.iv1[s] : es.iu1[s], half));
+  }
+}
+
+void RecordIndex::fold(const ShardOf& shard, const PendingLog& log) {
+  if (!built_) return;
+  unlink_side();
+  // Every live piece's image, by (label, lo): images of one label are
+  // disjoint ranges of its tour.
+  images_.clear();
+  for (const auto& [base, cm] : log.composed) {
+    for (std::size_t q = 0; q < cm->pieces(); ++q) {
+      const etour::ComposedMap::Piece& p = cm->piece_at(q);
+      if (p.removed_at != 0) continue;
+      const Word lo = cm->piece_start(q);
+      const Word hi = std::min(cm->piece_start(q + 1) - 1, cm->elen());
+      images_.push_back({p.label, lo + p.delta, hi + p.delta, base, p.delta});
+    }
+  }
+  std::sort(images_.begin(), images_.end(),
+            [](const Image& a, const Image& b) {
+              return std::tie(a.label, a.lo) < std::tie(b.label, b.lo);
+            });
+  // The side list's records bury the entries they had and enter the
+  // overlay where they now are, or stay on the side list.
+  loose_.clear();
+  kept_.clear();
+  for (const Side& e : side_) {
+    if (e.keyed) {
+      bury(e.k1, 2 * e.id);
+      bury(e.k2, 2 * e.id + 1);
+      folded_.erase(e.id);
+    }
+    const EdgeShard& es = shard(e.id % machines_);
+    const std::size_t s = e.id / machines_;
+    if (s >= es.size()) continue;
+    const std::uint32_t h = 2 * e.id;
+    if (es.tree[s] != 0) {
+      link(es.u[s], h);
+      link(es.v[s], h + 1);
+      continue;
+    }
+    const std::uint32_t version = es.ver[s];
+    Appearance a1{es.comp[s], es.iu1[s]}, a2{es.comp[s], es.iv1[s]};
+    if ((version & PendingLog::kTracked) != 0) {
+      const std::uint32_t t = version & ~PendingLog::kTracked;
+      if (!base_of(log, log.tracked[t].at, a1) ||
+          !base_of(log, log.tracked[t + 1].at, a2)) {
+        kept_.push_back({e.id});
+        continue;
+      }
+      folded_[e.id] = {a1, a2};
+    } else {
+      assert(log.at_base(version));
+    }
+    loose_.emplace_back(a1.comp, entry(a1.idx, h));
+    loose_.emplace_back(a2.comp, entry(a2.idx, h + 1));
+  }
+  std::sort(loose_.begin(), loose_.end());
+  recent_out_.clear();
+  std::merge(recent_.begin(), recent_.end(), loose_.begin(), loose_.end(),
+             std::back_inserter(recent_out_));
+  recent_.swap(recent_out_);
+  for (const Side& e : side_) on_side_[e.id] = 0;
+  for (const Side& e : kept_) on_side_[e.id] = 1;
+  side_.swap(kept_);
+  unfolded_ = side_.size();
+}
+
+void RecordIndex::bury(Appearance a, std::uint32_t half) {
+  const auto c = std::lower_bound(comps_.begin(), comps_.end(), a.comp);
+  if (c != comps_.end() && *c == a.comp) {
+    const auto k = static_cast<std::size_t>(c - comps_.begin());
+    Entry* const last = nontree_.data() + comp_end_[k];
+    for (Entry* e = std::lower_bound(
+             nontree_.data() + (k == 0 ? 0 : comp_end_[k - 1]), last,
+             entry(a.idx, 0));
+         e != last && key_of(*e) == a.idx; ++e) {
+      if (half_of(*e) == half) {
+        // In place: the runs stay sorted by key.
+        *e = entry(a.idx, kDead);
+        return;
+      }
+    }
+  }
+  for (auto e = std::lower_bound(recent_.begin(), recent_.end(),
+                                 std::pair{a.comp, entry(a.idx, 0)});
+       e != recent_.end() && e->first == a.comp && key_of(e->second) == a.idx;
+       ++e) {
+    if (half_of(e->second) == half) {
+      recent_.erase(e);
+      return;
+    }
+  }
+  assert(false && "a side-list slot's non-tree entry is not in the index");
+}
+
+bool RecordIndex::base_of(const PendingLog& log, Appearance a,
+                          Appearance& out) const {
+  if (a.comp < log.first_new_label && log.composed_of(a.comp) == nullptr) {
+    out = a;  // a component the log has not moved
+    return true;
+  }
+  const auto it = std::upper_bound(
+      images_.begin(), images_.end(), std::pair{a.comp, a.idx},
+      [](const std::pair<Word, Word>& at, const Image& im) {
+        return at < std::pair{im.label, im.lo};
+      });
+  if (it == images_.begin()) return false;
+  const Image& im = *std::prev(it);
+  if (im.label != a.comp || a.idx > im.hi) return false;
+  out = {im.base, a.idx - im.delta};
+  return true;
+}
+
+void RecordIndex::unlink_side() {
+  // The side list's tree entries leave their lists before its records
+  // are entered again.
+  for (const Side& e : side_) {
+    if (e.u == kNil) continue;
+    unlink(e.u, 2 * e.id);
+    unlink(e.v, 2 * e.id + 1);
+  }
+}
+
+void RecordIndex::merge_entries() {
   // Pieces map onto disjoint index ranges, so segments of one label
   // never interleave: sorted by their first entry, they concatenate in
   // order, and the loose entries merge in.
@@ -310,7 +483,7 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
   };
   for (const Segment& seg : segments_) {
     for (std::size_t i = seg.begin; i < seg.end; ++i) {
-      if (on_side(half_of(nontree_[i]) / 2)) continue;
+      if (dead(nontree_[i]) || on_side(half_of(nontree_[i]) / 2)) continue;
       const Entry e = nontree_[i] + shift(seg.delta);
       emit_loose_before(seg.label, e);
       append_run(comps_out_, comp_end_out_, nontree_out_, seg.label, e);
@@ -321,8 +494,6 @@ void RecordIndex::rekey(const ShardOf& shard, const PendingLog& log) {
   comps_.swap(comps_out_);
   comp_end_.swap(comp_end_out_);
   nontree_.swap(nontree_out_);
-  for (const Side& e : side_) on_side_[e.id] = 0;
-  side_.clear();
 }
 
 RecordIndex::Coverage RecordIndex::audit(const ShardOf& shard,
@@ -351,24 +522,27 @@ RecordIndex::Coverage RecordIndex::audit(const ShardOf& shard,
       want.emplace_back(r.comp, r.iv1, h + 1);
     }
   }
+  const auto have_entry = [&](Word comp, Entry e) {
+    const std::uint32_t half = half_of(e);
+    if (half == kDead || on_side(half / 2)) return;
+    const EdgeShard& es = shard(half / 2 % machines_);
+    const std::size_t s = half / 2 / machines_;
+    if (s >= es.size() || es.tree[s] != 0) {
+      ++out.stale;
+      return;
+    }
+    const Appearance a =
+        log.resolve({comp, key_of(e)}, (half & 1) != 0 ? es.v[s] : es.u[s],
+                    log.composed_of(comp));
+    have.emplace_back(a.comp, a.idx, half);
+  };
   for (std::size_t k = 0; k < comps_.size(); ++k) {
-    const etour::ComposedMap* cm = log.composed_of(comps_[k]);
     for (std::size_t i = k == 0 ? 0 : comp_end_[k - 1]; i < comp_end_[k];
          ++i) {
-      const std::uint32_t half = half_of(nontree_[i]);
-      if (on_side(half / 2)) continue;
-      const EdgeShard& es = shard(half / 2 % machines_);
-      const std::size_t s = half / 2 / machines_;
-      if (s >= es.size() || es.tree[s] != 0) {
-        ++out.stale;
-        continue;
-      }
-      const Appearance a = log.resolve({comps_[k], key_of(nontree_[i])},
-                                       (half & 1) != 0 ? es.v[s] : es.u[s],
-                                       cm);
-      have.emplace_back(a.comp, a.idx, half);
+      have_entry(comps_[k], nontree_[i]);
     }
   }
+  for (const auto& [comp, e] : recent_) have_entry(comp, e);
   for (std::size_t v = 0; v < head_.size(); ++v) {
     for (std::uint32_t h = head_[v]; h != kNil; h = next_[h]) {
       if (!on_side(h / 2)) {

@@ -64,12 +64,7 @@ const char* trace_phase_name(TracePhase phase) {
 
 Tracer::Tracer(std::size_t max_events)
     : max_events_(max_events), epoch_ns_(steady_ns()) {
-  // Writes the whole buffer once, so its pages are faulted in here and
-  // not by the first pass through it: each fault would be charged to the
-  // phase whose dispatch pushed the event (a 1,145-machine dispatch
-  // pushes 45 KiB of task windows).
-  events_.resize(max_events_);
-  events_.clear();
+  events_.reserve(max_events_);
 }
 
 std::uint64_t Tracer::now_ns() const { return steady_ns() - epoch_ns_; }

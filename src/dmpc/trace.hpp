@@ -18,11 +18,10 @@
 // Cost contract: off by default, and the off path is one pointer/flag
 // check per barrier and per dispatch (gated in bench_micro as
 // trace_overhead_pct, budget <1%).  When enabled, the event buffer is
-// preallocated (and its pages touched) once at max_events capacity and
-// NEVER grows: past the cap events are dropped and counted
-// (dropped_events), while the per-phase totals keep counting every
-// round, so the attribution table stays exact even when the event log
-// truncates.
+// preallocated once at max_events capacity and NEVER grows: past the cap
+// events are dropped and counted (dropped_events), while the per-phase
+// totals keep counting every round, so the attribution table stays exact
+// even when the event log truncates.
 //
 // Threading: everything here is called from the single driving thread —
 // between dispatches and at barriers — except record_task, which worker

@@ -82,6 +82,15 @@ struct DynamicForestTestAccess {
   static bool index_built(const DynamicForest& f) {
     return f.record_index_.built();
   }
+  // Whether the record index's next batch folds its side list in, if
+  // it does not compact first (RecordIndex::fold_due), and the side
+  // list's length.
+  static bool index_fold_due(const DynamicForest& f) {
+    return f.record_index_.fold_due();
+  }
+  static std::size_t index_side(const DynamicForest& f) {
+    return f.record_index_.side_size();
+  }
   // The record index's test-only coverage audit (RecordIndex::audit):
   // zero when the index is dropped.
   static RecordIndex::Coverage index_coverage(const DynamicForest& f) {

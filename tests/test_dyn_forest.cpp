@@ -645,12 +645,14 @@ TEST_P(RecordIndexAudit, CoversEveryRecordTheScanSendsFrom) {
   // insert), with non-tree inserts and deletes between them.  Large
   // batches compact at the top of each batch (S is small here), so after
   // the first build every batch re-keys the index; batches of three with
-  // a larger S keep the log across batches.
+  // a larger S keep the log across batches, so their side list folds in
+  // between compactions.
   const auto [weighted, pool, small] = GetParam();
   const auto forest =
-      index_forest(weighted, pool, small ? std::size_t{1} << 16 : 4 * kIdxN);
+      index_forest(weighted, pool, small ? std::size_t{1} << 18 : 4 * kIdxN);
   IndexStream stream(*forest, weighted ? 41 : 43);
   const std::size_t deletes = small ? 1 : 4;
+  std::size_t folds = 0;
   while (stream.isolated_left() >= deletes) {
     std::vector<Update> batch;
     std::vector<Edge> trees = stream.giant_tree();
@@ -670,15 +672,23 @@ TEST_P(RecordIndexAudit, CoversEveryRecordTheScanSendsFrom) {
             stream.erase(nontree[stream.rng()() % nontree.size()]));
       }
     }
+    const bool fold_due = Access::index_fold_due(*forest);
+    const std::uint64_t compactions = forest->batch_stats().compactions;
     stream.apply(batch);
     if (HasFailure()) return;
+    if (fold_due && forest->batch_stats().compactions == compactions) {
+      ++folds;
+    }
   }
   EXPECT_EQ(forest->batch_stats().record_index_builds, 1u)
       << "the record index did not outlive the stream's compactions";
   EXPECT_GT(Access::audit(*forest).machines, 0u);
   EXPECT_GT(Access::audit(*forest).remapped, 0u)
       << "no smaller side mapped back to several base ranges";
-  if (!small) {
+  if (small) {
+    EXPECT_GT(folds, 0u)
+        << "no batch folded the side list in between compactions";
+  } else {
     EXPECT_GT(Access::audit(*forest).rekeys, 0u)
         << "no compaction re-keyed the built index";
   }

@@ -114,6 +114,10 @@ struct SweepCounts {
   /// them whose dispatch a task sweep faulted first.
   std::size_t index_rekeys = 0;
   std::size_t index_rekey_faults = 0;
+  /// Batches that began by folding the record index's side list in, and
+  /// those among them that a fault aborted before they committed.
+  std::size_t index_folds = 0;
+  std::size_t index_fold_aborts = 0;
 };
 
 // The record index is complete (every record off its side list named
@@ -159,6 +163,7 @@ void sweep_every_injection_point(const DynForestConfig& config,
     const bool sweep_tasks = (b % 2) == 1;
     const ForestState before = capture(forest);
     bool committed = false;
+    bool aborted = false;
     for (std::uint64_t at = 0; !committed; ++at) {
       ASSERT_LT(at, 5000u) << "batch " << b << " never ran fault-free";
       if (sweep_tasks) {
@@ -189,11 +194,13 @@ void sweep_every_injection_point(const DynForestConfig& config,
         if (counts != nullptr && pending_stages > 0) {
           ++counts->pending_log_aborts;
         }
+        aborted = true;
       }
       if (testing::Test::HasFatalFailure()) return;
     }
     const dmpc::BatchScheduleStats twin_before = twin.batch_stats();
     const bool indexed = Access::index_built(twin);
+    const bool fold_due = Access::index_fold_due(twin);
     twin.apply_batch(batch);
     const dmpc::BatchScheduleStats& twin_after = twin.batch_stats();
     const bool compacted = twin_after.compactions > twin_before.compactions;
@@ -207,12 +214,20 @@ void sweep_every_injection_point(const DynForestConfig& config,
       ++counts->index_rekeys;
       if (sweep_tasks) ++counts->index_rekey_faults;
     }
+    if (counts != nullptr && fold_due && !compacted) {
+      ++counts->index_folds;
+      if (aborted) ++counts->index_fold_aborts;
+    }
     ASSERT_EQ(capture(forest), capture(twin))
         << "divergence from the fault-free twin after batch " << b;
     ASSERT_EQ(forest.batch_stats(), twin.batch_stats())
         << "counter divergence from the fault-free twin after batch " << b;
     ASSERT_EQ(Access::index_built(forest), Access::index_built(twin))
         << "record index divergence from the fault-free twin after batch "
+        << b;
+    ASSERT_EQ(Access::index_side(forest), Access::index_side(twin))
+        << "record index side-list divergence from the fault-free twin "
+           "after batch "
         << b;
     expect_index_complete_or_dropped(forest,
                                      "after batch " + std::to_string(b));
@@ -366,6 +381,28 @@ TEST(FaultSweep, CompactionRekeysRecordIndex) {
     EXPECT_GT(counts.index_rekeys, 1u);
     EXPECT_GT(counts.index_rekey_faults, 0u)
         << "no swept batch faulted a compaction of a built index";
+  }
+}
+
+// The same churn in batches of two, with S large enough that the log
+// outlives most batches: between compactions a batch begins by folding
+// the built index's side list in.  A fault later in the batch must keep
+// the fold (the shards it read are the ones the rollback restores) and
+// cut the side list back to where the fold left it, so the retry folds
+// nothing and its side list matches the fault-free twin's.
+TEST(FaultSweep, RollbackKeepsRecordIndexFold) {
+  const DynForestConfig config{.n = 256, .m_cap = 65536};
+  const graph::EdgeList initial = graph::gnm(config.n, config.n, 5);
+  const auto stream = graph::random_stream(config.n, 240, 0.5, 9);
+  for (const bool pool : {false, true}) {
+    dmpc::BatchScheduleStats stats;
+    SweepCounts counts;
+    sweep_every_injection_point(config, pool, stream, 2, &stats, initial,
+                                &counts);
+    EXPECT_EQ(stats.record_index_builds, 1u);
+    EXPECT_GT(counts.index_folds, 1u);
+    EXPECT_GT(counts.index_fold_aborts, 0u)
+        << "no fault aborted a batch that folded the side list";
   }
 }
 
